@@ -12,7 +12,8 @@ from .continuous import (DegenerateUtilityError, PricingConfig, SolveReport,
                          best_response_ee, best_response_priced, br_dynamics,
                          ee_utility, gamma_star, ne_continuous,
                          packet_throughput, priced_responder, priced_utility)
-from .efficiency import (EmptyImprovementRegionError, UtilityPoint, Weights,
+from .efficiency import (EmptyImprovementRegionError, UtilityPlane,
+                         UtilityPoint, Weights,
                          distance_to_frontier, fairness_projection,
                          in_improvement_region, nash_bargaining,
                          pareto_frontier, social_optimum, utility_grid,
@@ -37,7 +38,7 @@ __all__ = [
     "best_response_ee", "best_response_priced", "br_dynamics", "ee_utility",
     "gamma_star", "ne_continuous", "packet_throughput", "priced_responder",
     "priced_utility",
-    "EmptyImprovementRegionError", "UtilityPoint", "Weights",
+    "EmptyImprovementRegionError", "UtilityPlane", "UtilityPoint", "Weights",
     "distance_to_frontier", "fairness_projection", "in_improvement_region",
     "nash_bargaining", "pareto_frontier", "social_optimum", "utility_grid",
     "utility_point",

@@ -261,13 +261,17 @@ def cmd_pareto(cfg: RunConfig, args, outdir: Path) -> int:
     frontier = pareto_frontier(points)
     artifact = {"n_per_axis": n,
                 "frontier": [_point_dict(pt) for pt in frontier]}
-    paths = [_write_json(outdir, "pareto", artifact),
-             _write_csv(outdir, "pareto", *grid_csv_rows(points, frontier))]
+    json_path = _write_json(outdir, "pareto", artifact)
+    csv_path = outdir / "pareto.csv"
+    header, body = grid_csv_rows(points, frontier)
+    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(body)
     _say(args, f"sampled {len(points)} profiles on a {n} x {n} grid; "
                f"frontier holds {len(frontier)} points")
     lo, hi = frontier[0].normalized, frontier[-1].normalized
     _say(args, f"frontier runs from σ²u/t = {_fmt_vec(lo, 3)} to {_fmt_vec(hi, 3)}")
-    _wrote(args, paths)
+    _wrote(args, [json_path, csv_path])
     if args.json:
         print(json.dumps(artifact, indent=2))
     return 0

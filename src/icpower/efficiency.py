@@ -19,6 +19,7 @@ from .numerics import refine_coordinatewise
 
 __all__ = [
     "UtilityPoint",
+    "UtilityPlane",
     "Weights",
     "EmptyImprovementRegionError",
     "utility_point",
@@ -89,24 +90,69 @@ def _surfaces(model: NetworkModel, axis: np.ndarray) -> tuple[np.ndarray, np.nda
     return out[0], out[1]
 
 
-def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> list[UtilityPoint]:
+@dataclass(frozen=True, eq=False)
+class UtilityPlane(Sequence[UtilityPoint]):
+    """Utility surfaces sampled on an n x n power grid.
+
+    ``u1[i, j]`` and ``u2[i, j]`` are the players' utilities at the profile
+    ``(axis[i], axis[j])``, and ``scale`` (noise_power / rate_scale) turns a
+    utility into noise units.  As a sequence it holds the n^2 points in
+    s1-major order, each built only when it is read.
+    """
+
+    axis: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    scale: float
+
+    def __len__(self) -> int:
+        return self.u1.size
+
+    def __getitem__(self, index) -> UtilityPoint | list[UtilityPoint]:
+        flat = range(len(self))[index]
+        if isinstance(flat, range):
+            return [self._point(k) for k in flat]
+        return self._point(flat)
+
+    def __iter__(self):
+        axis = self.axis.tolist()
+        for a, row1, row2 in zip(axis, self.u1.tolist(), self.u2.tolist()):
+            for b, x, y in zip(axis, row1, row2):
+                yield self._make(a, b, x, y)
+
+    def _point(self, flat: int) -> UtilityPoint:
+        i, j = divmod(flat, len(self.axis))
+        return self._make(float(self.axis[i]), float(self.axis[j]),
+                          float(self.u1[i, j]), float(self.u2[i, j]))
+
+    def _make(self, a: float, b: float, x: float, y: float) -> UtilityPoint:
+        return UtilityPoint(profile=PowerProfile((a, b)), utilities=(x, y),
+                            normalized=(x * self.scale, y * self.scale))
+
+
+def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
     """Sample [0, power_cap]^2 uniformly (endpoints included), s1-major order."""
     _require_two_players(model)
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
     axis = np.linspace(0.0, model.power_cap, n_per_axis)
     u1, u2 = _surfaces(model, axis)
-    scale = model.noise_power / model.rate_scale
-    points = []
-    for i, a in enumerate(axis):
-        for j, b in enumerate(axis):
-            utilities = (float(u1[i, j]), float(u2[i, j]))
-            points.append(UtilityPoint(
-                profile=PowerProfile((float(a), float(b))),
-                utilities=utilities,
-                normalized=(utilities[0] * scale, utilities[1] * scale),
-            ))
-    return points
+    return UtilityPlane(axis, u1, u2, model.noise_power / model.rate_scale)
+
+
+def _frontier_indices(u1: np.ndarray, u2: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated points, sorted by u1 ascending.
+
+    Sorting on (-u1, -u2, rank) puts each run of equal utility pairs in rank
+    order.  A point is kept when its u2 strictly exceeds every u2 before it,
+    which drops the dominated points and all but the first of each run.
+    """
+    order = np.lexsort((rank, -u2, -u1))
+    u2_sorted = u2[order]
+    best_before = np.empty_like(u2_sorted)
+    best_before[0] = -np.inf
+    np.maximum.accumulate(u2_sorted[:-1], out=best_before[1:])
+    return order[u2_sorted > best_before][::-1]
 
 
 def pareto_frontier(points: Sequence[UtilityPoint]) -> list[UtilityPoint]:
@@ -114,25 +160,20 @@ def pareto_frontier(points: Sequence[UtilityPoint]) -> list[UtilityPoint]:
 
     Dominance is weak-in-all, strict-in-some.  Points with identical utility
     pairs are collapsed to the one with the lexicographically smallest
-    profile before the sweep.
+    profile (the earliest of equal profiles).
     """
     if not points:
         raise ValueError("need at least one point")
-    unique: dict[tuple[float, ...], UtilityPoint] = {}
-    for pt in points:
-        key = pt.utilities
-        held = unique.get(key)
-        if held is None or pt.profile.powers < held.profile.powers:
-            unique[key] = pt
-    ordered = sorted(unique.values(), key=lambda pt: (-pt.utilities[0], -pt.utilities[1]))
-    frontier: list[UtilityPoint] = []
-    best_u2 = -math.inf
-    for pt in ordered:
-        if pt.utilities[1] > best_u2:
-            frontier.append(pt)
-            best_u2 = pt.utilities[1]
-    frontier.reverse()
-    return frontier
+    if isinstance(points, UtilityPlane):
+        u1, u2 = points.u1.ravel(), points.u2.ravel()
+        rank = np.arange(u1.size)  # s1-major order is profile order
+    else:
+        u = np.array([pt.utilities for pt in points], dtype=float)
+        profiles = np.array([pt.profile.powers for pt in points], dtype=float)
+        u1, u2 = u[:, 0], u[:, 1]
+        rank = np.empty(len(u), dtype=np.intp)
+        rank[np.lexsort(profiles.T[::-1])] = np.arange(len(u))
+    return [points[k] for k in _frontier_indices(u1, u2, rank).tolist()]
 
 
 def social_optimum(model: NetworkModel, weights: Weights, n_per_axis: int = 400,
@@ -222,15 +263,30 @@ def distance_to_frontier(point: UtilityPoint, frontier: Sequence[UtilityPoint]) 
     return min(math.hypot(x - fx, y - fy) for fx, fy in (f.normalized for f in frontier))
 
 
-def grid_csv_rows(points: Sequence[UtilityPoint],
-                  frontier: Sequence[UtilityPoint]) -> tuple[list[str], list[list]]:
-    """Header and rows for the utility-plane CSV export."""
+def grid_csv_rows(plane: UtilityPlane,
+                  frontier: Sequence[UtilityPoint]) -> tuple[list[str], list[str]]:
+    """Header and body of the utility-plane CSV.
+
+    The body holds one line per profile in s1-major order, as one text block
+    of n newline-terminated lines per s1 value.  Each value is its float
+    ``repr``, which is what ``csv.writer`` writes; ``on_frontier`` is 1 on
+    the cells whose profile is in ``frontier``.
+    """
     header = ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm", "on_frontier"]
-    marked = {f.profile.powers for f in frontier}
-    rows = []
-    for pt in points:
-        rows.append([pt.profile.powers[0], pt.profile.powers[1],
-                     pt.utilities[0], pt.utilities[1],
-                     pt.normalized[0], pt.normalized[1],
-                     int(pt.profile.powers in marked)])
-    return header, rows
+    axis = plane.axis
+    n = len(axis)
+    flags = ["0"] * (n * n)
+    if frontier:
+        s = np.array([f.profile.powers for f in frontier], dtype=float)
+        idx = np.minimum(np.searchsorted(axis, s), n - 1)
+        on_grid = (axis[idx] == s).all(axis=1)
+        for k in (idx[:, 0] * n + idx[:, 1])[on_grid].tolist():
+            flags[k] = "1"
+    cols = (plane.u1, plane.u2, plane.u1 * plane.scale, plane.u2 * plane.scale)
+    axis_text = [repr(a) for a in axis.tolist()]
+    blocks = []
+    for r, s1 in enumerate(axis_text):
+        values = [map(repr, c[r].tolist()) for c in cols]
+        lines = map(",".join, zip([s1] * n, axis_text, *values, flags[r * n:(r + 1) * n]))
+        blocks.append("\n".join(lines) + "\n")
+    return header, blocks

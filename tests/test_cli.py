@@ -1,13 +1,20 @@
 """CLI: console output, artifacts, exit codes, determinism."""
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from icpower import FiniteGame, SolveReport, config_from_dict, default_config_path
+import icpower
+from icpower import (FiniteGame, SolveReport, config_from_dict,
+                     default_config_path, load_config)
 from icpower.cli import main
+
+from test_efficiency import brute_frontier, reference_grid
 
 
 def run(tmp_path, *argv, config=None):
@@ -27,6 +34,26 @@ def read_json(tmp_path, name):
 def read_csv(tmp_path, name):
     with (tmp_path / "out" / f"{name}.csv").open() as fh:
         return list(csv.reader(fh))
+
+
+def reference_pareto(model, n):
+    """pareto.csv and pareto.json text written point by point with
+    csv.writer and json.dumps(indent=2)."""
+    points = reference_grid(model, n)
+    frontier = brute_frontier(points)
+    marked = {f.profile.powers for f in frontier}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["s1", "s2", "u1", "u2", "u1_norm", "u2_norm", "on_frontier"])
+    for pt in points:
+        writer.writerow([*pt.profile.powers, *pt.utilities, *pt.normalized,
+                         int(pt.profile.powers in marked)])
+    artifact = {"n_per_axis": n,
+                "frontier": [{"profile": list(pt.profile.powers),
+                              "utilities": list(pt.utilities),
+                              "normalized": list(pt.normalized)}
+                             for pt in frontier]}
+    return buf.getvalue(), json.dumps(artifact, indent=2) + "\n"
 
 
 @pytest.fixture()
@@ -172,6 +199,22 @@ class TestEfficiencyCommands:
         run(tmp_path, "--quiet", "pareto", "--n", "25")
         assert (tmp_path / "out" / "pareto.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("n", [13, 25])
+    @pytest.mark.parametrize("network", [
+        {},
+        {"gains": [[1.2, 0.35], [0.15, 0.8]], "noise_power": 0.4,
+         "packet_bits": 33, "power_cap": 6.5, "rate_scale": 2.5},
+    ], ids=["reference", "scaled"])
+    def test_pareto_golden(self, tmp_path, network, n):
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"].update(network)
+        assert run(tmp_path, "--quiet", "pareto", "--n", str(n), config=cfg) == 0
+        want_csv, want_json = reference_pareto(
+            load_config(tmp_path / "config.json").model, n)
+        out = tmp_path / "out"
+        assert (out / "pareto.csv").read_bytes() == want_csv.encode("utf-8")
+        assert (out / "pareto.json").read_bytes() == want_json.encode("utf-8")
+
     def test_social(self, tmp_path, capsys):
         assert run(tmp_path, "social", "--n", "150") == 0
         out = capsys.readouterr().out
@@ -229,8 +272,11 @@ class TestDriver:
         assert "weights" in capsys.readouterr().err
 
     def test_console_script_help(self):
+        # run the package under test, installed or not
+        src = str(Path(icpower.__file__).parents[1])
         proc = subprocess.run([sys.executable, "-m", "icpower.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert "finite" in proc.stdout and "repeated" in proc.stdout
 

@@ -1,16 +1,17 @@
 """Utility plane: grids, Pareto frontier, welfare optimum, bargaining."""
+import collections.abc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPoint,
-                     Weights, distance_to_frontier, ee_utility,
+from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
+                     UtilityPoint, Weights, distance_to_frontier, ee_utility,
                      fairness_projection, gamma_star, in_improvement_region,
                      nash_bargaining, pareto_frontier, social_optimum,
                      utility_grid, utility_point)
-from icpower.efficiency import grid_csv_rows
+from icpower.efficiency import _surfaces, grid_csv_rows
 from icpower.numerics import golden_section_max
 
 from conftest import make_model
@@ -32,6 +33,31 @@ def brute_frontier(points):
         if not dominated.any():
             keep.append(pt)
     return sorted(keep, key=lambda p: p.utilities[0])
+
+
+def reference_grid(model, n):
+    """The utility plane as a list with one UtilityPoint per cell, s1-major,
+    built cell by cell from the vectorized surfaces."""
+    axis = np.linspace(0.0, model.power_cap, n)
+    u1, u2 = _surfaces(model, axis)
+    scale = model.noise_power / model.rate_scale
+    points = []
+    for i, a in enumerate(axis):
+        for j, b in enumerate(axis):
+            u = (float(u1[i, j]), float(u2[i, j]))
+            points.append(UtilityPoint(profile=PowerProfile((float(a), float(b))),
+                                       utilities=u,
+                                       normalized=(u[0] * scale, u[1] * scale)))
+    return points
+
+
+random_models = st.builds(
+    lambda d1, d2, c1, c2, bits, cap, noise, rate: make_model(
+        gains=((d1, c1), (c2, d2)), packet_bits=bits, power_cap=cap,
+        noise_power=noise, rate_scale=rate),
+    st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0), st.integers(1, 60), st.floats(0.5, 10.0),
+    st.floats(0.05, 3.0), st.floats(0.2, 5.0))
 
 
 def synthetic_point(u1, u2, tag):
@@ -78,6 +104,22 @@ class TestUtilityGrid:
                     ee_utility(ref_model, pt.profile.powers, k),
                     rel=1e-12, abs=1e-15)
 
+    def test_sequence_protocol_matches_list(self, ref_model):
+        plane = utility_grid(ref_model, 7)
+        old = reference_grid(ref_model, 7)
+        assert isinstance(plane, collections.abc.Sequence)
+        assert len(plane) == len(old) == 49
+        assert list(plane) == old
+        assert [plane[k] for k in range(49)] == old
+        assert plane[-1] == old[-1] and plane[-49] == old[0]
+        assert plane[np.int64(8)] == old[8]
+        for cut in (slice(2, 5), slice(None, None, -3), slice(40, 100),
+                    slice(-5, None), slice(3, 3)):
+            assert plane[cut] == old[cut]
+        for bad in (49, -50):
+            with pytest.raises(IndexError):
+                plane[bad]
+
     def test_resolution_validated(self, ref_model):
         with pytest.raises(ValueError, match="n_per_axis"):
             utility_grid(ref_model, 1)
@@ -122,6 +164,8 @@ class TestParetoFrontier:
         twin_b = synthetic_point(1.0, 1.0, 3)
         out = pareto_frontier([twin_a, twin_b])
         assert out == [twin_b]
+        flat = UtilityPlane(np.array([0.0, 1.0]), np.ones((2, 2)), np.ones((2, 2)), 1.0)
+        assert pareto_frontier(flat) == [flat[0]]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -144,6 +188,15 @@ class TestParetoFrontier:
         points = [synthetic_point(float(a), float(b), i)
                   for i, (a, b) in enumerate(pairs)]
         assert pareto_frontier(points) == brute_frontier(points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_models, st.integers(2, 30))
+    def test_plane_matches_brute_force_on_random_models(self, model, n):
+        # the s = 0 row and column tie at utility 0 for the silent player
+        plane = utility_grid(model, n)
+        want = brute_frontier(plane)
+        assert pareto_frontier(plane) == want
+        assert pareto_frontier(list(plane)) == want
 
 
 class TestSocialOptimum:
@@ -243,10 +296,20 @@ class TestExports:
         with pytest.raises(ValueError, match="empty"):
             distance_to_frontier(frontier[0], [])
 
+    def test_grid_csv_marks_only_grid_profiles(self, ref_model):
+        plane = utility_grid(ref_model, 5)  # axis 0, 1.25, 2.5, 3.75, 5
+        off_grid = utility_point(ref_model, (1.0, 4.0))
+        for frontier, marked in (([off_grid, plane[7]], [7]), ([], [])):
+            _, body = grid_csv_rows(plane, frontier)
+            flags = [line.rsplit(",", 1)[1] for line in "".join(body).splitlines()]
+            assert flags == ["1" if k in marked else "0" for k in range(25)]
+
     def test_grid_csv_layout(self, ref_model):
         points = utility_grid(ref_model, 12)
         frontier12 = pareto_frontier(points)
-        header, rows = grid_csv_rows(points, frontier12)
+        header, body = grid_csv_rows(points, frontier12)
+        rows = [[float(v) for v in line.split(",")]
+                for line in "".join(body).splitlines()]
         assert header == ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm",
                           "on_frontier"]
         assert len(rows) == len(points)

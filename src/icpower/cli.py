@@ -142,7 +142,7 @@ def cmd_finite(cfg: RunConfig, args, outdir: Path) -> int:
             _say(args, f"uniform mixture over the {len(nash)} pure NE(s): "
                        f"correlated equilibrium {verdict} (worst slack {worst:.2e})")
             correlated = {"checked": True, "holds": holds, "worst_slack": worst,
-                          "distribution": dist.probabilities}
+                          "distribution": dist.probabilities.tolist()}
         else:
             _say(args, "no pure NE; skipping the uniform-mixture check")
             correlated = {"checked": False}
@@ -150,7 +150,7 @@ def cmd_finite(cfg: RunConfig, args, outdir: Path) -> int:
     artifact = {
         "scenario": scenario,
         "strategies": [list(r) for r in game.strategies],
-        "payoffs": game.payoffs,
+        "payoffs": game.payoffs.tolist(),
         "eliminations": [{"round": e.round, "player": e.player,
                           "strategy": e.strategy, "dominator": e.dominator}
                          for e in log],

@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .network import NetworkModel, PowerProfile, Powers, effective_gain, power_tuple, sinr
+from .network import (NetworkModel, PowerProfile, Powers, _checked, _sinr_per_watt,
+                      effective_gain, power_tuple, sinr)
 from .numerics import bisect_root, golden_section_max
 
 __all__ = [
@@ -57,11 +58,10 @@ def ee_utility(model: NetworkModel, profile: Powers, k: int) -> float:
     Defined as 0 at s_k = 0, the continuous limit: for L >= 2 the throughput
     vanishes faster than the power.
     """
-    s = power_tuple(profile, model.num_players)
+    s = _checked(model, profile, k)
     if s[k] == 0.0:
-        effective_gain(model, s, k)  # still validate k
         return 0.0
-    return packet_throughput(sinr(model, s, k), model) / s[k]
+    return packet_throughput(_sinr_per_watt(model, s, k) * s[k], model) / s[k]
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def best_response_priced(model: NetworkModel, profile: Powers, k: int,
     golden-section search refines it, and the boundary powers stay in the
     candidate set.
     """
-    s = list(power_tuple(profile, model.num_players))
-    mu = effective_gain(model, s, k)
+    mu = effective_gain(model, profile, k)
 
     def f(v: float) -> float:
         if v == 0.0:
@@ -230,8 +229,8 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
     """Synchronous best-response iteration to a fixed point.
 
     All players update simultaneously from the previous profile until the
-    max-norm step falls to ``tol``.  Non-convergence within ``max_iter``
-    sweeps is reported, not raised.
+    max-norm step and the residual, the next sweep's step, are both at most
+    ``tol``.  Non-convergence within ``max_iter`` sweeps is reported.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -244,15 +243,17 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
         current = power_tuple(init, model.num_players)
     trace = [current]
     iterations = 0
+    nxt = tuple(responder(model, current, k) for k in k_range)
     for _ in range(max_iter):
-        nxt = tuple(responder(model, current, k) for k in k_range)
         trace.append(nxt)
         iterations += 1
         step = max(abs(a - b) for a, b in zip(nxt, current))
         current = nxt
-        if step <= tol:
+        # the residual sweep is the next iterate if the loop goes on
+        nxt = tuple(responder(model, current, k) for k in k_range)
+        residual = max(abs(a - b) for a, b in zip(nxt, current))
+        if step <= tol and residual <= tol:
             break
-    residual = max(abs(current[k] - responder(model, current, k)) for k in k_range)
     return _report(model, current, trace, iterations, residual <= tol, residual, tol)
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .continuous import ee_utility
-from .network import NetworkModel, PowerProfile, Powers, power_tuple
+from .network import NetworkModel, PowerProfile, Powers, power_tuple, sinr_grid
 from .numerics import refine_coordinatewise
 
 __all__ = [
@@ -78,12 +78,9 @@ def _require_two_players(model: NetworkModel) -> None:
 
 def _surfaces(model: NetworkModel, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized utility surfaces u1(s1, s2), u2(s1, s2) on axis x axis."""
-    g = model.gain_matrix()
-    s1, s2 = np.meshgrid(axis, axis, indexing="ij")
+    powers, gammas = sinr_grid(model, axis)
     out = []
-    for k, (own, other) in enumerate(((s1, s2), (s2, s1))):
-        gamma = model.processing_gain * g[k, k] * own / (
-            model.noise_power + g[k, 1 - k] * other)
+    for own, gamma in zip(powers, gammas):
         tput = model.rate_scale * (-np.expm1(-gamma)) ** model.packet_bits
         with np.errstate(divide="ignore", invalid="ignore"):
             out.append(np.where(own > 0, tput / own, 0.0))
@@ -176,6 +173,25 @@ def pareto_frontier(points: Sequence[UtilityPoint]) -> list[UtilityPoint]:
     return [points[k] for k in _frontier_indices(u1, u2, rank).tolist()]
 
 
+def _grid_then_refine(model: NetworkModel, n_per_axis: int, refine_tol: float,
+                      grid_score, point_score) -> UtilityPoint:
+    """Best cell of ``grid_score(u1, u2)`` on the utility plane, polished by
+    coordinate-wise golden section on ``point_score(u1, u2)`` within one grid
+    step of it."""
+    plane = utility_grid(model, n_per_axis)
+    score = grid_score(plane.u1, plane.u2)
+    i, j = np.unravel_index(int(np.argmax(score)), score.shape)
+    x0 = (float(plane.axis[i]), float(plane.axis[j]))
+
+    def objective(s: Sequence[float]) -> float:
+        return point_score(ee_utility(model, s, 0), ee_utility(model, s, 1))
+
+    span = float(plane.axis[1] - plane.axis[0])
+    best, _ = refine_coordinatewise(objective, x0, 0.0, model.power_cap, span,
+                                    tol=refine_tol)
+    return utility_point(model, best)
+
+
 def social_optimum(model: NetworkModel, weights: Weights, n_per_axis: int = 400,
                    refine_tol: float = 1e-10) -> UtilityPoint:
     """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: grid scan, then
@@ -184,19 +200,8 @@ def social_optimum(model: NetworkModel, weights: Weights, n_per_axis: int = 400,
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
-    axis = np.linspace(0.0, model.power_cap, n_per_axis)
-    u1, u2 = _surfaces(model, axis)
-    welfare = w1 * u1 + w2 * u2
-    i, j = np.unravel_index(int(np.argmax(welfare)), welfare.shape)
-    x0 = (float(axis[i]), float(axis[j]))
-
-    def objective(s: Sequence[float]) -> float:
-        return w1 * ee_utility(model, s, 0) + w2 * ee_utility(model, s, 1)
-
-    span = float(axis[1] - axis[0])
-    best, _ = refine_coordinatewise(objective, x0, 0.0, model.power_cap, span,
-                                    tol=refine_tol)
-    return utility_point(model, best)
+    welfare = lambda u1, u2: w1 * u1 + w2 * u2
+    return _grid_then_refine(model, n_per_axis, refine_tol, welfare, welfare)
 
 
 def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bool:
@@ -208,37 +213,31 @@ def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bo
 
 def _bargain(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int,
              refine_tol: float, combine) -> UtilityPoint:
-    """Shared grid-then-refine driver for improvement-region objectives.
+    """Maximize ``combine(g1, g2)`` of the nonnegative utility gains.
 
-    ``combine(g1, g2)`` scores nonnegative utility gains; infeasible points
-    are scored by their (negative) total shortfall, so any nonnegative score
-    certifies feasibility and refinement never walks out of the region.
+    Infeasible points are scored by their (negative) total shortfall, so any
+    nonnegative score certifies feasibility and refinement never walks out
+    of the region.
     """
     _require_two_players(model)
     d1, d2 = disagreement.utilities
-    axis = np.linspace(0.0, model.power_cap, n_per_axis)
-    u1, u2 = _surfaces(model, axis)
-    g1, g2 = u1 - d1, u2 - d2
-    feasible = (g1 >= 0.0) & (g2 >= 0.0)
-    if not feasible.any():
-        raise EmptyImprovementRegionError(
-            "no sampled profile weakly improves on the disagreement utilities"
-        )
-    score = np.where(feasible, combine(g1, g2), -np.inf)
-    i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-    x0 = (float(axis[i]), float(axis[j]))
 
-    def objective(s: Sequence[float]) -> float:
-        a = ee_utility(model, s, 0) - d1
-        b = ee_utility(model, s, 1) - d2
+    def grid_score(u1, u2):
+        g1, g2 = u1 - d1, u2 - d2
+        feasible = (g1 >= 0.0) & (g2 >= 0.0)
+        if not feasible.any():
+            raise EmptyImprovementRegionError(
+                "no sampled profile weakly improves on the disagreement utilities"
+            )
+        return np.where(feasible, combine(g1, g2), -np.inf)
+
+    def point_score(u1: float, u2: float) -> float:
+        a, b = u1 - d1, u2 - d2
         if a >= 0.0 and b >= 0.0:
             return combine(a, b)
         return min(a, 0.0) + min(b, 0.0)
 
-    span = float(axis[1] - axis[0])
-    best, _ = refine_coordinatewise(objective, x0, 0.0, model.power_cap, span,
-                                    tol=refine_tol)
-    return utility_point(model, best)
+    return _grid_then_refine(model, n_per_axis, refine_tol, grid_score, point_score)
 
 
 def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint,

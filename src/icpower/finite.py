@@ -7,12 +7,13 @@ of per-player strategy indices, player 0 first.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .network import NetworkModel, sinr_grid
 
 __all__ = [
     "FiniteGame",
@@ -50,37 +51,48 @@ class FiniteGameParams:
             raise ValueError("sinr_threshold must be > 0")
 
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteGame:
     """A finite game: per-player strategy lists plus a payoff tensor.
 
-    ``payoffs`` has one axis per player (player 0 outermost) and a trailing
-    axis holding the per-player utility vector.
+    ``payoffs`` is a read-only array with one axis per player (player 0
+    outermost) and a trailing axis holding the per-player utility vector.
+    Games compare by value and are not hashable.
     """
 
     strategies: tuple[tuple[float, ...], ...]
-    payoffs: tuple
+    payoffs: np.ndarray
 
     def __post_init__(self) -> None:
         strategies = tuple(tuple(float(v) for v in row) for row in self.strategies)
         if not strategies or any(not row for row in strategies):
             raise ValueError("every player needs at least one strategy")
         object.__setattr__(self, "strategies", strategies)
-        arr = np.asarray(self.payoffs, dtype=float)
+        arr = _read_only(self.payoffs)
         shape = tuple(len(row) for row in strategies) + (len(strategies),)
         if arr.shape != shape:
             raise ValueError(f"payoff tensor shape {arr.shape} != expected {shape}")
-        object.__setattr__(self, "payoffs", _nested(arr))
+        object.__setattr__(self, "payoffs", arr)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FiniteGame) and self.strategies == other.strategies
+                and np.array_equal(self.payoffs, other.payoffs))
 
     @property
     def num_players(self) -> int:
         return len(self.strategies)
 
     def payoff_tensor(self) -> np.ndarray:
-        return np.asarray(self.payoffs, dtype=float)
+        return self.payoffs
 
     def joint_indices(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(*(range(len(s)) for s in self.strategies))
+        return np.ndindex(self.payoffs.shape[:-1])
 
     def profile_values(self, joint_index: Sequence[int]) -> tuple[float, ...]:
         """Map a joint strategy-index tuple to the power levels it selects."""
@@ -88,7 +100,7 @@ class FiniteGame:
 
     def to_json_dict(self) -> dict:
         return {"strategies": [list(r) for r in self.strategies],
-                "payoffs": self.payoffs}
+                "payoffs": self.payoffs.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGame":
@@ -96,29 +108,24 @@ class FiniteGame:
                    payoffs=data["payoffs"])
 
 
-def _nested(arr: np.ndarray):
-    if arr.ndim == 1:
-        return tuple(float(v) for v in arr)
-    return tuple(_nested(sub) for sub in arr)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """A probability distribution over joint strategy profiles."""
+    """A probability distribution over joint strategy profiles, held as a
+    read-only array."""
 
-    probabilities: tuple
+    probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.probabilities, dtype=float)
+        arr = _read_only(self.probabilities)
         if (arr < 0).any():
             raise ValueError("probabilities must be >= 0")
         total = float(arr.sum())
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"probabilities must sum to 1 (got {total})")
-        object.__setattr__(self, "probabilities", _nested(arr))
+        object.__setattr__(self, "probabilities", arr)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.probabilities, dtype=float)
+        return self.probabilities
 
     @classmethod
     def point_mass(cls, shape: Sequence[int], joint_index: Sequence[int]) -> "JointDistribution":
@@ -148,26 +155,24 @@ class Elimination:
     dominator: float
 
 
-def _on_off_payoffs(params: FiniteGameParams, gains: np.ndarray,
-                    noise_power: float, processing_gain: float,
-                    power_level: float) -> np.ndarray:
-    """Payoff tensor of a 2-player {0, p} game under the threshold rule.
+def _on_off_game(params: FiniteGameParams, gains: tuple,
+                 noise_power: float, processing_gain: float) -> FiniteGame:
+    """The 2-player {0, p} game under the threshold rule.
 
-    A player scores ``throughput_reward`` when its SINR clears the required
-    threshold, zero otherwise, and always pays ``power_cost`` * s/p.
+    The power level p puts transmitter 0 alone exactly at the SINR
+    threshold.  A player scores ``throughput_reward`` when its SINR clears
+    the threshold, zero otherwise, and always pays ``power_cost`` * s/p.
     """
     t, c, req = params.throughput_reward, params.power_cost, params.sinr_threshold
-    levels = (0.0, power_level)
-    out = np.zeros((2, 2, 2))
-    for i, s1 in enumerate(levels):
-        for j, s2 in enumerate(levels):
-            s = (s1, s2)
-            for k in range(2):
-                interference = gains[k, 1 - k] * s[1 - k]
-                gamma = processing_gain * gains[k, k] * s[k] / (noise_power + interference)
-                reward = t if gamma >= req * (1.0 - _THRESHOLD_RTOL) else 0.0
-                out[i, j, k] = reward - c * s[k] / power_level
-    return out
+    # validate the channel before dividing by its processing gain
+    model = NetworkModel(gains, noise_power, processing_gain, power_cap=1.0,
+                         packet_bits=1, rate_scale=1.0)
+    p = noise_power * req / (gains[0][0] * processing_gain)
+    model = replace(model, power_cap=p)
+    powers, gammas = sinr_grid(model, np.array([0.0, model.power_cap]))
+    payoffs = [np.where(gamma >= req * (1.0 - _THRESHOLD_RTOL), t, 0.0) - c * s / p
+               for s, gamma in zip(np.broadcast_arrays(*powers), gammas)]
+    return FiniteGame(strategies=((0.0, p), (0.0, p)), payoffs=np.stack(payoffs, axis=-1))
 
 
 def build_nfe_game(params: FiniteGameParams, h1: float, h2: float,
@@ -182,21 +187,14 @@ def build_nfe_game(params: FiniteGameParams, h1: float, h2: float,
     """
     if not (h1 > 0 and h2 > 0):
         raise ValueError("gains must be > 0")
-    if not noise_power > 0:
-        raise ValueError("noise_power must be > 0")
-    if not processing_gain >= 1:
-        raise ValueError("processing_gain must be >= 1")
+    game = _on_off_game(params, ((h1, h2), (h1, h2)), noise_power, processing_gain)
     bound = 1.0 / (1.0 + params.sinr_threshold / processing_gain)
     if not h1 / h2 < bound:
         raise ValueError(
             f"near-far assumption violated: h1/h2 = {h1 / h2:g} must be < "
             f"1/(1 + sinr_threshold/processing_gain) = {bound:g}"
         )
-    p = noise_power * params.sinr_threshold / (h1 * processing_gain)
-    gains = np.array([[h1, h2], [h1, h2]])
-    return FiniteGame(strategies=((0.0, p), (0.0, p)),
-                      payoffs=_on_off_payoffs(params, gains, noise_power,
-                                              processing_gain, p))
+    return game
 
 
 def build_ic_game(params: FiniteGameParams, h: float,
@@ -208,38 +206,35 @@ def build_ic_game(params: FiniteGameParams, h: float,
     """
     if not h > 0:
         raise ValueError("gain must be > 0")
-    if not noise_power > 0:
-        raise ValueError("noise_power must be > 0")
-    if not processing_gain >= 1:
-        raise ValueError("processing_gain must be >= 1")
-    p = noise_power * params.sinr_threshold / (h * processing_gain)
-    gains = np.full((2, 2), h)
-    return FiniteGame(strategies=((0.0, p), (0.0, p)),
-                      payoffs=_on_off_payoffs(params, gains, noise_power,
-                                              processing_gain, p))
+    return _on_off_game(params, ((h, h), (h, h)), noise_power, processing_gain)
 
 
-def payoff(game: FiniteGame, joint_index: Sequence[int]) -> tuple[float, ...]:
-    """Utility vector at a joint strategy-index profile."""
-    idx = tuple(joint_index)
+def _check_joint(game: FiniteGame, idx: tuple[int, ...]) -> None:
     if len(idx) != game.num_players:
         raise IndexError(f"joint index has {len(idx)} entries for {game.num_players} players")
     for k, i in enumerate(idx):
         if not 0 <= i < len(game.strategies[k]):
             raise IndexError(f"strategy index {i} out of range for player {k}")
-    node = game.payoffs
-    for i in idx:
-        node = node[i]
-    return node
 
 
-def _opponent_ranges(game: FiniteGame, k: int):
-    return itertools.product(*(range(len(s)) for j, s in enumerate(game.strategies) if j != k))
+def payoff(game: FiniteGame, joint_index: Sequence[int]) -> tuple[float, ...]:
+    """Utility vector at a joint strategy-index profile."""
+    idx = tuple(joint_index)
+    _check_joint(game, idx)
+    return tuple(game.payoffs[idx].tolist())
 
 
-def _insert(opp: Sequence[int], k: int, value: int) -> tuple[int, ...]:
-    opp = tuple(opp)
-    return opp[:k] + (value,) + opp[k:]
+def _own(payoffs: np.ndarray, k: int) -> np.ndarray:
+    """Player k's payoffs with k's strategy on axis 0, opponents after it."""
+    return np.moveaxis(payoffs[..., k], k, 0)
+
+
+def _dominator(own: np.ndarray, i: int) -> int | None:
+    """First strategy that beats strategy i against every opponent profile."""
+    beats = (own > own[i]).reshape(len(own), -1).all(axis=1)
+    beats[i] = False
+    hits = np.flatnonzero(beats)
+    return int(hits[0]) if hits.size else None
 
 
 def strictly_dominated(game: FiniteGame, k: int, strat_index: int) -> tuple[bool, int | None]:
@@ -250,13 +245,8 @@ def strictly_dominated(game: FiniteGame, k: int, strat_index: int) -> tuple[bool
         raise IndexError(f"player index {k} out of range")
     if not 0 <= strat_index < n_k:
         raise IndexError(f"strategy index {strat_index} out of range for player {k}")
-    for alt in range(n_k):
-        if alt == strat_index:
-            continue
-        if all(payoff(game, _insert(opp, k, alt))[k] > payoff(game, _insert(opp, k, strat_index))[k]
-               for opp in _opponent_ranges(game, k)):
-            return True, alt
-    return False, None
+    alt = _dominator(_own(game.payoffs, k), strat_index)
+    return alt is not None, alt
 
 
 def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]:
@@ -285,28 +275,20 @@ def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]
 def _find_dominated(game: FiniteGame, active: list[list[int]]):
     """First (player, position, dominator index) strictly dominated within the
     active sub-game, or None."""
-    tensor = game.payoff_tensor()
+    sub = game.payoffs[np.ix_(*active)]
     for k in range(game.num_players):
-        if len(active[k]) <= 1:
-            continue
-        opp_sets = [active[j] for j in range(game.num_players) if j != k]
-        for pos, idx in enumerate(active[k]):
-            for alt in active[k]:
-                if alt == idx:
-                    continue
-                if all(tensor[_insert(opp, k, alt)][k] > tensor[_insert(opp, k, idx)][k]
-                       for opp in itertools.product(*opp_sets)):
-                    return k, pos, alt
+        own = _own(sub, k)
+        for pos in range(len(own)):
+            alt = _dominator(own, pos)
+            if alt is not None:
+                return k, pos, active[k][alt]
     return None
 
 
 def _subgame(game: FiniteGame, active: list[list[int]]) -> FiniteGame:
-    tensor = game.payoff_tensor()
-    for k, keep in enumerate(active):
-        tensor = np.take(tensor, keep, axis=k)
     strategies = tuple(tuple(game.strategies[k][i] for i in keep)
                        for k, keep in enumerate(active))
-    return FiniteGame(strategies=strategies, payoffs=tensor)
+    return FiniteGame(strategies=strategies, payoffs=game.payoffs[np.ix_(*active)])
 
 
 def best_responses_finite(game: FiniteGame, k: int, opp_profile: Sequence[int]) -> set[int]:
@@ -315,19 +297,18 @@ def best_responses_finite(game: FiniteGame, k: int, opp_profile: Sequence[int]) 
     opp = tuple(opp_profile)
     if len(opp) != game.num_players - 1:
         raise IndexError(f"opponent profile needs {game.num_players - 1} entries")
-    values = [payoff(game, _insert(opp, k, i))[k] for i in range(len(game.strategies[k]))]
-    top = max(values)
-    return {i for i, v in enumerate(values) if v == top}
+    _check_joint(game, opp[:k] + (0,) + opp[k:])
+    values = _own(game.payoffs, k)[(slice(None),) + opp]
+    return set(np.flatnonzero(values == values.max()).tolist())
 
 
 def pure_nash(game: FiniteGame) -> set[tuple[int, ...]]:
     """All joint index profiles where every player plays a best response."""
-    result = set()
-    for joint in game.joint_indices():
-        if all(joint[k] in best_responses_finite(game, k, joint[:k] + joint[k + 1:])
-               for k in range(game.num_players)):
-            result.add(joint)
-    return result
+    stable = np.ones(game.payoffs.shape[:-1], dtype=bool)
+    for k in range(game.num_players):
+        u = game.payoffs[..., k]
+        stable &= u == u.max(axis=k, keepdims=True)
+    return set(map(tuple, np.argwhere(stable).tolist()))
 
 
 def is_correlated_equilibrium(game: FiniteGame, dist: JointDistribution,
@@ -338,24 +319,21 @@ def is_correlated_equilibrium(game: FiniteGame, dist: JointDistribution,
     strategies, the expected gain of obeying, weighted by the distribution,
     must be >= -tol.  Returns (holds, worst slack).
     """
-    q = dist.as_array()
-    shape = tuple(len(s) for s in game.strategies)
+    q = dist.probabilities
+    shape = game.payoffs.shape[:-1]
     if q.shape != shape:
         raise ValueError(f"distribution shape {q.shape} != game shape {shape}")
     worst = math.inf
     for k in range(game.num_players):
-        n_k = len(game.strategies[k])
-        for rec in range(n_k):
-            for alt in range(n_k):
-                if alt == rec:
-                    continue
-                slack = sum(
-                    float(q[_insert(opp, k, rec)])
-                    * (payoff(game, _insert(opp, k, rec))[k]
-                       - payoff(game, _insert(opp, k, alt))[k])
-                    for opp in _opponent_ranges(game, k)
-                )
-                worst = min(worst, slack)
+        own, weight = _own(game.payoffs, k), np.moveaxis(q, k, 0)
+        n_k = len(own)
+        # slack[rec, alt]: expected gain of obeying rec instead of playing alt
+        gain = weight[:, None] * (own[:, None] - own[None, :])
+        slack = gain.reshape(n_k, n_k, -1).sum(axis=2)
+        off_diagonal = slack[~np.eye(n_k, dtype=bool)]
+        if off_diagonal.size:
+            # + 0.0 turns a -0.0 sum into 0.0, as a sum started at 0 gives
+            worst = min(worst, float(off_diagonal.min()) + 0.0)
     if math.isinf(worst):
         worst = 0.0  # single-strategy players: nothing to deviate to
     return worst >= -tol, worst

@@ -11,7 +11,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = ["NetworkModel", "PowerProfile", "effective_gain", "sinr"]
+__all__ = ["NetworkModel", "PowerProfile", "effective_gain", "sinr", "sinr_grid"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,24 @@ def power_tuple(profile: Powers, num_players: int | None = None) -> tuple[float,
     return vals
 
 
+def _checked(model: NetworkModel, profile: Powers, k: int) -> tuple[float, ...]:
+    """Coerce ``profile`` for ``model`` and check that k names a player."""
+    s = power_tuple(profile, model.num_players)
+    if not 0 <= k < model.num_players:
+        raise IndexError(f"player index {k} out of range for {model.num_players} players")
+    return s
+
+
+def _sinr_per_watt(model: NetworkModel, s, k: int):
+    """SINR per watt of player k, the package's one SINR expression.
+
+    Arithmetic operators only: the entries of ``s`` may be floats or arrays.
+    """
+    row = model.gains[k]
+    interference = sum(row[j] * s[j] for j in range(model.num_players) if j != k)
+    return model.processing_gain * row[k] / (model.noise_power + interference)
+
+
 def effective_gain(model: NetworkModel, profile: Powers, k: int) -> float:
     """Gain factor turning player k's own power into its SINR.
 
@@ -112,15 +130,17 @@ def effective_gain(model: NetworkModel, profile: Powers, k: int) -> float:
     interference sums the opponents' received powers at receiver k.  Does not
     depend on the k-th entry of ``profile``.
     """
-    s = power_tuple(profile, model.num_players)
-    if not 0 <= k < model.num_players:
-        raise IndexError(f"player index {k} out of range for {model.num_players} players")
-    row = model.gains[k]
-    interference = sum(row[j] * s[j] for j in range(model.num_players) if j != k)
-    return model.processing_gain * row[k] / (model.noise_power + interference)
+    return _sinr_per_watt(model, _checked(model, profile, k), k)
 
 
 def sinr(model: NetworkModel, profile: Powers, k: int) -> float:
     """Signal-to-interference-plus-noise ratio of player k at ``profile``."""
-    s = power_tuple(profile, model.num_players)
-    return effective_gain(model, s, k) * s[k]
+    s = _checked(model, profile, k)
+    return _sinr_per_watt(model, s, k) * s[k]
+
+
+def sinr_grid(model: NetworkModel, axis: np.ndarray) -> tuple[tuple, tuple]:
+    """``(s1, s2), (gamma1, gamma2)`` on the 2-player grid axis x axis: powers
+    as a column and a row vector, SINRs ``[i, j]`` at ``(axis[i], axis[j])``."""
+    s = (axis[:, None], axis[None, :])
+    return s, tuple(_sinr_per_watt(model, s, k) * s[k] for k in range(2))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      SolveReport, best_response_ee, best_response_priced,
@@ -26,6 +27,32 @@ def linear_solve_ne(model):
                   [-gs * g[1, 0], model.processing_gain * g[1, 1]]])
     b = np.full(2, gs * model.noise_power)
     return np.linalg.solve(a, b)
+
+
+def step_rule_dynamics(model, responder, tol, max_iter):
+    """The earlier stop rule: stop on the first step <= tol, then spend one
+    more sweep on the residual.  Returns (profile, trace, residual)."""
+    current = (model.power_cap,) * model.num_players
+    trace = [current]
+    for _ in range(max_iter):
+        nxt = tuple(responder(model, current, k) for k in range(model.num_players))
+        trace.append(nxt)
+        step = max(abs(a - b) for a, b in zip(nxt, current))
+        current = nxt
+        if step <= tol:
+            break
+    residual = max(abs(current[k] - responder(model, current, k))
+                   for k in range(model.num_players))
+    return current, tuple(trace), residual
+
+
+drawn_models = st.builds(
+    lambda d1, d2, c1, c2, bits, cap, noise, w: make_model(
+        gains=((d1, c1), (c2, d2)), packet_bits=bits, power_cap=cap,
+        noise_power=noise, processing_gain=w),
+    st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0), st.integers(2, 60), st.floats(0.5, 10.0),
+    st.floats(0.1, 3.0), st.floats(1.0, 16.0))
 
 
 class TestPacketThroughput:
@@ -217,6 +244,37 @@ class TestBrDynamics:
         assert report.residual > report.tolerance
         assert report.iterations == 1
 
+    def test_stops_only_when_the_residual_is_within_tol(self):
+        # here the step first falls to 1e-10 at sweep 33, while the next
+        # sweep still moves 1.03e-10
+        model = make_model(gains=((1.1769, 0.1793), (0.4802, 0.5581)),
+                           power_cap=7.6279, packet_bits=36)
+        calls = []
+
+        def counted(model, profile, k):
+            calls.append(k)
+            return best_response_ee(model, profile, k)
+
+        report = br_dynamics(model, responder=counted)
+        assert report.converged and report.residual <= 1e-10
+        assert 33 < report.iterations <= 38
+        assert len(calls) == 2 * (report.iterations + 1)
+        assert report.solution.powers == pytest.approx(tuple(linear_solve_ne(model)),
+                                                       rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_models, st.one_of(st.none(), st.floats(0.0, 0.3)))
+    def test_same_result_where_the_step_rule_converged(self, model, alpha):
+        responder = (best_response_ee if alpha is None
+                     else priced_responder(PricingConfig(alpha)))
+        tol = 1e-10 if alpha is None else 1e-7
+        profile, trace, residual = step_rule_dynamics(model, responder, tol, 300)
+        assume(residual <= tol)
+        report = br_dynamics(model, responder=responder, tol=tol, max_iter=300)
+        assert report.converged
+        assert (report.solution.powers, report.trace, report.residual) == (
+            profile, trace, residual)
+
     def test_max_iter_validated(self, ref_model):
         with pytest.raises(ValueError, match="max_iter"):
             br_dynamics(ref_model, max_iter=0)
@@ -229,6 +287,19 @@ class TestBrDynamics:
 
 
 class TestNeContinuous:
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_models)
+    def test_interior_equilibrium_solves_the_linear_system(self, model):
+        # unpriced best responses are affine in the opponent's power, so an
+        # interior NE solves a 2x2 system; contraction makes it unique
+        g, w, gs = model.gains, model.processing_gain, gamma_star(model.packet_bits)
+        assume(gs ** 2 * g[0][1] * g[1][0] < 0.9 * w ** 2 * g[0][0] * g[1][1])
+        expected = linear_solve_ne(model)
+        assume(all(0.0 < e < model.power_cap for e in expected))
+        report = ne_continuous(model)
+        assert report.converged
+        assert report.solution.powers == pytest.approx(tuple(expected), rel=1e-7)
+
     def test_equilibrium_sinrs_at_gamma_star(self, ne_report):
         gs = gamma_star(20)
         for g in ne_report.sinrs:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
                      UtilityPoint, Weights, distance_to_frontier, ee_utility,
@@ -103,6 +103,34 @@ class TestUtilityGrid:
                 assert pt.utilities[k] == pytest.approx(
                     ee_utility(ref_model, pt.profile.powers, k),
                     rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_models, st.integers(2, 40))
+    @example(make_model(), 400)
+    def test_plane_is_the_sinr_per_watt_expression(self, model, n):
+        # gamma_k = (W * g_kk / (noise + g_kj * s_j)) * s_k, bit for bit
+        axis = np.linspace(0.0, model.power_cap, n)
+        s1, s2 = np.meshgrid(axis, axis, indexing="ij")
+        g = model.gains
+        expected = []
+        for k, (own, other) in enumerate(((s1, s2), (s2, s1))):
+            mu = model.processing_gain * g[k][k] / (model.noise_power + g[k][1 - k] * other)
+            tput = model.rate_scale * (-np.expm1(-(mu * own))) ** model.packet_bits
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected.append(np.where(own > 0, tput / own, 0.0))
+        plane = utility_grid(model, n)
+        assert np.array_equal(plane.u1, expected[0])
+        assert np.array_equal(plane.u2, expected[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_models, st.integers(2, 25))
+    @example(make_model(), 60)
+    def test_scalar_path_matches_plane(self, model, n):
+        # not bitwise: math.expm1 and np.expm1, and Python's and numpy's
+        # integer powers, differ in the last bit on some inputs
+        for pt in utility_grid(model, n):
+            assert utility_point(model, pt.profile).utilities == pytest.approx(
+                pt.utilities, rel=1e-13, abs=0.0)
 
     def test_sequence_protocol_matches_list(self, ref_model):
         plane = utility_grid(ref_model, 7)

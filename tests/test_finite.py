@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import finite_reference as ref
 from icpower import (Elimination, FiniteGame, FiniteGameParams,
                      JointDistribution, best_responses_finite, build_ic_game,
                      build_nfe_game, is_correlated_equilibrium,
@@ -188,3 +190,66 @@ class TestCorrelated:
     def test_shape_mismatch_rejected(self, ic_game):
         with pytest.raises(ValueError, match="shape"):
             is_correlated_equilibrium(ic_game, JointDistribution.point_mass((2, 3), (0, 0)))
+
+
+class TestArrays:
+    def test_payoffs_and_probabilities_are_read_only(self, ic_game):
+        with pytest.raises(ValueError):
+            ic_game.payoffs[0, 0, 0] = 1.0
+        dist = JointDistribution.point_mass((2, 2), (0, 1))
+        with pytest.raises(ValueError):
+            dist.probabilities[0, 0] = 1.0
+
+    def test_input_array_is_copied(self):
+        raw = np.zeros((1, 1))
+        game = FiniteGame(strategies=((0.0,),), payoffs=raw)
+        raw[0, 0] = 5.0
+        assert game.payoffs[0, 0] == 0.0
+
+    def test_value_equality_not_hashable(self, ic_game, nfe_game):
+        assert ic_game == FiniteGame(ic_game.strategies, ic_game.payoffs.tolist())
+        assert ic_game != nfe_game and ic_game != "ic"
+        with pytest.raises(TypeError):
+            hash(ic_game)
+
+
+@st.composite
+def tied_games(draw):
+    """2-3 players, 1-3 strategies each, payoffs in 0..3 so ties are common."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    shape = tuple(sizes) + (len(sizes),)
+    cells = draw(st.lists(st.integers(0, 3), min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    weights = draw(st.lists(st.integers(0, 4), min_size=math.prod(sizes),
+                            max_size=math.prod(sizes)).filter(any))
+    game = FiniteGame(strategies=tuple(tuple(float(v) for v in range(n)) for n in sizes),
+                      payoffs=np.array(cells, dtype=float).reshape(shape))
+    q = np.array(weights, dtype=float).reshape(sizes)
+    return game, JointDistribution(q / q.sum())
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_games())
+    def test_solvers_match_loop_reference(self, case):
+        game, dist = case
+        sizes = [len(s) for s in game.strategies]
+        for k, n in enumerate(sizes):
+            for i in range(n):
+                assert strictly_dominated(game, k, i) == ref.strictly_dominated(game, k, i)
+            for opp in np.ndindex(*(m for j, m in enumerate(sizes) if j != k)):
+                assert best_responses_finite(game, k, opp) == ref.best_responses(game, k, opp)
+
+        reduced, log = iterated_dominance(game)
+        active, ref_log = ref.iterated_dominance(game)
+        assert [(e.round, e.player, e.strategy, e.dominator) for e in log] == [
+            (r, k, game.strategies[k][i], game.strategies[k][a]) for r, k, i, a in ref_log]
+        assert reduced == FiniteGame(
+            tuple(tuple(game.strategies[k][i] for i in keep) for k, keep in enumerate(active)),
+            game.payoffs[np.ix_(*active)])
+
+        assert pure_nash(game) == ref.pure_nash(game)
+        holds, worst = is_correlated_equilibrium(game, dist)
+        ref_holds, ref_worst = ref.ce_check(game, dist.probabilities)
+        assert holds == ref_holds
+        assert worst == pytest.approx(ref_worst, rel=0.0, abs=1e-12)

@@ -207,9 +207,8 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 
 def _priced_report(cfg: RunConfig, alpha: float) -> SolveReport:
-    responder = priced_responder(PricingConfig(alpha), tol=cfg.search.br_tol)
-    return br_dynamics(cfg.model, responder=responder, tol=cfg.search.priced_tol,
-                       max_iter=cfg.search.max_iter)
+    return br_dynamics(cfg.model, responder=priced_responder(PricingConfig(alpha)),
+                       tol=cfg.search.br_tol, max_iter=cfg.search.max_iter)
 
 
 def cmd_pricing(cfg: RunConfig, args, outdir: Path) -> int:

@@ -40,14 +40,13 @@ class SearchConfig:
 
     n_per_axis: int = 400
     br_tol: float = 1e-10
-    priced_tol: float = 1e-7
     refine_tol: float = 1e-10
     max_iter: int = 10_000
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_per_axis, int) and self.n_per_axis >= 2):
             raise ValueError("n_per_axis must be an integer >= 2")
-        for name in ("br_tol", "priced_tol", "refine_tol"):
+        for name in ("br_tol", "refine_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
@@ -170,8 +169,8 @@ def config_from_dict(data: dict) -> RunConfig:
     search = SearchConfig()
     if "search" in data:
         sea = _section(data, "search")
-        _check_keys(sea, ("n_per_axis", "br_tol", "priced_tol", "refine_tol",
-                          "max_iter"), "search")
+        sea = {k: v for k, v in sea.items() if k != "priced_tol"}  # deprecated, ignored
+        _check_keys(sea, ("n_per_axis", "br_tol", "refine_tol", "max_iter"), "search")
         search = _build("search", SearchConfig, **sea)
 
     output = OutputConfig()

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .network import (NetworkModel, PowerProfile, Powers, _checked, _sinr_per_watt,
                       effective_gain, power_tuple, sinr)
@@ -114,41 +112,45 @@ def best_response_ee(model: NetworkModel, profile: Powers, k: int) -> float:
     return min(model.power_cap, gamma_star(model.packet_bits) / mu)
 
 
+def _slope(gamma: float, bits: int) -> float:
+    """h = d/dgamma [(1 - exp(-gamma))^L / gamma]: > 0 before gamma_star, < 0 after."""
+    q = -math.expm1(-gamma)
+    return q ** (bits - 1) * (bits * gamma * math.exp(-gamma) - q) / (gamma * gamma)
+
+
+@lru_cache(maxsize=None)
+def _slope_peak(bits: int) -> tuple[float, float]:
+    """Argmax and max of h: one peak on (0, gamma_star), the limit 0+ for L = 2."""
+    peak = golden_section_max(lambda g: _slope(g, bits), 0.0, gamma_star(bits), tol=1e-12)
+    return peak, _slope(peak, bits)
+
+
 def best_response_priced(model: NetworkModel, profile: Powers, k: int,
-                         pricing: PricingConfig, tol: float = 1e-10) -> float:
+                         pricing: PricingConfig) -> float:
     """Player k's surcharged-utility maximizer over [0, power_cap].
 
-    A 64-point scan locates the bracket (guarding the s_k = 0 boundary),
-    golden-section search refines it, and the boundary powers stay in the
-    candidate set.
+    At gamma = mu_k * s_k the utility is t * mu_k * [(1 - exp(-gamma))^L / gamma
+    - c * gamma], c = alpha / (t * mu_k^2), whose one interior maximum solves
+    h = c past h's peak (gamma_star at c = 0).  Capped, it must beat silence.
     """
     mu = effective_gain(model, profile, k)
-
-    def f(v: float) -> float:
-        if v == 0.0:
-            return 0.0
-        return packet_throughput(mu * v, model) / v - pricing.alpha * v
-
-    xs = np.linspace(0.0, model.power_cap, 64)
-    values = [f(float(v)) for v in xs]
-    i = int(np.argmax(values))
-    lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, len(xs) - 1)])
-    refined = golden_section_max(f, lo, hi, tol=tol)
-    candidates = (refined, float(xs[i]), 0.0, model.power_cap)
-    return max(candidates, key=f)
+    c = pricing.alpha / (model.rate_scale * mu * mu)
+    peak, slope_max = _slope_peak(model.packet_bits)
+    if c >= slope_max:
+        return 0.0
+    # h < 0 < c at gamma_star's outer bracket end, 50
+    gamma = gamma_star(model.packet_bits) if c == 0.0 else bisect_root(
+        lambda g: _slope(g, model.packet_bits) - c, peak, 50.0, residual_tol=0.0)
+    v = min(model.power_cap, gamma / mu)
+    return v if packet_throughput(mu * v, model) / v > pricing.alpha * v else 0.0
 
 
 Responder = Callable[[NetworkModel, Sequence[float], int], float]
 
 
-def priced_responder(pricing: PricingConfig, tol: float = 1e-10) -> Responder:
+def priced_responder(pricing: PricingConfig) -> Responder:
     """Best-response selector for br_dynamics under a power surcharge."""
-
-    def responder(model: NetworkModel, profile: Sequence[float], k: int) -> float:
-        return best_response_priced(model, profile, k, pricing, tol=tol)
-
-    return responder
+    return partial(best_response_priced, pricing=pricing)
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,27 @@ class TestPricing:
         runs = read_json(tmp_path, "pricing_sweep")
         assert runs[1]["converged"] is False
 
+    def test_single_bit_packets_rejected_like_ne(self, tmp_path, small_config,
+                                                 capsys):
+        # with L = 1 the priced utility's supremum t * mu is approached as
+        # s -> 0 but never attained, so there is no best response to report
+        small_config["network"]["packet_bits"] = 1
+        assert run(tmp_path, "ne", config=small_config) == 2
+        ne_err = capsys.readouterr().err
+        assert "packet_bits = 1" in ne_err
+        assert run(tmp_path, "pricing", config=small_config) == 2
+        assert capsys.readouterr().err == ne_err
+
+    def test_deprecated_priced_tol_is_ignored(self, tmp_path, small_config):
+        assert "priced_tol" not in small_config["search"]
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        assert run(tmp_path / "a", "--quiet", "pricing", config=small_config) == 0
+        small_config["search"]["priced_tol"] = 1e-7
+        assert run(tmp_path / "b", "--quiet", "pricing", config=small_config) == 0
+        assert ((tmp_path / "a" / "out" / "pricing.json").read_bytes()
+                == (tmp_path / "b" / "out" / "pricing.json").read_bytes())
+
     def test_malformed_sweep_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "--quiet", "pricing", "--sweep", "0-1-5") == 2
         assert "lo:hi:steps" in capsys.readouterr().err

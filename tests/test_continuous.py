@@ -1,4 +1,5 @@
 """Continuous game: throughput model, optimal SINR, best responses, dynamics."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      br_dynamics, ee_utility, gamma_star, ne_continuous,
                      packet_throughput, priced_responder, priced_utility)
 from icpower.continuous import trace_csv_rows
-from icpower.network import sinr
+from icpower.network import effective_gain, sinr
 
 from conftest import make_model
 
@@ -188,7 +189,7 @@ class TestBestResponsePriced:
     def test_zero_alpha_matches_closed_form(self, ref_model):
         opp = (0.0, 1.97)
         br = best_response_priced(ref_model, opp, 0, PricingConfig(0.0))
-        assert br == pytest.approx(best_response_ee(ref_model, opp, 0), abs=1e-6)
+        assert br == best_response_ee(ref_model, opp, 0)
 
     def test_reference_component(self, ref_model):
         br = best_response_priced(ref_model, (0.0, 1.57), 0, PricingConfig(0.12))
@@ -210,6 +211,34 @@ class TestBestResponsePriced:
     def test_stays_in_range(self, ref_model):
         br = best_response_priced(ref_model, (0.0, 4.0), 0, PricingConfig(0.01))
         assert 0.0 <= br <= ref_model.power_cap
+
+    def test_finds_a_narrow_positive_region(self):
+        # the priced utility is positive only on a narrow band around 1.634,
+        # between the points of a coarse scan; silence forgoes 6.4e-4
+        model = make_model(gains=((1.0339, 0.5549), (0.3794, 1.3431)),
+                           power_cap=5.9179, packet_bits=38)
+        cfg, opp = PricingConfig(0.239319), 0.9343128151678124
+        br = best_response_priced(model, (0.0, opp), 0, cfg)
+        grid = np.linspace(0.0, model.power_cap, 100_001)
+        vals = [priced_utility(model, (v, opp), 0, cfg) for v in grid]
+        assert br > 0.0
+        assert br == pytest.approx(grid[int(np.argmax(vals))], abs=1e-4)
+        assert priced_utility(model, (br, opp), 0, cfg) >= max(vals)
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_models, st.floats(0.5, 3.0), st.floats(0.0, 10.0),
+           st.floats(0.0, 0.5))
+    def test_no_power_in_range_does_better(self, model, rate, opp, alpha):
+        # compares utilities, not positions: silence and transmission can tie
+        model = dataclasses.replace(model, rate_scale=rate)
+        cfg = PricingConfig(alpha)
+        br = best_response_priced(model, (0.0, opp), 0, cfg)
+        assert 0.0 <= br <= model.power_cap
+        mu = effective_gain(model, (0.0, opp), 0)
+        v = np.linspace(0.0, model.power_cap, 100_001)[1:]
+        scan = rate * (-np.expm1(-mu * v)) ** model.packet_bits / v - alpha * v
+        best = max(0.0, float(scan.max()))
+        assert priced_utility(model, (br, opp), 0, cfg) >= best - 1e-12 * best
 
 
 class TestBrDynamics:
@@ -278,6 +307,18 @@ class TestBrDynamics:
     def test_max_iter_validated(self, ref_model):
         with pytest.raises(ValueError, match="max_iter"):
             br_dynamics(ref_model, max_iter=0)
+
+    @pytest.mark.parametrize("model,alpha", [
+        (make_model(gains=((1.4586, 0.5235), (0.2560, 0.7905)), noise_power=2.7731,
+                    power_cap=13.6364, packet_bits=29, rate_scale=2.2375), 0.05),
+        (make_model(), 0.12)])
+    def test_priced_dynamics_settle_at_br_tol(self, model, alpha):
+        # on the first network a priced response with a ~1e-8 noise floor
+        # orbits a period-3 cycle for all 10,000 sweeps
+        report = br_dynamics(model, responder=priced_responder(PricingConfig(alpha)),
+                             tol=1e-10)
+        assert report.converged
+        assert report.iterations < 100
 
     def test_priced_fixed_point(self, ref_model):
         responder = priced_responder(PricingConfig(0.12))

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, default_config_path, load_config
-from .continuous import (PricingConfig, SolveReport, br_dynamics, ne_continuous,
-                         priced_responder, trace_csv_rows)
+from .continuous import (PricingConfig, SolveReport, br_dynamics, priced_responder,
+                         trace_csv_rows)
 from .efficiency import (UtilityPoint, fairness_projection, grid_csv_rows,
                          nash_bargaining, pareto_frontier, social_optimum,
                          utility_grid, utility_point)
@@ -41,25 +42,36 @@ def _fmt_vec(values: Sequence[float], decimals: int) -> str:
     return "[" + ", ".join(f"{v:.{decimals}f}" for v in values) + "]"
 
 
-def _write_json(outdir: Path, name: str, obj) -> Path:
+class Output(NamedTuple):
+    """What a command produced, for ``main`` to write: ``<name>.json`` holding
+    ``data`` and, if ``csv`` (a header and the body text) is given,
+    ``<name>.csv``.  With no ``name`` nothing is written; a ``failure``
+    message makes the run exit 3.  Commands write no file themselves."""
+
+    name: Optional[str] = None
+    data: object = None
+    csv: Optional[tuple[list[str], Sequence[str]]] = None
+    failure: Optional[str] = None
+
+
+def _table(header: list[str], rows: list[list]) -> tuple[list[str], list[str]]:
+    """A CSV header and rows as the header and body text ``Output`` takes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return header, [buf.getvalue()]
+
+
+def _write(outdir: Path, out: Output) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}.json"
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def _write_csv(outdir: Path, name: str, header: list[str], rows: list[list]) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def _wrote(args, paths: Sequence[Path]) -> None:
-    _say(args, "wrote " + ", ".join(str(p) for p in paths))
+    paths = [outdir / f"{out.name}.json"]
+    paths[0].write_text(json.dumps(out.data, indent=2) + "\n", encoding="utf-8")
+    if out.csv is not None:
+        header, body = out.csv
+        paths.append(outdir / f"{out.name}.csv")
+        with paths[1].open("w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(body)
+    return paths
 
 
 def _report_lines(args, cfg: RunConfig, report: SolveReport, label: str) -> None:
@@ -70,17 +82,26 @@ def _report_lines(args, cfg: RunConfig, report: SolveReport, label: str) -> None
                f"({report.iterations} iterations, residual {report.residual:.2e})")
 
 
-def _diverged(report: SolveReport) -> int:
-    print(f"error: best-response dynamics did not converge "
-          f"(residual {report.residual:.3e} > tol {report.tolerance:.1e})",
-          file=sys.stderr)
-    return 3
+def _unconverged(report: SolveReport) -> Optional[str]:
+    if report.converged:
+        return None
+    return (f"best-response dynamics did not converge "
+            f"(residual {report.residual:.3e} > tol {report.tolerance:.1e})")
+
+
+def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
+    """Best-response dynamics of the unpriced game, or priced at ``alpha``."""
+    responder = None if alpha is None else priced_responder(PricingConfig(alpha))
+    return br_dynamics(cfg.model, responder=responder, tol=cfg.search.br_tol,
+                       max_iter=cfg.search.max_iter)
+
+
+def _grid_n(cfg: RunConfig, args) -> int:
+    return cfg.search.n_per_axis if args.n is None else args.n
 
 
 def _point_row(pt: UtilityPoint) -> list[float]:
-    return [pt.profile.powers[0], pt.profile.powers[1],
-            pt.utilities[0], pt.utilities[1],
-            pt.normalized[0], pt.normalized[1]]
+    return [*pt.profile.powers, *pt.utilities, *pt.normalized]
 
 
 def _point_dict(pt: UtilityPoint) -> dict:
@@ -107,7 +128,7 @@ def _matrix_lines(game: FiniteGame) -> list[str]:
     return lines
 
 
-def cmd_finite(cfg: RunConfig, args, outdir: Path) -> int:
+def cmd_finite(cfg: RunConfig, args) -> Output:
     if cfg.finite is None:
         raise ConfigError("finite: section missing from config (required by this command)")
     scenario = args.scenario or cfg.finite.scenario
@@ -158,27 +179,16 @@ def cmd_finite(cfg: RunConfig, args, outdir: Path) -> int:
         "pure_nash": [list(game.profile_values(j)) for j in nash],
         "correlated": correlated,
     }
-    paths = [_write_json(outdir, "finite", artifact)]
-    _wrote(args, paths)
-    if args.json:
-        print(json.dumps(artifact, indent=2))
-    return 0
+    return Output("finite", artifact)
 
 
 # -- continuous --------------------------------------------------------
 
-def cmd_ne(cfg: RunConfig, args, outdir: Path) -> int:
-    report = ne_continuous(cfg.model, tol=cfg.search.br_tol,
-                           max_iter=cfg.search.max_iter)
-    paths = [_write_json(outdir, "ne", report.to_dict()),
-             _write_csv(outdir, "ne", *trace_csv_rows(cfg.model, report))]
+def cmd_ne(cfg: RunConfig, args) -> Output:
+    report = _dynamics(cfg)
     _report_lines(args, cfg, report, "s*")
-    _wrote(args, paths)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    if not report.converged:
-        return _diverged(report)
-    return 0
+    return Output("ne", report.to_dict(), _table(*trace_csv_rows(cfg.model, report)),
+                  _unconverged(report))
 
 
 def _resolve_alpha(cfg: RunConfig, args) -> float:
@@ -206,18 +216,12 @@ def _parse_sweep(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _priced_report(cfg: RunConfig, alpha: float) -> SolveReport:
-    return br_dynamics(cfg.model, responder=priced_responder(PricingConfig(alpha)),
-                       tol=cfg.search.br_tol, max_iter=cfg.search.max_iter)
-
-
-def cmd_pricing(cfg: RunConfig, args, outdir: Path) -> int:
+def cmd_pricing(cfg: RunConfig, args) -> Output:
     if args.sweep:
-        alphas = _parse_sweep(args.sweep)
         runs = []
-        for alpha in alphas:
-            report = _priced_report(cfg, float(alpha))
-            runs.append((float(alpha), report))
+        for alpha in map(float, _parse_sweep(args.sweep)):
+            report = _dynamics(cfg, alpha)
+            runs.append((alpha, report))
             norm_powers = report.solution.normalized(cfg.model.noise_power)
             _say(args, f"α = {alpha:.4g}: s̃*/σ² = {_fmt_vec(norm_powers, 2)}, "
                        f"σ²u/t = {_fmt_vec(report.normalized_utilities, 3)}")
@@ -226,75 +230,46 @@ def cmd_pricing(cfg: RunConfig, args, outdir: Path) -> int:
         rows = [[alpha, *r.solution.powers, *r.utilities, *r.normalized_utilities,
                  r.iterations, int(r.converged)] for alpha, r in runs]
         artifact = [{"alpha": alpha, **r.to_dict()} for alpha, r in runs]
-        paths = [_write_json(outdir, "pricing_sweep", artifact),
-                 _write_csv(outdir, "pricing_sweep", header, rows)]
-        _wrote(args, paths)
-        if args.json:
-            print(json.dumps(artifact, indent=2))
-        if not all(r.converged for _, r in runs):
-            bad = [f"{alpha:.4g}" for alpha, r in runs if not r.converged]
-            print(f"error: no convergence at alpha = {', '.join(bad)}", file=sys.stderr)
-            return 3
-        return 0
+        bad = [f"{alpha:.4g}" for alpha, r in runs if not r.converged]
+        return Output("pricing_sweep", artifact, _table(header, rows),
+                      f"no convergence at alpha = {', '.join(bad)}" if bad else None)
 
     alpha = _resolve_alpha(cfg, args)
-    report = _priced_report(cfg, alpha)
-    artifact = {"alpha": alpha, **report.to_dict()}
-    paths = [_write_json(outdir, "pricing", artifact),
-             _write_csv(outdir, "pricing", *trace_csv_rows(cfg.model, report))]
+    report = _dynamics(cfg, alpha)
     _say(args, f"α = {alpha:.4g}")
     _report_lines(args, cfg, report, "s̃*")
-    _wrote(args, paths)
-    if args.json:
-        print(json.dumps(artifact, indent=2))
-    if not report.converged:
-        return _diverged(report)
-    return 0
+    return Output("pricing", {"alpha": alpha, **report.to_dict()},
+                  _table(*trace_csv_rows(cfg.model, report)), _unconverged(report))
 
 
 # -- efficiency --------------------------------------------------------
 
-def cmd_pareto(cfg: RunConfig, args, outdir: Path) -> int:
-    n = args.n or cfg.search.n_per_axis
+def cmd_pareto(cfg: RunConfig, args) -> Output:
+    n = _grid_n(cfg, args)
     points = utility_grid(cfg.model, n)
     frontier = pareto_frontier(points)
     artifact = {"n_per_axis": n,
                 "frontier": [_point_dict(pt) for pt in frontier]}
-    json_path = _write_json(outdir, "pareto", artifact)
-    csv_path = outdir / "pareto.csv"
-    header, body = grid_csv_rows(points, frontier)
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(body)
     _say(args, f"sampled {len(points)} profiles on a {n} x {n} grid; "
                f"frontier holds {len(frontier)} points")
     lo, hi = frontier[0].normalized, frontier[-1].normalized
     _say(args, f"frontier runs from σ²u/t = {_fmt_vec(lo, 3)} to {_fmt_vec(hi, 3)}")
-    _wrote(args, [json_path, csv_path])
-    if args.json:
-        print(json.dumps(artifact, indent=2))
-    return 0
+    return Output("pareto", artifact, grid_csv_rows(points, frontier))
 
 
-def cmd_social(cfg: RunConfig, args, outdir: Path) -> int:
-    n = args.n or cfg.search.n_per_axis
-    so = social_optimum(cfg.model, cfg.weights, n, cfg.search.refine_tol)
-    artifact = {"weights": list(cfg.weights.w), **_point_dict(so)}
-    paths = [_write_json(outdir, "social", artifact),
-             _write_csv(outdir, "social", _POINT_HEADER, [_point_row(so)])]
+def cmd_social(cfg: RunConfig, args) -> Output:
+    so = social_optimum(cfg.model, cfg.weights, _grid_n(cfg, args), cfg.search.refine_tol)
     _say(args, f"š/σ² = {_fmt_vec(so.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(so.normalized, 3)}")
-    _wrote(args, paths)
-    if args.json:
-        print(json.dumps(artifact, indent=2))
-    return 0
+    return Output("social", {"weights": list(cfg.weights.w), **_point_dict(so)},
+                  _table(_POINT_HEADER, [_point_row(so)]))
 
 
-def cmd_nbs(cfg: RunConfig, args, outdir: Path) -> int:
-    ne = ne_continuous(cfg.model, tol=cfg.search.br_tol, max_iter=cfg.search.max_iter)
+def cmd_nbs(cfg: RunConfig, args) -> Output:
+    ne = _dynamics(cfg)
     if not ne.converged:
-        return _diverged(ne)
-    n = args.n or cfg.search.n_per_axis
+        return Output(failure=_unconverged(ne))
+    n = _grid_n(cfg, args)
     disagreement = utility_point(cfg.model, ne.solution.powers)
     nbs = nash_bargaining(cfg.model, disagreement, n, cfg.search.refine_tol)
     artifact = {"disagreement": _point_dict(disagreement), "solution": _point_dict(nbs)}
@@ -306,28 +281,24 @@ def cmd_nbs(cfg: RunConfig, args, outdir: Path) -> int:
         artifact["fairness"] = _point_dict(fair)
         rows.append(_point_row(fair))
         _say(args, f"equal-gain point: σ²u/t = {_fmt_vec(fair.normalized, 3)}")
-    paths = [_write_json(outdir, "nbs", artifact),
-             _write_csv(outdir, "nbs", _POINT_HEADER, rows)]
-    _wrote(args, paths)
-    if args.json:
-        print(json.dumps(artifact, indent=2))
-    return 0
+    return Output("nbs", artifact, _table(_POINT_HEADER, rows))
 
 
 # -- repeated ----------------------------------------------------------
 
-def cmd_repeated(cfg: RunConfig, args, outdir: Path) -> int:
-    ne = ne_continuous(cfg.model, tol=cfg.search.br_tol, max_iter=cfg.search.max_iter)
+def cmd_repeated(cfg: RunConfig, args) -> Output:
+    ne = _dynamics(cfg)
     if not ne.converged:
-        return _diverged(ne)
-    n = args.n or cfg.search.n_per_axis
-    so = social_optimum(cfg.model, cfg.weights, n, cfg.search.refine_tol)
+        return Output(failure=_unconverged(ne))
+    so = social_optimum(cfg.model, cfg.weights, _grid_n(cfg, args), cfg.search.refine_tol)
     policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.solution)
     dmin = min_discount(cfg.model, policy)
 
     if args.deviant is not None and not 1 <= args.deviant <= cfg.model.num_players:
         raise ConfigError(f"--deviant must be a player number in "
                           f"1..{cfg.model.num_players}")
+    if args.stages < 0:
+        raise ConfigError("--stages must be >= 0")
     deviant = None if args.deviant is None else args.deviant - 1
     delta = args.delta if args.delta is not None else (
         dmin + 0.05 if dmin + 0.05 < 1.0 else 0.5 * (1.0 + dmin))
@@ -361,14 +332,8 @@ def cmd_repeated(cfg: RunConfig, args, outdir: Path) -> int:
         "discounted": list(payoffs),
         "normalized_discounted": norm(payoffs),
     }
-    paths = [_write_json(outdir, "repeated", artifact),
-             _write_csv(outdir, "repeated",
-                        *trigger_csv_rows(cfg.model, policy, spec, deviant,
-                                          args.deviate_at, args.stages))]
-    _wrote(args, paths)
-    if args.json:
-        print(json.dumps(artifact, indent=2))
-    return 0
+    return Output("repeated", artifact, _table(*trigger_csv_rows(
+        cfg.model, policy, spec, deviant, args.deviate_at, args.stages)))
 
 
 # -- driver ------------------------------------------------------------
@@ -442,24 +407,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config if args.config else default_config_path())
-    except ConfigError as exc:
+        out = args.func(cfg, args)
+        if out.name is not None:
+            paths = _write(Path(args.out or cfg.output.directory), out)
+            _say(args, "wrote " + ", ".join(str(p) for p in paths))
+            if args.json:
+                print(json.dumps(out.data, indent=2))
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    outdir = Path(args.out) if args.out else Path(cfg.output.directory)
-    try:
-        return args.func(cfg, args, outdir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    if out.failure is not None:
+        print(f"error: {out.failure}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

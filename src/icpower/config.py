@@ -6,6 +6,7 @@ the message alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -49,7 +50,9 @@ class SearchConfig:
         for name in ("br_tol", "refine_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not (type(self.max_iter) is int and self.max_iter >= 1):
             raise ValueError("max_iter must be an integer >= 1")
 
 
@@ -186,12 +189,14 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON config file.
 
-    Raises ConfigError with line/column on parse failures and with the field
-    path on validation failures; I/O errors propagate as OSError.
+    Raises ConfigError with the byte offset of invalid UTF-8, with line/column
+    on parse failures and with the field path on validation failures; I/O
+    errors propagate as OSError.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -55,6 +55,8 @@ class Weights:
             raise ValueError("weights must be >= 0")
         if abs(sum(vals) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 (got {sum(vals)})")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("weights must be finite")
 
 
 class EmptyImprovementRegionError(ValueError):

@@ -88,12 +88,6 @@ class FiniteGame:
     def num_players(self) -> int:
         return len(self.strategies)
 
-    def payoff_tensor(self) -> np.ndarray:
-        return self.payoffs
-
-    def joint_indices(self) -> Iterable[tuple[int, ...]]:
-        return np.ndindex(self.payoffs.shape[:-1])
-
     def profile_values(self, joint_index: Sequence[int]) -> tuple[float, ...]:
         """Map a joint strategy-index tuple to the power levels it selects."""
         return tuple(self.strategies[k][i] for k, i in enumerate(joint_index))
@@ -123,9 +117,6 @@ class JointDistribution:
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"probabilities must sum to 1 (got {total})")
         object.__setattr__(self, "probabilities", arr)
-
-    def as_array(self) -> np.ndarray:
-        return self.probabilities
 
     @classmethod
     def point_mass(cls, shape: Sequence[int], joint_index: Sequence[int]) -> "JointDistribution":

@@ -6,6 +6,7 @@ direct links.  Players are indexed from 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -47,6 +48,8 @@ class NetworkModel:
             for i, g in enumerate(row):
                 if g < 0:
                     raise ValueError(f"gains[{j}][{i}] must be >= 0")
+                if not math.isfinite(g):
+                    raise ValueError(f"gains[{j}][{i}] must be finite")
             if row[j] <= 0:
                 raise ValueError(f"gains[{j}][{j}] (direct link) must be > 0")
         if not self.noise_power > 0:
@@ -55,10 +58,13 @@ class NetworkModel:
             raise ValueError("processing_gain must be >= 1")
         if not self.power_cap > 0:
             raise ValueError("power_cap must be > 0")
-        if not (isinstance(self.packet_bits, int) and self.packet_bits >= 1):
+        if not (type(self.packet_bits) is int and self.packet_bits >= 1):
             raise ValueError("packet_bits must be an integer >= 1")
         if not self.rate_scale > 0:
             raise ValueError("rate_scale must be > 0")
+        for name in ("noise_power", "processing_gain", "power_cap", "rate_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def num_players(self) -> int:

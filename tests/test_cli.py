@@ -275,6 +275,12 @@ class TestRepeated:
                    "--delta", "1.0") == 2
         assert "--delta" in capsys.readouterr().err
 
+    def test_negative_stages_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "--quiet", "repeated", "--n", "80",
+                   "--stages", "-3") == 2
+        assert "--stages" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDriver:
     def test_bad_config_json_exit_code(self, tmp_path, capsys):
@@ -291,6 +297,27 @@ class TestDriver:
         cfg["weights"] = [0.9, 0.9]
         assert run(tmp_path, "ne", config=cfg) == 2
         assert "weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
+    def test_zero_grid_size_rejected(self, tmp_path, capsys, command):
+        assert run(tmp_path, "--quiet", command, "--n", "0") == 2
+        assert "n_per_axis must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("network", [{"power_cap": float("inf")},
+                                         {"gains": [[float("nan"), 0.5], [0.25, 1.0]]}])
+    def test_non_finite_network_exit_code(self, tmp_path, capsys, network):
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"].update(network)
+        assert run(tmp_path, "ne", config=cfg) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"network": "\xff"}')
+        assert main(["--config", str(path), "ne"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid UTF-8" in err
 
     def test_console_script_help(self):
         # run the package under test, installed or not

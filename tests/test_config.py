@@ -1,5 +1,8 @@
 """Config loading: defaults, schema validation, error reporting."""
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -89,12 +92,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="output: expected an object"):
             config_from_dict(base_dict)
 
+    @pytest.mark.parametrize("section, key, value, match", [
+        ("network", "gains", [[0.75, 0.5], [math.inf, 1.0]],
+         r"network: gains\[1\]\[0\] must be finite"),
+        ("network", "gains", [[math.nan, 0.5], [0.25, 1.0]],
+         r"network: gains\[0\]\[0\] must be finite"),
+        ("network", "noise_power", math.inf, "network: noise_power must be finite"),
+        ("network", "processing_gain", math.inf, "network: processing_gain must be finite"),
+        ("network", "power_cap", math.inf, "network: power_cap must be finite"),
+        ("network", "rate_scale", math.inf, "network: rate_scale must be finite"),
+        ("network", "packet_bits", True, "network: packet_bits must be an integer"),
+        ("search", "max_iter", True, "search: max_iter must be an integer"),
+        ("search", "br_tol", math.inf, "search: br_tol must be finite"),
+        ("search", "refine_tol", math.inf, "search: refine_tol must be finite"),
+        (None, "weights", [math.nan, 0.5], "weights: weights must be finite"),
+    ])
+    def test_non_finite_and_boolean_numbers_rejected(self, base_dict, section, key,
+                                                     value, match):
+        (base_dict[section] if section else base_dict)[key] = value
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(base_dict)
+
 
 class TestLoadConfig:
     def test_parse_error_reports_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "network": [,]\n}')
         with pytest.raises(ConfigError, match=r"invalid JSON at line 2, column \d+"):
+            load_config(path)
+
+    def test_non_utf8_reports_path_and_byte_offset(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"net\xffwork": {}}')
+        with pytest.raises(ConfigError, match=r"latin1\.json: not valid UTF-8 at byte 5"):
             load_config(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
@@ -108,3 +138,13 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.model.power_cap == 7.5
         assert isinstance(cfg, RunConfig)
+
+
+def test_readme_config_example_is_the_bundled_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"`icpower/data/paper\.json`\) looks like:\n\n```json\n(.*?)```",
+                      readme, re.S)
+    assert block is not None
+    example = json.loads(block.group(1))
+    assert example == json.loads(default_config_path().read_text())
+    config_from_dict(example)

@@ -299,6 +299,8 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
                           f"1..{cfg.model.num_players}")
     if args.stages < 0:
         raise ConfigError("--stages must be >= 0")
+    if args.deviate_at < 0:
+        raise ConfigError("--deviate-at must be >= 0")
     deviant = None if args.deviant is None else args.deviant - 1
     delta = args.delta if args.delta is not None else (
         dmin + 0.05 if dmin + 0.05 < 1.0 else 0.5 * (1.0 + dmin))

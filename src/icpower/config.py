@@ -78,6 +78,12 @@ class FiniteScenario:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        for key in ("h", "h1", "h2"):
+            v = getattr(self, key)
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if v is not None and not (number and math.isfinite(v) and v > 0):
+                raise ConfigError(f"finite.gains.{key}: must be a finite number > 0, "
+                                  f"got {v!r}")
 
     def build(self, model: NetworkModel, scenario: Optional[str] = None) -> FiniteGame:
         """Construct the requested on/off game on the model's noise floor."""

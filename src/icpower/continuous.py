@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .network import (NetworkModel, PowerProfile, Powers, _checked, _sinr_per_watt,
                       effective_gain, power_tuple, sinr)
-from .numerics import bisect_root, golden_section_max
+from .numerics import bisect_root
 
 __all__ = [
     "DegenerateUtilityError",
@@ -120,8 +120,21 @@ def _slope(gamma: float, bits: int) -> float:
 
 @lru_cache(maxsize=None)
 def _slope_peak(bits: int) -> tuple[float, float]:
-    """Argmax and max of h: one peak on (0, gamma_star), the limit 0+ for L = 2."""
-    peak = golden_section_max(lambda g: _slope(g, bits), 0.0, gamma_star(bits), tol=1e-12)
+    """Argmax and max of h: for L >= 3 the one root of h' on (0, gamma_star).
+
+    For L = 2, h falls from its limit 1 at 0+, and a point just above 0
+    stands in for the peak.
+    """
+    if bits == 2:
+        peak = 1e-13
+    else:
+        def dh(g: float) -> float:
+            # g^3 h'(g) / q^(L-2), q = 1 - exp(-g): ~ (L-1)(L-2) g^2 near 0
+            e = math.exp(-g)
+            return (e * e * (bits * bits * g * g + 2 * bits * g + 2)
+                    - e * (bits * g * g + 2 * bits * g + 4) + 2)
+
+        peak = bisect_root(dh, 1e-3, gamma_star(bits), residual_tol=0.0)
     return peak, _slope(peak, bits)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .continuous import ee_utility
 from .network import NetworkModel, PowerProfile, Powers, power_tuple, sinr_grid
-from .numerics import refine_coordinatewise
 
 __all__ = [
     "UtilityPoint",
@@ -78,9 +77,10 @@ def _require_two_players(model: NetworkModel) -> None:
         )
 
 
-def _surfaces(model: NetworkModel, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized utility surfaces u1(s1, s2), u2(s1, s2) on axis x axis."""
-    powers, gammas = sinr_grid(model, axis)
+def _surfaces(model: NetworkModel, axis1: np.ndarray,
+              axis2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized utility surfaces u1(s1, s2), u2(s1, s2) on axis1 x axis2."""
+    powers, gammas = sinr_grid(model, axis1, axis2)
     out = []
     for own, gamma in zip(powers, gammas):
         tput = model.rate_scale * (-np.expm1(-gamma)) ** model.packet_bits
@@ -135,7 +135,7 @@ def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
     axis = np.linspace(0.0, model.power_cap, n_per_axis)
-    u1, u2 = _surfaces(model, axis)
+    u1, u2 = _surfaces(model, axis, axis)
     return UtilityPlane(axis, u1, u2, model.noise_power / model.rate_scale)
 
 
@@ -175,35 +175,49 @@ def pareto_frontier(points: Sequence[UtilityPoint]) -> list[UtilityPoint]:
     return [points[k] for k in _frontier_indices(u1, u2, rank).tolist()]
 
 
+_PATCH = np.linspace(-1.0, 1.0, 9)  # zoom patch offsets, in units of span
+
+
 def _grid_then_refine(model: NetworkModel, n_per_axis: int, refine_tol: float,
-                      grid_score, point_score) -> UtilityPoint:
-    """Best cell of ``grid_score(u1, u2)`` on the utility plane, polished by
-    coordinate-wise golden section on ``point_score(u1, u2)`` within one grid
-    step of it."""
+                      score) -> UtilityPoint:
+    """Best cell of ``score(u1, u2)`` on the utility plane, polished by a zoom.
+
+    Each round scores a 9 x 9 patch within +/- span of the incumbent
+    (clipped to [0, power_cap]) and moves to its best cell on a strict gain.
+    The span starts at one grid step and shrinks by 4 each round, except
+    after a move onto the patch's edge, until it is at most ``refine_tol``.
+    A plane whose every cell scores -inf raises EmptyImprovementRegionError.
+    """
     plane = utility_grid(model, n_per_axis)
-    score = grid_score(plane.u1, plane.u2)
-    i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-    x0 = (float(plane.axis[i]), float(plane.axis[j]))
-
-    def objective(s: Sequence[float]) -> float:
-        return point_score(ee_utility(model, s, 0), ee_utility(model, s, 1))
-
+    grid = score(plane.u1, plane.u2)
+    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    x, best = (plane.axis[i], plane.axis[j]), grid[i, j]
+    if best == -np.inf:
+        raise EmptyImprovementRegionError(
+            "no sampled profile weakly improves on the disagreement utilities")
     span = float(plane.axis[1] - plane.axis[0])
-    best, _ = refine_coordinatewise(objective, x0, 0.0, model.power_cap, span,
-                                    tol=refine_tol)
-    return utility_point(model, best)
+    while span > refine_tol:
+        axes = [np.unique(np.clip(v + span * _PATCH, 0.0, model.power_cap)) for v in x]
+        patch = score(*_surfaces(model, *axes))
+        i, j = np.unravel_index(int(np.argmax(patch)), patch.shape)
+        if patch[i, j] > best:
+            x, best = (axes[0][i], axes[1][j]), patch[i, j]
+            if i in (0, len(axes[0]) - 1) or j in (0, len(axes[1]) - 1):
+                continue
+        span /= 4.0
+    return utility_point(model, x)
 
 
 def social_optimum(model: NetworkModel, weights: Weights, n_per_axis: int = 400,
                    refine_tol: float = 1e-10) -> UtilityPoint:
-    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: grid scan, then
-    coordinate-wise golden-section polish around the best cell."""
+    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: grid scan, then a zoom
+    on small patches around the best cell."""
     _require_two_players(model)
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
-    welfare = lambda u1, u2: w1 * u1 + w2 * u2
-    return _grid_then_refine(model, n_per_axis, refine_tol, welfare, welfare)
+    return _grid_then_refine(model, n_per_axis, refine_tol,
+                             lambda u1, u2: w1 * u1 + w2 * u2)
 
 
 def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bool:
@@ -217,29 +231,16 @@ def _bargain(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int,
              refine_tol: float, combine) -> UtilityPoint:
     """Maximize ``combine(g1, g2)`` of the nonnegative utility gains.
 
-    Infeasible points are scored by their (negative) total shortfall, so any
-    nonnegative score certifies feasibility and refinement never walks out
-    of the region.
+    Infeasible points score -inf, so the refinement never leaves the region.
     """
     _require_two_players(model)
     d1, d2 = disagreement.utilities
 
-    def grid_score(u1, u2):
+    def score(u1, u2):
         g1, g2 = u1 - d1, u2 - d2
-        feasible = (g1 >= 0.0) & (g2 >= 0.0)
-        if not feasible.any():
-            raise EmptyImprovementRegionError(
-                "no sampled profile weakly improves on the disagreement utilities"
-            )
-        return np.where(feasible, combine(g1, g2), -np.inf)
+        return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
 
-    def point_score(u1: float, u2: float) -> float:
-        a, b = u1 - d1, u2 - d2
-        if a >= 0.0 and b >= 0.0:
-            return combine(a, b)
-        return min(a, 0.0) + min(b, 0.0)
-
-    return _grid_then_refine(model, n_per_axis, refine_tol, grid_score, point_score)
+    return _grid_then_refine(model, n_per_axis, refine_tol, score)
 
 
 def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint,

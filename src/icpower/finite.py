@@ -160,7 +160,8 @@ def _on_off_game(params: FiniteGameParams, gains: tuple,
                          packet_bits=1, rate_scale=1.0)
     p = noise_power * req / (gains[0][0] * processing_gain)
     model = replace(model, power_cap=p)
-    powers, gammas = sinr_grid(model, np.array([0.0, model.power_cap]))
+    levels = np.array([0.0, model.power_cap])
+    powers, gammas = sinr_grid(model, levels, levels)
     payoffs = [np.where(gamma >= req * (1.0 - _THRESHOLD_RTOL), t, 0.0) - c * s / p
                for s, gamma in zip(np.broadcast_arrays(*powers), gammas)]
     return FiniteGame(strategies=((0.0, p), (0.0, p)), payoffs=np.stack(payoffs, axis=-1))

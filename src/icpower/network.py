@@ -145,8 +145,10 @@ def sinr(model: NetworkModel, profile: Powers, k: int) -> float:
     return _sinr_per_watt(model, s, k) * s[k]
 
 
-def sinr_grid(model: NetworkModel, axis: np.ndarray) -> tuple[tuple, tuple]:
-    """``(s1, s2), (gamma1, gamma2)`` on the 2-player grid axis x axis: powers
-    as a column and a row vector, SINRs ``[i, j]`` at ``(axis[i], axis[j])``."""
-    s = (axis[:, None], axis[None, :])
+def sinr_grid(model: NetworkModel, axis1: np.ndarray,
+              axis2: np.ndarray) -> tuple[tuple, tuple]:
+    """``(s1, s2), (gamma1, gamma2)`` on the 2-player grid axis1 x axis2:
+    powers as a column and a row vector, SINRs ``[i, j]`` at
+    ``(axis1[i], axis2[j])``."""
+    s = (axis1[:, None], axis2[None, :])
     return s, tuple(_sinr_per_watt(model, s, k) * s[k] for k in range(2))

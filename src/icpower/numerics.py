@@ -1,12 +1,9 @@
-"""Scalar bracketing solvers shared by the game solvers."""
+"""Scalar root bracketing shared by the game solvers."""
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Callable
 
-__all__ = ["bisect_root", "golden_section_max", "refine_coordinatewise"]
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+__all__ = ["bisect_root"]
 
 
 def bisect_root(
@@ -39,73 +36,3 @@ def bisect_root(
         else:
             hi = mid
     return mid
-
-
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Argmax of a unimodal f on [lo, hi] by golden-section search.
-
-    Narrows the bracket to width ``tol`` and returns its midpoint.
-    """
-    a, b = float(lo), float(hi)
-    if b < a:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def refine_coordinatewise(
-    f: Callable[[Sequence[float]], float],
-    x0: Sequence[float],
-    lower: float,
-    upper: float,
-    span: float,
-    tol: float = 1e-10,
-    max_cycles: int = 60,
-) -> tuple[tuple[float, ...], float]:
-    """Polish a maximizer of f by cycling golden-section line searches.
-
-    Each pass searches every coordinate within +/- ``span`` of the current
-    point (clipped to [lower, upper]) and keeps only improvements, so the
-    returned value is never worse than f(x0).  Stops when a full cycle gains
-    less than ``tol``.
-    """
-    x = [float(v) for v in x0]
-    best = f(x)
-    for _ in range(max_cycles):
-        start = best
-        for i in range(len(x)):
-            lo = max(lower, x[i] - span)
-            hi = min(upper, x[i] + span)
-
-            def line(v: float, i: int = i) -> float:
-                trial = list(x)
-                trial[i] = v
-                return f(trial)
-
-            cand = golden_section_max(line, lo, hi, tol=min(tol, 1e-12))
-            val = line(cand)
-            if val > best:
-                x[i] = cand
-                best = val
-        if best - start <= tol:
-            break
-    return tuple(x), best

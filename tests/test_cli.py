@@ -133,6 +133,12 @@ class TestFinite:
                    config=small_config) == 2
         assert "near-far assumption" in capsys.readouterr().err
 
+    def test_non_numeric_gain_exit_code(self, tmp_path, small_config, capsys):
+        small_config["finite"]["gains"]["h"] = "x"
+        assert run(tmp_path, "finite", config=small_config) == 2
+        err = capsys.readouterr().err
+        assert "finite.gains.h" in err and "Traceback" not in err
+
 
 class TestPricing:
     def test_console_summary(self, tmp_path, capsys):
@@ -279,6 +285,12 @@ class TestRepeated:
         assert run(tmp_path, "--quiet", "repeated", "--n", "80",
                    "--stages", "-3") == 2
         assert "--stages" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_deviation_stage_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "--quiet", "repeated", "--n", "80",
+                   "--deviate-at", "-2") == 2
+        assert "--deviate-at" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

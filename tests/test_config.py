@@ -114,6 +114,15 @@ class TestValidation:
             config_from_dict(base_dict)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("h", "x"), ("h", True), ("h", math.inf), ("h1", -0.5), ("h2", 0),
+    ])
+    def test_finite_gains_checked_at_load(self, base_dict, key, value):
+        base_dict["finite"]["gains"][key] = value
+        with pytest.raises(ConfigError, match=rf"^finite\.gains\.{key}: must be a finite"):
+            config_from_dict(base_dict)
+
+
 class TestLoadConfig:
     def test_parse_error_reports_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -10,7 +10,7 @@ from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      SolveReport, best_response_ee, best_response_priced,
                      br_dynamics, ee_utility, gamma_star, ne_continuous,
                      packet_throughput, priced_responder, priced_utility)
-from icpower.continuous import trace_csv_rows
+from icpower.continuous import _slope, _slope_peak, trace_csv_rows
 from icpower.network import effective_gain, sinr
 
 from conftest import make_model
@@ -161,6 +161,42 @@ class TestGammaStar:
         flips = np.nonzero(signs[:-1] != signs[1:])[0]
         assert len(flips) == 1
         assert abs(grid[flips[0]] - gamma_star(bits)) < 0.02
+
+
+def golden_section_max(f, lo, hi, tol=1e-12):
+    """Midpoint of the bracket a golden-section search narrows to width tol."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+class TestSlopePeak:
+    @pytest.mark.parametrize("bits, peak", [(3, 0.3234766478020756),
+                                            (1000, 0.047197667366093946)])
+    def test_frozen_golden_section_values(self, bits, peak):
+        assert _slope_peak(bits)[1] == pytest.approx(peak, rel=1e-12)
+
+    def test_matches_golden_section_search(self):
+        for bits in range(3, 1001):
+            h = lambda g: _slope(g, bits)
+            want = h(golden_section_max(h, 0.0, gamma_star(bits)))
+            assert _slope_peak(bits)[1] == pytest.approx(want, rel=1e-12), bits
+
+    def test_two_bits_keeps_the_limit_at_zero(self):
+        peak, top = _slope_peak(2)
+        assert 0.0 < peak < gamma_star(2)
+        assert abs(top - 1.0) <= 1e-12
 
 
 class TestBestResponseEe:

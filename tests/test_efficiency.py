@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
                      UtilityPoint, Weights, distance_to_frontier, ee_utility,
                      fairness_projection, gamma_star, in_improvement_region,
-                     nash_bargaining, pareto_frontier, social_optimum,
-                     utility_grid, utility_point)
+                     nash_bargaining, ne_continuous, pareto_frontier,
+                     social_optimum, utility_grid, utility_point)
 from icpower.efficiency import _surfaces, grid_csv_rows
-from icpower.numerics import golden_section_max
+from icpower.network import _sinr_per_watt
 
 from conftest import make_model
 
@@ -39,7 +39,7 @@ def reference_grid(model, n):
     """The utility plane as a list with one UtilityPoint per cell, s1-major,
     built cell by cell from the vectorized surfaces."""
     axis = np.linspace(0.0, model.power_cap, n)
-    u1, u2 = _surfaces(model, axis)
+    u1, u2 = _surfaces(model, axis, axis)
     scale = model.noise_power / model.rate_scale
     points = []
     for i, a in enumerate(axis):
@@ -58,6 +58,23 @@ random_models = st.builds(
     st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.0, 1.0),
     st.floats(0.0, 1.0), st.integers(1, 60), st.floats(0.5, 10.0),
     st.floats(0.05, 3.0), st.floats(0.2, 5.0))
+
+
+zoom_models = random_models.filter(lambda m: m.packet_bits >= 2)
+
+
+def dense_patch(model, center, half, n=401):
+    """u1, u2 on an n x n patch within +/- half of ``center``, clipped to
+    [0, power_cap]^2, straight from the SINR-per-watt expression."""
+    s = [np.clip(np.linspace(c - half, c + half, n), 0.0, model.power_cap) for c in center]
+    s = (s[0][:, None], s[1][None, :])
+    out = []
+    for k in range(2):
+        gamma = _sinr_per_watt(model, s, k) * s[k]
+        tput = model.rate_scale * (-np.expm1(-gamma)) ** model.packet_bits
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append(np.where(s[k] > 0, tput / s[k], 0.0))
+    return out
 
 
 def synthetic_point(u1, u2, tag):
@@ -160,15 +177,11 @@ class TestUtilityGrid:
 
     def test_single_user_bound(self, ref_model, grid_points):
         # nobody beats the best interference-free efficiency of their link
+        g = gamma_star(ref_model.packet_bits)
         for k in range(2):
             mu = 4.0 * ref_model.gains[k][k]
-
-            def solo(s, k=k, mu=mu):
-                prof = [0.0, 0.0]
-                prof[k] = s
-                return ee_utility(ref_model, prof, k)
-
-            best = solo(golden_section_max(solo, 1e-9, 5.0, tol=1e-12))
+            best = (ref_model.rate_scale * (1.0 - math.exp(-g)) ** ref_model.packet_bits
+                    * mu / g)
             assert all(pt.utilities[k] <= best + 1e-9 for pt in grid_points)
 
 
@@ -253,6 +266,69 @@ class TestSocialOptimum:
     def test_weight_count_checked(self, ref_model):
         with pytest.raises(ValueError, match="2 weights"):
             social_optimum(ref_model, Weights((1.0,)), n_per_axis=50)
+
+
+class TestZoom:
+    """The grid-then-refine optimizers against their grid and a dense local
+    search around their result."""
+
+    @staticmethod
+    def check(model, n, point, score):
+        # rescored on the array path: math.expm1 and np.expm1 round differently
+        x = point.profile.powers
+        got = float(score(*dense_patch(model, x, 0.0, n=1))[0, 0])
+        plane = utility_grid(model, n)
+        grid = float(np.max(score(plane.u1, plane.u2)))
+        assert got >= grid
+        # an improvement region the grid meets only at its edge is no basin
+        assume(grid > 0.0)
+        # a quarter grid step: close enough to stay in the result's basin
+        half = 0.25 * model.power_cap / (n - 1)
+        dense = float(np.max(score(*dense_patch(model, x, half))))
+        assert got >= dense - 1e-12 * abs(dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(zoom_models, st.integers(20, 150))
+    def test_social_optimum(self, model, n):
+        point = social_optimum(model, Weights((0.5, 0.5)), n_per_axis=n)
+        self.check(model, n, point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(zoom_models, st.integers(20, 150))
+    def test_nash_bargaining(self, model, n):
+        ne = ne_continuous(model)
+        assume(ne.converged)
+        disagreement = utility_point(model, ne.solution.powers)
+        d1, d2 = disagreement.utilities
+        try:
+            point = nash_bargaining(model, disagreement, n)
+        except EmptyImprovementRegionError:
+            assume(False)
+
+        def product(u1, u2):
+            g1, g2 = u1 - d1, u2 - d2
+            return np.where((g1 >= 0) & (g2 >= 0), g1 * g2, -np.inf)
+
+        self.check(model, n, point, product)
+
+    @staticmethod
+    def gains_over_ne(model, point_of):
+        ne = utility_point(model, ne_continuous(model).solution.powers)
+        point = point_of(model, ne)
+        return [u - d for u, d in zip(point.utilities, ne.utilities)]
+
+    def test_bargaining_travels_past_the_golden_section_result(self):
+        # coordinate-wise golden section ended at a product of 2.06606e-6
+        model = make_model(gains=((0.7201, 0.5979), (0.6154, 1.126)),
+                           noise_power=2.9403, power_cap=9.2177, packet_bits=35)
+        g1, g2 = self.gains_over_ne(model, nash_bargaining)
+        assert g1 * g2 >= 2.0675e-6
+
+    def test_equal_gain_climbs_the_min_ridge(self):
+        # coordinate-wise golden section stalled at a smaller gain of 0.003332
+        model = make_model(gains=((1.4391, 0.2825), (0.3128, 0.9589)),
+                           noise_power=1.5471, power_cap=9.9422, packet_bits=2)
+        assert min(self.gains_over_ne(model, fairness_projection)) >= 0.0048
 
 
 class TestImprovementRegion:

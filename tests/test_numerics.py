@@ -1,9 +1,9 @@
-"""Bracketing solver checks against closed-form extrema and roots."""
+"""Bracketing solver checks against closed-form roots."""
 import math
 
 import pytest
 
-from icpower.numerics import bisect_root, golden_section_max, refine_coordinatewise
+from icpower.numerics import bisect_root
 
 
 class TestBisectRoot:
@@ -33,47 +33,3 @@ class TestBisectRoot:
 
         bisect_root(f, 0.0, 1.0, residual_tol=1e-3)
         assert all(abs(c - 0.5) > 1e-3 for c in calls[:-1]) or len(calls) <= 3
-
-
-class TestGoldenSectionMax:
-    def test_quadratic_peak(self):
-        x = golden_section_max(lambda v: -(v - 1.3) ** 2, 0.0, 5.0, tol=1e-12)
-        assert abs(x - 1.3) < 1e-8
-
-    def test_peak_at_boundary(self):
-        x = golden_section_max(lambda v: v, 0.0, 2.0, tol=1e-12)
-        assert abs(x - 2.0) < 1e-8
-
-    def test_empty_bracket_rejected(self):
-        with pytest.raises(ValueError, match="empty bracket"):
-            golden_section_max(lambda v: v, 1.0, 0.0)
-
-    def test_degenerate_bracket(self):
-        assert golden_section_max(lambda v: v, 2.0, 2.0) == 2.0
-
-
-class TestRefineCoordinatewise:
-    def test_polishes_quadratic(self):
-        def f(x):
-            return -(x[0] - 0.7) ** 2 - 2.0 * (x[1] - 0.2) ** 2
-
-        x, best = refine_coordinatewise(f, (0.5, 0.5), 0.0, 1.0, span=0.5)
-        assert abs(x[0] - 0.7) < 1e-6 and abs(x[1] - 0.2) < 1e-6
-        assert best > f((0.5, 0.5))
-
-    def test_never_worsens(self):
-        def f(x):
-            # rough, non-smooth objective
-            return -abs(x[0] - 0.31) - abs(math.sin(9.0 * x[1]))
-
-        start = (0.3, 0.3)
-        _, best = refine_coordinatewise(f, start, 0.0, 1.0, span=0.2)
-        assert best >= f(start)
-
-    def test_respects_bounds(self):
-        def f(x):
-            return x[0] + x[1]
-
-        x, _ = refine_coordinatewise(f, (0.9, 0.9), 0.0, 1.0, span=5.0)
-        assert all(0.0 <= v <= 1.0 for v in x)
-        assert abs(x[0] - 1.0) < 1e-6 and abs(x[1] - 1.0) < 1e-6

@@ -82,11 +82,18 @@ def _report_lines(args, cfg: RunConfig, report: SolveReport, label: str) -> None
                f"({report.iterations} iterations, residual {report.residual:.2e})")
 
 
+def _cause(report: SolveReport) -> str:
+    """Why unconverged dynamics stopped, e.g. 'period-4 cycle after 8 sweeps'."""
+    if report.termination == "cycle":
+        return f"period-{report.period} cycle after {report.iterations} sweeps"
+    return (f"residual {report.residual:.3e} > tol {report.tolerance:.1e} "
+            f"after {report.iterations} sweeps")
+
+
 def _unconverged(report: SolveReport) -> Optional[str]:
     if report.converged:
         return None
-    return (f"best-response dynamics did not converge "
-            f"(residual {report.residual:.3e} > tol {report.tolerance:.1e})")
+    return f"best-response dynamics did not converge ({_cause(report)})"
 
 
 def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
@@ -230,7 +237,7 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
         rows = [[alpha, *r.solution.powers, *r.utilities, *r.normalized_utilities,
                  r.iterations, int(r.converged)] for alpha, r in runs]
         artifact = [{"alpha": alpha, **r.to_dict()} for alpha, r in runs]
-        bad = [f"{alpha:.4g}" for alpha, r in runs if not r.converged]
+        bad = [f"{alpha:.4g} ({_cause(r)})" for alpha, r in runs if not r.converged]
         return Output("pricing_sweep", artifact, _table(header, rows),
                       f"no convergence at alpha = {', '.join(bad)}" if bad else None)
 

@@ -166,6 +166,9 @@ def priced_responder(pricing: PricingConfig) -> Responder:
     return partial(best_response_priced, pricing=pricing)
 
 
+_TERMINATIONS = ("converged", "cycle", "max_iter")
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a best-response iteration.
@@ -173,7 +176,10 @@ class SolveReport:
     ``utilities`` are the plain energy efficiencies at the solution (also for
     surcharged runs: the surcharge shapes the equilibrium, the delivered b/J
     is still the performance metric).  ``trace`` holds every profile visited,
-    starting with the initializer.
+    starting with the initializer.  ``termination`` says why the iteration
+    stopped: ``"converged"``, ``"cycle"`` (the last profile of the trace
+    equals the one ``period`` >= 2 sweeps earlier, so the orbit repeats
+    forever) or ``"max_iter"``; ``period`` is None unless it is a cycle.
     """
 
     solution: PowerProfile
@@ -185,12 +191,24 @@ class SolveReport:
     converged: bool
     residual: float
     tolerance: float
+    termination: str
+    period: Optional[int] = None
 
     def __post_init__(self) -> None:
         if len(self.trace) != self.iterations + 1:
             raise ValueError("trace must hold iterations + 1 profiles")
         if self.converged and not self.residual <= self.tolerance:
             raise ValueError("converged report with residual above tolerance")
+        if self.termination not in _TERMINATIONS:
+            raise ValueError(f"termination must be one of {_TERMINATIONS}, "
+                             f"got {self.termination!r}")
+        if self.converged != (self.termination == "converged"):
+            raise ValueError("converged must hold exactly when termination "
+                             "is 'converged'")
+        is_period = isinstance(self.period, int) and self.period >= 2
+        if is_period != (self.termination == "cycle"):
+            raise ValueError("period must be an int >= 2 exactly when termination "
+                             "is 'cycle'")
 
     def to_dict(self) -> dict:
         return {
@@ -200,6 +218,8 @@ class SolveReport:
             "sinrs": list(self.sinrs),
             "iterations": self.iterations,
             "converged": self.converged,
+            "termination": self.termination,
+            "period": self.period,
             "residual": self.residual,
             "tolerance": self.tolerance,
             "trace": [list(t) for t in self.trace],
@@ -207,6 +227,9 @@ class SolveReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":
+        """Load ``to_dict`` output; reports written before ``termination``
+        existed stopped either converged or at ``max_iter``."""
+        converged = bool(data["converged"])
         return cls(
             solution=PowerProfile(tuple(data["solution"])),
             utilities=tuple(data["utilities"]),
@@ -214,15 +237,18 @@ class SolveReport:
             sinrs=tuple(data["sinrs"]),
             iterations=int(data["iterations"]),
             trace=tuple(tuple(t) for t in data["trace"]),
-            converged=bool(data["converged"]),
+            converged=converged,
             residual=float(data["residual"]),
             tolerance=float(data["tolerance"]),
+            termination=data.get("termination",
+                                 "converged" if converged else "max_iter"),
+            period=data.get("period"),
         )
 
 
 def _report(model: NetworkModel, profile: tuple[float, ...],
-            trace: list[tuple[float, ...]], iterations: int,
-            converged: bool, residual: float, tol: float) -> SolveReport:
+            trace: list[tuple[float, ...]], residual: float, tol: float,
+            termination: str, period: Optional[int] = None) -> SolveReport:
     utilities = tuple(ee_utility(model, profile, k) for k in range(model.num_players))
     scale = model.noise_power / model.rate_scale
     return SolveReport(
@@ -230,11 +256,13 @@ def _report(model: NetworkModel, profile: tuple[float, ...],
         utilities=utilities,
         normalized_utilities=tuple(u * scale for u in utilities),
         sinrs=tuple(sinr(model, profile, k) for k in range(model.num_players)),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         trace=tuple(trace),
-        converged=converged,
+        converged=termination == "converged",
         residual=residual,
         tolerance=tol,
+        termination=termination,
+        period=period,
     )
 
 
@@ -245,7 +273,12 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
 
     All players update simultaneously from the previous profile until the
     max-norm step and the residual, the next sweep's step, are both at most
-    ``tol``.  Non-convergence within ``max_iter`` sweeps is reported.
+    ``tol``.  ``responder`` must be a pure function of the profile, so a
+    profile equal (==) to one p >= 2 sweeps earlier proves an orbit of period
+    p that never settles: the run stops there, with the repeat last in the
+    trace, since sweeping on could only change which point of the orbit is
+    reported.  Otherwise non-convergence within ``max_iter`` sweeps is
+    reported.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -257,19 +290,24 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
     else:
         current = power_tuple(init, model.num_players)
     trace = [current]
-    iterations = 0
+    seen = {current: 0}  # profile -> its latest index in the trace
     nxt = tuple(responder(model, current, k) for k in k_range)
     for _ in range(max_iter):
         trace.append(nxt)
-        iterations += 1
         step = max(abs(a - b) for a, b in zip(nxt, current))
         current = nxt
         # the residual sweep is the next iterate if the loop goes on
         nxt = tuple(responder(model, current, k) for k in k_range)
         residual = max(abs(a - b) for a, b in zip(nxt, current))
         if step <= tol and residual <= tol:
-            break
-    return _report(model, current, trace, iterations, residual <= tol, residual, tol)
+            return _report(model, current, trace, residual, tol, "converged")
+        n = len(trace) - 1
+        period = n - seen.get(current, n)
+        seen[current] = n
+        if period >= 2:  # a repeat one sweep apart is a fixed point
+            return _report(model, current, trace, residual, tol, "cycle", period)
+    return _report(model, current, trace, residual, tol,
+                   "converged" if residual <= tol else "max_iter")
 
 
 def ne_continuous(model: NetworkModel, tol: float = 1e-10,

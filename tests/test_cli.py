@@ -175,6 +175,22 @@ class TestPricing:
         runs = read_json(tmp_path, "pricing_sweep")
         assert runs[1]["converged"] is False
 
+    def test_cycling_level_names_its_period(self, tmp_path, capsys):
+        assert run(tmp_path, "--quiet", "pricing", "--alpha", "0.15") == 3
+        assert capsys.readouterr().err == ("error: best-response dynamics did not "
+                                           "converge (period-4 cycle after 8 sweeps)\n")
+        report = read_json(tmp_path, "pricing")
+        assert (report["termination"], report["period"]) == ("cycle", 4)
+        assert len(report["trace"]) == 9
+        assert len(read_csv(tmp_path, "pricing")) == 10
+
+    def test_sweep_names_the_cause_of_each_failure(self, tmp_path, capsys):
+        assert run(tmp_path, "--quiet", "pricing", "--sweep", "0.12:0.15:4") == 3
+        assert capsys.readouterr().err == (
+            "error: no convergence at alpha = 0.13 (period-4 cycle after 6 sweeps), "
+            "0.14 (period-4 cycle after 6 sweeps), 0.15 (period-4 cycle after 8 "
+            "sweeps)\n")
+
     def test_single_bit_packets_rejected_like_ne(self, tmp_path, small_config,
                                                  capsys):
         # with L = 1 the priced utility's supremum t * mu is approached as
@@ -315,6 +331,15 @@ class TestDriver:
         assert run(tmp_path, "--quiet", command, "--n", "0") == 2
         assert "n_per_axis must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ne", "nbs", "repeated"])
+    def test_unconverged_dynamics_exit_3_with_the_cause(self, tmp_path, small_config,
+                                                        capsys, command):
+        small_config["search"]["max_iter"] = 1
+        assert run(tmp_path, "--quiet", command, config=small_config) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: best-response dynamics did not converge (residual ")
+        assert err.endswith(" > tol 1.0e-10 after 1 sweeps)\n")
 
     @pytest.mark.parametrize("network", [{"power_cap": float("inf")},
                                          {"gains": [[float("nan"), 0.5], [0.25, 1.0]]}])

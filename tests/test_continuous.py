@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      SolveReport, best_response_ee, best_response_priced,
@@ -46,6 +46,28 @@ def step_rule_dynamics(model, responder, tol, max_iter):
                    for k in range(model.num_players))
     return current, tuple(trace), residual
 
+
+def max_iter_dynamics(model, responder, tol, max_iter, init=None):
+    """The loop without the repeat check, which runs a cycle to max_iter.
+    Returns (converged, profile, trace, residual)."""
+    current = (model.power_cap,) * model.num_players if init is None else tuple(init)
+    trace = [current]
+    nxt = tuple(responder(model, current, k) for k in range(model.num_players))
+    for _ in range(max_iter):
+        trace.append(nxt)
+        step = max(abs(a - b) for a, b in zip(nxt, current))
+        current = nxt
+        nxt = tuple(responder(model, current, k) for k in range(model.num_players))
+        residual = max(abs(a - b) for a, b in zip(nxt, current))
+        if step <= tol and residual <= tol:
+            break
+    return residual <= tol, current, tuple(trace), residual
+
+
+# a network of the benchmark's pricing workload (seed 104, network 14) whose
+# dynamics orbit a 2-cycle at alpha = 0.19182
+SEED_104_NET_14 = make_model(gains=((0.6437, 0.5025), (0.5358, 1.1604)),
+                             power_cap=4.4255, packet_bits=36)
 
 drawn_models = st.builds(
     lambda d1, d2, c1, c2, bits, cap, noise, w: make_model(
@@ -306,6 +328,7 @@ class TestBrDynamics:
     def test_nonconvergence_is_reported_not_raised(self, ref_model):
         report = br_dynamics(ref_model, max_iter=1)
         assert not report.converged
+        assert (report.termination, report.period) == ("max_iter", None)
         assert report.residual > report.tolerance
         assert report.iterations == 1
 
@@ -339,6 +362,61 @@ class TestBrDynamics:
         assert report.converged
         assert (report.solution.powers, report.trace, report.residual) == (
             profile, trace, residual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_models, st.floats(0.0, 0.3))
+    @example(make_model(), 0.15)
+    @example(SEED_104_NET_14, 0.19182)
+    def test_every_cycle_is_certified(self, model, alpha):
+        # a cycle report must be an exact orbit of its period on which the
+        # loop without the repeat check never converges; any other report is
+        # that loop's report
+        responder = priced_responder(PricingConfig(alpha))
+        report = br_dynamics(model, responder=responder, tol=1e-7, max_iter=300)
+        converged, profile, trace, residual = max_iter_dynamics(
+            model, responder, 1e-7, 300)
+        if report.termination != "cycle":
+            assert (report.converged, report.solution.powers, report.trace,
+                    report.residual) == (converged, profile, trace, residual)
+            return
+        assert not converged
+        assert report.trace == trace[:len(report.trace)]
+        assert len(set(report.trace)) == len(report.trace) - 1
+        point = report.solution.powers
+        for _ in range(report.period):
+            point = tuple(responder(model, point, k) for k in range(2))
+        assert point == report.solution.powers
+        assert report.trace[-1 - report.period] == point
+
+    def test_reference_network_cycles_at_alpha_015(self, ref_model):
+        # the best response jumps to silence against high opponent power,
+        # and the synchronous dynamics orbit a 4-cycle
+        report = br_dynamics(ref_model, responder=priced_responder(PricingConfig(0.15)))
+        assert (report.termination, report.period, report.converged) == ("cycle", 4, False)
+        assert report.iterations <= 16
+        assert len(report.trace) == report.iterations + 1
+        assert report.trace[-1] == report.trace[-5] == report.solution.powers
+
+    def test_period_two_orbit_through_silence(self):
+        # both players fall silent against the cap, and transmit against silence
+        report = br_dynamics(SEED_104_NET_14,
+                             responder=priced_responder(PricingConfig(0.19182)))
+        assert (report.termination, report.period, report.iterations) == ("cycle", 2, 3)
+        assert report.trace[1] == report.trace[3] == (0.0, 0.0)
+        assert report.trace[2] == pytest.approx((1.7330, 1.0643), abs=1e-4)
+
+    def test_slow_convergence_is_not_read_as_a_cycle(self, ref_model):
+        # the period-2 distance of x' = 1 - 0.9 (x - 1) falls below 1e-10 at
+        # sweep 205, long before the step and the residual do
+        def damped(model, profile, k):
+            return 1.0 - 0.9 * (profile[k] - 1.0)
+
+        report = br_dynamics(ref_model, responder=damped, init=(2.0, 2.0))
+        converged, profile, trace, residual = max_iter_dynamics(
+            ref_model, damped, 1e-10, 10_000, init=(2.0, 2.0))
+        assert (report.termination, report.iterations) == ("converged", 226)
+        assert (report.converged, report.solution.powers, report.trace,
+                report.residual) == (converged, profile, trace, residual)
 
     def test_max_iter_validated(self, ref_model):
         with pytest.raises(ValueError, match="max_iter"):
@@ -406,24 +484,68 @@ class TestNeContinuous:
         assert abs(s1 - s2) <= 1e-9
 
 
+def report_fields(**overrides):
+    fields = dict(solution=PowerProfile((1.0,) * 2), utilities=(0.0, 0.0),
+                  normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
+                  iterations=0, trace=((1.0, 1.0),), converged=False,
+                  residual=1.0, tolerance=1e-10, termination="max_iter")
+    fields.update(overrides)
+    return fields
+
+
 class TestSolveReport:
     def test_dict_round_trip(self, ne_report):
         clone = SolveReport.from_dict(ne_report.to_dict())
         assert clone == ne_report
+
+    def test_cycle_round_trip(self, ref_model):
+        report = br_dynamics(ref_model, responder=priced_responder(PricingConfig(0.15)))
+        data = report.to_dict()
+        assert (data["termination"], data["period"]) == ("cycle", 4)
+        assert SolveReport.from_dict(data) == report
+
+    @pytest.mark.parametrize("converged,termination", [(True, "converged"),
+                                                      (False, "max_iter")])
+    def test_loads_reports_without_termination(self, converged, termination):
+        data = SolveReport(**report_fields(converged=converged, residual=0.0,
+                                           termination=termination)).to_dict()
+        del data["termination"], data["period"]
+        report = SolveReport.from_dict(data)
+        assert (report.termination, report.period) == (termination, None)
 
     def test_trace_length_invariant(self):
         with pytest.raises(ValueError, match="iterations"):
             SolveReport(solution=PowerProfile((1.0,) * 2), utilities=(0.0, 0.0),
                         normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
                         iterations=3, trace=((1.0, 1.0),), converged=False,
-                        residual=1.0, tolerance=1e-10)
+                        residual=1.0, tolerance=1e-10, termination="max_iter")
 
     def test_convergence_invariant(self):
         with pytest.raises(ValueError, match="residual"):
             SolveReport(solution=PowerProfile((1.0,) * 2), utilities=(0.0, 0.0),
                         normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
                         iterations=0, trace=((1.0, 1.0),), converged=True,
-                        residual=1.0, tolerance=1e-10)
+                        residual=1.0, tolerance=1e-10, termination="converged")
+
+    def test_unknown_termination_rejected(self):
+        with pytest.raises(ValueError, match="termination must be one of"):
+            SolveReport(**report_fields(termination="stalled"))
+
+    @pytest.mark.parametrize("converged,termination", [
+        (True, "max_iter"), (True, "cycle"), (False, "converged")])
+    def test_converged_matches_termination(self, converged, termination):
+        with pytest.raises(ValueError, match="converged must hold"):
+            SolveReport(**report_fields(converged=converged, residual=0.0,
+                                        termination=termination, period=2))
+
+    @pytest.mark.parametrize("termination,period", [
+        ("cycle", None), ("cycle", 1), ("cycle", 2.0), ("cycle", "2"),
+        ("max_iter", 2), ("converged", 3)])
+    def test_period_exactly_for_cycles(self, termination, period):
+        with pytest.raises(ValueError, match="period"):
+            SolveReport(**report_fields(converged=termination == "converged",
+                                        residual=0.0, termination=termination,
+                                        period=period))
 
     def test_trace_csv_layout(self, ref_model, ne_report):
         header, rows = trace_csv_rows(ref_model, ne_report)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -21,9 +22,9 @@ import numpy as np
 from .config import ConfigError, RunConfig, default_config_path, load_config
 from .continuous import (PricingConfig, SolveReport, br_dynamics, priced_responder,
                          trace_csv_rows)
-from .efficiency import (UtilityPoint, fairness_projection, grid_csv_rows,
-                         nash_bargaining, pareto_frontier, social_optimum,
-                         utility_grid, utility_point)
+from .efficiency import (UtilityPlane, UtilityPoint, fairness_projection,
+                         grid_csv_rows, nash_bargaining, pareto_frontier,
+                         social_optimum, utility_grid, utility_point)
 from .finite import (FiniteGame, JointDistribution, is_correlated_equilibrium,
                      iterated_dominance, payoff, pure_nash)
 from .network import NetworkModel
@@ -103,8 +104,9 @@ def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
                        max_iter=cfg.search.max_iter)
 
 
-def _grid_n(cfg: RunConfig, args) -> int:
-    return cfg.search.n_per_axis if args.n is None else args.n
+def _plane(cfg: RunConfig, args) -> UtilityPlane:
+    """The command's one utility plane, at ``--n`` or the config's n_per_axis."""
+    return utility_grid(cfg.model, cfg.search.n_per_axis if args.n is None else args.n)
 
 
 def _point_row(pt: UtilityPoint) -> list[float]:
@@ -200,6 +202,8 @@ def cmd_ne(cfg: RunConfig, args) -> Output:
 
 def _resolve_alpha(cfg: RunConfig, args) -> float:
     if args.alpha is not None:
+        if not math.isfinite(args.alpha):
+            raise ConfigError("--alpha must be finite")
         if args.alpha < 0:
             raise ConfigError("--alpha must be >= 0")
         return args.alpha
@@ -218,6 +222,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--sweep expects lo:hi:steps, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--sweep bounds must be finite, got {text!r}")
     if steps < 1 or lo < 0 or hi < lo:
         raise ConfigError("--sweep needs 0 <= lo <= hi and steps >= 1")
     return np.linspace(lo, hi, steps)
@@ -252,20 +258,20 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
 # -- efficiency --------------------------------------------------------
 
 def cmd_pareto(cfg: RunConfig, args) -> Output:
-    n = _grid_n(cfg, args)
-    points = utility_grid(cfg.model, n)
-    frontier = pareto_frontier(points)
+    plane = _plane(cfg, args)
+    n = len(plane.axis)
+    frontier = pareto_frontier(plane)
     artifact = {"n_per_axis": n,
                 "frontier": [_point_dict(pt) for pt in frontier]}
-    _say(args, f"sampled {len(points)} profiles on a {n} x {n} grid; "
+    _say(args, f"sampled {len(plane)} profiles on a {n} x {n} grid; "
                f"frontier holds {len(frontier)} points")
     lo, hi = frontier[0].normalized, frontier[-1].normalized
     _say(args, f"frontier runs from σ²u/t = {_fmt_vec(lo, 3)} to {_fmt_vec(hi, 3)}")
-    return Output("pareto", artifact, grid_csv_rows(points, frontier))
+    return Output("pareto", artifact, grid_csv_rows(plane, frontier))
 
 
 def cmd_social(cfg: RunConfig, args) -> Output:
-    so = social_optimum(cfg.model, cfg.weights, _grid_n(cfg, args), cfg.search.refine_tol)
+    so = social_optimum(_plane(cfg, args), cfg.weights, cfg.search.refine_tol)
     _say(args, f"š/σ² = {_fmt_vec(so.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(so.normalized, 3)}")
     return Output("social", {"weights": list(cfg.weights.w), **_point_dict(so)},
@@ -273,18 +279,18 @@ def cmd_social(cfg: RunConfig, args) -> Output:
 
 
 def cmd_nbs(cfg: RunConfig, args) -> Output:
+    plane = _plane(cfg, args)
     ne = _dynamics(cfg)
     if not ne.converged:
         return Output(failure=_unconverged(ne))
-    n = _grid_n(cfg, args)
     disagreement = utility_point(cfg.model, ne.solution.powers)
-    nbs = nash_bargaining(cfg.model, disagreement, n, cfg.search.refine_tol)
+    nbs = nash_bargaining(plane, disagreement, cfg.search.refine_tol)
     artifact = {"disagreement": _point_dict(disagreement), "solution": _point_dict(nbs)}
     rows = [_point_row(nbs)]
     _say(args, f"ṡ/σ² = {_fmt_vec(nbs.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(nbs.normalized, 3)}")
     if args.fairness:
-        fair = fairness_projection(cfg.model, disagreement, n, cfg.search.refine_tol)
+        fair = fairness_projection(plane, disagreement, cfg.search.refine_tol)
         artifact["fairness"] = _point_dict(fair)
         rows.append(_point_row(fair))
         _say(args, f"equal-gain point: σ²u/t = {_fmt_vec(fair.normalized, 3)}")
@@ -294,13 +300,6 @@ def cmd_nbs(cfg: RunConfig, args) -> Output:
 # -- repeated ----------------------------------------------------------
 
 def cmd_repeated(cfg: RunConfig, args) -> Output:
-    ne = _dynamics(cfg)
-    if not ne.converged:
-        return Output(failure=_unconverged(ne))
-    so = social_optimum(cfg.model, cfg.weights, _grid_n(cfg, args), cfg.search.refine_tol)
-    policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.solution)
-    dmin = min_discount(cfg.model, policy)
-
     if args.deviant is not None and not 1 <= args.deviant <= cfg.model.num_players:
         raise ConfigError(f"--deviant must be a player number in "
                           f"1..{cfg.model.num_players}")
@@ -308,11 +307,19 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
         raise ConfigError("--stages must be >= 0")
     if args.deviate_at < 0:
         raise ConfigError("--deviate-at must be >= 0")
+    if args.delta is not None and not 0.0 <= args.delta < 1.0:
+        raise ConfigError("--delta must be in [0, 1)")
+    plane = _plane(cfg, args)
+    ne = _dynamics(cfg)
+    if not ne.converged:
+        return Output(failure=_unconverged(ne))
+    so = social_optimum(plane, cfg.weights, cfg.search.refine_tol)
+    policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.solution)
+    dmin = min_discount(cfg.model, policy)
     deviant = None if args.deviant is None else args.deviant - 1
+    # min_discount returns δ̲ < 1, so the default lies in (δ̲, 1)
     delta = args.delta if args.delta is not None else (
         dmin + 0.05 if dmin + 0.05 < 1.0 else 0.5 * (1.0 + dmin))
-    if not 0.0 <= delta < 1.0:
-        raise ConfigError("--delta must be in [0, 1)")
     spec = DiscountSpec(delta=delta)
     payoffs = simulate_trigger(cfg.model, policy, spec, deviant, args.deviate_at)
 

@@ -134,6 +134,24 @@ def _build(path: str, factory, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _check_numbers(value, path: str) -> None:
+    """Reject every JSON boolean and non-finite number, naming its path.
+
+    No field takes a boolean, yet ``true`` passes any numeric check as 1,
+    and ``Infinity`` passes any lower bound.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_numbers(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_numbers(item, f"{path}[{i}]")
+    elif isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number, got {json.dumps(value)}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {json.dumps(value)}")
+
+
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"top level: expected an object, got {type(data).__name__}")
@@ -188,6 +206,7 @@ def config_from_dict(data: dict) -> RunConfig:
         _check_keys(out, ("directory",), "output")
         output = _build("output", OutputConfig, **out)
 
+    _check_numbers(data, "")  # last, so each field's own check speaks first
     return RunConfig(model=model, finite=finite, pricing=pricing,
                      weights=weights, search=search, output=output)
 

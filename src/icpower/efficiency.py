@@ -3,7 +3,8 @@
 Samples the achievable utility region over [0, power_cap]^2, extracts the
 Pareto frontier, maximizes weighted social welfare, and computes the Nash
 bargaining solution over the improvement region of a disagreement point
-(typically the noncooperative equilibrium).
+(typically the noncooperative equilibrium).  The optimizers take the sampled
+plane, so one plane serves every search on a network.
 """
 from __future__ import annotations
 
@@ -70,13 +71,6 @@ def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
                         normalized=tuple(u * scale for u in utilities))
 
 
-def _require_two_players(model: NetworkModel) -> None:
-    if model.num_players != 2:
-        raise ValueError(
-            f"utility-plane analysis supports exactly 2 players, got {model.num_players}"
-        )
-
-
 def _surfaces(model: NetworkModel, axis1: np.ndarray,
               axis2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized utility surfaces u1(s1, s2), u2(s1, s2) on axis1 x axis2."""
@@ -94,15 +88,19 @@ class UtilityPlane(Sequence[UtilityPoint]):
     """Utility surfaces sampled on an n x n power grid.
 
     ``u1[i, j]`` and ``u2[i, j]`` are the players' utilities at the profile
-    ``(axis[i], axis[j])``, and ``scale`` (noise_power / rate_scale) turns a
-    utility into noise units.  As a sequence it holds the n^2 points in
-    s1-major order, each built only when it is read.
+    ``(axis[i], axis[j])`` of ``model``.  As a sequence it holds the n^2
+    points in s1-major order, each built only when it is read.
     """
 
     axis: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    scale: float
+    model: NetworkModel
+
+    @property
+    def scale(self) -> float:
+        """noise_power / rate_scale, which turns a utility into noise units."""
+        return self.model.noise_power / self.model.rate_scale
 
     def __len__(self) -> int:
         return self.u1.size
@@ -131,12 +129,15 @@ class UtilityPlane(Sequence[UtilityPoint]):
 
 def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
     """Sample [0, power_cap]^2 uniformly (endpoints included), s1-major order."""
-    _require_two_players(model)
+    if model.num_players != 2:
+        raise ValueError(
+            f"utility-plane analysis supports exactly 2 players, got {model.num_players}"
+        )
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
     axis = np.linspace(0.0, model.power_cap, n_per_axis)
     u1, u2 = _surfaces(model, axis, axis)
-    return UtilityPlane(axis, u1, u2, model.noise_power / model.rate_scale)
+    return UtilityPlane(axis, u1, u2, model)
 
 
 def _frontier_indices(u1: np.ndarray, u2: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -178,9 +179,8 @@ def pareto_frontier(points: Sequence[UtilityPoint]) -> list[UtilityPoint]:
 _PATCH = np.linspace(-1.0, 1.0, 9)  # zoom patch offsets, in units of span
 
 
-def _grid_then_refine(model: NetworkModel, n_per_axis: int, refine_tol: float,
-                      score) -> UtilityPoint:
-    """Best cell of ``score(u1, u2)`` on the utility plane, polished by a zoom.
+def _grid_then_refine(plane: UtilityPlane, refine_tol: float, score) -> UtilityPoint:
+    """Best cell of ``score(u1, u2)`` on ``plane``, polished by a zoom.
 
     Each round scores a 9 x 9 patch within +/- span of the incumbent
     (clipped to [0, power_cap]) and moves to its best cell on a strict gain.
@@ -188,7 +188,7 @@ def _grid_then_refine(model: NetworkModel, n_per_axis: int, refine_tol: float,
     after a move onto the patch's edge, until it is at most ``refine_tol``.
     A plane whose every cell scores -inf raises EmptyImprovementRegionError.
     """
-    plane = utility_grid(model, n_per_axis)
+    model = plane.model
     grid = score(plane.u1, plane.u2)
     i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
     x, best = (plane.axis[i], plane.axis[j]), grid[i, j]
@@ -208,16 +208,14 @@ def _grid_then_refine(model: NetworkModel, n_per_axis: int, refine_tol: float,
     return utility_point(model, x)
 
 
-def social_optimum(model: NetworkModel, weights: Weights, n_per_axis: int = 400,
+def social_optimum(plane: UtilityPlane, weights: Weights,
                    refine_tol: float = 1e-10) -> UtilityPoint:
-    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: grid scan, then a zoom
-    on small patches around the best cell."""
-    _require_two_players(model)
+    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: the best cell of
+    ``plane``, then a zoom on small patches around it."""
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
-    return _grid_then_refine(model, n_per_axis, refine_tol,
-                             lambda u1, u2: w1 * u1 + w2 * u2)
+    return _grid_then_refine(plane, refine_tol, lambda u1, u2: w1 * u1 + w2 * u2)
 
 
 def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bool:
@@ -227,34 +225,32 @@ def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bo
     return all(c >= b for c, b in zip(candidate.utilities, baseline.utilities))
 
 
-def _bargain(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int,
-             refine_tol: float, combine) -> UtilityPoint:
+def _bargain(plane: UtilityPlane, disagreement: UtilityPoint, refine_tol: float,
+             combine) -> UtilityPoint:
     """Maximize ``combine(g1, g2)`` of the nonnegative utility gains.
 
     Infeasible points score -inf, so the refinement never leaves the region.
     """
-    _require_two_players(model)
     d1, d2 = disagreement.utilities
 
     def score(u1, u2):
         g1, g2 = u1 - d1, u2 - d2
         return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
 
-    return _grid_then_refine(model, n_per_axis, refine_tol, score)
+    return _grid_then_refine(plane, refine_tol, score)
 
 
-def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint,
-                    n_per_axis: int = 400, refine_tol: float = 1e-10) -> UtilityPoint:
+def nash_bargaining(plane: UtilityPlane, disagreement: UtilityPoint,
+                    refine_tol: float = 1e-10) -> UtilityPoint:
     """Maximize the product of utility gains over the improvement region."""
-    return _bargain(model, disagreement, n_per_axis, refine_tol,
-                    lambda a, b: a * b)
+    return _bargain(plane, disagreement, refine_tol, lambda a, b: a * b)
 
 
-def fairness_projection(model: NetworkModel, baseline: UtilityPoint,
-                        n_per_axis: int = 400, refine_tol: float = 1e-10) -> UtilityPoint:
+def fairness_projection(plane: UtilityPlane, baseline: UtilityPoint,
+                        refine_tol: float = 1e-10) -> UtilityPoint:
     """Equal-gain point: push both utilities up by the same amount until the
     frontier is reached (diagnostic; maximizes the smaller gain)."""
-    return _bargain(model, baseline, n_per_axis, refine_tol, np.minimum)
+    return _bargain(plane, baseline, refine_tol, np.minimum)
 
 
 def distance_to_frontier(point: UtilityPoint, frontier: Sequence[UtilityPoint]) -> float:

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-import icpower
+import icpower.cli
+import icpower.efficiency
 from icpower import (FiniteGame, SolveReport, config_from_dict,
-                     default_config_path, load_config)
+                     default_config_path, load_config, utility_grid)
 from icpower.cli import main
 
 from test_efficiency import brute_frontier, reference_grid
@@ -216,6 +217,16 @@ class TestPricing:
         assert run(tmp_path, "--quiet", "pricing", "--sweep", "0-1-5") == 2
         assert "lo:hi:steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--alpha", "inf"], "--alpha must be finite"),
+        (["--sweep", "0:inf:3"], "--sweep bounds must be finite, got '0:inf:3'"),
+        (["--sweep", "nan:1:3"], "--sweep bounds must be finite, got 'nan:1:3'"),
+    ])
+    def test_non_finite_surcharge_rejected(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, "--quiet", "pricing", *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_alpha_required_without_config_section(self, tmp_path, small_config,
                                                    capsys):
         del small_config["pricing"]
@@ -264,6 +275,18 @@ class TestEfficiencyCommands:
         assert "š/σ²" in out and "σ²u/t" in out
         artifact = read_json(tmp_path, "social")
         assert artifact["normalized"] == pytest.approx([0.278, 0.446], abs=0.005)
+
+    def test_nbs_with_fairness_samples_one_plane(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def counted(model, n_per_axis=400):
+            sizes.append(n_per_axis)
+            return utility_grid(model, n_per_axis)
+
+        for module in (icpower.cli, icpower.efficiency):
+            monkeypatch.setattr(module, "utility_grid", counted)
+        assert run(tmp_path, "--quiet", "nbs", "--n", "60", "--fairness") == 0
+        assert sizes == [60]
 
     def test_nbs_with_fairness(self, tmp_path, capsys):
         assert run(tmp_path, "nbs", "--n", "150", "--fairness") == 0
@@ -340,6 +363,21 @@ class TestDriver:
         err = capsys.readouterr().err
         assert err.startswith("error: best-response dynamics did not converge (residual ")
         assert err.endswith(" > tol 1.0e-10 after 1 sweeps)\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["repeated", "--deviant", "3"], "--deviant"),
+        (["repeated", "--stages", "-1"], "--stages"),
+        (["repeated", "--deviate-at", "-1"], "--deviate-at"),
+        (["repeated", "--delta", "2"], "--delta"),
+        (["nbs", "--n", "0"], "n_per_axis"),
+        (["repeated", "--n", "0"], "n_per_axis"),
+    ])
+    def test_flags_checked_before_the_dynamics(self, tmp_path, small_config, capsys,
+                                               argv, flag):
+        # the dynamics would exit 3 here, so exit 2 shows they never ran
+        small_config["search"]["max_iter"] = 1
+        assert run(tmp_path, "--quiet", *argv, config=small_config) == 2
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("network", [{"power_cap": float("inf")},
                                          {"gains": [[float("nan"), 0.5], [0.25, 1.0]]}])

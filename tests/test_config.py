@@ -106,6 +106,21 @@ class TestValidation:
         ("search", "br_tol", math.inf, "search: br_tol must be finite"),
         ("search", "refine_tol", math.inf, "search: refine_tol must be finite"),
         (None, "weights", [math.nan, 0.5], "weights: weights must be finite"),
+        ("search", "br_tol", True, r"^search\.br_tol: must be a number, got true$"),
+        ("search", "refine_tol", True, r"^search\.refine_tol: must be a number"),
+        ("network", "noise_power", True, r"^network\.noise_power: must be a number"),
+        ("network", "processing_gain", True,
+         r"^network\.processing_gain: must be a number"),
+        ("network", "power_cap", True, r"^network\.power_cap: must be a number"),
+        ("network", "rate_scale", True, r"^network\.rate_scale: must be a number"),
+        ("network", "gains", [[0.75, True], [0.25, 1.0]],
+         r"^network\.gains\[0\]\[1\]: must be a number, got true$"),
+        ("pricing", "alpha", True, r"^pricing\.alpha: must be a number"),
+        ("pricing", "alpha", math.inf, r"^pricing\.alpha: must be finite, got Infinity$"),
+        (None, "weights", [True, False], r"^weights\[0\]: must be a number, got true$"),
+        ("finite", "sinr_threshold", True, r"^finite\.sinr_threshold: must be a number"),
+        ("finite", "throughput_reward", math.inf,
+         r"^finite\.throughput_reward: must be finite, got Infinity$"),
     ])
     def test_non_finite_and_boolean_numbers_rejected(self, base_dict, section, key,
                                                      value, match):
@@ -147,6 +162,19 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.model.power_cap == 7.5
         assert isinstance(cfg, RunConfig)
+
+
+def test_readme_quick_start_runs_and_prints_what_it_says(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    exec(block.group(1), {})
+    printed = capsys.readouterr().out.splitlines()
+    # each "print(...)  # value" comment gives the value, "..." standing for digits
+    wants = re.findall(r"^print\(.*\)\s+# (.*)$", block.group(1), re.M)
+    assert wants and len(printed) == len(wants)
+    for line, want in zip(printed, wants):
+        assert re.fullmatch(re.escape(want).replace(r"\.\.\.", r"\d*"), line)
 
 
 def test_readme_config_example_is_the_bundled_config():

@@ -205,7 +205,8 @@ class TestParetoFrontier:
         twin_b = synthetic_point(1.0, 1.0, 3)
         out = pareto_frontier([twin_a, twin_b])
         assert out == [twin_b]
-        flat = UtilityPlane(np.array([0.0, 1.0]), np.ones((2, 2)), np.ones((2, 2)), 1.0)
+        flat = UtilityPlane(np.array([0.0, 1.0]), np.ones((2, 2)), np.ones((2, 2)),
+                            make_model())
         assert pareto_frontier(flat) == [flat[0]]
 
     def test_empty_input_rejected(self):
@@ -253,19 +254,19 @@ class TestSocialOptimum:
         assert so_welfare >= best_grid
 
     def test_degenerate_weights_give_single_user_optimum(self, ref_model):
-        so = social_optimum(ref_model, Weights((1.0, 0.0)), n_per_axis=200)
+        so = social_optimum(utility_grid(ref_model, 200), Weights((1.0, 0.0)))
         assert so.profile.powers[1] == 0.0
         expected_s1 = gamma_star(20) / (4.0 * 0.75)
         assert so.profile.powers[0] == pytest.approx(expected_s1, abs=1e-4)
 
     def test_symmetric_model_symmetric_optimum(self, symmetric_model):
-        so = social_optimum(symmetric_model, Weights((0.5, 0.5)), n_per_axis=150)
+        so = social_optimum(utility_grid(symmetric_model, 150), Weights((0.5, 0.5)))
         s1, s2 = so.profile.powers
         assert abs(s1 - s2) <= 1e-5
 
     def test_weight_count_checked(self, ref_model):
         with pytest.raises(ValueError, match="2 weights"):
-            social_optimum(ref_model, Weights((1.0,)), n_per_axis=50)
+            social_optimum(utility_grid(ref_model, 50), Weights((1.0,)))
 
 
 class TestZoom:
@@ -273,11 +274,11 @@ class TestZoom:
     search around their result."""
 
     @staticmethod
-    def check(model, n, point, score):
+    def check(plane, point, score):
         # rescored on the array path: math.expm1 and np.expm1 round differently
+        model, n = plane.model, len(plane.axis)
         x = point.profile.powers
         got = float(score(*dense_patch(model, x, 0.0, n=1))[0, 0])
-        plane = utility_grid(model, n)
         grid = float(np.max(score(plane.u1, plane.u2)))
         assert got >= grid
         # an improvement region the grid meets only at its edge is no basin
@@ -290,8 +291,9 @@ class TestZoom:
     @settings(max_examples=40, deadline=None)
     @given(zoom_models, st.integers(20, 150))
     def test_social_optimum(self, model, n):
-        point = social_optimum(model, Weights((0.5, 0.5)), n_per_axis=n)
-        self.check(model, n, point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)
+        plane = utility_grid(model, n)
+        point = social_optimum(plane, Weights((0.5, 0.5)))
+        self.check(plane, point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)
 
     @settings(max_examples=40, deadline=None)
     @given(zoom_models, st.integers(20, 150))
@@ -300,8 +302,9 @@ class TestZoom:
         assume(ne.converged)
         disagreement = utility_point(model, ne.solution.powers)
         d1, d2 = disagreement.utilities
+        plane = utility_grid(model, n)
         try:
-            point = nash_bargaining(model, disagreement, n)
+            point = nash_bargaining(plane, disagreement)
         except EmptyImprovementRegionError:
             assume(False)
 
@@ -309,12 +312,12 @@ class TestZoom:
             g1, g2 = u1 - d1, u2 - d2
             return np.where((g1 >= 0) & (g2 >= 0), g1 * g2, -np.inf)
 
-        self.check(model, n, point, product)
+        self.check(plane, point, product)
 
     @staticmethod
     def gains_over_ne(model, point_of):
         ne = utility_point(model, ne_continuous(model).solution.powers)
-        point = point_of(model, ne)
+        point = point_of(utility_grid(model), ne)
         return [u - d for u, d in zip(point.utilities, ne.utilities)]
 
     def test_bargaining_travels_past_the_golden_section_result(self):
@@ -371,7 +374,7 @@ class TestNashBargaining:
         from icpower import ne_continuous
         ne = ne_continuous(symmetric_model)
         base = utility_point(symmetric_model, ne.solution.powers)
-        nbs = nash_bargaining(symmetric_model, base, n_per_axis=150)
+        nbs = nash_bargaining(utility_grid(symmetric_model, 150), base)
         u1, u2 = nbs.utilities
         assert abs(u1 - u2) <= 1e-4
 
@@ -379,12 +382,12 @@ class TestNashBargaining:
         unreachable = UtilityPoint(profile=PowerProfile((1.0, 1.0)),
                                    utilities=(10.0, 10.0), normalized=(10.0, 10.0))
         with pytest.raises(EmptyImprovementRegionError):
-            nash_bargaining(ref_model, unreachable, n_per_axis=50)
+            nash_bargaining(utility_grid(ref_model, 50), unreachable)
 
 
 class TestFairnessProjection:
-    def test_equal_gain_diagnostic(self, ref_model, ne_point, grid_points):
-        fair = fairness_projection(ref_model, ne_point, n_per_axis=400)
+    def test_equal_gain_diagnostic(self, ne_point, grid_points):
+        fair = fairness_projection(grid_points, ne_point)
         assert in_improvement_region(fair, ne_point)
         d1, d2 = ne_point.utilities
         best_grid = max(min(p.utilities[0] - d1, p.utilities[1] - d2)

@@ -3,8 +3,10 @@
 Loads a JSON config, dispatches one solver command, prints a short console
 summary (normalized powers to 2 decimals, utilities to 3), and writes
 machine-readable artifacts <command>.json / <command>.csv into the output
-directory.  Exit codes: 0 success, 2 validation error, 3 solver
-non-convergence, 4 I/O error.
+directory.  Exit codes: 0 success, 2 validation error (bad config or
+flags), 3 a solver outcome on a valid config (the dynamics did not
+converge, cooperation is not rational, or the bargaining region is empty),
+4 I/O error.
 """
 from __future__ import annotations
 
@@ -22,14 +24,15 @@ import numpy as np
 from .config import ConfigError, RunConfig, default_config_path, load_config
 from .continuous import (PricingConfig, SolveReport, br_dynamics, priced_responder,
                          trace_csv_rows)
-from .efficiency import (UtilityPlane, UtilityPoint, fairness_projection,
-                         grid_csv_rows, nash_bargaining, pareto_frontier,
-                         social_optimum, utility_grid, utility_point)
+from .efficiency import (EmptyImprovementRegionError, UtilityPlane, UtilityPoint,
+                         fairness_projection, grid_csv_rows, nash_bargaining,
+                         pareto_frontier, social_optimum, utility_grid,
+                         utility_point)
 from .finite import (FiniteGame, JointDistribution, is_correlated_equilibrium,
                      iterated_dominance, payoff, pure_nash)
 from .network import NetworkModel
-from .repeated import (DiscountSpec, TriggerPolicy, min_discount,
-                       simulate_trigger, trigger_csv_rows)
+from .repeated import (CooperationNotRationalError, DiscountSpec, TriggerPolicy,
+                       min_discount, simulate_trigger, trigger_csv_rows)
 
 __all__ = ["main"]
 
@@ -429,6 +432,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _say(args, "wrote " + ", ".join(str(p) for p in paths))
             if args.json:
                 print(json.dumps(out.data, indent=2))
+    except (CooperationNotRationalError, EmptyImprovementRegionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

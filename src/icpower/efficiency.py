@@ -268,7 +268,9 @@ def grid_csv_rows(plane: UtilityPlane,
     The body holds one line per profile in s1-major order, as one text block
     of n newline-terminated lines per s1 value.  Each value is its float
     ``repr``, which is what ``csv.writer`` writes; ``on_frontier`` is 1 on
-    the cells whose profile is in ``frontier``.
+    the cells whose profile is in ``frontier``.  Each utility is formatted
+    once: at ``scale == 1.0`` the ``u*_norm`` fields reuse the ``u*`` text,
+    which is exact because ``x * 1.0 == x`` for every float.
     """
     header = ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm", "on_frontier"]
     axis = plane.axis
@@ -280,11 +282,14 @@ def grid_csv_rows(plane: UtilityPlane,
         on_grid = (axis[idx] == s).all(axis=1)
         for k in (idx[:, 0] * n + idx[:, 1])[on_grid].tolist():
             flags[k] = "1"
-    cols = (plane.u1, plane.u2, plane.u1 * plane.scale, plane.u2 * plane.scale)
+    surfaces = (plane.u1, plane.u2)
+    scaled = None if plane.scale == 1.0 else [u * plane.scale for u in surfaces]
     axis_text = [repr(a) for a in axis.tolist()]
     blocks = []
     for r, s1 in enumerate(axis_text):
-        values = [map(repr, c[r].tolist()) for c in cols]
-        lines = map(",".join, zip([s1] * n, axis_text, *values, flags[r * n:(r + 1) * n]))
+        text = [list(map(repr, u[r].tolist())) for u in surfaces]
+        norm = text if scaled is None else [map(repr, u[r].tolist()) for u in scaled]
+        lines = map(",".join, zip([s1] * n, axis_text, *text, *norm,
+                                  flags[r * n:(r + 1) * n]))
         blocks.append("\n".join(lines) + "\n")
     return header, blocks

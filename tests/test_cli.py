@@ -258,7 +258,10 @@ class TestEfficiencyCommands:
         {},
         {"gains": [[1.2, 0.35], [0.15, 0.8]], "noise_power": 0.4,
          "packet_bits": 33, "power_cap": 6.5, "rate_scale": 2.5},
-    ], ids=["reference", "scaled"])
+        # sigma^2 / t is exactly 1 with sigma^2 != 1: the u*_norm text is reused
+        {"gains": [[1.2, 0.35], [0.15, 0.8]], "noise_power": 2.5,
+         "packet_bits": 33, "power_cap": 6.5, "rate_scale": 2.5},
+    ], ids=["reference", "scaled", "unit-ratio"])
     def test_pareto_golden(self, tmp_path, network, n):
         cfg = json.loads(default_config_path().read_text())
         cfg["network"].update(network)
@@ -363,6 +366,20 @@ class TestDriver:
         err = capsys.readouterr().err
         assert err.startswith("error: best-response dynamics did not converge (residual ")
         assert err.endswith(" > tol 1.0e-10 after 1 sweeps)\n")
+
+    @pytest.mark.parametrize("gains, argv, message", [
+        ([[0.55, 0.56], [0.26, 1.5]], ["repeated", "--deviant", "1"],
+         "player 0: cooperation utility 0.0 does not beat punishment utility 0.213"),
+        ([[1.04, 0.12], [0.21, 0.94]], ["nbs"],
+         "no sampled profile weakly improves on the disagreement utilities\n"),
+    ], ids=["cooperation-not-rational", "empty-improvement-region"])
+    def test_solver_outcome_on_valid_config_exits_3(self, tmp_path, capsys, gains,
+                                                    argv, message):
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"]["gains"] = gains
+        assert run(tmp_path, "--quiet", *argv, "--n", "60", config=cfg) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["repeated", "--deviant", "3"], "--deviant"),

@@ -1,4 +1,5 @@
 """Utility plane: grids, Pareto frontier, welfare optimum, bargaining."""
+import builtins
 import collections.abc
 import math
 
@@ -11,6 +12,7 @@ from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
                      fairness_projection, gamma_star, in_improvement_region,
                      nash_bargaining, ne_continuous, pareto_frontier,
                      social_optimum, utility_grid, utility_point)
+import icpower.efficiency
 from icpower.efficiency import _surfaces, grid_csv_rows
 from icpower.network import _sinr_per_watt
 
@@ -410,6 +412,22 @@ class TestExports:
             _, body = grid_csv_rows(plane, frontier)
             flags = [line.rsplit(",", 1)[1] for line in "".join(body).splitlines()]
             assert flags == ["1" if k in marked else "0" for k in range(25)]
+
+    @pytest.mark.parametrize("noise_power, rate_scale, columns", [
+        (1.0, 1.0, 2), (2.5, 2.5, 2), (0.4, 2.5, 4)])
+    def test_grid_csv_formats_each_utility_once_at_unit_scale(
+            self, monkeypatch, noise_power, rate_scale, columns):
+        plane = utility_grid(make_model(noise_power=noise_power,
+                                        rate_scale=rate_scale), 7)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return builtins.repr(x)
+
+        monkeypatch.setattr(icpower.efficiency, "repr", counted, raising=False)
+        grid_csv_rows(plane, [])
+        assert len(calls) == 7 + columns * 7 * 7  # the axis, then the utilities
 
     def test_grid_csv_layout(self, ref_model):
         points = utility_grid(ref_model, 12)

@@ -182,8 +182,7 @@ def cmd_finite(cfg: RunConfig, args) -> Output:
 
     artifact = {
         "scenario": scenario,
-        "strategies": [list(r) for r in game.strategies],
-        "payoffs": game.payoffs.tolist(),
+        **game.to_json_dict(),
         "eliminations": [{"round": e.round, "player": e.player,
                           "strategy": e.strategy, "dominator": e.dominator}
                          for e in log],
@@ -263,14 +262,15 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
 def cmd_pareto(cfg: RunConfig, args) -> Output:
     plane = _plane(cfg, args)
     n = len(plane.axis)
-    frontier = pareto_frontier(plane)
+    cells = pareto_frontier(plane)
+    frontier = [plane.point(k) for k in cells.tolist()]
     artifact = {"n_per_axis": n,
                 "frontier": [_point_dict(pt) for pt in frontier]}
-    _say(args, f"sampled {len(plane)} profiles on a {n} x {n} grid; "
+    _say(args, f"sampled {n * n} profiles on a {n} x {n} grid; "
                f"frontier holds {len(frontier)} points")
     lo, hi = frontier[0].normalized, frontier[-1].normalized
     _say(args, f"frontier runs from σ²u/t = {_fmt_vec(lo, 3)} to {_fmt_vec(hi, 3)}")
-    return Output("pareto", artifact, grid_csv_rows(plane, frontier))
+    return Output("pareto", artifact, grid_csv_rows(plane, cells))
 
 
 def cmd_social(cfg: RunConfig, args) -> Output:
@@ -326,7 +326,7 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
     spec = DiscountSpec(delta=delta)
     payoffs = simulate_trigger(cfg.model, policy, spec, deviant, args.deviate_at)
 
-    scale = cfg.model.noise_power / cfg.model.rate_scale
+    scale = cfg.model.utility_scale
     norm = lambda vals: [v * scale for v in vals]
     _say(args, f"δ̲ = {dmin:.3f}")
     _say(args, f"cooperate σ²u/t = {_fmt_vec(norm(so.utilities), 3)}, "

@@ -81,7 +81,7 @@ def priced_utility(model: NetworkModel, profile: Powers, k: int,
 
 
 @lru_cache(maxsize=None)
-def gamma_star(packet_bits: int, tol: float = 1e-12) -> float:
+def gamma_star(packet_bits: int) -> float:
     """The SINR at which marginal and average throughput-per-SINR coincide.
 
     Solves L * g * exp(-g) = 1 - exp(-g) for g > 0, the first-order condition
@@ -99,7 +99,7 @@ def gamma_star(packet_bits: int, tol: float = 1e-12) -> float:
         # L*g*exp(-g) - (1 - exp(-g)); expm1 keeps the tail exact near 0
         return packet_bits * g * math.exp(-g) + math.expm1(-g)
 
-    return bisect_root(f, 1e-6, 50.0, residual_tol=tol)
+    return bisect_root(f, 1e-6, 50.0, residual_tol=1e-12)
 
 
 def best_response_ee(model: NetworkModel, profile: Powers, k: int) -> float:
@@ -250,11 +250,10 @@ def _report(model: NetworkModel, profile: tuple[float, ...],
             trace: list[tuple[float, ...]], residual: float, tol: float,
             termination: str, period: Optional[int] = None) -> SolveReport:
     utilities = tuple(ee_utility(model, profile, k) for k in range(model.num_players))
-    scale = model.noise_power / model.rate_scale
     return SolveReport(
         solution=PowerProfile(profile),
         utilities=utilities,
-        normalized_utilities=tuple(u * scale for u in utilities),
+        normalized_utilities=tuple(u * model.utility_scale for u in utilities),
         sinrs=tuple(sinr(model, profile, k) for k in range(model.num_players)),
         iterations=len(trace) - 1,
         trace=tuple(trace),

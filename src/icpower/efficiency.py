@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .continuous import ee_utility
+from .continuous import best_response_ee, ee_utility
 from .network import NetworkModel, PowerProfile, Powers, power_tuple, sinr_grid
 
 __all__ = [
@@ -66,9 +66,8 @@ class EmptyImprovementRegionError(ValueError):
 def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
     s = power_tuple(profile, model.num_players)
     utilities = tuple(ee_utility(model, s, k) for k in range(model.num_players))
-    scale = model.noise_power / model.rate_scale
     return UtilityPoint(profile=PowerProfile(s), utilities=utilities,
-                        normalized=tuple(u * scale for u in utilities))
+                        normalized=tuple(u * model.utility_scale for u in utilities))
 
 
 def _surfaces(model: NetworkModel, axis1: np.ndarray,
@@ -84,12 +83,12 @@ def _surfaces(model: NetworkModel, axis1: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class UtilityPlane(Sequence[UtilityPoint]):
+class UtilityPlane:
     """Utility surfaces sampled on an n x n power grid.
 
     ``u1[i, j]`` and ``u2[i, j]`` are the players' utilities at the profile
-    ``(axis[i], axis[j])`` of ``model``.  As a sequence it holds the n^2
-    points in s1-major order, each built only when it is read.
+    ``(axis[i], axis[j])`` of ``model``.  Flat cell k is ``(i, j) =
+    divmod(k, n)``, so flat cells run in s1-major order.
     """
 
     axis: np.ndarray
@@ -97,34 +96,13 @@ class UtilityPlane(Sequence[UtilityPoint]):
     u2: np.ndarray
     model: NetworkModel
 
-    @property
-    def scale(self) -> float:
-        """noise_power / rate_scale, which turns a utility into noise units."""
-        return self.model.noise_power / self.model.rate_scale
-
-    def __len__(self) -> int:
-        return self.u1.size
-
-    def __getitem__(self, index) -> UtilityPoint | list[UtilityPoint]:
-        flat = range(len(self))[index]
-        if isinstance(flat, range):
-            return [self._point(k) for k in flat]
-        return self._point(flat)
-
-    def __iter__(self):
-        axis = self.axis.tolist()
-        for a, row1, row2 in zip(axis, self.u1.tolist(), self.u2.tolist()):
-            for b, x, y in zip(axis, row1, row2):
-                yield self._make(a, b, x, y)
-
-    def _point(self, flat: int) -> UtilityPoint:
-        i, j = divmod(flat, len(self.axis))
-        return self._make(float(self.axis[i]), float(self.axis[j]),
-                          float(self.u1[i, j]), float(self.u2[i, j]))
-
-    def _make(self, a: float, b: float, x: float, y: float) -> UtilityPoint:
-        return UtilityPoint(profile=PowerProfile((a, b)), utilities=(x, y),
-                            normalized=(x * self.scale, y * self.scale))
+    def point(self, k: int) -> UtilityPoint:
+        """The profile and utilities of flat cell k."""
+        i, j = divmod(k, len(self.axis))
+        x, y = float(self.u1[i, j]), float(self.u2[i, j])
+        scale = self.model.utility_scale
+        return UtilityPoint(profile=PowerProfile((float(self.axis[i]), float(self.axis[j]))),
+                            utilities=(x, y), normalized=(x * scale, y * scale))
 
 
 def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
@@ -140,40 +118,23 @@ def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
     return UtilityPlane(axis, u1, u2, model)
 
 
-def _frontier_indices(u1: np.ndarray, u2: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Indices of the non-dominated points, sorted by u1 ascending.
+def pareto_frontier(plane: UtilityPlane) -> np.ndarray:
+    """Flat cells of the non-dominated profiles, sorted by u1 ascending (u2
+    then non-increasing).
 
-    Sorting on (-u1, -u2, rank) puts each run of equal utility pairs in rank
-    order.  A point is kept when its u2 strictly exceeds every u2 before it,
-    which drops the dominated points and all but the first of each run.
+    Dominance is weak-in-all, strict-in-some.  Cells with identical utility
+    pairs collapse to the first in s1-major order, the smallest profile.
+    The stable sort on (-u1, -u2) keeps each run of equal pairs in cell
+    order; a cell is kept when its u2 strictly exceeds every u2 before it,
+    which drops the dominated cells and all but the first of each run.
     """
-    order = np.lexsort((rank, -u2, -u1))
-    u2_sorted = u2[order]
-    best_before = np.empty_like(u2_sorted)
-    best_before[0] = -np.inf
-    np.maximum.accumulate(u2_sorted[:-1], out=best_before[1:])
-    return order[u2_sorted > best_before][::-1]
-
-
-def pareto_frontier(points: Sequence[UtilityPoint]) -> list[UtilityPoint]:
-    """Non-dominated subset, sorted by u1 ascending (u2 then non-increasing).
-
-    Dominance is weak-in-all, strict-in-some.  Points with identical utility
-    pairs are collapsed to the one with the lexicographically smallest
-    profile (the earliest of equal profiles).
-    """
-    if not points:
+    u1, u2 = plane.u1.ravel(), plane.u2.ravel()
+    if not u1.size:
         raise ValueError("need at least one point")
-    if isinstance(points, UtilityPlane):
-        u1, u2 = points.u1.ravel(), points.u2.ravel()
-        rank = np.arange(u1.size)  # s1-major order is profile order
-    else:
-        u = np.array([pt.utilities for pt in points], dtype=float)
-        profiles = np.array([pt.profile.powers for pt in points], dtype=float)
-        u1, u2 = u[:, 0], u[:, 1]
-        rank = np.empty(len(u), dtype=np.intp)
-        rank[np.lexsort(profiles.T[::-1])] = np.arange(len(u))
-    return [points[k] for k in _frontier_indices(u1, u2, rank).tolist()]
+    order = np.lexsort((-u2, -u1))
+    u2_sorted = u2[order]
+    best_before = np.concatenate(([-np.inf], np.maximum.accumulate(u2_sorted[:-1])))
+    return order[u2_sorted > best_before][::-1]
 
 
 _PATCH = np.linspace(-1.0, 1.0, 9)  # zoom patch offsets, in units of span
@@ -186,6 +147,9 @@ def _grid_then_refine(plane: UtilityPlane, refine_tol: float, score) -> UtilityP
     (clipped to [0, power_cap]) and moves to its best cell on a strict gain.
     The span starts at one grid step and shrinks by 4 each round, except
     after a move onto the patch's edge, until it is at most ``refine_tol``.
+    Then each player's lone best response is kept on a strict gain: where
+    player j is silent u_j = 0, and every score here is nondecreasing in
+    each utility, so that response is the best point with s_j = 0.
     A plane whose every cell scores -inf raises EmptyImprovementRegionError.
     """
     model = plane.model
@@ -205,13 +169,20 @@ def _grid_then_refine(plane: UtilityPlane, refine_tol: float, score) -> UtilityP
             if i in (0, len(axes[0]) - 1) or j in (0, len(axes[1]) - 1):
                 continue
         span /= 4.0
+    if model.packet_bits > 1:  # L = 1 has no lone best response
+        for k in range(2):
+            edge = [np.zeros(1), np.zeros(1)]
+            edge[k][0] = best_response_ee(model, (0.0, 0.0), k)
+            value = score(*_surfaces(model, *edge))[0, 0]
+            if value > best:
+                x, best = (edge[0][0], edge[1][0]), value
     return utility_point(model, x)
 
 
 def social_optimum(plane: UtilityPlane, weights: Weights,
                    refine_tol: float = 1e-10) -> UtilityPoint:
     """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: the best cell of
-    ``plane``, then a zoom on small patches around it."""
+    ``plane``, a zoom around it, then each player's lone best response."""
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
@@ -261,29 +232,25 @@ def distance_to_frontier(point: UtilityPoint, frontier: Sequence[UtilityPoint]) 
     return min(math.hypot(x - fx, y - fy) for fx, fy in (f.normalized for f in frontier))
 
 
-def grid_csv_rows(plane: UtilityPlane,
-                  frontier: Sequence[UtilityPoint]) -> tuple[list[str], list[str]]:
+def grid_csv_rows(plane: UtilityPlane, cells: Iterable[int]) -> tuple[list[str], list[str]]:
     """Header and body of the utility-plane CSV.
 
     The body holds one line per profile in s1-major order, as one text block
     of n newline-terminated lines per s1 value.  Each value is its float
     ``repr``, which is what ``csv.writer`` writes; ``on_frontier`` is 1 on
-    the cells whose profile is in ``frontier``.  Each utility is formatted
-    once: at ``scale == 1.0`` the ``u*_norm`` fields reuse the ``u*`` text,
-    which is exact because ``x * 1.0 == x`` for every float.
+    the flat ``cells`` given (the frontier's).  Each utility is formatted
+    once: at ``utility_scale == 1.0`` the ``u*_norm`` fields reuse the
+    ``u*`` text, which is exact because ``x * 1.0 == x`` for every float.
     """
     header = ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm", "on_frontier"]
     axis = plane.axis
     n = len(axis)
     flags = ["0"] * (n * n)
-    if frontier:
-        s = np.array([f.profile.powers for f in frontier], dtype=float)
-        idx = np.minimum(np.searchsorted(axis, s), n - 1)
-        on_grid = (axis[idx] == s).all(axis=1)
-        for k in (idx[:, 0] * n + idx[:, 1])[on_grid].tolist():
-            flags[k] = "1"
+    for k in cells:
+        flags[k] = "1"
     surfaces = (plane.u1, plane.u2)
-    scaled = None if plane.scale == 1.0 else [u * plane.scale for u in surfaces]
+    scale = plane.model.utility_scale
+    scaled = None if scale == 1.0 else [u * scale for u in surfaces]
     axis_text = [repr(a) for a in axis.tolist()]
     blocks = []
     for r, s1 in enumerate(axis_text):

@@ -70,6 +70,11 @@ class NetworkModel:
     def num_players(self) -> int:
         return len(self.gains)
 
+    @property
+    def utility_scale(self) -> float:
+        """noise_power / rate_scale, which turns a utility into noise units."""
+        return self.noise_power / self.rate_scale
+
     def gain_matrix(self) -> np.ndarray:
         return np.array(self.gains, dtype=float)
 

@@ -11,7 +11,6 @@ def bisect_root(
     lo: float,
     hi: float,
     residual_tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Find a root of f on [lo, hi] by bisection.
 
@@ -25,8 +24,7 @@ def bisect_root(
         return hi
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if abs(fm) <= residual_tol or mid in (lo, hi):

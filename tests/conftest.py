@@ -48,7 +48,7 @@ def grid_points(ref_model):
 
 @pytest.fixture(scope="session")
 def frontier(grid_points):
-    return pareto_frontier(grid_points)
+    return [grid_points.point(k) for k in pareto_frontier(grid_points).tolist()]
 
 
 @pytest.fixture(scope="session")

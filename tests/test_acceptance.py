@@ -16,13 +16,13 @@ from icpower import (FiniteGameParams, JointDistribution, PricingConfig,
                      ee_utility, gamma_star, in_improvement_region,
                      is_correlated_equilibrium, iterated_dominance,
                      min_discount, nash_bargaining, ne_continuous,
-                     packet_throughput, pareto_frontier, priced_responder,
+                     packet_throughput, priced_responder,
                      priced_utility, pure_nash, simulate_trigger,
                      social_optimum, TriggerPolicy, utility_grid,
                      utility_point)
 
 from conftest import make_model
-from test_efficiency import brute_frontier
+from test_efficiency import all_points, brute_frontier, frontier_points
 
 PARAMS = FiniteGameParams(throughput_reward=1.0, power_cost=0.01,
                           sinr_threshold=4.0)
@@ -100,7 +100,7 @@ def test_ac4_pricing(record_ac, ref_model):
     responder = priced_responder(PricingConfig(0.12))
     report = br_dynamics(ref_model, responder=responder, tol=1e-7)
     points = utility_grid(ref_model, 400)
-    frontier = pareto_frontier(points)
+    frontier = frontier_points(points)
     priced_pt = utility_point(ref_model, report.solution.powers)
     dist = distance_to_frontier(priced_pt, frontier)
     elapsed = time.perf_counter() - start
@@ -218,8 +218,8 @@ def test_ac8_repeated_game(record_ac, ref_model, so_point, ne_report):
 
 def test_ac9_oracle_suites(record_ac, ref_model):
     # frontier vs quadratic non-domination oracle
-    points = utility_grid(ref_model, 50)
-    frontier_ok = pareto_frontier(points) == brute_frontier(points)
+    plane = utility_grid(ref_model, 50)
+    frontier_ok = frontier_points(plane) == brute_frontier(all_points(plane))
 
     # priced best response vs a 100001-point grid argmax
     br_ok = True

@@ -1,6 +1,5 @@
 """Utility plane: grids, Pareto frontier, welfare optimum, bargaining."""
 import builtins
-import collections.abc
 import math
 
 import numpy as np
@@ -8,10 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
-                     UtilityPoint, Weights, distance_to_frontier, ee_utility,
-                     fairness_projection, gamma_star, in_improvement_region,
-                     nash_bargaining, ne_continuous, pareto_frontier,
-                     social_optimum, utility_grid, utility_point)
+                     UtilityPoint, Weights, best_response_ee, distance_to_frontier,
+                     ee_utility, fairness_projection, gamma_star,
+                     in_improvement_region, nash_bargaining, ne_continuous,
+                     pareto_frontier, social_optimum, utility_grid, utility_point)
 import icpower.efficiency
 from icpower.efficiency import _surfaces, grid_csv_rows
 from icpower.network import _sinr_per_watt
@@ -79,9 +78,19 @@ def dense_patch(model, center, half, n=401):
     return out
 
 
-def synthetic_point(u1, u2, tag):
-    return UtilityPoint(profile=PowerProfile((float(tag), 0.0)),
-                        utilities=(u1, u2), normalized=(u1, u2))
+def all_points(plane):
+    """Every cell of the plane as a UtilityPoint, s1-major."""
+    return [plane.point(k) for k in range(plane.u1.size)]
+
+
+def frontier_points(plane):
+    return [plane.point(k) for k in pareto_frontier(plane).tolist()]
+
+
+def synthetic_plane(u1, u2):
+    """A plane holding the given n x n utility arrays on the axis 0..n-1."""
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    return UtilityPlane(np.arange(float(len(u1))), u1, u2, make_model())
 
 
 class TestWeights:
@@ -105,19 +114,19 @@ class TestUtilityGrid:
         assert pt.normalized == pt.utilities  # unit noise, unit rate
 
     def test_two_by_two_corners(self, ref_model):
-        points = utility_grid(ref_model, 2)
-        assert len(points) == 4
-        assert points[0].profile.powers == (0.0, 0.0)
-        assert points[0].utilities == (0.0, 0.0)
-        assert points[3].profile.powers == (5.0, 5.0)
+        plane = utility_grid(ref_model, 2)
+        assert plane.u1.size == 4
+        assert plane.point(0).profile.powers == (0.0, 0.0)
+        assert plane.point(0).utilities == (0.0, 0.0)
+        assert plane.point(3).profile.powers == (5.0, 5.0)
 
     def test_row_major_order(self, ref_model):
-        points = utility_grid(ref_model, 3)
-        assert [p.profile.powers for p in points[:4]] == [
+        plane = utility_grid(ref_model, 3)
+        assert [plane.point(k).profile.powers for k in range(4)] == [
             (0.0, 0.0), (0.0, 2.5), (0.0, 5.0), (2.5, 0.0)]
 
     def test_matches_scalar_utilities(self, ref_model):
-        for pt in utility_grid(ref_model, 7):
+        for pt in all_points(utility_grid(ref_model, 7)):
             for k in range(2):
                 assert pt.utilities[k] == pytest.approx(
                     ee_utility(ref_model, pt.profile.powers, k),
@@ -147,25 +156,14 @@ class TestUtilityGrid:
     def test_scalar_path_matches_plane(self, model, n):
         # not bitwise: math.expm1 and np.expm1, and Python's and numpy's
         # integer powers, differ in the last bit on some inputs
-        for pt in utility_grid(model, n):
+        for pt in all_points(utility_grid(model, n)):
             assert utility_point(model, pt.profile).utilities == pytest.approx(
                 pt.utilities, rel=1e-13, abs=0.0)
 
-    def test_sequence_protocol_matches_list(self, ref_model):
-        plane = utility_grid(ref_model, 7)
-        old = reference_grid(ref_model, 7)
-        assert isinstance(plane, collections.abc.Sequence)
-        assert len(plane) == len(old) == 49
-        assert list(plane) == old
-        assert [plane[k] for k in range(49)] == old
-        assert plane[-1] == old[-1] and plane[-49] == old[0]
-        assert plane[np.int64(8)] == old[8]
-        for cut in (slice(2, 5), slice(None, None, -3), slice(40, 100),
-                    slice(-5, None), slice(3, 3)):
-            assert plane[cut] == old[cut]
-        for bad in (49, -50):
-            with pytest.raises(IndexError):
-                plane[bad]
+    @pytest.mark.parametrize("noise_power, rate_scale", [(1.0, 1.0), (0.4, 2.5)])
+    def test_point_matches_reference_grid(self, noise_power, rate_scale):
+        model = make_model(noise_power=noise_power, rate_scale=rate_scale)
+        assert all_points(utility_grid(model, 7)) == reference_grid(model, 7)
 
     def test_resolution_validated(self, ref_model):
         with pytest.raises(ValueError, match="n_per_axis"):
@@ -180,40 +178,35 @@ class TestUtilityGrid:
     def test_single_user_bound(self, ref_model, grid_points):
         # nobody beats the best interference-free efficiency of their link
         g = gamma_star(ref_model.packet_bits)
-        for k in range(2):
+        for k, u in enumerate((grid_points.u1, grid_points.u2)):
             mu = 4.0 * ref_model.gains[k][k]
             best = (ref_model.rate_scale * (1.0 - math.exp(-g)) ** ref_model.packet_bits
                     * mu / g)
-            assert all(pt.utilities[k] <= best + 1e-9 for pt in grid_points)
+            assert np.all(u <= best + 1e-9)
 
 
 class TestParetoFrontier:
     def test_single_point(self):
-        pt = synthetic_point(1.0, 2.0, 0)
-        assert pareto_frontier([pt]) == [pt]
+        assert pareto_frontier(synthetic_plane([[1.0]], [[2.0]])).tolist() == [0]
 
     def test_dominated_point_dropped(self):
-        low = synthetic_point(1.0, 1.0, 0)
-        high = synthetic_point(2.0, 2.0, 1)
-        assert pareto_frontier([low, high]) == [high]
+        plane = synthetic_plane([[1.0, 2.0], [0.0, 1.0]], [[1.0, 2.0], [0.0, 1.0]])
+        assert pareto_frontier(plane).tolist() == [1]
 
     def test_weak_domination_drops_equal_coordinate(self):
-        a = synthetic_point(1.0, 2.0, 0)
-        b = synthetic_point(1.0, 3.0, 1)  # same u1, better u2
-        assert pareto_frontier([a, b]) == [b]
+        # same u1, better u2 at cell 1
+        plane = synthetic_plane([[1.0, 1.0], [1.0, 1.0]], [[2.0, 3.0], [2.0, 2.0]])
+        assert pareto_frontier(plane).tolist() == [1]
 
     def test_duplicates_collapse_to_smallest_profile(self):
-        twin_a = synthetic_point(1.0, 1.0, 7)
-        twin_b = synthetic_point(1.0, 1.0, 3)
-        out = pareto_frontier([twin_a, twin_b])
-        assert out == [twin_b]
-        flat = UtilityPlane(np.array([0.0, 1.0]), np.ones((2, 2)), np.ones((2, 2)),
-                            make_model())
-        assert pareto_frontier(flat) == [flat[0]]
+        twins = synthetic_plane([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]])
+        assert pareto_frontier(twins).tolist() == [1]
+        flat = synthetic_plane(np.ones((2, 2)), np.ones((2, 2)))
+        assert pareto_frontier(flat).tolist() == [0]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            pareto_frontier([])
+            pareto_frontier(synthetic_plane(np.empty((0, 0)), np.empty((0, 0))))
 
     def test_sorted_and_monotone(self, frontier):
         u1 = [pt.utilities[0] for pt in frontier]
@@ -222,25 +215,23 @@ class TestParetoFrontier:
         assert all(a >= b for a, b in zip(u2, u2[1:]))
 
     def test_matches_brute_force_on_coarse_grid(self, ref_model):
-        points = utility_grid(ref_model, 50)
-        assert pareto_frontier(points) == brute_frontier(points)
+        plane = utility_grid(ref_model, 50)
+        assert frontier_points(plane) == brute_frontier(all_points(plane))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                    min_size=1, max_size=40))
-    def test_matches_brute_force_on_random_clouds(self, pairs):
-        points = [synthetic_point(float(a), float(b), i)
-                  for i, (a, b) in enumerate(pairs)]
-        assert pareto_frontier(points) == brute_frontier(points)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[
+        st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                 min_size=n, max_size=n)] * 2)))
+    def test_matches_brute_force_on_random_clouds(self, arrays):
+        plane = synthetic_plane(*arrays)
+        assert frontier_points(plane) == brute_frontier(all_points(plane))
 
     @settings(max_examples=60, deadline=None)
     @given(random_models, st.integers(2, 30))
     def test_plane_matches_brute_force_on_random_models(self, model, n):
         # the s = 0 row and column tie at utility 0 for the silent player
         plane = utility_grid(model, n)
-        want = brute_frontier(plane)
-        assert pareto_frontier(plane) == want
-        assert pareto_frontier(list(plane)) == want
+        assert frontier_points(plane) == brute_frontier(all_points(plane))
 
 
 class TestSocialOptimum:
@@ -250,8 +241,7 @@ class TestSocialOptimum:
         assert so_point.normalized == pytest.approx((0.278, 0.446), abs=0.005)
 
     def test_welfare_dominates_grid(self, so_point, grid_points):
-        best_grid = max(0.5 * p.utilities[0] + 0.5 * p.utilities[1]
-                        for p in grid_points)
+        best_grid = np.max(0.5 * grid_points.u1 + 0.5 * grid_points.u2)
         so_welfare = 0.5 * so_point.utilities[0] + 0.5 * so_point.utilities[1]
         assert so_welfare >= best_grid
 
@@ -265,6 +255,23 @@ class TestSocialOptimum:
         so = social_optimum(utility_grid(symmetric_model, 150), Weights((0.5, 0.5)))
         s1, s2 = so.profile.powers
         assert abs(s1 - s2) <= 1e-5
+
+    def test_lone_best_response_beats_a_coarse_grid_basin(self):
+        # at n = 24 the zoom from the best cell ends at (0.1662, 0.1547),
+        # welfare 3.8264; player 1 alone at its lone best response has 3.8611
+        model = make_model(gains=((1.25, 0.75), (0.375, 1.0)), noise_power=0.125,
+                           power_cap=4.0, packet_bits=14)
+        so = social_optimum(utility_grid(model, 24), Weights((0.5, 0.5)))
+        assert so.profile.powers == (best_response_ee(model, (0.0, 0.0), 0), 0.0)
+        assert 0.5 * so.utilities[0] + 0.5 * so.utilities[1] >= 3.8611
+
+    def test_single_bit_packets_keep_the_zoom_result(self):
+        # L = 1 has no lone best response: gamma_star raises
+        model = make_model(packet_bits=1)
+        plane = utility_grid(model, 20)
+        so = social_optimum(plane, Weights((0.5, 0.5)))
+        u1, u2 = dense_patch(model, so.profile.powers, 0.0, n=1)
+        assert 0.5 * u1 + 0.5 * u2 >= np.max(0.5 * plane.u1 + 0.5 * plane.u2)
 
     def test_weight_count_checked(self, ref_model):
         with pytest.raises(ValueError, match="2 weights"):
@@ -362,10 +369,9 @@ class TestNashBargaining:
 
     def test_product_dominates_sampled_region(self, nbs_point, ne_point, grid_points):
         d1, d2 = ne_point.utilities
-        best = max(((p.utilities[0] - d1) * (p.utilities[1] - d2)
-                    for p in grid_points
-                    if p.utilities[0] >= d1 and p.utilities[1] >= d2),
-                   default=0.0)
+        u1, u2 = grid_points.u1, grid_points.u2
+        region = (u1 >= d1) & (u2 >= d2)
+        best = np.max(((u1 - d1) * (u2 - d2))[region], initial=0.0)
         got = ((nbs_point.utilities[0] - d1) * (nbs_point.utilities[1] - d2))
         assert got >= best
 
@@ -392,8 +398,7 @@ class TestFairnessProjection:
         fair = fairness_projection(grid_points, ne_point)
         assert in_improvement_region(fair, ne_point)
         d1, d2 = ne_point.utilities
-        best_grid = max(min(p.utilities[0] - d1, p.utilities[1] - d2)
-                        for p in grid_points)
+        best_grid = np.max(np.minimum(grid_points.u1 - d1, grid_points.u2 - d2))
         assert min(fair.utilities[0] - d1, fair.utilities[1] - d2) >= best_grid
         gains = (fair.utilities[0] - d1, fair.utilities[1] - d2)
         assert abs(gains[0] - gains[1]) <= 5e-3
@@ -406,10 +411,9 @@ class TestExports:
             distance_to_frontier(frontier[0], [])
 
     def test_grid_csv_marks_only_grid_profiles(self, ref_model):
-        plane = utility_grid(ref_model, 5)  # axis 0, 1.25, 2.5, 3.75, 5
-        off_grid = utility_point(ref_model, (1.0, 4.0))
-        for frontier, marked in (([off_grid, plane[7]], [7]), ([], [])):
-            _, body = grid_csv_rows(plane, frontier)
+        plane = utility_grid(ref_model, 5)
+        for cells, marked in (([7], [7]), ([], [])):
+            _, body = grid_csv_rows(plane, cells)
             flags = [line.rsplit(",", 1)[1] for line in "".join(body).splitlines()]
             assert flags == ["1" if k in marked else "0" for k in range(25)]
 
@@ -430,15 +434,16 @@ class TestExports:
         assert len(calls) == 7 + columns * 7 * 7  # the axis, then the utilities
 
     def test_grid_csv_layout(self, ref_model):
-        points = utility_grid(ref_model, 12)
-        frontier12 = pareto_frontier(points)
-        header, body = grid_csv_rows(points, frontier12)
+        plane = utility_grid(ref_model, 12)
+        points = all_points(plane)
+        cells = pareto_frontier(plane)
+        header, body = grid_csv_rows(plane, cells)
         rows = [[float(v) for v in line.split(",")]
                 for line in "".join(body).splitlines()]
         assert header == ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm",
                           "on_frontier"]
         assert len(rows) == len(points)
-        assert sum(r[-1] for r in rows) == len(frontier12)
+        assert sum(r[-1] for r in rows) == len(cells)
         for row, pt in zip(rows, points):
             assert (row[0], row[1]) == pt.profile.powers
             assert (row[2], row[3]) == pt.utilities

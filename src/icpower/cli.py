@@ -17,22 +17,21 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-import numpy as np
-
-from .config import ConfigError, RunConfig, default_config_path, load_config
+from .config import (ConfigError, RunConfig, SolverOutcomeError, default_config_path,
+                     load_config)
 from .continuous import (PricingConfig, SolveReport, br_dynamics, priced_responder,
                          trace_csv_rows)
-from .efficiency import (EmptyImprovementRegionError, UtilityPlane, UtilityPoint,
-                         fairness_projection, grid_csv_rows, nash_bargaining,
-                         pareto_frontier, social_optimum, utility_grid,
-                         utility_point)
-from .finite import (FiniteGame, JointDistribution, is_correlated_equilibrium,
-                     iterated_dominance, payoff, pure_nash)
-from .network import NetworkModel
-from .repeated import (CooperationNotRationalError, DiscountSpec, TriggerPolicy,
-                       min_discount, simulate_trigger, trigger_csv_rows)
+from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigger,
+                       trigger_csv_rows)
+
+if TYPE_CHECKING:
+    from .efficiency import UtilityPlane, UtilityPoint
+    from .finite import FiniteGame
+
+# efficiency and finite (and so numpy) are imported inside the commands that
+# use them, so that ne and pricing at one alpha start without numpy.
 
 __all__ = ["main"]
 
@@ -109,6 +108,7 @@ def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
 
 def _plane(cfg: RunConfig, args) -> UtilityPlane:
     """The command's one utility plane, at ``--n`` or the config's n_per_axis."""
+    from .efficiency import utility_grid
     return utility_grid(cfg.model, cfg.search.n_per_axis if args.n is None else args.n)
 
 
@@ -128,6 +128,7 @@ _POINT_HEADER = ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm"]
 # -- finite ------------------------------------------------------------
 
 def _matrix_lines(game: FiniteGame) -> list[str]:
+    from .finite import payoff
     s1, s2 = game.strategies
     lines = ["payoffs (player 1 rows, player 2 columns):"]
     lines.append(" " * 10 + "".join(f"{f's2={v:.2f}':>18}" for v in s2))
@@ -143,6 +144,8 @@ def _matrix_lines(game: FiniteGame) -> list[str]:
 def cmd_finite(cfg: RunConfig, args) -> Output:
     if cfg.finite is None:
         raise ConfigError("finite: section missing from config (required by this command)")
+    from .finite import (JointDistribution, is_correlated_equilibrium,
+                         iterated_dominance, pure_nash)
     scenario = args.scenario or cfg.finite.scenario
     game = cfg.finite.build(cfg.model, scenario)
     reduced, log = iterated_dominance(game)
@@ -215,7 +218,7 @@ def _resolve_alpha(cfg: RunConfig, args) -> float:
     return cfg.pricing.alpha
 
 
-def _parse_sweep(text: str) -> np.ndarray:
+def _parse_sweep(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--sweep expects lo:hi:steps, got {text!r}")
@@ -228,13 +231,14 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep bounds must be finite, got {text!r}")
     if steps < 1 or lo < 0 or hi < lo:
         raise ConfigError("--sweep needs 0 <= lo <= hi and steps >= 1")
-    return np.linspace(lo, hi, steps)
+    import numpy as np
+    return np.linspace(lo, hi, steps).tolist()
 
 
 def cmd_pricing(cfg: RunConfig, args) -> Output:
     if args.sweep:
         runs = []
-        for alpha in map(float, _parse_sweep(args.sweep)):
+        for alpha in _parse_sweep(args.sweep):
             report = _dynamics(cfg, alpha)
             runs.append((alpha, report))
             norm_powers = report.solution.normalized(cfg.model.noise_power)
@@ -260,6 +264,7 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
 # -- efficiency --------------------------------------------------------
 
 def cmd_pareto(cfg: RunConfig, args) -> Output:
+    from .efficiency import grid_csv_rows, pareto_frontier
     plane = _plane(cfg, args)
     n = len(plane.axis)
     cells = pareto_frontier(plane)
@@ -274,6 +279,7 @@ def cmd_pareto(cfg: RunConfig, args) -> Output:
 
 
 def cmd_social(cfg: RunConfig, args) -> Output:
+    from .efficiency import social_optimum
     so = social_optimum(_plane(cfg, args), cfg.weights, cfg.search.refine_tol)
     _say(args, f"š/σ² = {_fmt_vec(so.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(so.normalized, 3)}")
@@ -282,6 +288,7 @@ def cmd_social(cfg: RunConfig, args) -> Output:
 
 
 def cmd_nbs(cfg: RunConfig, args) -> Output:
+    from .efficiency import fairness_projection, nash_bargaining, utility_point
     plane = _plane(cfg, args)
     ne = _dynamics(cfg)
     if not ne.converged:
@@ -312,6 +319,7 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
         raise ConfigError("--deviate-at must be >= 0")
     if args.delta is not None and not 0.0 <= args.delta < 1.0:
         raise ConfigError("--delta must be in [0, 1)")
+    from .efficiency import social_optimum
     plane = _plane(cfg, args)
     ne = _dynamics(cfg)
     if not ne.converged:
@@ -432,7 +440,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _say(args, "wrote " + ", ".join(str(p) for p in paths))
             if args.json:
                 print(json.dumps(out.data, indent=2))
-    except (CooperationNotRationalError, EmptyImprovementRegionError) as exc:
+    except SolverOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError included

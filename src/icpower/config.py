@@ -10,15 +10,17 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .continuous import PricingConfig
-from .efficiency import Weights
-from .finite import FiniteGame, FiniteGameParams, build_ic_game, build_nfe_game
 from .network import NetworkModel
+
+if TYPE_CHECKING:
+    from .finite import FiniteGame
 
 __all__ = [
     "ConfigError",
+    "SolverOutcomeError",
     "SearchConfig",
     "OutputConfig",
     "FiniteScenario",
@@ -33,6 +35,42 @@ SCENARIOS = ("nfe", "ic")
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
+
+
+class SolverOutcomeError(ValueError):
+    """A valid config has no answer of the kind asked for; the CLI exits 3."""
+
+
+@dataclass(frozen=True)
+class Weights:
+    """Convex welfare weights, one per player."""
+
+    w: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        vals = tuple(float(v) for v in self.w)
+        object.__setattr__(self, "w", vals)
+        if any(v < 0 for v in vals):
+            raise ValueError("weights must be >= 0")
+        if abs(sum(vals) - 1.0) > 1e-12:
+            raise ValueError(f"weights must sum to 1 (got {sum(vals)})")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("weights must be finite")
+
+
+@dataclass(frozen=True)
+class FiniteGameParams:
+    """Reward/cost parameters of the on/off transmission games."""
+
+    throughput_reward: float = 1.0
+    power_cost: float = 0.01
+    sinr_threshold: float = 4.0
+
+    def __post_init__(self) -> None:
+        if not self.throughput_reward > self.power_cost > 0:
+            raise ValueError("need throughput_reward > power_cost > 0")
+        if not self.sinr_threshold > 0:
+            raise ValueError("sinr_threshold must be > 0")
 
 
 @dataclass(frozen=True)
@@ -87,6 +125,7 @@ class FiniteScenario:
 
     def build(self, model: NetworkModel, scenario: Optional[str] = None) -> FiniteGame:
         """Construct the requested on/off game on the model's noise floor."""
+        from .finite import build_ic_game, build_nfe_game
         name = scenario or self.scenario
         if name == "nfe":
             if self.h1 is None or self.h2 is None:

@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import SolverOutcomeError, Weights
 from .continuous import best_response_ee, ee_utility
 from .network import NetworkModel, PowerProfile, Powers, power_tuple, sinr_grid
 
@@ -42,24 +43,7 @@ class UtilityPoint(NamedTuple):
     normalized: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Convex welfare weights, one per player."""
-
-    w: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.w)
-        object.__setattr__(self, "w", vals)
-        if any(v < 0 for v in vals):
-            raise ValueError("weights must be >= 0")
-        if abs(sum(vals) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 (got {sum(vals)})")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("weights must be finite")
-
-
-class EmptyImprovementRegionError(ValueError):
+class EmptyImprovementRegionError(SolverOutcomeError):
     """No sampled profile weakly improves on the disagreement point."""
 
 

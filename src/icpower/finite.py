@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import FiniteGameParams
 from .network import NetworkModel, sinr_grid
 
 __all__ = [
@@ -34,21 +35,6 @@ __all__ = [
 # place the lone transmitter exactly at the required SINR, and rounding in
 # the power level must not flip that case to a failure.
 _THRESHOLD_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FiniteGameParams:
-    """Reward/cost parameters of the on/off transmission games."""
-
-    throughput_reward: float = 1.0
-    power_cost: float = 0.01
-    sinr_threshold: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not self.throughput_reward > self.power_cost > 0:
-            raise ValueError("need throughput_reward > power_cost > 0")
-        if not self.sinr_threshold > 0:
-            raise ValueError("sinr_threshold must be > 0")
 
 
 def _read_only(values) -> np.ndarray:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["NetworkModel", "PowerProfile", "effective_gain", "sinr", "sinr_grid"]
 
@@ -75,9 +76,6 @@ class NetworkModel:
         """noise_power / rate_scale, which turns a utility into noise units."""
         return self.noise_power / self.rate_scale
 
-    def gain_matrix(self) -> np.ndarray:
-        return np.array(self.gains, dtype=float)
-
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -100,7 +98,7 @@ class PowerProfile:
         return tuple(s / noise_power for s in self.powers)
 
 
-Powers = Union[PowerProfile, Sequence[float], np.ndarray]
+Powers = Union[PowerProfile, Sequence[float]]
 
 
 def power_tuple(profile: Powers, num_players: int | None = None) -> tuple[float, ...]:

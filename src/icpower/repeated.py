@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .config import SolverOutcomeError
 from .continuous import best_response_ee, ee_utility
 from .network import NetworkModel, PowerProfile
 
@@ -26,7 +27,7 @@ __all__ = [
 ]
 
 
-class CooperationNotRationalError(ValueError):
+class CooperationNotRationalError(SolverOutcomeError):
     """Cooperation pays no better than punishment; trigger logic is vacuous."""
 
 

@@ -286,8 +286,7 @@ class TestEfficiencyCommands:
             sizes.append(n_per_axis)
             return utility_grid(model, n_per_axis)
 
-        for module in (icpower.cli, icpower.efficiency):
-            monkeypatch.setattr(module, "utility_grid", counted)
+        monkeypatch.setattr(icpower.efficiency, "utility_grid", counted)
         assert run(tmp_path, "--quiet", "nbs", "--n", "60", "--fairness") == 0
         assert sizes == [60]
 

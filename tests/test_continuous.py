@@ -22,7 +22,7 @@ GAMMA_STAR_2 = 1.2564312086261695
 
 def linear_solve_ne(model):
     """Independent interior-NE oracle: both SINRs pinned at gamma_star."""
-    g = model.gain_matrix()
+    g = np.array(model.gains, dtype=float)
     gs = gamma_star(model.packet_bits)
     a = np.array([[model.processing_gain * g[0, 0], -gs * g[0, 1]],
                   [-gs * g[1, 0], model.processing_gain * g[1, 1]]])

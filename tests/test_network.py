@@ -44,10 +44,10 @@ class TestNetworkModelValidation:
         with pytest.raises(ValueError, match=match):
             make_model(**{field: value})
 
-    def test_gain_matrix_round_trip(self, ref_model):
-        mat = ref_model.gain_matrix()
-        assert mat.shape == (2, 2)
-        assert mat[0][1] == 0.5 and mat[1][0] == 0.25
+    def test_gains_round_trip(self, ref_model):
+        gains = ref_model.gains
+        assert len(gains) == 2 and all(len(row) == 2 for row in gains)
+        assert gains[0][1] == 0.5 and gains[1][0] == 0.25
 
     def test_gains_coerced_to_floats(self):
         model = make_model(gains=((1, 1), (1, 2)))

@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .config import (ConfigError, RunConfig, SolverOutcomeError, default_config_path,
-                     load_config)
+from .config import (SCENARIOS, ConfigError, RunConfig, SolverOutcomeError,
+                     default_config_path, load_config)
 from .continuous import (PricingConfig, SolveReport, br_dynamics, priced_responder,
                          trace_csv_rows)
 from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigger,
@@ -48,11 +48,12 @@ def _fmt_vec(values: Sequence[float], decimals: int) -> str:
 class Output(NamedTuple):
     """What a command produced, for ``main`` to write: ``<name>.json`` holding
     ``data`` and, if ``csv`` (a header and the body text) is given,
-    ``<name>.csv``.  With no ``name`` nothing is written; a ``failure``
-    message makes the run exit 3.  Commands write no file themselves."""
+    ``<name>.csv``.  A ``failure`` message makes the run exit 3 once the
+    files are written; a command that has nothing to write raises instead.
+    Commands write no file themselves."""
 
-    name: Optional[str] = None
-    data: object = None
+    name: str
+    data: object
     csv: Optional[tuple[list[str], Sequence[str]]] = None
     failure: Optional[str] = None
 
@@ -292,7 +293,7 @@ def cmd_nbs(cfg: RunConfig, args) -> Output:
     plane = _plane(cfg, args)
     ne = _dynamics(cfg)
     if not ne.converged:
-        return Output(failure=_unconverged(ne))
+        raise SolverOutcomeError(_unconverged(ne))
     disagreement = utility_point(cfg.model, ne.solution.powers)
     nbs = nash_bargaining(plane, disagreement, cfg.search.refine_tol)
     artifact = {"disagreement": _point_dict(disagreement), "solution": _point_dict(nbs)}
@@ -323,7 +324,7 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
     plane = _plane(cfg, args)
     ne = _dynamics(cfg)
     if not ne.converged:
-        return Output(failure=_unconverged(ne))
+        raise SolverOutcomeError(_unconverged(ne))
     so = social_optimum(plane, cfg.weights, cfg.search.refine_tol)
     policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.solution)
     dmin = min_discount(cfg.model, policy)
@@ -337,8 +338,8 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
     scale = cfg.model.utility_scale
     norm = lambda vals: [v * scale for v in vals]
     _say(args, f"δ̲ = {dmin:.3f}")
-    _say(args, f"cooperate σ²u/t = {_fmt_vec(norm(so.utilities), 3)}, "
-               f"punish σ²u/t = {_fmt_vec(norm(ne.utilities), 3)}")
+    _say(args, f"cooperate σ²u/t = {_fmt_vec(so.normalized, 3)}, "
+               f"punish σ²u/t = {_fmt_vec(ne.normalized_utilities, 3)}")
     _say(args, f"δ = {delta:.3f}: discounted σ²u/t = {_fmt_vec(norm(payoffs), 3)}"
                + ("" if deviant is None else
                   f" (player {args.deviant} deviates at stage {args.deviate_at})"))
@@ -382,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("finite", help="on/off transmission games: payoffs, "
                                        "dominance, pure NE, CE check")
-    sp.add_argument("--scenario", choices=("nfe", "ic"),
+    sp.add_argument("--scenario", choices=SCENARIOS,
                     help="which finite scenario (default: from config)")
     sp.add_argument("--ce-uniform", action="store_true",
                     help="also check the uniform mixture over pure NEs")
@@ -435,11 +436,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config if args.config else default_config_path())
         out = args.func(cfg, args)
-        if out.name is not None:
-            paths = _write(Path(args.out or cfg.output.directory), out)
-            _say(args, "wrote " + ", ".join(str(p) for p in paths))
-            if args.json:
-                print(json.dumps(out.data, indent=2))
+        paths = _write(Path(args.out or cfg.output.directory), out)
+        _say(args, "wrote " + ", ".join(str(p) for p in paths))
+        if args.json:
+            print(json.dumps(out.data, indent=2))
     except SolverOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

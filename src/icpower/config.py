@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 __all__ = [
     "ConfigError",
     "SolverOutcomeError",
+    "Weights",
+    "FiniteGameParams",
     "SearchConfig",
     "OutputConfig",
     "FiniteScenario",
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 SCENARIOS = ("nfe", "ic")
+GAIN_KEYS = ("h", "h1", "h2")  # the gains a FiniteScenario can take
 
 
 class ConfigError(ValueError):
@@ -116,7 +119,7 @@ class FiniteScenario:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        for key in ("h", "h1", "h2"):
+        for key in GAIN_KEYS:
             v = getattr(self, key)
             number = isinstance(v, (int, float)) and not isinstance(v, bool)
             if v is not None and not (number and math.isfinite(v) and v > 0):
@@ -191,6 +194,13 @@ def _check_numbers(value, path: str) -> None:
         raise ConfigError(f"{path}: must be finite, got {json.dumps(value)}")
 
 
+def _dataclass_section(data: dict, key: str, cls, ignored: tuple[str, ...] = ()):
+    """Build ``cls`` from the object at ``data[key]``, whose keys are its fields."""
+    values = {k: v for k, v in _section(data, key).items() if k not in ignored}
+    _check_keys(values, tuple(f.name for f in fields(cls)), key)
+    return _build(key, cls, **values)
+
+
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"top level: expected an object, got {type(data).__name__}")
@@ -198,32 +208,24 @@ def config_from_dict(data: dict) -> RunConfig:
                 "top level")
     if "network" not in data:
         raise ConfigError("network: section is required")
-
-    net = _section(data, "network")
-    _check_keys(net, ("gains", "noise_power", "processing_gain", "power_cap",
-                      "packet_bits", "rate_scale"), "network")
-    model = _build("network", NetworkModel, **net)
+    model = _dataclass_section(data, "network", NetworkModel)
 
     finite = None
     if "finite" in data:
         fin = _section(data, "finite")
-        _check_keys(fin, ("scenario", "throughput_reward", "power_cost",
-                          "sinr_threshold", "gains"), "finite")
-        params = _build("finite", FiniteGameParams, **{
-            k: fin[k] for k in ("throughput_reward", "power_cost", "sinr_threshold")
-            if k in fin})
+        param_keys = tuple(f.name for f in fields(FiniteGameParams))
+        _check_keys(fin, ("scenario", *param_keys, "gains"), "finite")
+        params = _build("finite", FiniteGameParams,
+                        **{k: fin[k] for k in param_keys if k in fin})
         gains = fin.get("gains", {})
         if not isinstance(gains, dict):
             raise ConfigError("finite.gains: expected an object")
-        _check_keys(gains, ("h", "h1", "h2"), "finite.gains")
+        _check_keys(gains, GAIN_KEYS, "finite.gains")
         finite = _build("finite", FiniteScenario,
                         scenario=fin.get("scenario", "ic"), params=params, **gains)
 
-    pricing = None
-    if "pricing" in data:
-        pri = _section(data, "pricing")
-        _check_keys(pri, ("alpha",), "pricing")
-        pricing = _build("pricing", PricingConfig, **pri)
+    pricing = (_dataclass_section(data, "pricing", PricingConfig)
+               if "pricing" in data else None)
 
     if "weights" in data:
         if not isinstance(data["weights"], (list, tuple)):
@@ -232,18 +234,11 @@ def config_from_dict(data: dict) -> RunConfig:
     else:
         weights = Weights((0.5, 0.5))
 
-    search = SearchConfig()
-    if "search" in data:
-        sea = _section(data, "search")
-        sea = {k: v for k, v in sea.items() if k != "priced_tol"}  # deprecated, ignored
-        _check_keys(sea, ("n_per_axis", "br_tol", "refine_tol", "max_iter"), "search")
-        search = _build("search", SearchConfig, **sea)
-
-    output = OutputConfig()
-    if "output" in data:
-        out = _section(data, "output")
-        _check_keys(out, ("directory",), "output")
-        output = _build("output", OutputConfig, **out)
+    # search.priced_tol is deprecated and ignored
+    search = (_dataclass_section(data, "search", SearchConfig, ignored=("priced_tol",))
+              if "search" in data else SearchConfig())
+    output = (_dataclass_section(data, "output", OutputConfig)
+              if "output" in data else OutputConfig())
 
     _check_numbers(data, "")  # last, so each field's own check speaks first
     return RunConfig(model=model, finite=finite, pricing=pricing,

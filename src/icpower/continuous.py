@@ -176,10 +176,11 @@ class SolveReport:
     ``utilities`` are the plain energy efficiencies at the solution (also for
     surcharged runs: the surcharge shapes the equilibrium, the delivered b/J
     is still the performance metric).  ``trace`` holds every profile visited,
-    starting with the initializer.  ``termination`` says why the iteration
-    stopped: ``"converged"``, ``"cycle"`` (the last profile of the trace
-    equals the one ``period`` >= 2 sweeps earlier, so the orbit repeats
-    forever) or ``"max_iter"``; ``period`` is None unless it is a cycle.
+    starting with the initializer and ending at ``solution``.  ``termination``
+    says why the iteration stopped: ``"converged"``, ``"cycle"`` (the last
+    profile of the trace equals the one ``period`` >= 2 sweeps earlier, so the
+    orbit repeats forever) or ``"max_iter"``; ``period`` is None unless it is
+    a cycle.
     """
 
     solution: PowerProfile
@@ -197,6 +198,8 @@ class SolveReport:
     def __post_init__(self) -> None:
         if len(self.trace) != self.iterations + 1:
             raise ValueError("trace must hold iterations + 1 profiles")
+        if not self.trace or self.trace[-1] != self.solution.powers:
+            raise ValueError("trace must be non-empty and end at the solution")
         if self.converged and not self.residual <= self.tolerance:
             raise ValueError("converged report with residual above tolerance")
         if self.termination not in _TERMINATIONS:

@@ -218,10 +218,9 @@ def _dominator(own: np.ndarray, i: int) -> int | None:
 def strictly_dominated(game: FiniteGame, k: int, strat_index: int) -> tuple[bool, int | None]:
     """Whether some single alternative beats ``strat_index`` against every
     opponent profile.  Returns (dominated, dominating index or None)."""
-    n_k = len(game.strategies[k])
     if not 0 <= k < game.num_players:
         raise IndexError(f"player index {k} out of range")
-    if not 0 <= strat_index < n_k:
+    if not 0 <= strat_index < len(game.strategies[k]):
         raise IndexError(f"strategy index {strat_index} out of range for player {k}")
     alt = _dominator(_own(game.payoffs, k), strat_index)
     return alt is not None, alt

@@ -134,6 +134,12 @@ class TestFinite:
                    config=small_config) == 2
         assert "near-far assumption" in capsys.readouterr().err
 
+    def test_ic_without_h_exit_code(self, tmp_path, small_config, capsys):
+        small_config["finite"]["gains"] = {"h1": 0.25, "h2": 1.0}
+        assert run(tmp_path, "finite", "--scenario", "ic", config=small_config) == 2
+        assert capsys.readouterr().err == "error: finite.gains: scenario 'ic' needs h\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_gain_exit_code(self, tmp_path, small_config, capsys):
         small_config["finite"]["gains"]["h"] = "x"
         assert run(tmp_path, "finite", config=small_config) == 2
@@ -221,6 +227,9 @@ class TestPricing:
         (["--alpha", "inf"], "--alpha must be finite"),
         (["--sweep", "0:inf:3"], "--sweep bounds must be finite, got '0:inf:3'"),
         (["--sweep", "nan:1:3"], "--sweep bounds must be finite, got 'nan:1:3'"),
+        (["--alpha", "-1"], "--alpha must be >= 0"),
+        (["--sweep", "0:1:x"], "--sweep expects lo:hi:steps, got '0:1:x'"),
+        (["--sweep", "1:0:3"], "--sweep needs 0 <= lo <= hi and steps >= 1"),
     ])
     def test_non_finite_surcharge_rejected(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "--quiet", "pricing", *argv) == 2

@@ -87,6 +87,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="search: n_per_axis"):
             config_from_dict(base_dict)
 
+    def test_top_level_array_rejected(self, base_dict):
+        with pytest.raises(ConfigError, match=r"^top level: expected an object, got list$"):
+            config_from_dict([base_dict])
+
     def test_non_object_section(self, base_dict):
         base_dict["output"] = "out"
         with pytest.raises(ConfigError, match="output: expected an object"):
@@ -121,6 +125,10 @@ class TestValidation:
         ("finite", "sinr_threshold", True, r"^finite\.sinr_threshold: must be a number"),
         ("finite", "throughput_reward", math.inf,
          r"^finite\.throughput_reward: must be finite, got Infinity$"),
+        (None, "weights", 0.5, r"^weights: expected an array$"),
+        ("finite", "gains", [], r"^finite\.gains: expected an object$"),
+        ("output", "directory", "", r"^output: directory must be non-empty$"),
+        ("search", "br_tol", 0, r"^search: br_tol must be > 0$"),
     ])
     def test_non_finite_and_boolean_numbers_rejected(self, base_dict, section, key,
                                                      value, match):

@@ -520,6 +520,15 @@ class TestSolveReport:
                         iterations=3, trace=((1.0, 1.0),), converged=False,
                         residual=1.0, tolerance=1e-10, termination="max_iter")
 
+    @pytest.mark.parametrize("load", [
+        lambda: SolveReport(**report_fields(iterations=-1, trace=())),
+        lambda: SolveReport.from_dict({**SolveReport(**report_fields()).to_dict(),
+                                       "solution": [2.0, 1.0]}),
+    ], ids=["empty", "loaded-off-the-end"])
+    def test_trace_ends_at_solution(self, load):
+        with pytest.raises(ValueError, match="end at the solution"):
+            load()
+
     def test_convergence_invariant(self):
         with pytest.raises(ValueError, match="residual"):
             SolveReport(solution=PowerProfile((1.0,) * 2), utilities=(0.0, 0.0),

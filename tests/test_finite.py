@@ -105,6 +105,8 @@ class TestDominance:
     def test_index_errors(self, nfe_game):
         with pytest.raises(IndexError):
             strictly_dominated(nfe_game, 0, 5)
+        with pytest.raises(IndexError, match="player index 2 out of range"):
+            strictly_dominated(nfe_game, 2, 0)
 
     def test_nfe_iterated_dominance(self, nfe_game):
         reduced, log = iterated_dominance(nfe_game)

@@ -58,6 +58,15 @@ def test_every_export_resolves():
                 assert getattr(icpower, name) is getattr(home, name)
 
 
+@pytest.mark.parametrize("module", ["config", "network", "continuous", "numerics",
+                                    "efficiency", "finite", "repeated"])
+def test_package_exports_every_module_export(module):
+    home = import_module(f"icpower.{module}")
+    for name in home.__all__:
+        assert name in icpower.__all__
+        assert getattr(icpower, name) is getattr(home, name)
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="nonexistent"):
         icpower.nonexistent

@@ -110,7 +110,13 @@ def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
 def _plane(cfg: RunConfig, args) -> UtilityPlane:
     """The command's one utility plane, at ``--n`` or the config's n_per_axis."""
     from .efficiency import utility_grid
-    return utility_grid(cfg.model, cfg.search.n_per_axis if args.n is None else args.n)
+    n = cfg.search.n_per_axis if args.n is None else args.n
+    try:
+        return utility_grid(cfg.model, n)
+    except MemoryError:
+        source = "search.n_per_axis" if args.n is None else "--n"
+        raise ConfigError(f"{source}: the utility plane at n = {n} does not fit "
+                          f"in memory") from None
 
 
 def _point_row(pt: UtilityPoint) -> list[float]:

@@ -56,14 +56,14 @@ def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
 
 def _surfaces(model: NetworkModel, axis1: np.ndarray,
               axis2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized utility surfaces u1(s1, s2), u2(s1, s2) on axis1 x axis2."""
+    """Utility surfaces u1(s1, s2), u2(s1, s2) on axis1 x axis2, made in place."""
     powers, gammas = sinr_grid(model, axis1, axis2)
-    out = []
-    for own, gamma in zip(powers, gammas):
-        tput = model.rate_scale * (-np.expm1(-gamma)) ** model.packet_bits
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out.append(np.where(own > 0, tput / own, 0.0))
-    return out[0], out[1]
+    for own, u in zip(powers, gammas):
+        np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)  # 1 - exp(-gamma)
+        u **= model.packet_bits
+        u *= model.rate_scale
+        np.divide(u, own, out=u, where=own > 0)  # a silent player's +0.0 stays
+    return gammas
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +122,26 @@ def pareto_frontier(plane: UtilityPlane) -> np.ndarray:
 
 
 _PATCH = np.linspace(-1.0, 1.0, 9)  # zoom patch offsets, in units of span
+_BAND = 8192  # cells scored at once: 64 KiB per float temporary
+
+
+def _best_cell(u1: np.ndarray, u2: np.ndarray, score) -> tuple[int, int, float]:
+    """Row, column and score of the first best cell of ``score(u1, u2)``, by bands."""
+    rows = max(1, _BAND // u1.shape[1])
+    best = (0, 0, -np.inf)
+    for r in range(0, len(u1), rows):
+        band = score(u1[r:r + rows], u2[r:r + rows])
+        i, j = divmod(int(np.argmax(band)), band.shape[1])
+        if band[i, j] > best[2]:
+            best = (r + i, j, band[i, j])
+    return best
 
 
 def _grid_then_refine(plane: UtilityPlane, refine_tol: float, score) -> UtilityPoint:
     """Best cell of ``score(u1, u2)`` on ``plane``, polished by a zoom.
 
+    The plane is scored in row bands of about ``_BAND`` cells; the first
+    maximum in flat order wins, the cell one ``np.argmax`` would pick.
     Each round scores a 9 x 9 patch within +/- span of the incumbent
     (clipped to [0, power_cap]) and moves to its best cell on a strict gain.
     The span starts at one grid step and shrinks by 4 each round, except
@@ -137,19 +152,17 @@ def _grid_then_refine(plane: UtilityPlane, refine_tol: float, score) -> UtilityP
     A plane whose every cell scores -inf raises EmptyImprovementRegionError.
     """
     model = plane.model
-    grid = score(plane.u1, plane.u2)
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    x, best = (plane.axis[i], plane.axis[j]), grid[i, j]
+    i, j, best = _best_cell(plane.u1, plane.u2, score)
     if best == -np.inf:
         raise EmptyImprovementRegionError(
             "no sampled profile weakly improves on the disagreement utilities")
+    x = (plane.axis[i], plane.axis[j])
     span = float(plane.axis[1] - plane.axis[0])
     while span > refine_tol:
         axes = [np.unique(np.clip(v + span * _PATCH, 0.0, model.power_cap)) for v in x]
-        patch = score(*_surfaces(model, *axes))
-        i, j = np.unravel_index(int(np.argmax(patch)), patch.shape)
-        if patch[i, j] > best:
-            x, best = (axes[0][i], axes[1][j]), patch[i, j]
+        i, j, value = _best_cell(*_surfaces(model, *axes), score)
+        if value > best:
+            x, best = (axes[0][i], axes[1][j]), value
             if i in (0, len(axes[0]) - 1) or j in (0, len(axes[1]) - 1):
                 continue
         span /= 4.0

@@ -150,8 +150,8 @@ def sinr(model: NetworkModel, profile: Powers, k: int) -> float:
 
 def sinr_grid(model: NetworkModel, axis1: np.ndarray,
               axis2: np.ndarray) -> tuple[tuple, tuple]:
-    """``(s1, s2), (gamma1, gamma2)`` on the 2-player grid axis1 x axis2:
-    powers as a column and a row vector, SINRs ``[i, j]`` at
-    ``(axis1[i], axis2[j])``."""
+    """``(s1, s2), (gamma1, gamma2)`` on the 2-player grid axis1 x axis2: powers
+    as a column and a row vector, and fresh SINR arrays, which the caller may
+    overwrite, with ``[i, j]`` at ``(axis1[i], axis2[j])``."""
     s = (axis1[:, None], axis2[None, :])
     return s, tuple(_sinr_per_watt(model, s, k) * s[k] for k in range(2))

@@ -366,6 +366,23 @@ class TestDriver:
         assert "n_per_axis must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
+    @pytest.mark.parametrize("argv, source", [(["--n", "20000"], "--n: the utility "
+                                               "plane at n = 20000"),
+                                              ([], "search.n_per_axis: the utility "
+                                                   "plane at n = 80")])
+    def test_plane_out_of_memory_names_the_size(self, tmp_path, small_config, capsys,
+                                                 monkeypatch, command, argv, source):
+        # a real plane this large may be granted under overcommit and then
+        # draw the OOM killer when touched, so the allocation failure is faked
+        def too_large(model, n_per_axis=400):
+            raise MemoryError
+
+        monkeypatch.setattr(icpower.efficiency, "utility_grid", too_large)
+        assert run(tmp_path, "--quiet", command, *argv, config=small_config) == 2
+        assert capsys.readouterr().err == f"error: {source} does not fit in memory\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["ne", "nbs", "repeated"])
     def test_unconverged_dynamics_exit_3_with_the_cause(self, tmp_path, small_config,
                                                         capsys, command):

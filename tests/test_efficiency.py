@@ -1,6 +1,8 @@
 """Utility plane: grids, Pareto frontier, welfare optimum, bargaining."""
 import builtins
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
                      in_improvement_region, nash_bargaining, ne_continuous,
                      pareto_frontier, social_optimum, utility_grid, utility_point)
 import icpower.efficiency
-from icpower.efficiency import _surfaces, grid_csv_rows
+from icpower.efficiency import _best_cell, _surfaces, grid_csv_rows
 from icpower.network import _sinr_per_watt
 
 from conftest import make_model
@@ -341,6 +343,69 @@ class TestZoom:
         model = make_model(gains=((1.4391, 0.2825), (0.3128, 0.9589)),
                            noise_power=1.5471, power_cap=9.9422, packet_bits=2)
         assert min(self.gains_over_ne(model, fairness_projection)) >= 0.0048
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) holds at once, its result included."""
+    fn(*args)  # first calls may import or cache
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBandedSearch:
+    """The best plane cell is found band by band, without plane-size
+    temporaries, and is the cell one argmax over the whole score picks."""
+
+    VALUES = np.array([0.0, 0.5, 1.0, 2.0])  # few values, so ties are common
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 70).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(0, n), st.integers(0, n))),
+           st.integers(1, 150), st.integers(0, 2**32 - 1),
+           st.sampled_from(["sum", "product", "min"]))
+    @example((5, 0, 5), 7, 0, "product")  # every cell scores -inf
+    @example((400, 0, 0), 8192, 1, "sum")  # the shipped band at the shipped n
+    def test_first_best_cell_matches_the_full_argmax(self, rows, band, seed, kind):
+        n, lo, hi = rows
+        rng = np.random.default_rng(seed)
+        u1, u2 = rng.choice(self.VALUES, (2, n, n))
+        u1[min(lo, hi):max(lo, hi)] = -1.0  # rows that improve on no disagreement
+        d1, d2 = rng.choice(self.VALUES, 2)
+        combine = {"product": lambda a, b: a * b, "min": np.minimum}.get(kind)
+
+        def score(v1, v2):
+            if combine is None:
+                return 0.25 * v1 + 0.75 * v2
+            g1, g2 = v1 - d1, v2 - d2
+            return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
+
+        full = score(u1, u2)
+        i, j = np.unravel_index(int(np.argmax(full)), full.shape)
+        with mock.patch.object(icpower.efficiency, "_BAND", band):
+            assert _best_cell(u1, u2, score) == (i, j, full[i, j])
+
+    def test_plane_of_infeasible_bands_raises(self):
+        plane = synthetic_plane(np.zeros((70, 70)), np.ones((70, 70)))
+        disagreement = UtilityPoint(PowerProfile((0.0, 0.0)), (1.0, 1.0), (1.0, 1.0))
+        with mock.patch.object(icpower.efficiency, "_BAND", 100):
+            with pytest.raises(EmptyImprovementRegionError):
+                nash_bargaining(plane, disagreement)
+
+    def test_plane_holds_no_more_than_its_surfaces(self, ref_model):
+        surfaces = 2 * 400 * 400 * 8
+        assert traced_peak(utility_grid, ref_model, 400) <= 1.1 * surfaces
+
+    @pytest.mark.parametrize("search", ["social", "nbs", "fairness"])
+    def test_search_allocates_under_half_a_surface(self, grid_points, ne_point, search):
+        # the plane exists before tracing starts, so only the search counts
+        run = {"social": lambda: social_optimum(grid_points, Weights((0.5, 0.5))),
+               "nbs": lambda: nash_bargaining(grid_points, ne_point),
+               "fairness": lambda: fairness_projection(grid_points, ne_point)}[search]
+        assert traced_peak(run) < 0.5 * 400 * 400 * 8
 
 
 class TestImprovementRegion:

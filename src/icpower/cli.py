@@ -6,13 +6,13 @@ machine-readable artifacts <command>.json / <command>.csv into the output
 directory.  Exit codes: 0 success, 2 validation error (bad config or
 flags), 3 a solver outcome on a valid config (the dynamics did not
 converge, cooperation is not rational, or the bargaining region is empty),
-4 I/O error.
+4 I/O error.  The parser is built once per process, at import; ``main`` only
+parses.  finite, pareto, social, nbs and repeated build arrays, and only they
+import numpy: they import efficiency and finite inside their bodies.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -30,9 +30,6 @@ if TYPE_CHECKING:
     from .efficiency import UtilityPlane, UtilityPoint
     from .finite import FiniteGame
 
-# efficiency and finite (and so numpy) are imported inside the commands that
-# use them, so that ne and pricing at one alpha start without numpy.
-
 __all__ = ["main"]
 
 
@@ -41,8 +38,8 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _fmt_vec(values: Sequence[float], decimals: int) -> str:
-    return "[" + ", ".join(f"{v:.{decimals}f}" for v in values) + "]"
+def _fmt_vec(values: Sequence[float], decimals: int, brackets: str = "[]") -> str:
+    return brackets[0] + ", ".join(f"{v:.{decimals}f}" for v in values) + brackets[1]
 
 
 class Output(NamedTuple):
@@ -59,23 +56,24 @@ class Output(NamedTuple):
 
 
 def _table(header: list[str], rows: list[list]) -> tuple[list[str], list[str]]:
-    """A CSV header and rows as the header and body text ``Output`` takes."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return header, [buf.getvalue()]
+    """A header and rows of ints and floats as ``Output`` takes them: each value
+    is its ``repr``, as ``csv.writer`` and ``grid_csv_rows`` write it."""
+    return header, ["".join(",".join(map(repr, row)) + "\n" for row in rows)]
 
 
-def _write(outdir: Path, out: Output) -> list[Path]:
+def _write(outdir: Path, out: Output) -> tuple[list[Path], str]:
+    """Write the artifacts; return their paths and the JSON text."""
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / f"{out.name}.json"]
-    paths[0].write_text(json.dumps(out.data, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(out.data, indent=2) + "\n"
+    paths[0].write_text(text, encoding="utf-8")
     if out.csv is not None:
         header, body = out.csv
         paths.append(outdir / f"{out.name}.csv")
         with paths[1].open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(body)
-    return paths
+    return paths, text
 
 
 def _report_lines(args, cfg: RunConfig, report: SolveReport, label: str) -> None:
@@ -107,14 +105,25 @@ def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
                        max_iter=cfg.search.max_iter)
 
 
+def _converged_ne(cfg: RunConfig) -> UtilityPoint:
+    """The unpriced equilibrium as a utility point; it must have converged."""
+    from .efficiency import UtilityPoint
+    ne = _dynamics(cfg)
+    if not ne.converged:
+        raise SolverOutcomeError(_unconverged(ne))
+    return UtilityPoint(ne.solution, ne.utilities, ne.normalized_utilities)
+
+
 def _plane(cfg: RunConfig, args) -> UtilityPlane:
     """The command's one utility plane, at ``--n`` or the config's n_per_axis."""
     from .efficiency import utility_grid
     n = cfg.search.n_per_axis if args.n is None else args.n
+    source = "search.n_per_axis" if args.n is None else "--n"
+    if n < 2:  # the config rejects n_per_axis < 2, so only --n gets here
+        raise ConfigError(f"{source}: n_per_axis must be >= 2")
     try:
         return utility_grid(cfg.model, n)
     except MemoryError:
-        source = "search.n_per_axis" if args.n is None else "--n"
         raise ConfigError(f"{source}: the utility plane at n = {n} does not fit "
                           f"in memory") from None
 
@@ -140,11 +149,8 @@ def _matrix_lines(game: FiniteGame) -> list[str]:
     lines = ["payoffs (player 1 rows, player 2 columns):"]
     lines.append(" " * 10 + "".join(f"{f's2={v:.2f}':>18}" for v in s2))
     for i, a in enumerate(s1):
-        cells = ""
-        for j in range(len(s2)):
-            u = payoff(game, (i, j))
-            cells += f"{'(' + ', '.join(f'{v:.2f}' for v in u) + ')':>18}"
-        lines.append(f"{f's1={a:.2f}':>10}" + cells)
+        cells = (_fmt_vec(payoff(game, (i, j)), 2, "()") for j in range(len(s2)))
+        lines.append(f"{f's1={a:.2f}':>10}" + "".join(f"{c:>18}" for c in cells))
     return lines
 
 
@@ -165,8 +171,7 @@ def cmd_finite(cfg: RunConfig, args) -> Output:
         for e in log:
             _say(args, f"round {e.round}: player {e.player + 1} drops s={e.strategy:.2f} "
                        f"(dominated by s={e.dominator:.2f})")
-        survivors = " x ".join("{" + ", ".join(f"{v:.2f}" for v in row) + "}"
-                               for row in reduced.strategies)
+        survivors = " x ".join(_fmt_vec(row, 2, "{}") for row in reduced.strategies)
         _say(args, f"iterated dominance leaves {survivors}")
     else:
         _say(args, "no strictly dominated strategies")
@@ -238,8 +243,11 @@ def _parse_sweep(text: str) -> list[float]:
         raise ConfigError(f"--sweep bounds must be finite, got {text!r}")
     if steps < 1 or lo < 0 or hi < lo:
         raise ConfigError("--sweep needs 0 <= lo <= hi and steps >= 1")
-    import numpy as np
-    return np.linspace(lo, hi, steps).tolist()
+    # np.linspace(lo, hi, steps) bit for bit; a subnormal step scales i first
+    div, delta = max(steps - 1, 1), hi - lo
+    step = delta / div
+    alphas = [(i / div * delta if step == 0 else i * step) + lo for i in range(steps)]
+    return alphas[:-1] + [hi] if steps > 1 else alphas
 
 
 def cmd_pricing(cfg: RunConfig, args) -> Output:
@@ -295,12 +303,9 @@ def cmd_social(cfg: RunConfig, args) -> Output:
 
 
 def cmd_nbs(cfg: RunConfig, args) -> Output:
-    from .efficiency import fairness_projection, nash_bargaining, utility_point
+    from .efficiency import fairness_projection, nash_bargaining
     plane = _plane(cfg, args)
-    ne = _dynamics(cfg)
-    if not ne.converged:
-        raise SolverOutcomeError(_unconverged(ne))
-    disagreement = utility_point(cfg.model, ne.solution.powers)
+    disagreement = _converged_ne(cfg)
     nbs = nash_bargaining(plane, disagreement, cfg.search.refine_tol)
     artifact = {"disagreement": _point_dict(disagreement), "solution": _point_dict(nbs)}
     rows = [_point_row(nbs)]
@@ -328,11 +333,9 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
         raise ConfigError("--delta must be in [0, 1)")
     from .efficiency import social_optimum
     plane = _plane(cfg, args)
-    ne = _dynamics(cfg)
-    if not ne.converged:
-        raise SolverOutcomeError(_unconverged(ne))
+    ne = _converged_ne(cfg)
     so = social_optimum(plane, cfg.weights, cfg.search.refine_tol)
-    policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.solution)
+    policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.profile)
     dmin = min_discount(cfg.model, policy)
     deviant = None if args.deviant is None else args.deviant - 1
     # min_discount returns δ̲ < 1, so the default lies in (δ̲, 1)
@@ -345,7 +348,7 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
     norm = lambda vals: [v * scale for v in vals]
     _say(args, f"δ̲ = {dmin:.3f}")
     _say(args, f"cooperate σ²u/t = {_fmt_vec(so.normalized, 3)}, "
-               f"punish σ²u/t = {_fmt_vec(ne.normalized_utilities, 3)}")
+               f"punish σ²u/t = {_fmt_vec(ne.normalized, 3)}")
     _say(args, f"δ = {delta:.3f}: discounted σ²u/t = {_fmt_vec(norm(payoffs), 3)}"
                + ("" if deviant is None else
                   f" (player {args.deviant} deviates at stage {args.deviate_at})"))
@@ -386,6 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the console summary")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--n", type=int, help="grid points per axis (default: from config)")
 
     sp = sub.add_parser("finite", help="on/off transmission games: payoffs, "
                                        "dominance, pure NE, CE check")
@@ -395,9 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also check the uniform mixture over pure NEs")
     sp.set_defaults(func=cmd_finite)
 
-    sp = sub.add_parser("ne", help="continuous-power Nash equilibrium via "
-                                   "best-response dynamics")
-    sp.set_defaults(func=cmd_ne)
+    sub.add_parser("ne", help="continuous-power Nash equilibrium via best-response "
+                              "dynamics").set_defaults(func=cmd_ne)
 
     sp = sub.add_parser("pricing", help="equilibrium under a linear power surcharge")
     sp.add_argument("--alpha", type=float, help="surcharge per watt "
@@ -406,23 +410,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="run a range of surcharge levels")
     sp.set_defaults(func=cmd_pricing)
 
-    sp = sub.add_parser("pareto", help="sample the utility plane and extract "
-                                       "the Pareto frontier")
-    sp.add_argument("--n", type=int, help="grid points per axis (default: from config)")
-    sp.set_defaults(func=cmd_pareto)
+    sub.add_parser("pareto", parents=[grid], help="sample the utility plane and "
+                   "extract the Pareto frontier").set_defaults(func=cmd_pareto)
+    sub.add_parser("social", parents=[grid], help="maximize weighted sum "
+                   "utility").set_defaults(func=cmd_social)
 
-    sp = sub.add_parser("social", help="maximize weighted sum utility")
-    sp.add_argument("--n", type=int, help="grid points per axis (default: from config)")
-    sp.set_defaults(func=cmd_social)
-
-    sp = sub.add_parser("nbs", help="Nash bargaining solution against the NE")
-    sp.add_argument("--n", type=int, help="grid points per axis (default: from config)")
+    sp = sub.add_parser("nbs", parents=[grid],
+                        help="Nash bargaining solution against the NE")
     sp.add_argument("--fairness", action="store_true",
                     help="also report the equal-gain frontier point")
     sp.set_defaults(func=cmd_nbs)
 
-    sp = sub.add_parser("repeated", help="grim-trigger analysis: minimum "
-                                         "discount factor and trigger paths")
+    sp = sub.add_parser("repeated", parents=[grid], help="grim-trigger analysis: "
+                        "minimum discount factor and trigger paths")
     sp.add_argument("--delta", type=float, help="discount factor for the "
                                                 "simulated path (default: δ̲+0.05)")
     sp.add_argument("--deviant", type=int, metavar="PLAYER",
@@ -431,33 +431,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="stage of the deviation (default: 0)")
     sp.add_argument("--stages", type=int, default=20,
                     help="stages to export in the CSV trace (default: 20)")
-    sp.add_argument("--n", type=int, help="grid points per axis for the "
-                                          "cooperative point (default: from config)")
     sp.set_defaults(func=cmd_repeated)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config if args.config else default_config_path())
         out = args.func(cfg, args)
-        paths = _write(Path(args.out or cfg.output.directory), out)
+        paths, text = _write(Path(args.out or cfg.output.directory), out)
         _say(args, "wrote " + ", ".join(str(p) for p in paths))
         if args.json:
-            print(json.dumps(out.data, indent=2))
-    except SolverOutcomeError as exc:
+            print(text, end="")
+        if out.failure is not None:  # the artifacts are written first
+            raise SolverOutcomeError(out.failure)
+    except (ValueError, OSError) as exc:  # ConfigError and SolverOutcomeError included
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # ConfigError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    if out.failure is not None:
-        print(f"error: {out.failure}", file=sys.stderr)
-        return 3
+        return (3 if isinstance(exc, SolverOutcomeError)
+                else 2 if isinstance(exc, ValueError) else 4)
     return 0
 
 

@@ -1,13 +1,17 @@
 """CLI: console output, artifacts, exit codes, determinism."""
+import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import icpower.cli
 import icpower.efficiency
@@ -169,6 +173,20 @@ class TestPricing:
         assert [float(r[0]) for r in rows[1:]] == pytest.approx(
             [0.0, 0.03, 0.06, 0.09, 0.12])
         assert all(r[-1] == "1" for r in rows[1:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e6),
+           st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(0.0, 1e6)),
+           st.integers(1, 500))
+    @example(0.0, 5e-324, 500)  # a subnormal span: the step underflows to 0
+    @example(0.0, 1e-320, 4)
+    @example(-0.0, 0.1, 1)
+    @example(0.25, 0.0, 7)
+    def test_sweep_levels_are_numpy_linspace(self, lo, span, steps):
+        hi = lo + span
+        levels = icpower.cli._parse_sweep(f"{lo!r}:{hi!r}:{steps}")
+        expected = np.linspace(lo, hi, steps).tolist()
+        assert [v.hex() for v in levels] == [v.hex() for v in expected]
 
     def test_sweep_with_cycling_level_exits_3_but_writes_rows(self, tmp_path,
                                                               capsys):
@@ -363,7 +381,9 @@ class TestDriver:
     @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
     def test_zero_grid_size_rejected(self, tmp_path, capsys, command):
         assert run(tmp_path, "--quiet", command, "--n", "0") == 2
-        assert "n_per_axis must be >= 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n_per_axis must be >= 2" in err
+        assert "--n: " in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
@@ -436,6 +456,34 @@ class TestDriver:
         err = capsys.readouterr().err
         assert str(path) in err and "not valid UTF-8" in err
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.integers(), st.floats(),
+        st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300])),
+        max_size=8), max_size=6))
+    def test_table_text_is_what_csv_writer_writes(self, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert icpower.cli._table(["a", "b"], rows) == (["a", "b"], [buf.getvalue()])
+
+    def test_csv_rows_hold_only_ints_and_floats(self, tmp_path, monkeypatch):
+        # a numpy scalar's repr, e.g. np.float64(0.5), is not what csv writes
+        types = []
+        table = icpower.cli._table
+
+        def checked(header, rows):
+            types.append({type(v) for row in rows for v in row})
+            return table(header, rows)
+
+        monkeypatch.setattr(icpower.cli, "_table", checked)
+        for argv in (["ne"], ["pricing", "--alpha", "0.15"],
+                     ["pricing", "--sweep", "0:0.15:4"], ["social", "--n", "30"],
+                     ["nbs", "--n", "30", "--fairness"],
+                     ["repeated", "--n", "30", "--deviant", "1"]):
+            run(tmp_path, "--quiet", *argv)
+        assert len(types) == 6
+        assert all(kinds and kinds <= {int, float} for kinds in types)
+
     def test_console_script_help(self):
         # run the package under test, installed or not
         src = str(Path(icpower.__file__).parents[1])
@@ -448,3 +496,45 @@ class TestDriver:
     def test_default_config_resolves(self):
         cfg = config_from_dict(json.loads(default_config_path().read_text()))
         assert cfg.model.num_players == 2
+
+
+class TestOneParser:
+    """The parser is built once, at import, and shared by every main call."""
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["ne"], ["pricing", "--alpha", "0.12"], ["finite"],
+                     ["social", "--n", "20"], ["ne"]):
+            assert run(tmp_path, "--quiet", *argv) == 0
+        assert built == []
+        icpower.cli._build_parser()  # the count sees a build
+        assert built
+
+    def test_repeated_flags_do_not_carry_over(self, tmp_path):
+        alone, after = tmp_path / "alone", tmp_path / "after"
+        assert main(["--quiet", "--out", str(alone), "repeated"]) == 0
+        assert main(["--quiet", "--out", str(after), "repeated", "--deviant", "1",
+                     "--deviate-at", "2", "--delta", "0.9"]) == 0
+        assert main(["--quiet", "--out", str(after), "repeated"]) == 0
+        for name in ("repeated.json", "repeated.csv"):
+            assert (after / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_scenario_does_not_carry_over(self, tmp_path):
+        assert run(tmp_path, "--quiet", "finite", "--scenario", "nfe") == 0
+        assert read_json(tmp_path, "finite")["scenario"] == "nfe"
+        assert run(tmp_path, "--quiet", "finite") == 0
+        assert read_json(tmp_path, "finite")["scenario"] == load_config(
+            default_config_path()).finite.scenario == "ic"
+
+    def test_sweep_does_not_carry_over(self, tmp_path):
+        assert run(tmp_path, "--quiet", "pricing", "--sweep", "0:0.12:5") == 0
+        assert not (tmp_path / "out" / "pricing.json").exists()
+        assert run(tmp_path, "--quiet", "pricing", "--alpha", "0.12") == 0
+        assert read_json(tmp_path, "pricing")["alpha"] == 0.12

@@ -28,9 +28,11 @@ print(json.dumps([None if argv is None else cli.main(argv), "numpy" in sys.modul
     (["ne"], 0, False),
     (["pricing", "--alpha", "0.12"], 0, False),
     (["pricing", "--alpha", "0.15"], 3, False),  # a period-4 cycle
+    (["pricing", "--sweep", "0:0.12:5"], 0, False),
     (["pareto", "--n", "20"], 0, True),
     (["finite"], 0, True),
-], ids=["import-and-load-config", "ne", "pricing-0.12", "pricing-0.15", "pareto", "finite"])
+], ids=["import-and-load-config", "ne", "pricing-0.12", "pricing-0.15", "pricing-sweep",
+     "pareto", "finite"])
 def test_numpy_is_imported_only_by_array_commands(tmp_path, argv, code, loads_numpy):
     if argv is not None:
         argv = ["--quiet", "--out", str(tmp_path), *argv]

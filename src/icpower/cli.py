@@ -38,8 +38,8 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _fmt_vec(values: Sequence[float], decimals: int, brackets: str = "[]") -> str:
-    return brackets[0] + ", ".join(f"{v:.{decimals}f}" for v in values) + brackets[1]
+def _fmt_vec(values: Sequence[float], decimals: int) -> str:
+    return "[" + ", ".join(f"{v:.{decimals}f}" for v in values) + "]"
 
 
 class Output(NamedTuple):
@@ -149,8 +149,11 @@ def _matrix_lines(game: FiniteGame) -> list[str]:
     lines = ["payoffs (player 1 rows, player 2 columns):"]
     lines.append(" " * 10 + "".join(f"{f's2={v:.2f}':>18}" for v in s2))
     for i, a in enumerate(s1):
-        cells = (_fmt_vec(payoff(game, (i, j)), 2, "()") for j in range(len(s2)))
-        lines.append(f"{f's1={a:.2f}':>10}" + "".join(f"{c:>18}" for c in cells))
+        cells = ""
+        for j in range(len(s2)):
+            u = payoff(game, (i, j))
+            cells += f"{'(' + ', '.join(f'{v:.2f}' for v in u) + ')':>18}"
+        lines.append(f"{f's1={a:.2f}':>10}" + cells)
     return lines
 
 
@@ -171,7 +174,8 @@ def cmd_finite(cfg: RunConfig, args) -> Output:
         for e in log:
             _say(args, f"round {e.round}: player {e.player + 1} drops s={e.strategy:.2f} "
                        f"(dominated by s={e.dominator:.2f})")
-        survivors = " x ".join(_fmt_vec(row, 2, "{}") for row in reduced.strategies)
+        survivors = " x ".join("{" + ", ".join(f"{v:.2f}" for v in row) + "}"
+                               for row in reduced.strategies)
         _say(args, f"iterated dominance leaves {survivors}")
     else:
         _say(args, "no strictly dominated strategies")
@@ -231,12 +235,9 @@ def _resolve_alpha(cfg: RunConfig, args) -> float:
 
 
 def _parse_sweep(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--sweep expects lo:hi:steps, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
+    try:  # a wrong field count fails the unpacking
+        lo_text, hi_text, steps_text = text.split(":")
+        lo, hi, steps = float(lo_text), float(hi_text), int(steps_text)
     except ValueError as exc:
         raise ConfigError(f"--sweep expects lo:hi:steps, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -400,8 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also check the uniform mixture over pure NEs")
     sp.set_defaults(func=cmd_finite)
 
-    sub.add_parser("ne", help="continuous-power Nash equilibrium via best-response "
-                              "dynamics").set_defaults(func=cmd_ne)
+    sp = sub.add_parser("ne", help="continuous-power Nash equilibrium via "
+                                   "best-response dynamics")
+    sp.set_defaults(func=cmd_ne)
 
     sp = sub.add_parser("pricing", help="equilibrium under a linear power surcharge")
     sp.add_argument("--alpha", type=float, help="surcharge per watt "
@@ -410,10 +412,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="run a range of surcharge levels")
     sp.set_defaults(func=cmd_pricing)
 
-    sub.add_parser("pareto", parents=[grid], help="sample the utility plane and "
-                   "extract the Pareto frontier").set_defaults(func=cmd_pareto)
-    sub.add_parser("social", parents=[grid], help="maximize weighted sum "
-                   "utility").set_defaults(func=cmd_social)
+    sp = sub.add_parser("pareto", parents=[grid],
+                        help="sample the utility plane and extract the Pareto frontier")
+    sp.set_defaults(func=cmd_pareto)
+
+    sp = sub.add_parser("social", parents=[grid], help="maximize weighted sum utility")
+    sp.set_defaults(func=cmd_social)
 
     sp = sub.add_parser("nbs", parents=[grid],
                         help="Nash bargaining solution against the NE")
@@ -449,10 +453,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(text, end="")
         if out.failure is not None:  # the artifacts are written first
             raise SolverOutcomeError(out.failure)
-    except (ValueError, OSError) as exc:  # ConfigError and SolverOutcomeError included
+    except SolverOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return (3 if isinstance(exc, SolverOutcomeError)
-                else 2 if isinstance(exc, ValueError) else 4)
+        return 3
+    except ValueError as exc:  # ConfigError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -386,6 +386,17 @@ class TestDriver:
         assert "--n: " in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n, message", [("0", "error: --n: n_per_axis must be >= 2"),
+                                            ("5", "error: utility-plane analysis supports "
+                                                  "exactly 2 players, got 3")])
+    def test_grid_size_is_checked_before_the_player_count(self, tmp_path, capsys, n,
+                                                          message):
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
+        cfg["weights"] = [0.5, 0.25, 0.25]
+        assert run(tmp_path, "--quiet", "pareto", "--n", n, config=cfg) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
     @pytest.mark.parametrize("argv, source", [(["--n", "20000"], "--n: the utility "
                                                "plane at n = 20000"),

@@ -248,6 +248,8 @@ class TestPricing:
         (["--alpha", "-1"], "--alpha must be >= 0"),
         (["--sweep", "0:1:x"], "--sweep expects lo:hi:steps, got '0:1:x'"),
         (["--sweep", "1:0:3"], "--sweep needs 0 <= lo <= hi and steps >= 1"),
+        (["--sweep", "0:1"], "--sweep expects lo:hi:steps, got '0:1'"),
+        (["--sweep", "0:1:2:3"], "--sweep expects lo:hi:steps, got '0:1:2:3'"),
     ])
     def test_non_finite_surcharge_rejected(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "--quiet", "pricing", *argv) == 2

@@ -260,8 +260,9 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
             norm_powers = report.solution.normalized(cfg.model.noise_power)
             _say(args, f"α = {alpha:.4g}: s̃*/σ² = {_fmt_vec(norm_powers, 2)}, "
                        f"σ²u/t = {_fmt_vec(report.normalized_utilities, 3)}")
-        header = ["alpha", "s_1", "s_2", "u_1", "u_2", "u1_norm", "u2_norm",
-                  "iterations", "converged"]
+        ks = range(1, cfg.model.num_players + 1)
+        header = (["alpha"] + [f"s_{k}" for k in ks] + [f"u_{k}" for k in ks]
+                  + [f"u{k}_norm" for k in ks] + ["iterations", "converged"])
         rows = [[alpha, *r.solution.powers, *r.utilities, *r.normalized_utilities,
                  r.iterations, int(r.converged)] for alpha, r in runs]
         artifact = [{"alpha": alpha, **r.to_dict()} for alpha, r in runs]

@@ -87,8 +87,9 @@ class PowerProfile:
         vals = tuple(float(s) for s in self.powers)
         object.__setattr__(self, "powers", vals)
         for i, s in enumerate(vals):
-            if s < 0:
-                raise ValueError(f"powers[{i}] must be >= 0")
+            if not 0.0 <= s < math.inf:  # one test catches negative, NaN and inf
+                what = ">= 0" if math.isfinite(s) else "finite"
+                raise ValueError(f"powers[{i}] must be {what}")
 
     def __len__(self) -> int:
         return len(self.powers)

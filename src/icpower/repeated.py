@@ -56,40 +56,23 @@ class TriggerPolicy:
 
 @dataclass(frozen=True)
 class DiscountSpec:
-    """Geometric discounting: factor delta, horizon N (None = infinite)."""
+    """Geometric discounting by a factor 0 <= delta < 1, infinite horizon."""
 
     delta: float
-    horizon: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must be in [0, 1]")
-        if self.horizon is not None and not (
-                isinstance(self.horizon, int) and self.horizon >= 0):
-            raise ValueError("horizon must be None or an integer >= 0")
+        if not 0.0 <= self.delta < 1.0:
+            raise ValueError("delta must be >= 0 and < 1")
 
 
 def discounted_utility(stage_utilities: Sequence[float], spec: DiscountSpec) -> float:
-    """Discounted value of a utility stream.
-
-    Finite horizon N: the plain sum over delta^n * u_n for the N + 1 given
-    stages.  Infinite horizon: the stream's last entry is taken to repeat
-    forever and the normalized value (1 - delta) * sum(delta^n * u_n) is
-    evaluated in closed form, so a constant stream is worth its stage value.
-    """
+    """Normalized value (1 - delta) * sum(delta^n * u_n) of a stream whose last
+    entry repeats forever, in closed form: a constant stream is worth its stage
+    value."""
     seq = [float(u) for u in stage_utilities]
     if not seq:
         raise ValueError("stage_utilities must be non-empty")
     d = spec.delta
-    if spec.horizon is not None:
-        if len(seq) != spec.horizon + 1:
-            raise ValueError(
-                f"horizon {spec.horizon} needs {spec.horizon + 1} stage "
-                f"utilities, got {len(seq)}"
-            )
-        return sum(d ** n * u for n, u in enumerate(seq))
-    if d == 1.0:
-        raise ValueError("delta must be < 1 for an infinite horizon")
     if len(seq) == 1:
         return seq[0]
     head = sum(d ** n * u for n, u in enumerate(seq[:-1]))
@@ -132,34 +115,39 @@ def min_discount_from_utilities(u_dev: Sequence[float], u_coop: Sequence[float],
     return threshold
 
 
+def _utilities(model: NetworkModel, prof: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(ee_utility(model, prof, k) for k in range(model.num_players))
+
+
 def min_discount(model: NetworkModel, policy: TriggerPolicy) -> float:
     """Minimum discount factor sustaining the policy's cooperative profile."""
     policy.check_against(model)
-    ks = range(model.num_players)
-    u_coop = [ee_utility(model, policy.cooperate_profile.powers, k) for k in ks]
-    u_punish = [ee_utility(model, policy.punish_profile.powers, k) for k in ks]
-    u_dev = [deviation_payoff(model, policy, k) for k in ks]
+    u_coop = _utilities(model, policy.cooperate_profile.powers)
+    u_punish = _utilities(model, policy.punish_profile.powers)
+    u_dev = [ee_utility(model, _deviation_profile(model, policy, k), k)
+             for k in range(model.num_players)]
     return min_discount_from_utilities(u_dev, u_coop, u_punish)
 
 
-def _stage_profiles(model: NetworkModel, policy: TriggerPolicy,
-                    deviant: Optional[int], deviate_at: int):
-    """The trigger path as (profile per distinct phase): cooperation until
-    ``deviate_at``, the deviation profile there, punishment ever after."""
-    coop = policy.cooperate_profile.powers
-    if deviant is None:
-        return [coop]
-    if not 0 <= deviant < model.num_players:
+def _trigger_path(model: NetworkModel, policy: TriggerPolicy,
+                  deviant: Optional[int], deviate_at: int):
+    """The trigger path by phase, as (profile, per-player utilities) pairs:
+    cooperation until ``deviate_at``, the deviation profile there and
+    punishment ever after, the last pair repeating forever.  Each distinct
+    profile is evaluated once."""
+    policy.check_against(model)
+    if deviant is not None and not 0 <= deviant < model.num_players:
         raise IndexError(f"deviant index {deviant} out of range")
     if deviate_at < 0:
         raise ValueError("deviate_at must be >= 0")
+    coop = policy.cooperate_profile.powers
+    held = [(coop, _utilities(model, coop))]
+    if deviant is None:
+        return held
     dev = _deviation_profile(model, policy, deviant)
     punish = policy.punish_profile.powers
-    return [coop] * deviate_at + [dev, punish]
-
-
-def _profile_at(path: list, n: int) -> tuple[float, ...]:
-    return path[n] if n < len(path) else path[-1]
+    return held * deviate_at + [(dev, _utilities(model, dev)),
+                                (punish, _utilities(model, punish))]
 
 
 def simulate_trigger(model: NetworkModel, policy: TriggerPolicy, spec: DiscountSpec,
@@ -171,31 +159,23 @@ def simulate_trigger(model: NetworkModel, policy: TriggerPolicy, spec: DiscountS
     one-shot best-responds at stage ``deviate_at`` and everyone reverts to
     the punishment profile from the next stage on.
     """
-    policy.check_against(model)
-    path = _stage_profiles(model, policy, deviant, deviate_at)
-    ks = range(model.num_players)
-    if spec.horizon is not None:
-        stages = [_profile_at(path, n) for n in range(spec.horizon + 1)]
-    else:
-        stages = path
-    streams = [[ee_utility(model, prof, k) for prof in stages] for k in ks]
-    return tuple(discounted_utility(stream, spec) for stream in streams)
+    path = _trigger_path(model, policy, deviant, deviate_at)
+    return tuple(discounted_utility([u[k] for _, u in path], spec)
+                 for k in range(model.num_players))
 
 
 def trigger_csv_rows(model: NetworkModel, policy: TriggerPolicy, spec: DiscountSpec,
                      deviant: Optional[int] = None, deviate_at: int = 0,
                      stages: int = 20) -> tuple[list[str], list[list]]:
     """Stage-by-stage trigger trace with running discounted sums."""
-    policy.check_against(model)
-    path = _stage_profiles(model, policy, deviant, deviate_at)
+    path = _trigger_path(model, policy, deviant, deviate_at)
     ks = range(model.num_players)
     header = (["stage"] + [f"s_{k + 1}" for k in ks] + [f"u_{k + 1}" for k in ks]
               + [f"disc_u_{k + 1}" for k in ks])
     running = [0.0] * model.num_players
     rows = []
     for n in range(stages):
-        prof = _profile_at(path, n)
-        stage_u = [ee_utility(model, prof, k) for k in ks]
+        prof, stage_u = path[min(n, len(path) - 1)]
         for k in ks:
             running[k] += spec.delta ** n * stage_u[k]
         rows.append([n, *prof, *stage_u, *running])

@@ -174,6 +174,17 @@ class TestPricing:
             [0.0, 0.03, 0.06, 0.09, 0.12])
         assert all(r[-1] == "1" for r in rows[1:])
 
+    def test_sweep_header_fits_the_rows_for_three_players(self, tmp_path, small_config):
+        small_config["network"]["gains"] = [[1.0, 0.2, 0.1], [0.15, 0.9, 0.2],
+                                            [0.1, 0.25, 1.1]]
+        small_config["weights"] = [0.3, 0.3, 0.4]
+        assert run(tmp_path, "--quiet", "pricing", "--sweep", "0:0.1:3",
+                   config=small_config) == 0
+        header, *rows = read_csv(tmp_path, "pricing_sweep")
+        assert header == ["alpha", "s_1", "s_2", "s_3", "u_1", "u_2", "u_3", "u1_norm",
+                          "u2_norm", "u3_norm", "iterations", "converged"]
+        assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1e6),
            st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(0.0, 1e6)),

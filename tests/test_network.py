@@ -59,6 +59,11 @@ class TestPowerProfile:
         with pytest.raises(ValueError, match=r"powers\[1\] must be >= 0"):
             PowerProfile((1.0, -0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"powers\[0\] must be finite"):
+            PowerProfile((bad, 1.0))
+
     def test_normalized(self):
         assert PowerProfile((3.0, 1.0)).normalized(2.0) == (1.5, 0.5)
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icpower import (CooperationNotRationalError, DiscountSpec, PowerProfile,
-                     TriggerPolicy, deviation_payoff, discounted_utility,
-                     ee_utility, min_discount, min_discount_from_utilities,
-                     simulate_trigger)
+                     TriggerPolicy, Weights, best_response_ee, deviation_payoff,
+                     discounted_utility, ee_utility, min_discount,
+                     min_discount_from_utilities, ne_continuous, simulate_trigger,
+                     social_optimum, utility_grid)
 from icpower.repeated import trigger_csv_rows
 
 
@@ -15,6 +16,36 @@ from icpower.repeated import trigger_csv_rows
 def policy(so_point, ne_report):
     return TriggerPolicy(cooperate_profile=so_point.profile,
                          punish_profile=ne_report.solution)
+
+
+@pytest.fixture(scope="module")
+def games(ref_model, policy, symmetric_model):
+    so = social_optimum(utility_grid(symmetric_model, 60), Weights((0.5, 0.5)))
+    symmetric = TriggerPolicy(so.profile, ne_continuous(symmetric_model).solution)
+    return {"reference": (ref_model, policy), "symmetric": (symmetric_model, symmetric)}
+
+
+def stage_by_stage(model, policy, spec, deviant, deviate_at, stages):
+    """Discounted payoffs and CSV rows with every stage's utilities evaluated
+    afresh: the trigger path written out in full."""
+    coop = policy.cooperate_profile.powers
+    path = [coop]
+    if deviant is not None:
+        dev = list(coop)
+        dev[deviant] = best_response_ee(model, coop, deviant)
+        path = [coop] * deviate_at + [tuple(dev), policy.punish_profile.powers]
+    ks = range(model.num_players)
+    payoffs = tuple(discounted_utility([ee_utility(model, prof, k) for prof in path],
+                                       spec) for k in ks)
+    running = [0.0] * model.num_players
+    rows = []
+    for n in range(stages):
+        prof = path[n] if n < len(path) else path[-1]
+        stage_u = [ee_utility(model, prof, k) for k in ks]
+        for k in ks:
+            running[k] += spec.delta ** n * stage_u[k]
+        rows.append([n, *prof, *stage_u, *running])
+    return payoffs, rows
 
 
 class TestTypes:
@@ -32,27 +63,11 @@ class TestTypes:
             DiscountSpec(delta=1.5)
         with pytest.raises(ValueError, match="delta"):
             DiscountSpec(delta=-0.1)
-        with pytest.raises(ValueError, match="horizon"):
-            DiscountSpec(delta=0.5, horizon=-1)
-        with pytest.raises(ValueError, match="horizon"):
-            DiscountSpec(delta=0.5, horizon=2.5)
 
 
 class TestDiscountedUtility:
-    def test_finite_horizon_plain_sum(self):
-        stream = [1.0, 2.0, 4.0]
-        spec = DiscountSpec(delta=0.5, horizon=2)
-        assert discounted_utility(stream, spec) == pytest.approx(
-            1.0 + 0.5 * 2.0 + 0.25 * 4.0, rel=1e-15)
-
-    def test_finite_horizon_length_checked(self):
-        with pytest.raises(ValueError, match="stage utilities"):
-            discounted_utility([1.0, 2.0], DiscountSpec(delta=0.5, horizon=2))
-
     def test_delta_zero_keeps_stage_zero(self):
         assert discounted_utility([3.0, 9.0], DiscountSpec(delta=0.0)) == 3.0
-        assert discounted_utility([3.0, 9.0, 9.0],
-                                  DiscountSpec(delta=0.0, horizon=2)) == 3.0
 
     def test_infinite_constant_stream_is_exact(self):
         for d in (0.0, 0.3, 0.9, 0.999):
@@ -166,22 +181,6 @@ class TestSimulateTrigger:
                     + (1 - d) * d ** at * u_dev + d ** (at + 1) * punish)
         assert got[1] == pytest.approx(expected, rel=1e-12)
 
-    def test_finite_horizon_matches_manual_sum(self, ref_model, policy,
-                                               so_point, ne_report):
-        d = 0.6
-        got = simulate_trigger(ref_model, policy,
-                               DiscountSpec(delta=d, horizon=4), deviant=0,
-                               deviate_at=1)
-        u_dev_profile = list(policy.cooperate_profile.powers)
-        from icpower import best_response_ee
-        u_dev_profile[0] = best_response_ee(ref_model,
-                                            policy.cooperate_profile.powers, 0)
-        stages = [policy.cooperate_profile.powers, tuple(u_dev_profile)] + \
-                 [policy.punish_profile.powers] * 3
-        expected = sum(d ** n * ee_utility(ref_model, prof, 1)
-                       for n, prof in enumerate(stages))
-        assert got[1] == pytest.approx(expected, rel=1e-12)
-
     def test_threshold_indifference(self, ref_model, policy, so_point):
         d = min_discount(ref_model, policy)
         got = simulate_trigger(ref_model, policy, DiscountSpec(delta=d), deviant=0)
@@ -199,6 +198,12 @@ class TestSimulateTrigger:
         with pytest.raises(ValueError, match="deviate_at"):
             simulate_trigger(ref_model, policy, DiscountSpec(delta=0.5),
                              deviant=0, deviate_at=-1)
+        with pytest.raises(ValueError, match="deviate_at"):
+            simulate_trigger(ref_model, policy, DiscountSpec(delta=0.5),
+                             deviate_at=-3)
+        with pytest.raises(ValueError, match="deviate_at"):
+            trigger_csv_rows(ref_model, policy, DiscountSpec(delta=0.5),
+                             deviate_at=-3)
 
 
 class TestTriggerCsv:
@@ -218,3 +223,20 @@ class TestTriggerCsv:
         assert tuple(rows[3][1:3]) == punish
         running = sum(0.9 ** n * rows[n][4] for n in range(6))
         assert rows[5][6] == pytest.approx(running, rel=1e-12)
+
+
+class TestOnePassPath:
+    @settings(max_examples=60, deadline=None)
+    @given(game=st.sampled_from(["reference", "symmetric"]),
+           deviant=st.sampled_from([None, 0, 1]),
+           deviate_at=st.integers(0, 30), stages=st.integers(0, 60),
+           delta=st.floats(0.0, 0.99, exclude_max=True))
+    def test_matches_stage_by_stage_bit_for_bit(self, games, game, deviant,
+                                                 deviate_at, stages, delta):
+        model, policy = games[game]
+        spec = DiscountSpec(delta=delta)
+        payoffs, rows = stage_by_stage(model, policy, spec, deviant, deviate_at,
+                                       stages)
+        assert simulate_trigger(model, policy, spec, deviant, deviate_at) == payoffs
+        _, got = trigger_csv_rows(model, policy, spec, deviant, deviate_at, stages)
+        assert got == rows

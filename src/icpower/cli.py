@@ -88,8 +88,10 @@ def _cause(report: SolveReport) -> str:
     """Why unconverged dynamics stopped, e.g. 'period-4 cycle after 8 sweeps'."""
     if report.termination == "cycle":
         return f"period-{report.period} cycle after {report.iterations} sweeps"
-    return (f"residual {report.residual:.3e} > tol {report.tolerance:.1e} "
-            f"after {report.iterations} sweeps")
+    r, tol = report.residual, report.tolerance
+    step = max(abs(a - b) for a, b in zip(*report.trace[-2:]))
+    what = f"residual {r:.3e}" if r > tol else f"last step {step:.3e}"  # one is past tol
+    return f"{what} > tol {tol:.1e} after {report.iterations} sweeps"
 
 
 def _unconverged(report: SolveReport) -> Optional[str]:
@@ -179,25 +181,23 @@ def cmd_finite(cfg: RunConfig, args) -> Output:
         _say(args, f"iterated dominance leaves {survivors}")
     else:
         _say(args, "no strictly dominated strategies")
+    # nash is never empty: alone, each player clears the threshold (ic: both on it;
+    # nfe: the weak one on it, the strong one above), and t - c > 0 > -c, so each
+    # transmits against silence, and against a transmitter iff it still succeeds.
+    # (p, p) is an NE if both succeed together; else one fails, and the other alone is.
     for joint in nash:
         _say(args, f"pure NE: {_fmt_vec(game.profile_values(joint), 2)}")
-    if not nash:
-        _say(args, "no pure NE")
 
     correlated = None
     if scenario == "ic" or args.ce_uniform:
-        if nash:
-            shape = [len(s) for s in game.strategies]
-            dist = JointDistribution.uniform_over(shape, nash)
-            holds, worst = is_correlated_equilibrium(game, dist)
-            verdict = "holds" if holds else "fails"
-            _say(args, f"uniform mixture over the {len(nash)} pure NE(s): "
-                       f"correlated equilibrium {verdict} (worst slack {worst:.2e})")
-            correlated = {"checked": True, "holds": holds, "worst_slack": worst,
-                          "distribution": dist.probabilities.tolist()}
-        else:
-            _say(args, "no pure NE; skipping the uniform-mixture check")
-            correlated = {"checked": False}
+        shape = [len(s) for s in game.strategies]
+        dist = JointDistribution.uniform_over(shape, nash)
+        holds, worst = is_correlated_equilibrium(game, dist)
+        verdict = "holds" if holds else "fails"
+        _say(args, f"uniform mixture over the {len(nash)} pure NE(s): "
+                   f"correlated equilibrium {verdict} (worst slack {worst:.2e})")
+        correlated = {"checked": True, "holds": holds, "worst_slack": worst,
+                      "distribution": dist.probabilities.tolist()}
 
     artifact = {
         "scenario": scenario,

@@ -44,7 +44,7 @@ def packet_throughput(gamma: float, model: NetworkModel) -> float:
 
     Strictly increasing in gamma, 0 at gamma = 0, saturating at rate_scale.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # NaN fails too
         raise ValueError("sinr must be >= 0")
     # -expm1(-g) = 1 - exp(-g) without cancellation for small g
     return model.rate_scale * (-math.expm1(-gamma)) ** model.packet_bits
@@ -279,8 +279,8 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
     profile equal (==) to one p >= 2 sweeps earlier proves an orbit of period
     p that never settles: the run stops there, with the repeat last in the
     trace, since sweeping on could only change which point of the orbit is
-    reported.  Otherwise non-convergence within ``max_iter`` sweeps is
-    reported.
+    reported.  Otherwise a run that meets neither test within ``max_iter``
+    sweeps ends in ``"max_iter"``, even if its last residual is within tol.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -294,9 +294,9 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
     trace = [current]
     seen = {current: 0}  # profile -> its latest index in the trace
     nxt = tuple(responder(model, current, k) for k in k_range)
+    step = max(abs(a - b) for a, b in zip(nxt, current))
     for _ in range(max_iter):
         trace.append(nxt)
-        step = max(abs(a - b) for a, b in zip(nxt, current))
         current = nxt
         # the residual sweep is the next iterate if the loop goes on
         nxt = tuple(responder(model, current, k) for k in k_range)
@@ -308,8 +308,8 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
         seen[current] = n
         if period >= 2:  # a repeat one sweep apart is a fixed point
             return _report(model, current, trace, residual, tol, "cycle", period)
-    return _report(model, current, trace, residual, tol,
-                   "converged" if residual <= tol else "max_iter")
+        step = residual  # the next sweep's step, the same operands in the same order
+    return _report(model, current, trace, residual, tol, "max_iter")
 
 
 def ne_continuous(model: NetworkModel, tol: float = 1e-10,

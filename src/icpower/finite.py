@@ -234,15 +234,13 @@ def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]
     """
     active = [list(range(len(s))) for s in game.strategies]
     log: list[Elimination] = []
-    rnd = 0
     while True:
-        rnd += 1
         removal = _find_dominated(game, active)
         if removal is None:
             break
         k, pos, dominator = removal
         removed_idx = active[k].pop(pos)
-        log.append(Elimination(round=rnd, player=k,
+        log.append(Elimination(round=len(log) + 1, player=k,
                                strategy=game.strategies[k][removed_idx],
                                dominator=game.strategies[k][dominator]))
     reduced = _subgame(game, active)

@@ -84,12 +84,7 @@ class PowerProfile:
     powers: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(s) for s in self.powers)
-        object.__setattr__(self, "powers", vals)
-        for i, s in enumerate(vals):
-            if not 0.0 <= s < math.inf:  # one test catches negative, NaN and inf
-                what = ">= 0" if math.isfinite(s) else "finite"
-                raise ValueError(f"powers[{i}] must be {what}")
+        object.__setattr__(self, "powers", power_tuple(self.powers))
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -103,11 +98,16 @@ Powers = Union[PowerProfile, Sequence[float]]
 
 
 def power_tuple(profile: Powers, num_players: int | None = None) -> tuple[float, ...]:
-    """Coerce a profile-like argument to a tuple of floats."""
+    """Coerce a profile-like argument to a tuple of floats, each >= 0 and finite."""
     if isinstance(profile, PowerProfile):
         vals = profile.powers
     else:
-        vals = tuple(float(s) for s in profile)
+        vals = tuple(map(float, profile))
+        for s in vals:
+            if not 0.0 <= s < math.inf:  # one test catches negative, NaN and inf
+                what = ">= 0" if math.isfinite(s) else "finite"
+                # index tests identity before ==, so it finds a NaN too
+                raise ValueError(f"powers[{vals.index(s)}] must be {what}")
     if num_players is not None and len(vals) != num_players:
         raise ValueError(
             f"profile has {len(vals)} entries, model has {num_players} players"

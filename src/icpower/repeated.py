@@ -73,8 +73,6 @@ def discounted_utility(stage_utilities: Sequence[float], spec: DiscountSpec) -> 
     if not seq:
         raise ValueError("stage_utilities must be non-empty")
     d = spec.delta
-    if len(seq) == 1:
-        return seq[0]
     head = sum(d ** n * u for n, u in enumerate(seq[:-1]))
     return (1.0 - d) * head + d ** (len(seq) - 1) * seq[-1]
 

@@ -436,6 +436,16 @@ class TestDriver:
         assert err.startswith("error: best-response dynamics did not converge (residual ")
         assert err.endswith(" > tol 1.0e-10 after 1 sweeps)\n")
 
+    def test_max_iter_with_the_residual_within_tol_exits_3(self, tmp_path, small_config,
+                                                           capsys):
+        # sweep 32 leaves the residual within tol, the last step not
+        small_config["search"]["max_iter"] = 32
+        assert run(tmp_path, "--quiet", "ne", config=small_config) == 3
+        assert capsys.readouterr().err == ("error: best-response dynamics did not "
+                                           "converge (last step 1.266e-10 > tol "
+                                           "1.0e-10 after 32 sweeps)\n")
+        assert read_json(tmp_path, "ne")["termination"] == "max_iter"
+
     @pytest.mark.parametrize("gains, argv, message", [
         ([[0.55, 0.56], [0.26, 1.5]], ["repeated", "--deviant", "1"],
          "player 0: cooperation utility 0.0 does not beat punishment utility 0.213"),

@@ -53,6 +53,7 @@ def max_iter_dynamics(model, responder, tol, max_iter, init=None):
     current = (model.power_cap,) * model.num_players if init is None else tuple(init)
     trace = [current]
     nxt = tuple(responder(model, current, k) for k in range(model.num_players))
+    converged = False
     for _ in range(max_iter):
         trace.append(nxt)
         step = max(abs(a - b) for a, b in zip(nxt, current))
@@ -60,8 +61,9 @@ def max_iter_dynamics(model, responder, tol, max_iter, init=None):
         nxt = tuple(responder(model, current, k) for k in range(model.num_players))
         residual = max(abs(a - b) for a, b in zip(nxt, current))
         if step <= tol and residual <= tol:
+            converged = True
             break
-    return residual <= tol, current, tuple(trace), residual
+    return converged, current, tuple(trace), residual
 
 
 # a network of the benchmark's pricing workload (seed 104, network 14) whose
@@ -421,6 +423,16 @@ class TestBrDynamics:
     def test_max_iter_validated(self, ref_model):
         with pytest.raises(ValueError, match="max_iter"):
             br_dynamics(ref_model, max_iter=0)
+
+    def test_max_iter_needs_the_step_within_tol_too(self, ref_model):
+        # at sweep 32 the residual is within tol but the last step is not; the
+        # run converges one sweep later, when both are
+        report = br_dynamics(ref_model, max_iter=32)
+        assert (report.termination, report.converged) == ("max_iter", False)
+        last_step = max(abs(a - b) for a, b in zip(*report.trace[-2:]))
+        assert report.residual <= report.tolerance < last_step
+        full = br_dynamics(ref_model)
+        assert (full.termination, full.iterations) == ("converged", 33)
 
     @pytest.mark.parametrize("model,alpha", [
         (make_model(gains=((1.4586, 0.5235), (0.2560, 0.7905)), noise_power=2.7731,

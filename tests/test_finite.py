@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import finite_reference as ref
 from icpower import (Elimination, FiniteGame, FiniteGameParams,
@@ -42,6 +42,8 @@ class TestGameType:
         with pytest.raises(ValueError, match="shape"):
             FiniteGame(strategies=((0.0, 1.0), (0.0, 1.0)),
                        payoffs=[[(0, 0), (0, 0)]])
+        with pytest.raises(ValueError, match="at least one strategy"):
+            FiniteGame(strategies=((0.0, 1.0), ()), payoffs=np.zeros((2, 0, 2)))
 
     def test_payoff_lookup_and_errors(self, nfe_game):
         assert payoff(nfe_game, (0, 0)) == (0.0, 0.0)
@@ -93,6 +95,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="processing_gain"):
             build_nfe_game(PARAMS, h1=0.25, h2=1.0, noise_power=1.0,
                            processing_gain=0.5)
+        for h1, h2 in ((0.0, 1.0), (0.25, -1.0)):
+            with pytest.raises(ValueError, match="gains must be > 0"):
+                build_nfe_game(PARAMS, h1=h1, h2=h2, noise_power=1.0, processing_gain=4.0)
 
 
 class TestDominance:
@@ -152,6 +157,21 @@ class TestPureNash:
     def test_opponent_profile_length_checked(self, ic_game):
         with pytest.raises(IndexError, match="opponent profile"):
             best_responses_finite(ic_game, 0, (0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost=st.floats(1e-6, 1e3), gain=st.floats(1e-6, 1e3),
+           threshold=st.floats(1e-9, 1e3), w=st.floats(1.0, 1e6),
+           noise=st.floats(1e-6, 1e6), h=st.floats(1e-6, 1e6), h2=st.floats(1e-6, 1e6),
+           ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_on_off_games_always_have_a_pure_ne(self, cost, gain, threshold, w, noise,
+                                                 h, h2, ratio):
+        # cli.cmd_finite has no branch for a game without a pure NE
+        params = FiniteGameParams(throughput_reward=cost + gain, power_cost=cost,
+                                  sinr_threshold=threshold)
+        assert pure_nash(build_ic_game(params, h, noise, w))
+        h1 = h2 * ratio / (1.0 + threshold / w)  # inside the near-far bound
+        assume(h1 >= 1e-6 and h1 / h2 < 1.0 / (1.0 + threshold / w))
+        assert pure_nash(build_nfe_game(params, h1, h2, noise, w))
 
 
 class TestCorrelated:

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from icpower import NetworkModel, PowerProfile, effective_gain, sinr
+from icpower import (NetworkModel, PowerProfile, PricingConfig, best_response_ee,
+                     best_response_priced, br_dynamics, ee_utility, effective_gain,
+                     packet_throughput, priced_utility, sinr, utility_point)
 from icpower.network import power_tuple
 
 from conftest import make_model
@@ -79,6 +81,43 @@ class TestPowerProfile:
     def test_power_tuple_length_mismatch(self):
         with pytest.raises(ValueError, match="2 entries"):
             power_tuple((1.0, 2.0), 3)
+
+
+# the public functions that take a raw profile; each checks it as it coerces it
+ENTRY_POINTS = {
+    "PowerProfile": lambda m, p: PowerProfile(p),
+    "effective_gain": lambda m, p: effective_gain(m, p, 0),
+    "sinr": lambda m, p: sinr(m, p, 0),
+    "ee_utility": lambda m, p: ee_utility(m, p, 0),
+    "best_response_ee": lambda m, p: best_response_ee(m, p, 0),
+    "best_response_priced": lambda m, p: best_response_priced(m, p, 0, PricingConfig(0.12)),
+    "priced_utility": lambda m, p: priced_utility(m, p, 0, PricingConfig(0.12)),
+    "br_dynamics": lambda m, p: br_dynamics(m, init=p),
+    "utility_point": utility_point,
+}
+
+
+class TestProfileCheckedWhereCoerced:
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    @settings(max_examples=30, deadline=None)
+    @given(bad=st.one_of(st.floats(max_value=-math.ulp(0.0), allow_infinity=False),
+                         st.sampled_from([math.nan, math.inf, -math.inf])),
+           good=st.floats(min_value=0.0, max_value=5.0),
+           at=st.integers(0, 1), as_list=st.booleans())
+    @example(bad=-2.0, good=1.0, at=1, as_list=False)  # the interference cancels the noise
+    @example(bad=-10.0, good=0.0, at=1, as_list=False)  # would give a negative best response
+    @example(bad=math.nan, good=1.0, at=0, as_list=False)  # would give a NaN SINR
+    @example(bad=-1.0, good=2.0, at=0, as_list=False)  # a negative SINR for utility_point
+    def test_bad_entry_named(self, ref_model, call, bad, good, at, as_list):
+        profile = [good, good]
+        profile[at] = bad
+        what = ">= 0" if math.isfinite(bad) else "finite"
+        with pytest.raises(ValueError, match=rf"^powers\[{at}\] must be {what}$"):
+            call(ref_model, profile if as_list else tuple(profile))
+
+    def test_throughput_rejects_nan_sinr(self, ref_model):
+        with pytest.raises(ValueError, match="sinr must be >= 0"):
+            packet_throughput(math.nan, ref_model)
 
 
 class TestSinr:

@@ -49,9 +49,12 @@ def stage_by_stage(model, policy, spec, deviant, deviate_at, stages):
 
 
 class TestTypes:
-    def test_profile_length_mismatch(self):
+    def test_profile_length_mismatch(self, ref_model):
         with pytest.raises(ValueError, match="same number"):
             TriggerPolicy(PowerProfile((1.0, 1.0)), PowerProfile((1.0,)))
+        three = TriggerPolicy(PowerProfile((1.0,) * 3), PowerProfile((1.0,) * 3))
+        with pytest.raises(ValueError, match="cooperate_profile has 3 entries for 2"):
+            min_discount(ref_model, three)
 
     def test_policy_checked_against_cap(self, ref_model):
         policy = TriggerPolicy(PowerProfile((6.0, 1.0)), PowerProfile((1.0, 1.0)))
@@ -81,6 +84,11 @@ class TestDiscountedUtility:
     def test_delta_one_infinite_rejected(self):
         with pytest.raises(ValueError, match="< 1"):
             discounted_utility([1.0], DiscountSpec(delta=1.0))
+
+    @given(u=st.floats(min_value=0.0, allow_infinity=False),
+           d=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_one_entry_stream_is_its_value_bit_for_bit(self, u, d):
+        assert discounted_utility([u], DiscountSpec(delta=d)).hex() == u.hex()
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -118,6 +118,13 @@ def _slope(gamma: float, bits: int) -> float:
     return q ** (bits - 1) * (bits * gamma * math.exp(-gamma) - q) / (gamma * gamma)
 
 
+def _slope_scaled_derivative(gamma: float, bits: int) -> float:
+    """g^3 h'(g) / q^(L-2), q = 1 - exp(-g): ~ (L-1)(L-2) g^2 near 0."""
+    e = math.exp(-gamma)
+    return (e * e * (bits * bits * gamma * gamma + 2 * bits * gamma + 2)
+            - e * (bits * gamma * gamma + 2 * bits * gamma + 4) + 2)
+
+
 @lru_cache(maxsize=None)
 def _slope_peak(bits: int) -> tuple[float, float]:
     """Argmax and max of h: for L >= 3 the one root of h' on (0, gamma_star).
@@ -125,17 +132,45 @@ def _slope_peak(bits: int) -> tuple[float, float]:
     For L = 2, h falls from its limit 1 at 0+, and a point just above 0
     stands in for the peak.
     """
-    if bits == 2:
-        peak = 1e-13
-    else:
-        def dh(g: float) -> float:
-            # g^3 h'(g) / q^(L-2), q = 1 - exp(-g): ~ (L-1)(L-2) g^2 near 0
-            e = math.exp(-g)
-            return (e * e * (bits * bits * g * g + 2 * bits * g + 2)
-                    - e * (bits * g * g + 2 * bits * g + 4) + 2)
-
-        peak = bisect_root(dh, 1e-3, gamma_star(bits), residual_tol=0.0)
+    peak = 1e-13 if bits == 2 else bisect_root(
+        partial(_slope_scaled_derivative, bits=bits), 1e-3, gamma_star(bits),
+        residual_tol=0.0)
     return peak, _slope(peak, bits)
+
+
+def _slope_root(c: float, bits: int, peak: float) -> float:
+    """The root of f = h - c past the peak, for 0 < c < h(peak): Newton from
+    gamma_star on a bracket that each f's sign narrows.  A step that leaves
+    it, meets h' >= 0 or fails to halve the step before last is a bisection
+    step.  Past a 2-ulp step, or |f| within L ulps of c (the rounding q^(L-1)
+    carries into h), doubling strides find a sign change that ``bisect_root``
+    closes: f(root) == 0 or f flips at an adjacent float, as on [peak, 50]."""
+    def f(g: float) -> float:
+        return _slope(g, bits) - c
+
+    lo, hi, g = peak, 50.0, gamma_star(bits)  # f(peak) > 0 > f(50)
+    old = step = hi - lo
+    while True:  # each step lands strictly inside the shrinking bracket
+        fg = f(g)
+        if fg == 0.0:
+            return g
+        lo, hi = (g, hi) if fg > 0.0 else (lo, g)
+        dh = _slope_scaled_derivative(g, bits) * (-math.expm1(-g)) ** (bits - 2)
+        newton = fg * g ** 3 / dh if dh < 0.0 else math.inf
+        if abs(newton) <= 2.0 * math.ulp(g) or abs(fg) <= bits * math.ulp(c):
+            break
+        good = lo < g - newton < hi and abs(newton) <= 0.5 * abs(old)
+        old, step = step, newton if good else g - 0.5 * (lo + hi)
+        if abs(step) <= 2.0 * math.ulp(g):
+            break
+        g -= step
+    up, width = fg > 0.0, max(math.ulp(g), abs(newton))
+    while True:  # ends at lo or hi at worst, whose signs differ
+        x = min(g + width, hi) if up else max(g - width, lo)
+        if (f(x) > 0.0) != up:
+            break
+        g, width = x, 2.0 * width
+    return bisect_root(f, min(g, x), max(g, x), residual_tol=0.0)
 
 
 def best_response_priced(model: NetworkModel, profile: Powers, k: int,
@@ -144,16 +179,16 @@ def best_response_priced(model: NetworkModel, profile: Powers, k: int,
 
     At gamma = mu_k * s_k the utility is t * mu_k * [(1 - exp(-gamma))^L / gamma
     - c * gamma], c = alpha / (t * mu_k^2), whose one interior maximum solves
-    h = c past h's peak (gamma_star at c = 0).  Capped, it must beat silence.
+    h = c past h's peak: gamma_star at c = 0, else the Newton root that
+    ``_slope_root`` certifies as a bisection would.  Capped, it must beat silence.
     """
     mu = effective_gain(model, profile, k)
     c = pricing.alpha / (model.rate_scale * mu * mu)
     peak, slope_max = _slope_peak(model.packet_bits)
     if c >= slope_max:
         return 0.0
-    # h < 0 < c at gamma_star's outer bracket end, 50
-    gamma = gamma_star(model.packet_bits) if c == 0.0 else bisect_root(
-        lambda g: _slope(g, model.packet_bits) - c, peak, 50.0, residual_tol=0.0)
+    gamma = gamma_star(model.packet_bits) if c == 0.0 else _slope_root(
+        c, model.packet_bits, peak)
     v = min(model.power_cap, gamma / mu)
     return v if packet_throughput(mu * v, model) / v > pricing.alpha * v else 0.0
 

@@ -1,4 +1,4 @@
-"""Scalar root bracketing shared by the game solvers."""
+"""Scalar bisection: gamma_star, the slope peak and the priced root's certificate."""
 from __future__ import annotations
 
 from typing import Callable

@@ -1,6 +1,9 @@
 """Continuous game: throughput model, optimal SINR, best responses, dynamics."""
 import dataclasses
 import math
+import random
+import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      SolveReport, best_response_ee, best_response_priced,
                      br_dynamics, ee_utility, gamma_star, ne_continuous,
                      packet_throughput, priced_responder, priced_utility)
-from icpower.continuous import _slope, _slope_peak, trace_csv_rows
+from icpower import continuous
+from icpower.continuous import _slope, _slope_peak, _slope_root, trace_csv_rows
 from icpower.network import effective_gain, sinr
+from icpower.numerics import bisect_root
 
 from conftest import make_model
 
@@ -221,6 +226,83 @@ class TestSlopePeak:
         peak, top = _slope_peak(2)
         assert 0.0 < peak < gamma_star(2)
         assert abs(top - 1.0) <= 1e-12
+
+
+def rounding_band(c, bits, g):
+    """How far apart two sign changes of the computed h - c may lie near g:
+    four times its rounding error (L ulps of c from q^(L-1), plus the
+    cancellation in L g exp(-g) - q near gamma_star) over the slope of h."""
+    q = -math.expm1(-g)
+    err = sys.float_info.epsilon * (bits * c + q ** bits / (g * g))
+    d = 1e-7 * (1.0 + g)
+    return 4.0 * err * d / (_slope(g, bits) - _slope(g + d, bits))
+
+
+def certified(f, g):
+    """f(g) == 0, or f changes sign between g and an adjacent float."""
+    fg = f(g)
+    return fg == 0.0 or any((f(math.nextafter(g, t)) > 0.0) != (fg > 0.0)
+                            for t in (0.0, math.inf))
+
+
+class TestSlopeRoot:
+    """The safeguarded Newton root of h = c against the bisection on
+    [peak, 50] that it replaced, kept here as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 1000), st.floats(0.0, 1.0 - 1e-9, exclude_min=True))
+    # c <= 1e-12 * max h: the root sits in gamma_star's cancellation band
+    @example(20, 1e-12)
+    @example(1000, 1e-15)
+    @example(3, 1e-20)
+    @example(2, 1e-13)
+    # c within 1e-9 of max h: the root is next to the peak, where h' -> 0
+    @example(3, 1.0 - 1e-9)
+    @example(20, 1.0 - 1e-9)
+    @example(1000, 1.0 - 1e-9)
+    # L = 2, whose peak is the stand-in 1e-13
+    @example(2, 1.0 - 1e-9)
+    @example(2, 0.5)
+    def test_matches_bisection(self, bits, u):
+        # within 1e-13 relative, or within the band where the computed f has
+        # several sign changes, each of which the bisection could return
+        peak, top = _slope_peak(bits)
+        c = u * top
+        assume(0.0 < c < top)
+        f = lambda g: _slope(g, bits) - c
+        got = _slope_root(c, bits, peak)
+        want = bisect_root(f, peak, 50.0, residual_tol=0.0)
+        assert certified(f, got)
+        assert abs(got - want) <= 1e-13 * got + rounding_band(c, bits, got)
+
+    def test_work_per_response(self, monkeypatch):
+        # counts evaluations of h, not time, so it reads the same on every
+        # machine; the bisection on [peak, 50] spent about 59 per response
+        rng = random.Random(17)
+        calls = []
+
+        def counted(g, bits):
+            calls.append(g)
+            return _slope(g, bits)
+
+        monkeypatch.setattr(continuous, "_slope", counted)
+        counts = []
+        for _ in range(600):
+            model = make_model(
+                gains=((rng.uniform(0.3, 2.0), rng.uniform(0.0, 1.0)),
+                       (rng.uniform(0.0, 1.0), rng.uniform(0.3, 2.0))),
+                noise_power=rng.uniform(0.1, 3.0), processing_gain=rng.uniform(1.0, 16.0),
+                power_cap=rng.uniform(0.5, 10.0), packet_bits=rng.randint(2, 60),
+                rate_scale=rng.uniform(0.5, 3.0))
+            _slope_peak(model.packet_bits)  # cached per L, so outside the count
+            before = len(calls)
+            best_response_priced(model, (0.0, rng.uniform(0.0, 10.0)), 0,
+                                 PricingConfig(rng.uniform(0.0, 0.5)))
+            if len(calls) > before:  # silence and alpha = 0 need no root
+                counts.append(len(calls) - before)
+        assert len(counts) >= 300
+        assert max(counts) <= 25
+        assert statistics.mean(counts) <= 12
 
 
 class TestBestResponseEe:

@@ -123,11 +123,12 @@ def _plane(cfg: RunConfig, args) -> UtilityPlane:
     source = "search.n_per_axis" if args.n is None else "--n"
     if n < 2:  # the config rejects n_per_axis < 2, so only --n gets here
         raise ConfigError(f"{source}: n_per_axis must be >= 2")
-    try:
-        return utility_grid(cfg.model, n)
-    except MemoryError:
-        raise ConfigError(f"{source}: the utility plane at n = {n} does not fit "
-                          f"in memory") from None
+    if n * n <= sys.maxsize:  # numpy indexes no larger plane
+        try:
+            return utility_grid(cfg.model, n)
+        except MemoryError:
+            pass
+    raise ConfigError(f"{source}: the utility plane at n = {n} does not fit in memory")
 
 
 def _point_row(pt: UtilityPoint) -> list[float]:

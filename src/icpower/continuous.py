@@ -107,8 +107,11 @@ def best_response_ee(model: NetworkModel, profile: Powers, k: int) -> float:
 
     Closed form min(power_cap, gamma_star / mu_k) where mu_k is the SINR per
     watt given the opponents' entries of ``profile`` (entry k is ignored).
+    A mu_k that underflows to 0 takes the limit mu_k -> 0+, the cap.
     """
     mu = effective_gain(model, profile, k)
+    if mu == 0.0:
+        return model.power_cap
     return min(model.power_cap, gamma_star(model.packet_bits) / mu)
 
 
@@ -119,7 +122,13 @@ def _slope(gamma: float, bits: int) -> float:
 
 
 def _slope_scaled_derivative(gamma: float, bits: int) -> float:
-    """g^3 h'(g) / q^(L-2), q = 1 - exp(-g): ~ (L-1)(L-2) g^2 near 0."""
+    """g^3 h'(g) / q^(L-2), q = 1 - exp(-g): ~ (L-1)(L-2) g^2 near 0.
+
+    For L = 2 the three O(1) terms cancel to -2 g^3, so below 1e-3 its Taylor
+    series through g^7 stands in; the g^8 term is under 2e-16 of it there."""
+    if bits == 2 and gamma < 1e-3:
+        return gamma ** 3 * (-2.0 + gamma * (3.5 + gamma * (
+            -3.0 + gamma * (31.0 / 18.0 - 0.75 * gamma))))
     e = math.exp(-gamma)
     return (e * e * (bits * bits * gamma * gamma + 2 * bits * gamma + 2)
             - e * (bits * gamma * gamma + 2 * bits * gamma + 4) + 2)
@@ -181,9 +190,14 @@ def best_response_priced(model: NetworkModel, profile: Powers, k: int,
     - c * gamma], c = alpha / (t * mu_k^2), whose one interior maximum solves
     h = c past h's peak: gamma_star at c = 0, else the Newton root that
     ``_slope_root`` certifies as a bisection would.  Capped, it must beat silence.
+    Where t * mu_k^2 underflows to 0 the limit mu_k -> 0+ holds: c -> inf
+    prices every power out, unless alpha = 0 leaves the unpriced response.
     """
     mu = effective_gain(model, profile, k)
-    c = pricing.alpha / (model.rate_scale * mu * mu)
+    scale = model.rate_scale * mu * mu
+    if scale == 0.0:
+        return best_response_ee(model, profile, k) if pricing.alpha == 0.0 else 0.0
+    c = pricing.alpha / scale
     peak, slope_max = _slope_peak(model.packet_bits)
     if c >= slope_max:
         return 0.0

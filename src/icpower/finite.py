@@ -106,9 +106,7 @@ class JointDistribution:
 
     @classmethod
     def point_mass(cls, shape: Sequence[int], joint_index: Sequence[int]) -> "JointDistribution":
-        arr = np.zeros(tuple(shape))
-        arr[tuple(joint_index)] = 1.0
-        return cls(probabilities=arr)
+        return cls.uniform_over(shape, [joint_index])
 
     @classmethod
     def uniform_over(cls, shape: Sequence[int],
@@ -207,63 +205,40 @@ def _own(payoffs: np.ndarray, k: int) -> np.ndarray:
     return np.moveaxis(payoffs[..., k], k, 0)
 
 
-def _dominator(own: np.ndarray, i: int) -> int | None:
-    """First strategy that beats strategy i against every opponent profile."""
-    beats = (own > own[i]).reshape(len(own), -1).all(axis=1)
-    beats[i] = False
-    hits = np.flatnonzero(beats)
-    return int(hits[0]) if hits.size else None
-
-
 def strictly_dominated(game: FiniteGame, k: int, strat_index: int) -> tuple[bool, int | None]:
     """Whether some single alternative beats ``strat_index`` against every
-    opponent profile.  Returns (dominated, dominating index or None)."""
+    opponent profile.  Returns (dominated, first dominating index or None)."""
     if not 0 <= k < game.num_players:
         raise IndexError(f"player index {k} out of range")
     if not 0 <= strat_index < len(game.strategies[k]):
         raise IndexError(f"strategy index {strat_index} out of range for player {k}")
-    alt = _dominator(_own(game.payoffs, k), strat_index)
-    return alt is not None, alt
+    own = _own(game.payoffs, k)
+    beats = (own > own[strat_index]).reshape(len(own), -1).all(axis=1)
+    beats[strat_index] = False
+    hits = np.flatnonzero(beats)
+    return (True, int(hits[0])) if hits.size else (False, None)
 
 
 def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]:
     """Repeatedly remove strictly dominated strategies.
 
-    Returns the reduced game plus the elimination log.  For strict dominance
-    the surviving strategy sets do not depend on removal order.
+    Each round drops the first dominated strategy of the current game,
+    scanning players, then strategies, in index order.  Returns the reduced
+    game plus the elimination log.  For strict dominance the surviving
+    strategy sets do not depend on removal order.
     """
-    active = [list(range(len(s))) for s in game.strategies]
     log: list[Elimination] = []
     while True:
-        removal = _find_dominated(game, active)
-        if removal is None:
-            break
-        k, pos, dominator = removal
-        removed_idx = active[k].pop(pos)
-        log.append(Elimination(round=len(log) + 1, player=k,
-                               strategy=game.strategies[k][removed_idx],
-                               dominator=game.strategies[k][dominator]))
-    reduced = _subgame(game, active)
-    return reduced, log
-
-
-def _find_dominated(game: FiniteGame, active: list[list[int]]):
-    """First (player, position, dominator index) strictly dominated within the
-    active sub-game, or None."""
-    sub = game.payoffs[np.ix_(*active)]
-    for k in range(game.num_players):
-        own = _own(sub, k)
-        for pos in range(len(own)):
-            alt = _dominator(own, pos)
-            if alt is not None:
-                return k, pos, active[k][alt]
-    return None
-
-
-def _subgame(game: FiniteGame, active: list[list[int]]) -> FiniteGame:
-    strategies = tuple(tuple(game.strategies[k][i] for i in keep)
-                       for k, keep in enumerate(active))
-    return FiniteGame(strategies=strategies, payoffs=game.payoffs[np.ix_(*active)])
+        for k, i in ((k, i) for k, row in enumerate(game.strategies) for i in range(len(row))):
+            dominated, alt = strictly_dominated(game, k, i)
+            if dominated:
+                break
+        else:
+            return game, log
+        row = game.strategies[k]
+        log.append(Elimination(round=len(log) + 1, player=k, strategy=row[i], dominator=row[alt]))
+        strategies = game.strategies[:k] + (row[:i] + row[i + 1:],) + game.strategies[k + 1:]
+        game = FiniteGame(strategies=strategies, payoffs=np.delete(game.payoffs, i, axis=k))
 
 
 def best_responses_finite(game: FiniteGame, k: int, opp_profile: Sequence[int]) -> set[int]:

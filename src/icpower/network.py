@@ -24,10 +24,12 @@ class NetworkModel:
         gains: K x K matrix of nonnegative link gains, ``gains[j][k]`` from
             transmitter k to receiver j.  Diagonal entries must be positive.
         noise_power: receiver noise power (W), > 0.
-        processing_gain: despreading/processing gain, >= 1.
+        processing_gain: despreading/processing gain, >= 1, with
+            processing_gain * gains[j][j] / noise_power finite.
         power_cap: maximum transmit power per player (W), > 0.
-        packet_bits: information bits per packet, >= 1.
-        rate_scale: throughput scale (b/s), > 0.
+        packet_bits: information bits per packet, from 1 to 2**53.
+        rate_scale: throughput scale (b/s), > 0, with noise_power / rate_scale
+            finite.
     """
 
     gains: tuple[tuple[float, ...], ...]
@@ -59,13 +61,20 @@ class NetworkModel:
             raise ValueError("processing_gain must be >= 1")
         if not self.power_cap > 0:
             raise ValueError("power_cap must be > 0")
-        if not (type(self.packet_bits) is int and self.packet_bits >= 1):
-            raise ValueError("packet_bits must be an integer >= 1")
+        # the solvers multiply floats by L, which a float holds exactly up to 2**53
+        if not (type(self.packet_bits) is int and 1 <= self.packet_bits <= 2 ** 53):
+            raise ValueError("packet_bits must be an integer from 1 to 2**53")
         if not self.rate_scale > 0:
             raise ValueError("rate_scale must be > 0")
         for name in ("noise_power", "processing_gain", "power_cap", "rate_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.utility_scale):
+            raise ValueError("noise_power / rate_scale must be finite")
+        for j, row in enumerate(rows):  # the SINR per watt free of interference
+            if not math.isfinite(self.processing_gain * row[j] / self.noise_power):
+                raise ValueError(f"processing_gain * gains[{j}][{j}] / noise_power "
+                                 f"must be finite")
 
     @property
     def num_players(self) -> int:

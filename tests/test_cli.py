@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -482,6 +483,49 @@ class TestDriver:
         cfg["network"].update(network)
         assert run(tmp_path, "ne", config=cfg) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key, source", [
+        (["pareto", "--n", str(10 ** 20)], None, "--n"),
+        (["social"], 10 ** 30, "search.n_per_axis"),
+    ], ids=["--n", "n_per_axis"])
+    def test_plane_numpy_cannot_index_names_the_size(self, tmp_path, small_config, capsys,
+                                                      argv, key, source):
+        # n^2 past what np.intp indexes: refused before anything is allocated
+        if key is not None:
+            small_config["search"]["n_per_axis"] = key
+        n = argv[-1] if key is None else key
+        assert run(tmp_path, "--quiet", *argv, config=small_config) == 2
+        assert capsys.readouterr().err == (f"error: {source}: the utility plane at "
+                                           f"n = {n} does not fit in memory\n")
+
+    # the μ → 0+ repros, then a few extremes of each network field
+    @pytest.mark.parametrize("network", [
+        {"gains": [[1e-300, 0.5], [0.25, 1.0]]},
+        {"gains": [[1e-320, 0.5], [0.25, 1.0]], "noise_power": 1e10},
+        {"gains": [[1e300, 1e300], [1e300, 1e300]]},
+        {"power_cap": 1e-300}, {"power_cap": 1e300},
+        {"noise_power": 1e-300}, {"noise_power": 1e300},
+        {"packet_bits": 10 ** 400}, {"rate_scale": 1e-320},
+        {"gains": [[1e10, 0.5], [0.25, 1.0]], "processing_gain": 1e300},
+    ], ids=["mu-squared-underflows", "mu-underflows", "huge-gains", "tiny-cap", "huge-cap",
+            "tiny-noise", "huge-noise", "packet-bits-past-float", "noise-over-rate-overflows",
+            "mu-overflows"])
+    # the CLI prints numpy's overflow warnings and goes on, as here
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_valid_config_ends_in_a_traceback(self, tmp_path, capsys, network):
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"].update(network)
+        for argv in (["ne"], ["pricing", "--alpha", "0.12"], ["pricing", "--alpha", "0"],
+                     ["pareto", "--n", "20"], ["social", "--n", "20"],
+                     ["nbs", "--n", "20", "--fairness"],
+                     ["repeated", "--n", "20", "--deviant", "1"], ["finite"]):
+            code = run(tmp_path, "--quiet", *argv, config=cfg)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), argv
+            if code == 2:  # the message opens with the field's path
+                assert re.match(r"error: (network|--n): ", err), (argv, err)
+            for path in (tmp_path / "out").glob("*.json"):  # as a config would load them
+                assert not re.search(r"Infinity|NaN", path.read_text()), (argv, path.name)
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -1,5 +1,6 @@
 """Continuous game: throughput model, optimal SINR, best responses, dynamics."""
 import dataclasses
+import decimal
 import math
 import random
 import statistics
@@ -303,6 +304,54 @@ class TestSlopeRoot:
         assert len(counts) >= 300
         assert max(counts) <= 25
         assert statistics.mean(counts) <= 12
+
+
+class TestSlopeScaledDerivative:
+    @pytest.mark.parametrize("g", [1e-13, 5e-10, 7e-8, 1e-6, 1e-4, 9.99e-4])
+    def test_two_bits_near_zero_keeps_its_digits(self, g):
+        # for L = 2 the closed form's three O(1) terms cancel to -2 g^3
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            x = decimal.Decimal(g)
+            e = (-x).exp()
+            want = e * e * (4 * x * x + 4 * x + 2) - e * (2 * x * x + 4 * x + 4) + 2
+            got = decimal.Decimal(continuous._slope_scaled_derivative(g, 2))
+            assert abs(got - want) <= decimal.Decimal("1e-15") * abs(want)
+
+    def test_two_bits_near_the_peak_takes_fewer_steps(self, monkeypatch):
+        # roots within 1e-3 of 0, where the closed form's h' sent Newton
+        # crawling and the bisection safeguard took over: about 48 evaluations
+        # of h each on these draws
+        rng = random.Random(18)
+        peak, top = _slope_peak(2)
+        calls = []
+
+        def counted(g, bits):
+            calls.append(g)
+            return _slope(g, bits)
+
+        monkeypatch.setattr(continuous, "_slope", counted)
+        counts = []
+        for _ in range(200):
+            c = (1.0 - 10.0 ** rng.uniform(-14.0, -3.0)) * top
+            before = len(calls)
+            got = _slope_root(c, 2, peak)
+            counts.append(len(calls) - before)
+            assert certified(lambda g: _slope(g, 2) - c, got)
+        assert statistics.mean(counts) <= 35
+
+
+class TestVanishingSinrPerWatt:
+    """Where mu, or t * mu^2, underflows to 0 the responses take mu -> 0+."""
+
+    @pytest.mark.parametrize("direct, noise", [(1e-150, 1.0), (1e-300, 1.0), (1e-320, 1e10)])
+    def test_limits(self, direct, noise):
+        model = make_model(gains=((direct, 0.5), (0.25, 1.0)), noise_power=noise)
+        opp = (0.0, 1.0)
+        assert best_response_ee(model, opp, 0) == model.power_cap
+        assert best_response_priced(model, opp, 0, PricingConfig(0.12)) == 0.0
+        if effective_gain(model, opp, 0) ** 2 == 0.0:  # priced alpha = 0 is unpriced
+            assert best_response_priced(model, opp, 0, PricingConfig(0.0)) == model.power_cap
 
 
 class TestBestResponseEe:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from icpower import (NetworkModel, PowerProfile, PricingConfig, best_response_ee,
                      best_response_priced, br_dynamics, ee_utility, effective_gain,
-                     packet_throughput, priced_utility, sinr, utility_point)
+                     gamma_star, packet_throughput, priced_utility, sinr, utility_point)
 from icpower.network import power_tuple
 
 from conftest import make_model
@@ -45,6 +45,21 @@ class TestNetworkModelValidation:
     def test_scalar_field_validation(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             make_model(**{field: value})
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("packet_bits", 2 ** 53 + 1, r"packet_bits must be an integer from 1 to 2\*\*53"),
+        ("packet_bits", 10 ** 400, r"packet_bits must be an integer from 1 to 2\*\*53"),
+        ("rate_scale", 1e-320, "noise_power / rate_scale must be finite"),
+        ("noise_power", 1e-308, r"processing_gain \* gains\[0\]\[0\] / noise_power "
+                                "must be finite"),
+    ], ids=["packet_bits-past-2**53", "packet_bits-past-float", "noise-over-rate-overflows",
+            "sinr-per-watt-overflows"])
+    def test_values_the_solvers_cannot_represent(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            make_model(**{field: value})
+
+    def test_largest_packet_bits_keeps_gamma_star_in_its_bracket(self):
+        assert gamma_star(make_model(packet_bits=2 ** 53).packet_bits) < 50.0
 
     def test_gains_round_trip(self, ref_model):
         gains = ref_model.gains

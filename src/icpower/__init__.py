@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 # come eagerly from config.
 _LAZY = {
     "efficiency": ("EmptyImprovementRegionError", "UtilityPlane", "UtilityPoint",
-                   "distance_to_frontier", "fairness_projection", "grid_csv_rows",
+                   "bargaining_points", "distance_to_frontier", "fairness_projection", "grid_csv_rows",
                    "in_improvement_region", "nash_bargaining", "pareto_frontier",
                    "social_optimum", "utility_grid", "utility_point"),
     "finite": ("Elimination", "FiniteGame", "JointDistribution", "best_responses_finite",

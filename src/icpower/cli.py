@@ -8,7 +8,8 @@ flags), 3 a solver outcome on a valid config (the dynamics did not
 converge, cooperation is not rational, or the bargaining region is empty),
 4 I/O error.  The parser is built once per process, at import; ``main`` only
 parses.  finite, pareto, social, nbs and repeated build arrays, and only they
-import numpy: they import efficiency and finite inside their bodies.
+import numpy: they import efficiency and finite inside their bodies.  pareto
+alone holds the utility plane; social, nbs and repeated scan the grid in bands.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigg
                        trigger_csv_rows)
 
 if TYPE_CHECKING:
-    from .efficiency import UtilityPlane, UtilityPoint
+    from .efficiency import UtilityPoint
     from .finite import FiniteGame
 
 __all__ = ["main"]
@@ -116,16 +117,18 @@ def _converged_ne(cfg: RunConfig) -> UtilityPoint:
     return UtilityPoint(ne.solution, ne.utilities, ne.normalized_utilities)
 
 
-def _plane(cfg: RunConfig, args) -> UtilityPlane:
-    """The command's one utility plane, at ``--n`` or the config's n_per_axis."""
-    from .efficiency import utility_grid
+def _on_grid(cfg: RunConfig, args, solve):
+    """``solve(n)`` at ``--n`` or the config's n_per_axis, checked first with the
+    player count; a grid that cannot fit in memory exits 2 naming n's source."""
+    from .efficiency import _check_grid
     n = cfg.search.n_per_axis if args.n is None else args.n
     source = "search.n_per_axis" if args.n is None else "--n"
     if n < 2:  # the config rejects n_per_axis < 2, so only --n gets here
         raise ConfigError(f"{source}: n_per_axis must be >= 2")
     if n * n <= sys.maxsize:  # numpy indexes no larger plane
+        _check_grid(cfg.model, n)  # before the dynamics run
         try:
-            return utility_grid(cfg.model, n)
+            return solve(n)
         except MemoryError:
             pass
     raise ConfigError(f"{source}: the utility plane at n = {n} does not fit in memory")
@@ -282,8 +285,8 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
 # -- efficiency --------------------------------------------------------
 
 def cmd_pareto(cfg: RunConfig, args) -> Output:
-    from .efficiency import grid_csv_rows, pareto_frontier
-    plane = _plane(cfg, args)
+    from .efficiency import grid_csv_rows, pareto_frontier, utility_grid
+    plane = _on_grid(cfg, args, lambda n: utility_grid(cfg.model, n))
     n = len(plane.axis)
     cells = pareto_frontier(plane)
     frontier = [plane.point(k) for k in cells.tolist()]
@@ -298,7 +301,8 @@ def cmd_pareto(cfg: RunConfig, args) -> Output:
 
 def cmd_social(cfg: RunConfig, args) -> Output:
     from .efficiency import social_optimum
-    so = social_optimum(_plane(cfg, args), cfg.weights, cfg.search.refine_tol)
+    so = _on_grid(cfg, args, lambda n: social_optimum(cfg.model, cfg.weights, n,
+                                                      cfg.search.refine_tol))
     _say(args, f"š/σ² = {_fmt_vec(so.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(so.normalized, 3)}")
     return Output("social", {"weights": list(cfg.weights.w), **_point_dict(so)},
@@ -306,16 +310,20 @@ def cmd_social(cfg: RunConfig, args) -> Output:
 
 
 def cmd_nbs(cfg: RunConfig, args) -> Output:
-    from .efficiency import fairness_projection, nash_bargaining
-    plane = _plane(cfg, args)
-    disagreement = _converged_ne(cfg)
-    nbs = nash_bargaining(plane, disagreement, cfg.search.refine_tol)
+    from .efficiency import bargaining_points, nash_bargaining
+
+    def solve(n):
+        ne = _converged_ne(cfg)
+        if args.fairness:
+            return ne, *bargaining_points(cfg.model, ne, n, cfg.search.refine_tol)
+        return ne, nash_bargaining(cfg.model, ne, n, cfg.search.refine_tol), None
+
+    disagreement, nbs, fair = _on_grid(cfg, args, solve)
     artifact = {"disagreement": _point_dict(disagreement), "solution": _point_dict(nbs)}
     rows = [_point_row(nbs)]
     _say(args, f"ṡ/σ² = {_fmt_vec(nbs.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(nbs.normalized, 3)}")
-    if args.fairness:
-        fair = fairness_projection(plane, disagreement, cfg.search.refine_tol)
+    if fair is not None:
         artifact["fairness"] = _point_dict(fair)
         rows.append(_point_row(fair))
         _say(args, f"equal-gain point: σ²u/t = {_fmt_vec(fair.normalized, 3)}")
@@ -335,9 +343,8 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
     if args.delta is not None and not 0.0 <= args.delta < 1.0:
         raise ConfigError("--delta must be in [0, 1)")
     from .efficiency import social_optimum
-    plane = _plane(cfg, args)
-    ne = _converged_ne(cfg)
-    so = social_optimum(plane, cfg.weights, cfg.search.refine_tol)
+    ne, so = _on_grid(cfg, args, lambda n: (_converged_ne(cfg), social_optimum(
+        cfg.model, cfg.weights, n, cfg.search.refine_tol)))
     policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.profile)
     dmin = min_discount(cfg.model, policy)
     deviant = None if args.deviant is None else args.deviant - 1

@@ -75,6 +75,10 @@ class FiniteGameParams:
         if not self.sinr_threshold > 0:
             raise ValueError("sinr_threshold must be > 0")
 
+    def power_level(self, gain: float, noise_power: float, processing_gain: float) -> float:
+        """The on/off power that puts a lone transmitter of this gain at the threshold."""
+        return noise_power * self.sinr_threshold / (gain * processing_gain)
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -127,20 +131,23 @@ class FiniteScenario:
                                   f"got {v!r}")
 
     def build(self, model: NetworkModel, scenario: Optional[str] = None) -> FiniteGame:
-        """Construct the requested on/off game on the model's noise floor."""
+        """Construct the requested on/off game on the model's noise floor; the
+        gain that sets its power level, h or the weak h1, is named where that
+        level is not a finite number > 0."""
         from .finite import build_ic_game, build_nfe_game
         name = scenario or self.scenario
-        if name == "nfe":
-            if self.h1 is None or self.h2 is None:
-                raise ConfigError("finite.gains: scenario 'nfe' needs h1 and h2")
-            return build_nfe_game(self.params, self.h1, self.h2,
-                                  model.noise_power, model.processing_gain)
-        if name == "ic":
-            if self.h is None:
-                raise ConfigError("finite.gains: scenario 'ic' needs h")
-            return build_ic_game(self.params, self.h,
-                                 model.noise_power, model.processing_gain)
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
+        if name not in SCENARIOS:
+            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
+        keys = ("h1", "h2") if name == "nfe" else ("h",)
+        gains = [getattr(self, key) for key in keys]
+        if None in gains:
+            raise ConfigError(f"finite.gains: scenario {name!r} needs {' and '.join(keys)}")
+        level = self.params.power_level(gains[0], model.noise_power, model.processing_gain)
+        if not (math.isfinite(level) and level > 0):
+            raise ConfigError(f"finite.gains.{keys[0]}: sets the on/off power level to "
+                              f"{level!r}, which must be a finite number > 0")
+        build = build_nfe_game if name == "nfe" else build_ic_game
+        return build(self.params, *gains, model.noise_power, model.processing_gain)
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,8 @@ def _slope_root(c: float, bits: int, peak: float) -> float:
         return _slope(g, bits) - c
 
     lo, hi, g = peak, 50.0, gamma_star(bits)  # f(peak) > 0 > f(50)
+    if bits == 2:  # h >= 1 - 2g, so f >= 0 at (1 - c) / 2: at or below the root
+        g = min(g, max(lo, 0.5 * (1.0 - c)))
     old = step = hi - lo
     while True:  # each step lands strictly inside the shrinking bracket
         fg = f(g)

@@ -3,8 +3,8 @@
 Samples the achievable utility region over [0, power_cap]^2, extracts the
 Pareto frontier, maximizes weighted social welfare, and computes the Nash
 bargaining solution over the improvement region of a disagreement point
-(typically the noncooperative equilibrium).  The optimizers take the sampled
-plane, so one plane serves every search on a network.
+(typically the noncooperative equilibrium).  The optimizers scan the grid in
+bands straight from the model; only the frontier needs the whole plane.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ __all__ = [
     "in_improvement_region",
     "nash_bargaining",
     "fairness_projection",
+    "bargaining_points",
     "distance_to_frontier",
     "grid_csv_rows",
 ]
@@ -89,14 +90,18 @@ class UtilityPlane:
                             utilities=(x, y), normalized=(x * scale, y * scale))
 
 
-def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
-    """Sample [0, power_cap]^2 uniformly (endpoints included), s1-major order."""
+def _check_grid(model: NetworkModel, n_per_axis: int) -> None:
     if model.num_players != 2:
         raise ValueError(
             f"utility-plane analysis supports exactly 2 players, got {model.num_players}"
         )
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
+
+
+def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
+    """Sample [0, power_cap]^2 uniformly (endpoints included), s1-major order."""
+    _check_grid(model, n_per_axis)
     axis = np.linspace(0.0, model.power_cap, n_per_axis)
     u1, u2 = _surfaces(model, axis, axis)
     return UtilityPlane(axis, u1, u2, model)
@@ -121,69 +126,78 @@ def pareto_frontier(plane: UtilityPlane) -> np.ndarray:
     return order[u2_sorted > best_before][::-1]
 
 
-_PATCH = np.linspace(-1.0, 1.0, 9)  # zoom patch offsets, in units of span
+_PATCH = np.linspace(-1.0, 1.0, 9).tolist()  # zoom patch offsets, in units of span
 _BAND = 8192  # cells scored at once: 64 KiB per float temporary
 
 
-def _best_cell(u1: np.ndarray, u2: np.ndarray, score) -> tuple[int, int, float]:
-    """Row, column and score of the first best cell of ``score(u1, u2)``, by bands."""
-    rows = max(1, _BAND // u1.shape[1])
-    best = (0, 0, -np.inf)
-    for r in range(0, len(u1), rows):
-        band = score(u1[r:r + rows], u2[r:r + rows])
-        i, j = divmod(int(np.argmax(band)), band.shape[1])
-        if band[i, j] > best[2]:
-            best = (r + i, j, band[i, j])
+def _scan(model: NetworkModel, axis1: np.ndarray, axis2: np.ndarray,
+          scores: list) -> list[tuple[int, int, float]]:
+    """Row, column and value of each score's first best cell in s1-major order
+    on axis1 x axis2, the cell ``np.argmax`` would pick.  The surfaces are made
+    and scored in row bands of about ``_BAND`` cells, never as a whole grid."""
+    rows = max(1, _BAND // len(axis2))
+    best = [(0, 0, -np.inf)] * len(scores)
+    for r in range(0, len(axis1), rows):
+        u1, u2 = _surfaces(model, axis1[r:r + rows], axis2)
+        for s, score in enumerate(scores):
+            band = score(u1, u2)
+            i, j = divmod(int(np.argmax(band)), band.shape[1])
+            if band[i, j] > best[s][2]:
+                best[s] = (r + i, j, band[i, j])
     return best
 
 
-def _grid_then_refine(plane: UtilityPlane, refine_tol: float, score) -> UtilityPoint:
-    """Best cell of ``score(u1, u2)`` on ``plane``, polished by a zoom.
+def _grid_then_refine(model: NetworkModel, n_per_axis: int, refine_tol: float,
+                      scores: list) -> list[UtilityPoint]:
+    """The best point of each of ``scores(u1, u2)``: its best cell on the
+    n x n grid, which one ``_scan`` finds for them all, polished by a zoom.
 
-    The plane is scored in row bands of about ``_BAND`` cells; the first
-    maximum in flat order wins, the cell one ``np.argmax`` would pick.
     Each round scores a 9 x 9 patch within +/- span of the incumbent
     (clipped to [0, power_cap]) and moves to its best cell on a strict gain.
     The span starts at one grid step and shrinks by 4 each round, except
     after a move onto the patch's edge, until it is at most ``refine_tol``.
     Then each player's lone best response is kept on a strict gain: where
     player j is silent u_j = 0, and every score here is nondecreasing in
-    each utility, so that response is the best point with s_j = 0.
-    A plane whose every cell scores -inf raises EmptyImprovementRegionError.
+    each utility, so that response is the best point with s_j = 0.  A score
+    that is -inf on every cell raises EmptyImprovementRegionError.
     """
-    model = plane.model
-    i, j, best = _best_cell(plane.u1, plane.u2, score)
-    if best == -np.inf:
-        raise EmptyImprovementRegionError(
-            "no sampled profile weakly improves on the disagreement utilities")
-    x = (plane.axis[i], plane.axis[j])
-    span = float(plane.axis[1] - plane.axis[0])
-    while span > refine_tol:
-        axes = [np.unique(np.clip(v + span * _PATCH, 0.0, model.power_cap)) for v in x]
-        i, j, value = _best_cell(*_surfaces(model, *axes), score)
-        if value > best:
-            x, best = (axes[0][i], axes[1][j]), value
-            if i in (0, len(axes[0]) - 1) or j in (0, len(axes[1]) - 1):
-                continue
-        span /= 4.0
-    if model.packet_bits > 1:  # L = 1 has no lone best response
-        for k in range(2):
-            edge = [np.zeros(1), np.zeros(1)]
-            edge[k][0] = best_response_ee(model, (0.0, 0.0), k)
-            value = score(*_surfaces(model, *edge))[0, 0]
+    _check_grid(model, n_per_axis)
+    cap, silent = model.power_cap, (0.0, 0.0)
+    axis = np.linspace(0.0, cap, n_per_axis)
+    lone = [] if model.packet_bits == 1 else [  # L = 1 has no lone best response
+        (best_response_ee(model, silent, 0), 0.0), (0.0, best_response_ee(model, silent, 1))]
+    points = []
+    for score, (i, j, best) in zip(scores, _scan(model, axis, axis, scores)):
+        if best == -np.inf:
+            raise EmptyImprovementRegionError(
+                "no sampled profile weakly improves on the disagreement utilities")
+        x = (float(axis[i]), float(axis[j]))
+        span = float(axis[1] - axis[0])
+        while span > refine_tol:
+            axes = [sorted({min(max(v + span * p, 0.0), cap) for p in _PATCH}) for v in x]
+            [(i, j, value)] = _scan(model, *map(np.array, axes), [score])
             if value > best:
-                x, best = (edge[0][0], edge[1][0]), value
-    return utility_point(model, x)
+                x, best = (axes[0][i], axes[1][j]), value
+                if i in (0, len(axes[0]) - 1) or j in (0, len(axes[1]) - 1):
+                    continue
+            span /= 4.0
+        for edge in lone:
+            [(_, _, value)] = _scan(model, np.array(edge[:1]), np.array(edge[1:]), [score])
+            if value > best:
+                x, best = edge, value
+        points.append(utility_point(model, x))
+    return points
 
 
-def social_optimum(plane: UtilityPlane, weights: Weights,
+def social_optimum(model: NetworkModel, weights: Weights, n_per_axis: int = 400,
                    refine_tol: float = 1e-10) -> UtilityPoint:
-    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: the best cell of
-    ``plane``, a zoom around it, then each player's lone best response."""
+    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: the best cell of the
+    n x n grid, a zoom around it, then each player's lone best response."""
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
-    return _grid_then_refine(plane, refine_tol, lambda u1, u2: w1 * u1 + w2 * u2)
+    return _grid_then_refine(model, n_per_axis, refine_tol,
+                             [lambda u1, u2: w1 * u1 + w2 * u2])[0]
 
 
 def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bool:
@@ -193,32 +207,41 @@ def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bo
     return all(c >= b for c, b in zip(candidate.utilities, baseline.utilities))
 
 
-def _bargain(plane: UtilityPlane, disagreement: UtilityPoint, refine_tol: float,
-             combine) -> UtilityPoint:
-    """Maximize ``combine(g1, g2)`` of the nonnegative utility gains.
+def _bargain(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int,
+             refine_tol: float, combines: list) -> list[UtilityPoint]:
+    """Maximize each ``combine(g1, g2)`` of the nonnegative utility gains.
 
     Infeasible points score -inf, so the refinement never leaves the region.
     """
     d1, d2 = disagreement.utilities
 
-    def score(u1, u2):
-        g1, g2 = u1 - d1, u2 - d2
-        return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
+    def scorer(combine):
+        def score(u1, u2):
+            g1, g2 = u1 - d1, u2 - d2
+            return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
+        return score
 
-    return _grid_then_refine(plane, refine_tol, score)
+    return _grid_then_refine(model, n_per_axis, refine_tol, list(map(scorer, combines)))
 
 
-def nash_bargaining(plane: UtilityPlane, disagreement: UtilityPoint,
-                    refine_tol: float = 1e-10) -> UtilityPoint:
+def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint,
+                    n_per_axis: int = 400, refine_tol: float = 1e-10) -> UtilityPoint:
     """Maximize the product of utility gains over the improvement region."""
-    return _bargain(plane, disagreement, refine_tol, lambda a, b: a * b)
+    return _bargain(model, disagreement, n_per_axis, refine_tol, [np.multiply])[0]
 
 
-def fairness_projection(plane: UtilityPlane, baseline: UtilityPoint,
-                        refine_tol: float = 1e-10) -> UtilityPoint:
+def fairness_projection(model: NetworkModel, baseline: UtilityPoint,
+                        n_per_axis: int = 400, refine_tol: float = 1e-10) -> UtilityPoint:
     """Equal-gain point: push both utilities up by the same amount until the
     frontier is reached (diagnostic; maximizes the smaller gain)."""
-    return _bargain(plane, baseline, refine_tol, np.minimum)
+    return _bargain(model, baseline, n_per_axis, refine_tol, [np.minimum])[0]
+
+
+def bargaining_points(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int = 400,
+                      refine_tol: float = 1e-10) -> tuple[UtilityPoint, UtilityPoint]:
+    """``nash_bargaining`` and ``fairness_projection`` from one scan of the grid."""
+    return tuple(_bargain(model, disagreement, n_per_axis, refine_tol,
+                          [np.multiply, np.minimum]))
 
 
 def distance_to_frontier(point: UtilityPoint, frontier: Sequence[UtilityPoint]) -> float:

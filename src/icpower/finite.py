@@ -142,7 +142,7 @@ def _on_off_game(params: FiniteGameParams, gains: tuple,
     # validate the channel before dividing by its processing gain
     model = NetworkModel(gains, noise_power, processing_gain, power_cap=1.0,
                          packet_bits=1, rate_scale=1.0)
-    p = noise_power * req / (gains[0][0] * processing_gain)
+    p = params.power_level(gains[0][0], noise_power, processing_gain)
     model = replace(model, power_cap=p)
     levels = np.array([0.0, model.power_cap])
     powers, gammas = sinr_grid(model, levels, levels)

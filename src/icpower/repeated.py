@@ -129,23 +129,22 @@ def min_discount(model: NetworkModel, policy: TriggerPolicy) -> float:
 
 def _trigger_path(model: NetworkModel, policy: TriggerPolicy,
                   deviant: Optional[int], deviate_at: int):
-    """The trigger path by phase, as (profile, per-player utilities) pairs:
-    cooperation until ``deviate_at``, the deviation profile there and
-    punishment ever after, the last pair repeating forever.  Each distinct
-    profile is evaluated once."""
+    """The trigger path by phase, as (profile, per-player utilities) pairs: the
+    cooperation pair, the number of stages that hold it, then the pairs after
+    them, the last repeating forever.  Each distinct profile is evaluated once."""
     policy.check_against(model)
     if deviant is not None and not 0 <= deviant < model.num_players:
         raise IndexError(f"deviant index {deviant} out of range")
     if deviate_at < 0:
         raise ValueError("deviate_at must be >= 0")
     coop = policy.cooperate_profile.powers
-    held = [(coop, _utilities(model, coop))]
+    held = (coop, _utilities(model, coop))
     if deviant is None:
-        return held
+        return held, 0, [held]
     dev = _deviation_profile(model, policy, deviant)
     punish = policy.punish_profile.powers
-    return held * deviate_at + [(dev, _utilities(model, dev)),
-                                (punish, _utilities(model, punish))]
+    return held, deviate_at, [(dev, _utilities(model, dev)),
+                              (punish, _utilities(model, punish))]
 
 
 def simulate_trigger(model: NetworkModel, policy: TriggerPolicy, spec: DiscountSpec,
@@ -155,10 +154,14 @@ def simulate_trigger(model: NetworkModel, policy: TriggerPolicy, spec: DiscountS
 
     With no deviant the path is constant cooperation; otherwise the deviant
     one-shot best-responds at stage ``deviate_at`` and everyone reverts to
-    the punishment profile from the next stage on.
+    the punishment profile from the next stage on.  The N cooperation stages
+    are worth (1 - delta^N) u_coop, in closed form.
     """
-    path = _trigger_path(model, policy, deviant, deviate_at)
-    return tuple(discounted_utility([u[k] for _, u in path], spec)
+    (_, u_held), held_for, after = _trigger_path(model, policy, deviant, deviate_at)
+    # delta^N is 0.0 for every N >= 2**64 and delta < 1, and float(N) may overflow
+    lead = spec.delta ** min(held_for, 2 ** 64)
+    return tuple((1.0 - lead) * u_held[k]
+                 + lead * discounted_utility([u[k] for _, u in after], spec)
                  for k in range(model.num_players))
 
 
@@ -166,14 +169,14 @@ def trigger_csv_rows(model: NetworkModel, policy: TriggerPolicy, spec: DiscountS
                      deviant: Optional[int] = None, deviate_at: int = 0,
                      stages: int = 20) -> tuple[list[str], list[list]]:
     """Stage-by-stage trigger trace with running discounted sums."""
-    path = _trigger_path(model, policy, deviant, deviate_at)
+    held, held_for, after = _trigger_path(model, policy, deviant, deviate_at)
     ks = range(model.num_players)
     header = (["stage"] + [f"s_{k + 1}" for k in ks] + [f"u_{k + 1}" for k in ks]
               + [f"disc_u_{k + 1}" for k in ks])
     running = [0.0] * model.num_players
     rows = []
     for n in range(stages):
-        prof, stage_u = path[min(n, len(path) - 1)]
+        prof, stage_u = held if n < held_for else after[min(n - held_for, len(after) - 1)]
         for k in ks:
             running[k] += spec.delta ** n * stage_u[k]
         rows.append([n, *prof, *stage_u, *running])

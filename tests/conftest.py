@@ -37,8 +37,8 @@ def ne_report(ref_model):
 
 
 @pytest.fixture(scope="session")
-def so_point(grid_points):
-    return social_optimum(grid_points, Weights((0.5, 0.5)))
+def so_point(ref_model):
+    return social_optimum(ref_model, Weights((0.5, 0.5)))
 
 
 @pytest.fixture(scope="session")
@@ -57,8 +57,8 @@ def ne_point(ref_model, ne_report):
 
 
 @pytest.fixture(scope="session")
-def nbs_point(grid_points, ne_point):
-    return nash_bargaining(grid_points, ne_point)
+def nbs_point(ref_model, ne_point):
+    return nash_bargaining(ref_model, ne_point)
 
 
 # -- acceptance reporting ----------------------------------------------

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,14 @@ from hypothesis import example, given, settings, strategies as st
 import icpower.cli
 import icpower.efficiency
 from icpower import (FiniteGame, SolveReport, config_from_dict,
-                     default_config_path, load_config, utility_grid)
+                     default_config_path, load_config)
 from icpower.cli import main
 
 from test_efficiency import brute_frontier, reference_grid
+
+
+GOLDENS = json.loads((Path(__file__).parent / "search_goldens.json").read_text(
+    encoding="utf-8"))
 
 
 def run(tmp_path, *argv, config=None):
@@ -143,6 +148,24 @@ class TestFinite:
         small_config["finite"]["gains"] = {"h1": 0.25, "h2": 1.0}
         assert run(tmp_path, "finite", "--scenario", "ic", config=small_config) == 2
         assert capsys.readouterr().err == "error: finite.gains: scenario 'ic' needs h\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, gains, threshold, level", [
+        ("ic", {"h": 1e-320}, 4.0, "inf"),
+        ("ic", {"h": 1e30}, 1e-300, "0.0"),
+        ("nfe", {"h1": 1e-320, "h2": 1.0}, 4.0, "inf"),
+        ("nfe", {"h1": 1e30, "h2": 1e31}, 1e-300, "0.0"),
+    ], ids=["ic-overflows", "ic-underflows", "nfe-overflows", "nfe-underflows"])
+    def test_power_level_names_the_gain_that_sets_it(self, tmp_path, small_config, capsys,
+                                                     scenario, gains, threshold, level):
+        # the level is noise_power * sinr_threshold / (gain * processing_gain)
+        small_config["finite"]["gains"] = gains
+        small_config["finite"]["sinr_threshold"] = threshold
+        assert run(tmp_path, "finite", "--scenario", scenario, config=small_config) == 2
+        key = "h" if scenario == "ic" else "h1"
+        assert capsys.readouterr().err == (f"error: finite.gains.{key}: sets the on/off "
+                                           f"power level to {level}, which must be a "
+                                           f"finite number > 0\n")
         assert not (tmp_path / "out").exists()
 
     def test_non_numeric_gain_exit_code(self, tmp_path, small_config, capsys):
@@ -313,6 +336,18 @@ class TestEfficiencyCommands:
         assert (out / "pareto.csv").read_bytes() == want_csv.encode("utf-8")
         assert (out / "pareto.json").read_bytes() == want_json.encode("utf-8")
 
+    @pytest.mark.parametrize("case", sorted(GOLDENS["runs"]))
+    def test_search_goldens(self, tmp_path, capsys, case):
+        network, command = case.split("/")
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"].update(GOLDENS["networks"][network])
+        want = GOLDENS["runs"][case]
+        argv = GOLDENS["commands"][command]
+        assert run(tmp_path, "--quiet", *argv, "--n", "60", config=cfg) == want["exit"]
+        assert capsys.readouterr().err == want["stderr"]
+        out = tmp_path / "out"
+        assert {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()} == want["files"]
+
     def test_social(self, tmp_path, capsys):
         assert run(tmp_path, "social", "--n", "150") == 0
         out = capsys.readouterr().out
@@ -320,16 +355,18 @@ class TestEfficiencyCommands:
         artifact = read_json(tmp_path, "social")
         assert artifact["normalized"] == pytest.approx([0.278, 0.446], abs=0.005)
 
-    def test_nbs_with_fairness_samples_one_plane(self, tmp_path, monkeypatch):
-        sizes = []
+    def test_nbs_with_fairness_computes_the_grid_once(self, tmp_path, monkeypatch):
+        rows = []  # rows of each band on the 60-point grid; patches have 9 points or 1
+        surfaces = icpower.efficiency._surfaces
 
-        def counted(model, n_per_axis=400):
-            sizes.append(n_per_axis)
-            return utility_grid(model, n_per_axis)
+        def counted(model, axis1, axis2):
+            if len(axis2) == 60:
+                rows.extend(axis1.tolist())
+            return surfaces(model, axis1, axis2)
 
-        monkeypatch.setattr(icpower.efficiency, "utility_grid", counted)
+        monkeypatch.setattr(icpower.efficiency, "_surfaces", counted)
         assert run(tmp_path, "--quiet", "nbs", "--n", "60", "--fairness") == 0
-        assert sizes == [60]
+        assert rows == np.linspace(0.0, 5.0, 60).tolist()
 
     def test_nbs_with_fairness(self, tmp_path, capsys):
         assert run(tmp_path, "nbs", "--n", "150", "--fairness") == 0
@@ -411,22 +448,47 @@ class TestDriver:
         assert run(tmp_path, "--quiet", "pareto", "--n", n, config=cfg) == 2
         assert capsys.readouterr().err == message + "\n"
 
-    @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
+    @pytest.mark.parametrize("command", ["social", "nbs", "repeated"])
+    @pytest.mark.parametrize("n, message", [("0", "error: --n: n_per_axis must be >= 2"),
+                                            ("5", "error: utility-plane analysis supports "
+                                                  "exactly 2 players, got 3")])
+    def test_searches_check_the_grid_before_the_dynamics(self, tmp_path, capsys, command,
+                                                         n, message):
+        # one sweep cannot converge, so exit 2 shows the dynamics never ran
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
+        cfg["weights"] = [0.5, 0.25, 0.25]
+        cfg["search"]["max_iter"] = 1
+        assert run(tmp_path, "--quiet", command, "--n", n, config=cfg) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("argv, source", [(["--n", "20000"], "--n: the utility "
                                                "plane at n = 20000"),
                                               ([], "search.n_per_axis: the utility "
                                                    "plane at n = 80")])
     def test_plane_out_of_memory_names_the_size(self, tmp_path, small_config, capsys,
-                                                 monkeypatch, command, argv, source):
+                                                 monkeypatch, argv, source):
         # a real plane this large may be granted under overcommit and then
         # draw the OOM killer when touched, so the allocation failure is faked
         def too_large(model, n_per_axis=400):
             raise MemoryError
 
         monkeypatch.setattr(icpower.efficiency, "utility_grid", too_large)
-        assert run(tmp_path, "--quiet", command, *argv, config=small_config) == 2
+        assert run(tmp_path, "--quiet", "pareto", *argv, config=small_config) == 2
         assert capsys.readouterr().err == f"error: {source} does not fit in memory\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["social", "nbs", "repeated"])
+    def test_search_out_of_memory_names_the_size(self, tmp_path, small_config, capsys,
+                                                  monkeypatch, command):
+        # the searches hold no plane; a band that cannot be allocated still exits 2
+        def too_large(model, axis1, axis2):
+            raise MemoryError
+
+        monkeypatch.setattr(icpower.efficiency, "_surfaces", too_large)
+        assert run(tmp_path, "--quiet", command, "--n", "20000", config=small_config) == 2
+        assert capsys.readouterr().err == ("error: --n: the utility plane at n = 20000 "
+                                           "does not fit in memory\n")
 
     @pytest.mark.parametrize("command", ["ne", "nbs", "repeated"])
     def test_unconverged_dynamics_exit_3_with_the_cause(self, tmp_path, small_config,
@@ -475,6 +537,17 @@ class TestDriver:
         small_config["search"]["max_iter"] = 1
         assert run(tmp_path, "--quiet", *argv, config=small_config) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at", [10 ** 9, 10 ** 20, 10 ** 400])
+    def test_deviation_stage_past_any_list(self, tmp_path, capsys, at):
+        # the cooperation phase counts in closed form: no list of `at` stages
+        start = time.perf_counter()
+        assert run(tmp_path, "--quiet", "repeated", "--n", "60", "--deviant", "1",
+                   "--deviate-at", str(at)) == 0
+        assert time.perf_counter() - start < 1.0
+        artifact = read_json(tmp_path, "repeated")
+        assert artifact["deviate_at"] == at
+        assert artifact["discounted"] == artifact["u_cooperate"]
 
     @pytest.mark.parametrize("network", [{"power_cap": float("inf")},
                                          {"gains": [[float("nan"), 0.5], [0.25, 1.0]]}])

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
-                     UtilityPoint, Weights, best_response_ee, distance_to_frontier,
+                     UtilityPoint, Weights, bargaining_points, best_response_ee, distance_to_frontier,
                      ee_utility, fairness_projection, gamma_star,
                      in_improvement_region, nash_bargaining, ne_continuous,
                      pareto_frontier, social_optimum, utility_grid, utility_point)
 import icpower.efficiency
-from icpower.efficiency import _best_cell, _surfaces, grid_csv_rows
+from icpower.efficiency import _scan, _surfaces, grid_csv_rows
 from icpower.network import _sinr_per_watt
 
 from conftest import make_model
@@ -248,13 +248,13 @@ class TestSocialOptimum:
         assert so_welfare >= best_grid
 
     def test_degenerate_weights_give_single_user_optimum(self, ref_model):
-        so = social_optimum(utility_grid(ref_model, 200), Weights((1.0, 0.0)))
+        so = social_optimum(ref_model, Weights((1.0, 0.0)), 200)
         assert so.profile.powers[1] == 0.0
         expected_s1 = gamma_star(20) / (4.0 * 0.75)
         assert so.profile.powers[0] == pytest.approx(expected_s1, abs=1e-4)
 
     def test_symmetric_model_symmetric_optimum(self, symmetric_model):
-        so = social_optimum(utility_grid(symmetric_model, 150), Weights((0.5, 0.5)))
+        so = social_optimum(symmetric_model, Weights((0.5, 0.5)), 150)
         s1, s2 = so.profile.powers
         assert abs(s1 - s2) <= 1e-5
 
@@ -263,7 +263,7 @@ class TestSocialOptimum:
         # welfare 3.8264; player 1 alone at its lone best response has 3.8611
         model = make_model(gains=((1.25, 0.75), (0.375, 1.0)), noise_power=0.125,
                            power_cap=4.0, packet_bits=14)
-        so = social_optimum(utility_grid(model, 24), Weights((0.5, 0.5)))
+        so = social_optimum(model, Weights((0.5, 0.5)), 24)
         assert so.profile.powers == (best_response_ee(model, (0.0, 0.0), 0), 0.0)
         assert 0.5 * so.utilities[0] + 0.5 * so.utilities[1] >= 3.8611
 
@@ -271,13 +271,13 @@ class TestSocialOptimum:
         # L = 1 has no lone best response: gamma_star raises
         model = make_model(packet_bits=1)
         plane = utility_grid(model, 20)
-        so = social_optimum(plane, Weights((0.5, 0.5)))
+        so = social_optimum(model, Weights((0.5, 0.5)), 20)
         u1, u2 = dense_patch(model, so.profile.powers, 0.0, n=1)
         assert 0.5 * u1 + 0.5 * u2 >= np.max(0.5 * plane.u1 + 0.5 * plane.u2)
 
     def test_weight_count_checked(self, ref_model):
         with pytest.raises(ValueError, match="2 weights"):
-            social_optimum(utility_grid(ref_model, 50), Weights((1.0,)))
+            social_optimum(ref_model, Weights((1.0,)), 50)
 
 
 class TestZoom:
@@ -303,7 +303,7 @@ class TestZoom:
     @given(zoom_models, st.integers(20, 150))
     def test_social_optimum(self, model, n):
         plane = utility_grid(model, n)
-        point = social_optimum(plane, Weights((0.5, 0.5)))
+        point = social_optimum(model, Weights((0.5, 0.5)), n)
         self.check(plane, point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)
 
     @settings(max_examples=40, deadline=None)
@@ -315,7 +315,7 @@ class TestZoom:
         d1, d2 = disagreement.utilities
         plane = utility_grid(model, n)
         try:
-            point = nash_bargaining(plane, disagreement)
+            point = nash_bargaining(model, disagreement, n)
         except EmptyImprovementRegionError:
             assume(False)
 
@@ -328,7 +328,7 @@ class TestZoom:
     @staticmethod
     def gains_over_ne(model, point_of):
         ne = utility_point(model, ne_continuous(model).solution.powers)
-        point = point_of(utility_grid(model), ne)
+        point = point_of(model, ne)
         return [u - d for u, d in zip(point.utilities, ne.utilities)]
 
     def test_bargaining_travels_past_the_golden_section_result(self):
@@ -357,55 +357,70 @@ def traced_peak(fn, *args):
 
 
 class TestBandedSearch:
-    """The best plane cell is found band by band, without plane-size
-    temporaries, and is the cell one argmax over the whole score picks."""
+    """The searches scan the grid band by band, straight from the model, and
+    find the cell one argmax over the whole score picks."""
 
-    VALUES = np.array([0.0, 0.5, 1.0, 2.0])  # few values, so ties are common
+    @staticmethod
+    def scores(model, axis1, axis2, seed):
+        """Two scores, each a weighted sum, a bargaining product or minimum
+        against a drawn disagreement (-inf off its region), or a sum of
+        utilities quantized to three levels, so that ties are common."""
+        u1, u2 = _surfaces(model, axis1, axis2)
+        rng = np.random.default_rng(seed)
+        top = max(u1.max(), u2.max(), 1e-300)
+        d1, d2 = rng.uniform(0.0, 1.1, 2) * top
+
+        def bargain(combine):
+            def score(v1, v2):
+                g1, g2 = v1 - d1, v2 - d2
+                return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
+            return score
+
+        kinds = [lambda v1, v2: 0.25 * v1 + 0.75 * v2, bargain(np.multiply),
+                 bargain(np.minimum),
+                 lambda v1, v2: np.floor(3.0 * v1 / top) + np.floor(3.0 * v2 / top)]
+        return [kinds[k] for k in rng.integers(0, len(kinds), 2)], (u1, u2)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 70).flatmap(lambda n: st.tuples(
-               st.just(n), st.integers(0, n), st.integers(0, n))),
-           st.integers(1, 150), st.integers(0, 2**32 - 1),
-           st.sampled_from(["sum", "product", "min"]))
-    @example((5, 0, 5), 7, 0, "product")  # every cell scores -inf
-    @example((400, 0, 0), 8192, 1, "sum")  # the shipped band at the shipped n
-    def test_first_best_cell_matches_the_full_argmax(self, rows, band, seed, kind):
-        n, lo, hi = rows
-        rng = np.random.default_rng(seed)
-        u1, u2 = rng.choice(self.VALUES, (2, n, n))
-        u1[min(lo, hi):max(lo, hi)] = -1.0  # rows that improve on no disagreement
-        d1, d2 = rng.choice(self.VALUES, 2)
-        combine = {"product": lambda a, b: a * b, "min": np.minimum}.get(kind)
-
-        def score(v1, v2):
-            if combine is None:
-                return 0.25 * v1 + 0.75 * v2
-            g1, g2 = v1 - d1, v2 - d2
-            return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
-
-        full = score(u1, u2)
-        i, j = np.unravel_index(int(np.argmax(full)), full.shape)
+    @given(random_models, st.integers(1, 70), st.integers(1, 70), st.integers(1, 150),
+           st.integers(0, 2**32 - 1))
+    @example(make_model(), 400, 400, 8192, 1)  # the shipped band at the shipped n
+    def test_scan_matches_the_full_argmax(self, model, n1, n2, band, seed):
+        axis1, axis2 = (np.linspace(0.0, model.power_cap, n) for n in (n1, n2))
+        scores, surfaces = self.scores(model, axis1, axis2, seed)
         with mock.patch.object(icpower.efficiency, "_BAND", band):
-            assert _best_cell(u1, u2, score) == (i, j, full[i, j])
+            found = _scan(model, axis1, axis2, scores)
+        for score, (i, j, value) in zip(scores, found):
+            full = score(*surfaces)
+            k = int(np.argmax(full))
+            assert (i, j) == divmod(k, n2)
+            assert float(value).hex() == float(full.flat[k]).hex()
 
-    def test_plane_of_infeasible_bands_raises(self):
-        plane = synthetic_plane(np.zeros((70, 70)), np.ones((70, 70)))
-        disagreement = UtilityPoint(PowerProfile((0.0, 0.0)), (1.0, 1.0), (1.0, 1.0))
-        with mock.patch.object(icpower.efficiency, "_BAND", 100):
-            with pytest.raises(EmptyImprovementRegionError):
-                nash_bargaining(plane, disagreement)
+    @pytest.mark.parametrize("band", [1, 100, 8192])
+    def test_grid_of_infeasible_bands_raises(self, ref_model, band):
+        unreachable = UtilityPoint(PowerProfile((0.0, 0.0)), (10.0, 10.0), (10.0, 10.0))
+        with mock.patch.object(icpower.efficiency, "_BAND", band):
+            for search in (nash_bargaining, fairness_projection, bargaining_points):
+                with pytest.raises(EmptyImprovementRegionError):
+                    search(ref_model, unreachable, 70)
 
     def test_plane_holds_no_more_than_its_surfaces(self, ref_model):
         surfaces = 2 * 400 * 400 * 8
         assert traced_peak(utility_grid, ref_model, 400) <= 1.1 * surfaces
 
-    @pytest.mark.parametrize("search", ["social", "nbs", "fairness"])
-    def test_search_allocates_under_half_a_surface(self, grid_points, ne_point, search):
-        # the plane exists before tracing starts, so only the search counts
-        run = {"social": lambda: social_optimum(grid_points, Weights((0.5, 0.5))),
-               "nbs": lambda: nash_bargaining(grid_points, ne_point),
-               "fairness": lambda: fairness_projection(grid_points, ne_point)}[search]
+    @pytest.mark.parametrize("search", ["social", "nbs", "fairness", "both"])
+    def test_search_allocates_under_half_a_surface(self, ref_model, ne_point, search):
+        # the whole search at n = 400, the scan of the grid included
+        run = {"social": lambda: social_optimum(ref_model, Weights((0.5, 0.5))),
+               "nbs": lambda: nash_bargaining(ref_model, ne_point),
+               "fairness": lambda: fairness_projection(ref_model, ne_point),
+               "both": lambda: bargaining_points(ref_model, ne_point)}[search]
         assert traced_peak(run) < 0.5 * 400 * 400 * 8
+
+    def test_both_bargaining_points_match_their_own_searches(self, ne_point, nbs_point,
+                                                             ref_model):
+        assert bargaining_points(ref_model, ne_point) == (
+            nbs_point, fairness_projection(ref_model, ne_point))
 
 
 class TestImprovementRegion:
@@ -447,7 +462,7 @@ class TestNashBargaining:
         from icpower import ne_continuous
         ne = ne_continuous(symmetric_model)
         base = utility_point(symmetric_model, ne.solution.powers)
-        nbs = nash_bargaining(utility_grid(symmetric_model, 150), base)
+        nbs = nash_bargaining(symmetric_model, base, 150)
         u1, u2 = nbs.utilities
         assert abs(u1 - u2) <= 1e-4
 
@@ -455,12 +470,12 @@ class TestNashBargaining:
         unreachable = UtilityPoint(profile=PowerProfile((1.0, 1.0)),
                                    utilities=(10.0, 10.0), normalized=(10.0, 10.0))
         with pytest.raises(EmptyImprovementRegionError):
-            nash_bargaining(utility_grid(ref_model, 50), unreachable)
+            nash_bargaining(ref_model, unreachable, 50)
 
 
 class TestFairnessProjection:
-    def test_equal_gain_diagnostic(self, ne_point, grid_points):
-        fair = fairness_projection(grid_points, ne_point)
+    def test_equal_gain_diagnostic(self, ref_model, ne_point, grid_points):
+        fair = fairness_projection(ref_model, ne_point)
         assert in_improvement_region(fair, ne_point)
         d1, d2 = ne_point.utilities
         best_grid = np.max(np.minimum(grid_points.u1 - d1, grid_points.u2 - d2))

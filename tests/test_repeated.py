@@ -20,7 +20,7 @@ def policy(so_point, ne_report):
 
 @pytest.fixture(scope="module")
 def games(ref_model, policy, symmetric_model):
-    so = social_optimum(utility_grid(symmetric_model, 60), Weights((0.5, 0.5)))
+    so = social_optimum(symmetric_model, Weights((0.5, 0.5)), 60)
     symmetric = TriggerPolicy(so.profile, ne_continuous(symmetric_model).solution)
     return {"reference": (ref_model, policy), "symmetric": (symmetric_model, symmetric)}
 
@@ -189,6 +189,16 @@ class TestSimulateTrigger:
                     + (1 - d) * d ** at * u_dev + d ** (at + 1) * punish)
         assert got[1] == pytest.approx(expected, rel=1e-12)
 
+    def test_deviation_past_any_list_is_cooperation(self, ref_model, policy, so_point):
+        # delta^N underflows to 0, so the value is cooperation's, bit for bit
+        for at in (10 ** 9, 10 ** 20, 10 ** 400):
+            got = simulate_trigger(ref_model, policy, DiscountSpec(delta=0.999999),
+                                   deviant=0, deviate_at=at)
+            assert got == so_point.utilities
+            _, rows = trigger_csv_rows(ref_model, policy, DiscountSpec(delta=0.5),
+                                       deviant=0, deviate_at=at, stages=3)
+            assert [tuple(r[1:3]) for r in rows] == [policy.cooperate_profile.powers] * 3
+
     def test_threshold_indifference(self, ref_model, policy, so_point):
         d = min_discount(ref_model, policy)
         got = simulate_trigger(ref_model, policy, DiscountSpec(delta=d), deviant=0)
@@ -237,14 +247,20 @@ class TestOnePassPath:
     @settings(max_examples=60, deadline=None)
     @given(game=st.sampled_from(["reference", "symmetric"]),
            deviant=st.sampled_from([None, 0, 1]),
-           deviate_at=st.integers(0, 30), stages=st.integers(0, 60),
-           delta=st.floats(0.0, 0.99, exclude_max=True))
+           deviate_at=st.one_of(st.integers(0, 30), st.integers(0, 1000)),
+           stages=st.integers(0, 60), delta=st.floats(0.0, 0.99, exclude_max=True))
     def test_matches_stage_by_stage_bit_for_bit(self, games, game, deviant,
                                                  deviate_at, stages, delta):
+        # the CSV rows bit for bit; the payoffs too, but for the closed form of
+        # a cooperation phase before the deviation, within 1e-12 of the sum
         model, policy = games[game]
         spec = DiscountSpec(delta=delta)
         payoffs, rows = stage_by_stage(model, policy, spec, deviant, deviate_at,
                                        stages)
-        assert simulate_trigger(model, policy, spec, deviant, deviate_at) == payoffs
+        got = simulate_trigger(model, policy, spec, deviant, deviate_at)
+        if deviant is None or deviate_at == 0:
+            assert got == payoffs
+        else:
+            assert got == pytest.approx(payoffs, rel=1e-12, abs=0.0)
         _, got = trigger_csv_rows(model, policy, spec, deviant, deviate_at, stages)
         assert got == rows

@@ -121,61 +121,58 @@ def _slope(gamma: float, bits: int) -> float:
     return q ** (bits - 1) * (bits * gamma * math.exp(-gamma) - q) / (gamma * gamma)
 
 
-def _slope_scaled_derivative(gamma: float, bits: int) -> float:
-    """g^3 h'(g) / q^(L-2), q = 1 - exp(-g): ~ (L-1)(L-2) g^2 near 0.
-
-    For L = 2 the three O(1) terms cancel to -2 g^3, so below 1e-3 its Taylor
-    series through g^7 stands in; the g^8 term is under 2e-16 of it there."""
-    if bits == 2 and gamma < 1e-3:
-        return gamma ** 3 * (-2.0 + gamma * (3.5 + gamma * (
-            -3.0 + gamma * (31.0 / 18.0 - 0.75 * gamma))))
-    e = math.exp(-gamma)
-    return (e * e * (bits * bits * gamma * gamma + 2 * bits * gamma + 2)
-            - e * (bits * gamma * gamma + 2 * bits * gamma + 4) + 2)
-
-
 @lru_cache(maxsize=None)
 def _slope_peak(bits: int) -> tuple[float, float]:
-    """Argmax and max of h: for L >= 3 the one root of h' on (0, gamma_star).
+    """Argmax and max of h: for L >= 3 the one root of h' on (0, gamma_star),
+    bisected on g^3 h'(g) / q^(L-2) ~ (L-1)(L-2) g^2, q = 1 - exp(-g).  For
+    L = 2 that form cancels near 0, where h falls from its limit 1 at 0+, and
+    a point just above 0 stands in for the peak."""
+    def scaled_derivative(g: float) -> float:
+        e = math.exp(-g)
+        return (e * e * (bits * bits * g * g + 2 * bits * g + 2)
+                - e * (bits * g * g + 2 * bits * g + 4) + 2)
 
-    For L = 2, h falls from its limit 1 at 0+, and a point just above 0
-    stands in for the peak.
-    """
     peak = 1e-13 if bits == 2 else bisect_root(
-        partial(_slope_scaled_derivative, bits=bits), 1e-3, gamma_star(bits),
-        residual_tol=0.0)
+        scaled_derivative, 1e-3, gamma_star(bits), residual_tol=0.0)
     return peak, _slope(peak, bits)
 
 
 def _slope_root(c: float, bits: int, peak: float) -> float:
-    """The root of f = h - c past the peak, for 0 < c < h(peak): Newton from
-    gamma_star on a bracket that each f's sign narrows.  A step that leaves
-    it, meets h' >= 0 or fails to halve the step before last is a bisection
-    step.  Past a 2-ulp step, or |f| within L ulps of c (the rounding q^(L-1)
-    carries into h), doubling strides find a sign change that ``bisect_root``
-    closes: f(root) == 0 or f flips at an adjacent float, as on [peak, 50]."""
-    def f(g: float) -> float:
-        return _slope(g, bits) - c
+    """The root of f = h - c past the peak, for 0 < c < h(peak) and the peak
+    of ``_slope_peak``: secant steps from (peak, gamma_star) on a bracket that
+    each f's sign narrows.  A step that leaves it or fails to halve the step
+    before last is a bisection step.  Past a 2-ulp step, |f| within L ulps of
+    c (the rounding q^(L-1) carries into h) or a slope that rounding leaves
+    >= 0, doubling strides find a sign change that ``bisect_root`` closes:
+    f(root) == 0 or f flips at an adjacent float, as on [peak, 50].  No
+    point is evaluated twice."""
+    memo = {peak: _slope_peak(bits)[1] - c}
 
-    lo, hi, g = peak, 50.0, gamma_star(bits)  # f(peak) > 0 > f(50)
-    if bits == 2:  # h >= 1 - 2g, so f >= 0 at (1 - c) / 2: at or below the root
-        g = min(g, max(lo, 0.5 * (1.0 - c)))
+    def f(g: float) -> float:
+        if g not in memo:
+            memo[g] = _slope(g, bits) - c
+        return memo[g]
+
+    lo, hi = peak, 50.0  # f(peak) > 0 > f(50)
+    last, g = peak, gamma_star(bits)
     old = step = hi - lo
     while True:  # each step lands strictly inside the shrinking bracket
         fg = f(g)
         if fg == 0.0:
             return g
         lo, hi = (g, hi) if fg > 0.0 else (lo, g)
-        dh = _slope_scaled_derivative(g, bits) * (-math.expm1(-g)) ** (bits - 2)
-        newton = fg * g ** 3 / dh if dh < 0.0 else math.inf
-        if abs(newton) <= 2.0 * math.ulp(g) or abs(fg) <= bits * math.ulp(c):
+        slope = (fg - memo[last]) / (g - last)
+        # f falls, so at a slope >= 0 rounding outweighs f's change: g is in
+        # f's noise band, about g - last from the root
+        secant = fg / slope if slope < 0.0 else g - last
+        if slope >= 0.0 or abs(secant) <= 2.0 * math.ulp(g) or abs(fg) <= bits * math.ulp(c):
             break
-        good = lo < g - newton < hi and abs(newton) <= 0.5 * abs(old)
-        old, step = step, newton if good else g - 0.5 * (lo + hi)
+        good = lo < g - secant < hi and abs(secant) <= 0.5 * abs(old)
+        old, step = step, secant if good else g - 0.5 * (lo + hi)
         if abs(step) <= 2.0 * math.ulp(g):
             break
-        g -= step
-    up, width = fg > 0.0, max(math.ulp(g), abs(newton))
+        last, g = g, g - step
+    up, width = fg > 0.0, max(math.ulp(g), abs(secant))
     while True:  # ends at lo or hi at worst, whose signs differ
         x = min(g + width, hi) if up else max(g - width, lo)
         if (f(x) > 0.0) != up:
@@ -190,7 +187,7 @@ def best_response_priced(model: NetworkModel, profile: Powers, k: int,
 
     At gamma = mu_k * s_k the utility is t * mu_k * [(1 - exp(-gamma))^L / gamma
     - c * gamma], c = alpha / (t * mu_k^2), whose one interior maximum solves
-    h = c past h's peak: gamma_star at c = 0, else the Newton root that
+    h = c past h's peak: gamma_star at c = 0, else the secant root that
     ``_slope_root`` certifies as a bisection would.  Capped, it must beat silence.
     Where t * mu_k^2 underflows to 0 the limit mu_k -> 0+ holds: c -> inf
     prices every power out, unless alpha = 0 leaves the unpriced response.

@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import SolverOutcomeError, Weights
 from .continuous import best_response_ee, ee_utility
-from .network import NetworkModel, PowerProfile, Powers, power_tuple, sinr_grid
+from .network import (NetworkModel, PowerProfile, Powers, _utility_bound,
+                      power_tuple, sinr_grid)
 
 __all__ = [
     "UtilityPoint",
@@ -212,12 +213,18 @@ def _bargain(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int,
     """Maximize each ``combine(g1, g2)`` of the nonnegative utility gains.
 
     Infeasible points score -inf, so the refinement never leaves the region.
+    The gains are scored in units of the power of two just above both
+    players' utility bounds: g1 * g2 then cannot overflow, and scaling by a
+    power of two is exact, so the best cell is the one the plain gains pick
+    wherever their product neither overflows nor underflows.
     """
     d1, d2 = disagreement.utilities
+    bound = max(_utility_bound(model, k) for k in range(2))
+    unit = math.ldexp(1.0, -min(max(math.frexp(bound)[1], -1022), 1022))  # a normal float
 
     def scorer(combine):
         def score(u1, u2):
-            g1, g2 = u1 - d1, u2 - d2
+            g1, g2 = (u1 - d1) * unit, (u2 - d2) * unit
             return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
         return score
 

@@ -29,7 +29,8 @@ class NetworkModel:
         power_cap: maximum transmit power per player (W), > 0.
         packet_bits: information bits per packet, from 1 to 2**53.
         rate_scale: throughput scale (b/s), > 0, with noise_power / rate_scale
-            finite.
+            and rate_scale * processing_gain * gains[j][j] / noise_power, the
+            bound on player j's utility, finite.
     """
 
     gains: tuple[tuple[float, ...], ...]
@@ -75,6 +76,9 @@ class NetworkModel:
             if not math.isfinite(self.processing_gain * row[j] / self.noise_power):
                 raise ValueError(f"processing_gain * gains[{j}][{j}] / noise_power "
                                  f"must be finite")
+            if not math.isfinite(_utility_bound(self, j)):
+                raise ValueError(f"rate_scale * processing_gain * gains[{j}][{j}] "
+                                 f"/ noise_power must be finite")
 
     @property
     def num_players(self) -> int:
@@ -122,6 +126,13 @@ def power_tuple(profile: Powers, num_players: int | None = None) -> tuple[float,
             f"profile has {len(vals)} entries, model has {num_players} players"
         )
     return vals
+
+
+def _utility_bound(model: NetworkModel, k: int) -> float:
+    """rate_scale * processing_gain * gains[k][k] / noise_power: player k's
+    utility is at most this, since SINR per watt <= W * g_kk / noise and
+    throughput(gamma) / gamma <= rate_scale."""
+    return model.rate_scale * model.processing_gain * model.gains[k][k] / model.noise_power
 
 
 def _checked(model: NetworkModel, profile: Powers, k: int) -> tuple[float, ...]:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -377,6 +378,22 @@ class TestEfficiencyCommands:
         assert artifact["solution"]["normalized"] == pytest.approx(
             [0.288, 0.434], abs=0.005)
 
+    @pytest.mark.parametrize("k", [-540, -520, 520, 1000])
+    def test_nbs_is_the_same_at_any_power_of_two_rate(self, tmp_path, k):
+        # rate_scale = 2**k scales every utility exactly, so only the raw
+        # utilities may differ, by 2**k, even where g1 * g2 would overflow
+        # or fall subnormal
+        artifacts = []
+        for scale in (0, k):
+            cfg = json.loads(default_config_path().read_text())
+            cfg["network"]["rate_scale"] = math.ldexp(1.0, scale)
+            assert run(tmp_path, "--quiet", "nbs", "--n", "60", "--fairness",
+                       config=cfg) == 0
+            artifacts.append(read_json(tmp_path, "nbs"))
+        for point in artifacts[1].values():
+            point["utilities"] = [math.ldexp(u, -k) for u in point["utilities"]]
+        assert artifacts[1] == artifacts[0]
+
 
 class TestRepeated:
     def test_summary_and_artifacts(self, tmp_path, capsys):
@@ -580,9 +597,10 @@ class TestDriver:
         {"noise_power": 1e-300}, {"noise_power": 1e300},
         {"packet_bits": 10 ** 400}, {"rate_scale": 1e-320},
         {"gains": [[1e10, 0.5], [0.25, 1.0]], "processing_gain": 1e300},
+        {"noise_power": 1e-10, "rate_scale": 1e300},
     ], ids=["mu-squared-underflows", "mu-underflows", "huge-gains", "tiny-cap", "huge-cap",
             "tiny-noise", "huge-noise", "packet-bits-past-float", "noise-over-rate-overflows",
-            "mu-overflows"])
+            "mu-overflows", "utility-overflows"])
     # the CLI prints numpy's overflow warnings and goes on, as here
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_valid_config_ends_in_a_traceback(self, tmp_path, capsys, network):
@@ -599,6 +617,35 @@ class TestDriver:
                 assert re.match(r"error: (network|--n): ", err), (argv, err)
             for path in (tmp_path / "out").glob("*.json"):  # as a config would load them
                 assert not re.search(r"Infinity|NaN", path.read_text()), (argv, path.name)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_drawn_extreme_networks_end_in_an_exit_code(self, tmp_path, capsys):
+        # each field log-uniform over 1e-150..1e150 (processing_gain from 1)
+        # and L from 2 to 2**53: each command exits 0, 2 naming a field or 3,
+        # and writes only finite JSON
+        rng = random.Random(21)
+        draw = lambda: 10.0 ** rng.uniform(-150.0, 150.0)
+        cfg = json.loads(default_config_path().read_text())
+        cfg["search"]["max_iter"] = 50
+        for _ in range(40):
+            cfg["network"] = {
+                "gains": [[draw(), draw()], [draw(), draw()]], "noise_power": draw(),
+                "processing_gain": 10.0 ** rng.uniform(0.0, 150.0), "power_cap": draw(),
+                "packet_bits": int(2.0 ** rng.uniform(1.0, 53.0)), "rate_scale": draw()}
+            for argv in (["ne"], ["pricing", "--alpha", "0.12"],
+                         ["pricing", "--sweep", "0:0.3:3"], ["pareto", "--n", "9"],
+                         ["social", "--n", "9"], ["nbs", "--n", "9"],
+                         ["nbs", "--n", "9", "--fairness"],
+                         ["repeated", "--n", "9", "--deviant", "1"], ["finite"]):
+                code = run(tmp_path, "--quiet", *argv, config=cfg)
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), (cfg["network"], argv)
+                if code == 2:
+                    assert re.match(r"error: network: ", err), (cfg["network"], argv, err)
+                for path in (tmp_path / "out").glob("*.json"):
+                    assert not re.search(r"Infinity|NaN", path.read_text()), (
+                        cfg["network"], argv)
+                    path.unlink()
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

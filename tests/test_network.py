@@ -52,8 +52,10 @@ class TestNetworkModelValidation:
         ("rate_scale", 1e-320, "noise_power / rate_scale must be finite"),
         ("noise_power", 1e-308, r"processing_gain \* gains\[0\]\[0\] / noise_power "
                                 "must be finite"),
+        ("rate_scale", 1e308, r"rate_scale \* processing_gain \* gains\[0\]\[0\] / "
+                              "noise_power must be finite"),
     ], ids=["packet_bits-past-2**53", "packet_bits-past-float", "noise-over-rate-overflows",
-            "sinr-per-watt-overflows"])
+            "sinr-per-watt-overflows", "utility-bound-overflows"])
     def test_values_the_solvers_cannot_represent(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             make_model(**{field: value})

@@ -2,37 +2,35 @@
 
 Layers: physical channel (network), finite on/off games (finite), the
 continuous energy-efficiency game and its equilibria (continuous),
-utility-plane efficiency analysis (efficiency), grim-trigger repeated play
-(repeated), root bracketing (numerics), and a JSON-configured CLI (config,
-cli).  The package re-exports every module's ``__all__`` except the CLI's.
-Only efficiency and finite import numpy, so their names, listed in
-``_LAZY``, load on first access (PEP 562).
+efficiency analysis on the utility plane and its frontier (efficiency),
+grim-trigger repeated play (repeated), root bracketing and golden-section
+search (numerics), and a JSON-configured CLI (config, cli).  The package
+re-exports every module's ``__all__`` except the CLI's.  Only finite imports
+numpy at import time (efficiency imports it inside the functions that build
+the utility plane), so finite's names, listed in ``_LAZY``, load on first
+access (PEP 562).
 """
 from importlib import import_module
 
-from . import config, continuous, network, numerics, repeated
+from . import config, continuous, efficiency, network, numerics, repeated
 from .config import *
 from .continuous import *
+from .efficiency import *
 from .network import *
 from .numerics import *
 from .repeated import *
 
 __version__ = "0.1.0"
 
-# Weights and FiniteGameParams, which efficiency and finite also export,
-# come eagerly from config.
+# FiniteGameParams, which finite also exports, comes eagerly from config.
 _LAZY = {
-    "efficiency": ("EmptyImprovementRegionError", "UtilityPlane", "UtilityPoint",
-                   "bargaining_points", "distance_to_frontier", "fairness_projection", "grid_csv_rows",
-                   "in_improvement_region", "nash_bargaining", "pareto_frontier",
-                   "social_optimum", "utility_grid", "utility_point"),
     "finite": ("Elimination", "FiniteGame", "JointDistribution", "best_responses_finite",
                "build_ic_game", "build_nfe_game", "is_correlated_equilibrium",
                "iterated_dominance", "payoff", "pure_nash", "strictly_dominated"),
 }
 
-__all__ = [*config.__all__, *continuous.__all__, *network.__all__, *numerics.__all__,
-           *repeated.__all__, *_LAZY["efficiency"], *_LAZY["finite"], "__version__"]
+__all__ = [*config.__all__, *continuous.__all__, *efficiency.__all__, *network.__all__,
+           *numerics.__all__, *repeated.__all__, *_LAZY["finite"], "__version__"]
 
 
 def __getattr__(name: str):

@@ -5,11 +5,12 @@ summary (normalized powers to 2 decimals, utilities to 3), and writes
 machine-readable artifacts <command>.json / <command>.csv into the output
 directory.  Exit codes: 0 success, 2 validation error (bad config or
 flags), 3 a solver outcome on a valid config (the dynamics did not
-converge, cooperation is not rational, or the bargaining region is empty),
+converge, or cooperation is not rational),
 4 I/O error.  The parser is built once per process, at import; ``main`` only
-parses.  finite, pareto, social, nbs and repeated build arrays, and only they
-import numpy: they import efficiency and finite inside their bodies.  pareto
-alone holds the utility plane; social, nbs and repeated scan the grid in bands.
+parses.  finite and pareto build arrays, and only they import numpy: finite
+imports its module inside its body, and pareto the functions of efficiency
+that import numpy.  social, nbs and repeated search the frontier's
+one-dimensional pieces in plain floats.
 """
 from __future__ import annotations
 
@@ -22,13 +23,14 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .config import (SCENARIOS, ConfigError, RunConfig, SolverOutcomeError,
                      default_config_path, load_config)
-from .continuous import (PricingConfig, SolveReport, br_dynamics, priced_responder,
-                         trace_csv_rows)
+from .continuous import (DegenerateUtilityError, PricingConfig, SolveReport, br_dynamics,
+                         priced_responder, trace_csv_rows)
+from .efficiency import (UtilityPoint, _check_players, bargaining_points, nash_bargaining,
+                         social_optimum)
 from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigger,
                        trigger_csv_rows)
 
 if TYPE_CHECKING:
-    from .efficiency import UtilityPoint
     from .finite import FiniteGame
 
 __all__ = ["main"]
@@ -109,29 +111,13 @@ def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
 
 
 def _converged_ne(cfg: RunConfig) -> UtilityPoint:
-    """The unpriced equilibrium as a utility point; it must have converged."""
-    from .efficiency import UtilityPoint
+    """The unpriced equilibrium of a 2-player network as a utility point; the
+    player count is checked before the dynamics run, which must converge."""
+    _check_players(cfg.model)
     ne = _dynamics(cfg)
     if not ne.converged:
         raise SolverOutcomeError(_unconverged(ne))
     return UtilityPoint(ne.solution, ne.utilities, ne.normalized_utilities)
-
-
-def _on_grid(cfg: RunConfig, args, solve):
-    """``solve(n)`` at ``--n`` or the config's n_per_axis, checked first with the
-    player count; a grid that cannot fit in memory exits 2 naming n's source."""
-    from .efficiency import _check_grid
-    n = cfg.search.n_per_axis if args.n is None else args.n
-    source = "search.n_per_axis" if args.n is None else "--n"
-    if n < 2:  # the config rejects n_per_axis < 2, so only --n gets here
-        raise ConfigError(f"{source}: n_per_axis must be >= 2")
-    if n * n <= sys.maxsize:  # numpy indexes no larger plane
-        _check_grid(cfg.model, n)  # before the dynamics run
-        try:
-            return solve(n)
-        except MemoryError:
-            pass
-    raise ConfigError(f"{source}: the utility plane at n = {n} does not fit in memory")
 
 
 def _point_row(pt: UtilityPoint) -> list[float]:
@@ -285,9 +271,21 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
 # -- efficiency --------------------------------------------------------
 
 def cmd_pareto(cfg: RunConfig, args) -> Output:
+    """The plane at ``--n`` or the config's n_per_axis; one that cannot fit in
+    memory exits 2 naming n's source."""
     from .efficiency import grid_csv_rows, pareto_frontier, utility_grid
-    plane = _on_grid(cfg, args, lambda n: utility_grid(cfg.model, n))
-    n = len(plane.axis)
+    n = cfg.search.n_per_axis if args.n is None else args.n
+    source = "search.n_per_axis" if args.n is None else "--n"
+    if n < 2:  # the config rejects n_per_axis < 2, so only --n gets here
+        raise ConfigError(f"{source}: n_per_axis must be >= 2")
+    plane = None
+    if n * n <= sys.maxsize:  # numpy indexes no larger plane
+        try:
+            plane = utility_grid(cfg.model, n)
+        except MemoryError:
+            pass
+    if plane is None:
+        raise ConfigError(f"{source}: the utility plane at n = {n} does not fit in memory")
     cells = pareto_frontier(plane)
     frontier = [plane.point(k) for k in cells.tolist()]
     artifact = {"n_per_axis": n,
@@ -300,9 +298,7 @@ def cmd_pareto(cfg: RunConfig, args) -> Output:
 
 
 def cmd_social(cfg: RunConfig, args) -> Output:
-    from .efficiency import social_optimum
-    so = _on_grid(cfg, args, lambda n: social_optimum(cfg.model, cfg.weights, n,
-                                                      cfg.search.refine_tol))
+    so = social_optimum(cfg.model, cfg.weights)
     _say(args, f"š/σ² = {_fmt_vec(so.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(so.normalized, 3)}")
     return Output("social", {"weights": list(cfg.weights.w), **_point_dict(so)},
@@ -310,15 +306,9 @@ def cmd_social(cfg: RunConfig, args) -> Output:
 
 
 def cmd_nbs(cfg: RunConfig, args) -> Output:
-    from .efficiency import bargaining_points, nash_bargaining
-
-    def solve(n):
-        ne = _converged_ne(cfg)
-        if args.fairness:
-            return ne, *bargaining_points(cfg.model, ne, n, cfg.search.refine_tol)
-        return ne, nash_bargaining(cfg.model, ne, n, cfg.search.refine_tol), None
-
-    disagreement, nbs, fair = _on_grid(cfg, args, solve)
+    disagreement = _converged_ne(cfg)
+    nbs, fair = (bargaining_points(cfg.model, disagreement) if args.fairness
+                 else (nash_bargaining(cfg.model, disagreement), None))
     artifact = {"disagreement": _point_dict(disagreement), "solution": _point_dict(nbs)}
     rows = [_point_row(nbs)]
     _say(args, f"ṡ/σ² = {_fmt_vec(nbs.profile.normalized(cfg.model.noise_power), 2)}")
@@ -342,9 +332,8 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
         raise ConfigError("--deviate-at must be >= 0")
     if args.delta is not None and not 0.0 <= args.delta < 1.0:
         raise ConfigError("--delta must be in [0, 1)")
-    from .efficiency import social_optimum
-    ne, so = _on_grid(cfg, args, lambda n: (_converged_ne(cfg), social_optimum(
-        cfg.model, cfg.weights, n, cfg.search.refine_tol)))
+    ne = _converged_ne(cfg)
+    so = social_optimum(cfg.model, cfg.weights)
     policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.profile)
     dmin = min_discount(cfg.model, policy)
     deviant = None if args.deviant is None else args.deviant - 1
@@ -399,8 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the console summary")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--n", type=int, help="grid points per axis (default: from config)")
 
     sp = sub.add_parser("finite", help="on/off transmission games: payoffs, "
                                        "dominance, pure NE, CE check")
@@ -421,20 +408,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="run a range of surcharge levels")
     sp.set_defaults(func=cmd_pricing)
 
-    sp = sub.add_parser("pareto", parents=[grid],
+    sp = sub.add_parser("pareto",
                         help="sample the utility plane and extract the Pareto frontier")
+    sp.add_argument("--n", type=int, help="grid points per axis (default: from config)")
     sp.set_defaults(func=cmd_pareto)
 
-    sp = sub.add_parser("social", parents=[grid], help="maximize weighted sum utility")
+    sp = sub.add_parser("social", help="maximize weighted sum utility")
     sp.set_defaults(func=cmd_social)
 
-    sp = sub.add_parser("nbs", parents=[grid],
-                        help="Nash bargaining solution against the NE")
+    sp = sub.add_parser("nbs", help="Nash bargaining solution against the NE")
     sp.add_argument("--fairness", action="store_true",
                     help="also report the equal-gain frontier point")
     sp.set_defaults(func=cmd_nbs)
 
-    sp = sub.add_parser("repeated", parents=[grid], help="grim-trigger analysis: "
+    sp = sub.add_parser("repeated", help="grim-trigger analysis: "
                         "minimum discount factor and trigger paths")
     sp.add_argument("--delta", type=float, help="discount factor for the "
                                                 "simulated path (default: δ̲+0.05)")
@@ -465,6 +452,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except DegenerateUtilityError as exc:  # a property of the network section
+        print(f"error: network: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,21 +82,20 @@ class FiniteGameParams:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Numerical search settings shared by the solver commands."""
+    """Numerical settings: the utility plane's points per axis (``pareto``),
+    and the best-response dynamics' tolerance and sweep limit."""
 
     n_per_axis: int = 400
     br_tol: float = 1e-10
-    refine_tol: float = 1e-10
     max_iter: int = 10_000
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_per_axis, int) and self.n_per_axis >= 2):
             raise ValueError("n_per_axis must be an integer >= 2")
-        for name in ("br_tol", "refine_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not self.br_tol > 0:
+            raise ValueError("br_tol must be > 0")
+        if not math.isfinite(self.br_tol):
+            raise ValueError("br_tol must be finite")
         if not (type(self.max_iter) is int and self.max_iter >= 1):
             raise ValueError("max_iter must be an integer >= 1")
 
@@ -241,8 +240,9 @@ def config_from_dict(data: dict) -> RunConfig:
     else:
         weights = Weights((0.5, 0.5))
 
-    # search.priced_tol is deprecated and ignored
-    search = (_dataclass_section(data, "search", SearchConfig, ignored=("priced_tol",))
+    # search.priced_tol and search.refine_tol are deprecated and ignored
+    search = (_dataclass_section(data, "search", SearchConfig,
+                                 ignored=("priced_tol", "refine_tol"))
               if "search" in data else SearchConfig())
     output = (_dataclass_section(data, "output", OutputConfig)
               if "output" in data else OutputConfig())

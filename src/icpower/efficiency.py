@@ -1,28 +1,33 @@
-"""Two-player efficiency analysis on the utility plane.
+"""Two-player efficiency analysis.
 
-Samples the achievable utility region over [0, power_cap]^2, extracts the
-Pareto frontier, maximizes weighted social welfare, and computes the Nash
-bargaining solution over the improvement region of a disagreement point
-(typically the noncooperative equilibrium).  The optimizers scan the grid in
-bands straight from the model; only the frontier needs the whole plane.
+Samples the achievable utility region over [0, power_cap]^2 on a grid and
+extracts that sample's Pareto frontier.  Maximizes weighted social welfare,
+and computes the Nash bargaining solution and the equal-gain point over the
+improvement region of a disagreement point (typically the noncooperative
+equilibrium), by a search along the one-dimensional pieces that hold the
+frontier itself.  Only the sampled plane uses numpy, imported where it is
+built, so the optimizers run without it.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from functools import partial
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .config import SolverOutcomeError, Weights
-from .continuous import best_response_ee, ee_utility
+from .continuous import best_response_ee, ee_utility, gamma_star
 from .network import (NetworkModel, PowerProfile, Powers, _utility_bound,
                       power_tuple, sinr_grid)
+from .numerics import bisect_root, golden_section_max
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UtilityPoint",
     "UtilityPlane",
-    "Weights",
     "EmptyImprovementRegionError",
     "utility_point",
     "utility_grid",
@@ -46,7 +51,7 @@ class UtilityPoint(NamedTuple):
 
 
 class EmptyImprovementRegionError(SolverOutcomeError):
-    """No sampled profile weakly improves on the disagreement point."""
+    """No profile in the box weakly improves on the disagreement point."""
 
 
 def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
@@ -59,6 +64,7 @@ def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
 def _surfaces(model: NetworkModel, axis1: np.ndarray,
               axis2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Utility surfaces u1(s1, s2), u2(s1, s2) on axis1 x axis2, made in place."""
+    import numpy as np
     powers, gammas = sinr_grid(model, axis1, axis2)
     for own, u in zip(powers, gammas):
         np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)  # 1 - exp(-gamma)
@@ -91,18 +97,19 @@ class UtilityPlane:
                             utilities=(x, y), normalized=(x * scale, y * scale))
 
 
-def _check_grid(model: NetworkModel, n_per_axis: int) -> None:
+def _check_players(model: NetworkModel) -> None:
     if model.num_players != 2:
         raise ValueError(
             f"utility-plane analysis supports exactly 2 players, got {model.num_players}"
         )
-    if n_per_axis < 2:
-        raise ValueError("n_per_axis must be >= 2")
 
 
 def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
     """Sample [0, power_cap]^2 uniformly (endpoints included), s1-major order."""
-    _check_grid(model, n_per_axis)
+    import numpy as np
+    _check_players(model)
+    if n_per_axis < 2:
+        raise ValueError("n_per_axis must be >= 2")
     axis = np.linspace(0.0, model.power_cap, n_per_axis)
     u1, u2 = _surfaces(model, axis, axis)
     return UtilityPlane(axis, u1, u2, model)
@@ -118,6 +125,7 @@ def pareto_frontier(plane: UtilityPlane) -> np.ndarray:
     order; a cell is kept when its u2 strictly exceeds every u2 before it,
     which drops the dominated cells and all but the first of each run.
     """
+    import numpy as np
     u1, u2 = plane.u1.ravel(), plane.u2.ravel()
     if not u1.size:
         raise ValueError("need at least one point")
@@ -127,78 +135,156 @@ def pareto_frontier(plane: UtilityPlane) -> np.ndarray:
     return order[u2_sorted > best_before][::-1]
 
 
-_PATCH = np.linspace(-1.0, 1.0, 9).tolist()  # zoom patch offsets, in units of span
-_BAND = 8192  # cells scored at once: 64 KiB per float temporary
+_SAMPLES = 48  # points sampled on each piece of the frontier
+_WIDTH = 1e-13  # golden sections stop at this share of the sampled interval
+_PROBE = 1e-6  # share of a piece between an end and the point that tests its slope
 
 
-def _scan(model: NetworkModel, axis1: np.ndarray, axis2: np.ndarray,
-          scores: list) -> list[tuple[int, int, float]]:
-    """Row, column and value of each score's first best cell in s1-major order
-    on axis1 x axis2, the cell ``np.argmax`` would pick.  The surfaces are made
-    and scored in row bands of about ``_BAND`` cells, never as a whole grid."""
-    rows = max(1, _BAND // len(axis2))
-    best = [(0, 0, -np.inf)] * len(scores)
-    for r in range(0, len(axis1), rows):
-        u1, u2 = _surfaces(model, axis1[r:r + rows], axis2)
-        for s, score in enumerate(scores):
-            band = score(u1, u2)
-            i, j = divmod(int(np.argmax(band)), band.shape[1])
-            if band[i, j] > best[s][2]:
-                best[s] = (r + i, j, band[i, j])
-    return best
+def _ratio(gamma: float, bits: int) -> float:
+    """R = F'/T' = (L - expm1(gamma)/gamma) / (L gamma), with T = (1 -
+    exp(-gamma))^L and F = T/gamma: it falls from +inf at 0 to 0 at gamma_star."""
+    return math.inf if gamma == 0.0 else (bits - math.expm1(gamma) / gamma) / (bits * gamma)
 
 
-def _grid_then_refine(model: NetworkModel, n_per_axis: int, refine_tol: float,
-                      scores: list) -> list[UtilityPoint]:
-    """The best point of each of ``scores(u1, u2)``: its best cell on the
-    n x n grid, which one ``_scan`` finds for them all, polished by a zoom.
+def _ratio_inverse(y: float, bits: int) -> float:
+    """The gamma in [0, gamma_star] where R = y, by Newton's method on log R
+    over log gamma (slope -1 near 0), from the root of R's tangent at
+    gamma_star or of (L - 1) / (L gamma) >= R; a step that leaves the
+    bracket bisects it."""
+    star = gamma_star(bits)
+    if not y > 0.0:
+        return star
+    if y == math.inf:
+        return 0.0
+    target, lo, hi = math.log(y), -math.inf, math.log(star)
+    tangent = star - y * bits * star * star / (1.0 + bits * (star - 1.0))
+    x = math.log(min((bits - 1) / (bits * y), tangent if tangent > 0.0 else star))
+    for _ in range(64):
+        g = math.exp(x)
+        e = math.expm1(g) / g
+        f = math.log((bits - e) / (bits * g)) - target if e < bits else -math.inf
+        lo, hi = (x, hi) if f > 0.0 else (lo, x)
+        step = -f * (bits - e) / (bits + 1 + (g - 2.0) * e) if f > -math.inf else math.inf
+        if abs(step) <= 2.0 ** -43:
+            return math.exp(x - step)
+        x = x - step if lo < x - step < hi else hi - 1.0 if lo == -math.inf else 0.5 * (lo + hi)
+    return math.exp(x)
 
-    Each round scores a 9 x 9 patch within +/- span of the incumbent
-    (clipped to [0, power_cap]) and moves to its best cell on a strict gain.
-    The span starts at one grid step and shrinks by 4 each round, except
-    after a move onto the patch's edge, until it is at most ``refine_tol``.
-    Then each player's lone best response is kept on a strict gain: where
-    player j is silent u_j = 0, and every score here is nondecreasing in
-    each utility, so that response is the best point with s_j = 0.  A score
-    that is -inf on every cell raises EmptyImprovementRegionError.
+
+def _pieces(model: NetworkModel) -> list[tuple]:
+    """The one-dimensional pieces ``(lo, hi, k, at)`` whose union, with the
+    two lone best responses, holds the Pareto frontier of [0, power_cap]^2:
+    ``at(t)`` is a profile, or None where its powers are not finite, and
+    along t in [lo, hi] player k's utility rises and the other's falls.
+
+    With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on
+    the curve R(gamma_1) * R(gamma_2) = kappa = beta_1 * beta_2, beta_k =
+    g_kj / (W * g_jj).  Its half k runs gamma_k from 0 to R^-1(sqrt(kappa)),
+    with the other SINR R^-1(kappa / R(gamma_k)), so kappa = 0 gives both
+    branches gamma_j = gamma_star.  The powers, s_k = (noise / (W * g_kk)) *
+    gamma_k * (1 + beta_k * gamma_j) / (1 - kappa * gamma_1 * gamma_2), may
+    leave the box.  Then the cap edges: player j at power_cap and player k
+    from 0 to its best response.
     """
-    _check_grid(model, n_per_axis)
+    bits, cap, w = model.packet_bits, model.power_cap, model.processing_gain
+    watts = [model.noise_power / (w * row[k]) for k, row in enumerate(model.gains)]
+    beta = [model.gains[k][1 - k] / (w * model.gains[1 - k][1 - k]) for k in range(2)]
+    kappa = beta[0] * beta[1] if beta[0] and beta[1] else 0.0
+
+    def curve(k: int) -> tuple:
+        def at(t: float) -> Optional[tuple[float, float]]:
+            r = _ratio(t, bits)  # <= 0 only by rounding next to gamma_star
+            other = _ratio_inverse(kappa / r if r > 0.0 else 0.0, bits)
+            gamma = (t, other) if k == 0 else (other, t)
+            det = 1.0 - kappa * gamma[0] * gamma[1]
+            if not det > 0.0:
+                return None
+            s = tuple(gamma[i] * (1.0 + beta[i] * gamma[1 - i]) / det * watts[i]
+                      for i in range(2))
+            return s if all(0.0 <= v < math.inf for v in s) else None  # inf * 0 is NaN
+        return 0.0, _ratio_inverse(math.sqrt(kappa), bits), k, at
+
+    def edge(k: int) -> tuple:
+        return (0.0, best_response_ee(model, (cap, cap), k), k,
+                lambda t: (t, cap) if k == 0 else (cap, t))
+
+    return [curve(0), curve(1), edge(0), edge(1)]
+
+
+def _search(model: NetworkModel, scores: list,
+            disagreement: Optional[UtilityPoint] = None) -> list[UtilityPoint]:
+    """The best point of each ``score(u1, u2)``, nondecreasing in each
+    utility, over [0, power_cap]^2.
+
+    The candidates are the disagreement profile, the two lone best responses
+    and, on each piece of ``_pieces``, ``_SAMPLES`` evenly spaced points,
+    each scored by every score, then a golden section for one score around
+    each of its sampled local maxima.  A piece's start, where player k is
+    silent, is never better than the other's lone best response.  Given a
+    disagreement point, a piece is first cut to its improvement interval,
+    whose ends are bisected where a utility reaches the disagreement's, so
+    that a narrow region still gets samples.  Every candidate is scored by
+    ``ee_utility`` at its own powers, -inf outside the box.  A score that is
+    -inf at every candidate raises EmptyImprovementRegionError.
+    """
     cap, silent = model.power_cap, (0.0, 0.0)
-    axis = np.linspace(0.0, cap, n_per_axis)
-    lone = [] if model.packet_bits == 1 else [  # L = 1 has no lone best response
-        (best_response_ee(model, silent, 0), 0.0), (0.0, best_response_ee(model, silent, 1))]
-    points = []
-    for score, (i, j, best) in zip(scores, _scan(model, axis, axis, scores)):
-        if best == -np.inf:
-            raise EmptyImprovementRegionError(
-                "no sampled profile weakly improves on the disagreement utilities")
-        x = (float(axis[i]), float(axis[j]))
-        span = float(axis[1] - axis[0])
-        while span > refine_tol:
-            axes = [sorted({min(max(v + span * p, 0.0), cap) for p in _PATCH}) for v in x]
-            [(i, j, value)] = _scan(model, *map(np.array, axes), [score])
-            if value > best:
-                x, best = (axes[0][i], axes[1][j]), value
-                if i in (0, len(axes[0]) - 1) or j in (0, len(axes[1]) - 1):
+    best = [(-math.inf, silent)] * len(scores)
+    every = range(len(scores))
+
+    def visit(s: Optional[tuple[float, float]], which) -> list[float]:
+        if s is None or max(s) > cap:
+            return [-math.inf] * len(which)
+        u = ee_utility(model, s, 0), ee_utility(model, s, 1)
+        values = [scores[i](*u) for i in which]
+        for i, v in zip(which, values):
+            if v > best[i][0]:
+                best[i] = (v, s)
+        return values
+
+    if disagreement is not None:
+        visit(disagreement.profile.powers, every)
+    visit((best_response_ee(model, silent, 0), 0.0), every)
+    visit((0.0, best_response_ee(model, silent, 1)), every)
+    for lo, hi, k, at in _pieces(model):
+        if disagreement is not None:
+            def excess(t: float, j: int) -> float:
+                s = at(t)
+                return -math.inf if s is None else (
+                    ee_utility(model, s, j) - disagreement.utilities[j])
+            rise, fall = partial(excess, j=k), partial(excess, j=1 - k)
+            if rise(hi) < 0.0 or fall(lo) < 0.0:
+                continue
+            lo, hi = (lo if rise(lo) >= 0.0 else bisect_root(rise, lo, hi, 0.0),
+                      hi if fall(hi) >= 0.0 else bisect_root(fall, lo, hi, 0.0))
+        n = _SAMPLES if hi > lo else 1
+        ts = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
+        values = [visit(at(t), every) for t in ts]
+        for i in every:
+            v = [vals[i] for vals in values]
+            f = lambda t: visit(at(t), (i,))[0]
+            for j in range(n):
+                if not (v[j] > -math.inf and (j == 0 or v[j] > v[j - 1])
+                        and (j == n - 1 or v[j] >= v[j + 1])):
                     continue
-            span /= 4.0
-        for edge in lone:
-            [(_, _, value)] = _scan(model, np.array(edge[:1]), np.array(edge[1:]), [score])
-            if value > best:
-                x, best = edge, value
-        points.append(utility_point(model, x))
-    return points
+                if j in (0, n - 1):  # the maximum is inside only if f rises inward
+                    inward = (1.0 if j == 0 else -1.0) * _PROBE * (hi - lo)
+                    if j == 0 and lo == 0.0 or not f(ts[j] + inward) > v[j]:
+                        continue
+                golden_section_max(f, ts[max(j - 1, 0)], ts[min(j + 1, n - 1)],
+                                   _WIDTH * (hi - lo))
+    if any(v == -math.inf for v, _ in best):
+        raise EmptyImprovementRegionError(
+            "no profile weakly improves on the disagreement utilities")
+    return [utility_point(model, s) for _, s in best]
 
 
-def social_optimum(model: NetworkModel, weights: Weights, n_per_axis: int = 400,
-                   refine_tol: float = 1e-10) -> UtilityPoint:
-    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2: the best cell of the
-    n x n grid, a zoom around it, then each player's lone best response."""
+def social_optimum(model: NetworkModel, weights: Weights) -> UtilityPoint:
+    """Maximize w1*u1 + w2*u2 over [0, power_cap]^2 (see ``_search``)."""
+    _check_players(model)
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
-    return _grid_then_refine(model, n_per_axis, refine_tol,
-                             [lambda u1, u2: w1 * u1 + w2 * u2])[0]
+    return _search(model, [lambda u1, u2: w1 * u1 + w2 * u2])[0]
 
 
 def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bool:
@@ -208,16 +294,18 @@ def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bo
     return all(c >= b for c, b in zip(candidate.utilities, baseline.utilities))
 
 
-def _bargain(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int,
-             refine_tol: float, combines: list) -> list[UtilityPoint]:
+def _bargain(model: NetworkModel, disagreement: UtilityPoint,
+             combines: list) -> list[UtilityPoint]:
     """Maximize each ``combine(g1, g2)`` of the nonnegative utility gains.
 
-    Infeasible points score -inf, so the refinement never leaves the region.
-    The gains are scored in units of the power of two just above both
-    players' utility bounds: g1 * g2 then cannot overflow, and scaling by a
-    power of two is exact, so the best cell is the one the plain gains pick
-    wherever their product neither overflows nor underflows.
+    Points outside the improvement region score -inf; the disagreement
+    profile itself scores combine(0, 0).  The gains are scored in units of
+    the power of two just above both players' utility bounds: g1 * g2 then
+    cannot overflow, and scaling by a power of two is exact, so the best
+    point is the one the plain gains pick wherever their product neither
+    overflows nor underflows.
     """
+    _check_players(model)
     d1, d2 = disagreement.utilities
     bound = max(_utility_bound(model, k) for k in range(2))
     unit = math.ldexp(1.0, -min(max(math.frexp(bound)[1], -1022), 1022))  # a normal float
@@ -225,30 +313,27 @@ def _bargain(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int,
     def scorer(combine):
         def score(u1, u2):
             g1, g2 = (u1 - d1) * unit, (u2 - d2) * unit
-            return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
+            return combine(g1, g2) if g1 >= 0.0 and g2 >= 0.0 else -math.inf
         return score
 
-    return _grid_then_refine(model, n_per_axis, refine_tol, list(map(scorer, combines)))
+    return _search(model, list(map(scorer, combines)), disagreement)
 
 
-def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint,
-                    n_per_axis: int = 400, refine_tol: float = 1e-10) -> UtilityPoint:
+def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint) -> UtilityPoint:
     """Maximize the product of utility gains over the improvement region."""
-    return _bargain(model, disagreement, n_per_axis, refine_tol, [np.multiply])[0]
+    return _bargain(model, disagreement, [operator.mul])[0]
 
 
-def fairness_projection(model: NetworkModel, baseline: UtilityPoint,
-                        n_per_axis: int = 400, refine_tol: float = 1e-10) -> UtilityPoint:
+def fairness_projection(model: NetworkModel, baseline: UtilityPoint) -> UtilityPoint:
     """Equal-gain point: push both utilities up by the same amount until the
     frontier is reached (diagnostic; maximizes the smaller gain)."""
-    return _bargain(model, baseline, n_per_axis, refine_tol, [np.minimum])[0]
+    return _bargain(model, baseline, [min])[0]
 
 
-def bargaining_points(model: NetworkModel, disagreement: UtilityPoint, n_per_axis: int = 400,
-                      refine_tol: float = 1e-10) -> tuple[UtilityPoint, UtilityPoint]:
-    """``nash_bargaining`` and ``fairness_projection`` from one scan of the grid."""
-    return tuple(_bargain(model, disagreement, n_per_axis, refine_tol,
-                          [np.multiply, np.minimum]))
+def bargaining_points(model: NetworkModel,
+                      disagreement: UtilityPoint) -> tuple[UtilityPoint, UtilityPoint]:
+    """``nash_bargaining`` and ``fairness_projection`` from one search."""
+    return tuple(_bargain(model, disagreement, [operator.mul, min]))
 
 
 def distance_to_frontier(point: UtilityPoint, frontier: Sequence[UtilityPoint]) -> float:

@@ -1,9 +1,13 @@
-"""Scalar bisection: gamma_star, the slope peak and the priced root's certificate."""
+"""Scalar bisection (gamma_star, the slope peak and the priced root's
+certificate) and golden-section search (the efficiency optimizers)."""
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-__all__ = ["bisect_root"]
+__all__ = ["bisect_root", "golden_section_max"]
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def bisect_root(
@@ -34,3 +38,23 @@ def bisect_root(
         else:
             hi = mid
     return mid
+
+
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
+                       tol: float) -> tuple[float, float]:
+    """Golden-section search for a maximum of f on [lo, hi], unimodal there:
+    the bracket shrinks to at most ``tol``, or until floats cannot split it,
+    evaluating only interior points.  Returns the better last probe and f there.
+    """
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol and lo < c < d < hi:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)

@@ -77,7 +77,7 @@ def test_ac2_continuous_equilibrium(record_ac, ref_model):
 def test_ac3_social_optimum(record_ac, ref_model):
     start = time.perf_counter()
     ne = ne_continuous(ref_model)
-    so = social_optimum(ref_model, Weights((0.5, 0.5)), 400)
+    so = social_optimum(ref_model, Weights((0.5, 0.5)))
     elapsed = time.perf_counter() - start
     s = so.profile.normalized(1.0)
     improves = in_improvement_region(so, utility_point(ref_model,
@@ -274,7 +274,7 @@ def test_ac10_invariance_suite(record_ac, ref_model, symmetric_model,
     # symmetry: symmetric network, symmetric NE and NBS
     sym_ne = ne_continuous(symmetric_model)
     sym_base = utility_point(symmetric_model, sym_ne.solution.powers)
-    sym_nbs = nash_bargaining(symmetric_model, sym_base, 150)
+    sym_nbs = nash_bargaining(symmetric_model, sym_base)
     symmetric = (abs(sym_ne.solution.powers[0] - sym_ne.solution.powers[1])
                  <= 1e-9
                  and abs(sym_nbs.utilities[0] - sym_nbs.utilities[1]) <= 1e-4)

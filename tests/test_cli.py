@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import icpower.cli
 import icpower.efficiency
-from icpower import (FiniteGame, SolveReport, config_from_dict,
+from icpower import (FiniteGame, SolveReport, best_response_ee, config_from_dict,
                      default_config_path, load_config)
 from icpower.cli import main
 
@@ -41,6 +41,13 @@ def run(tmp_path, *argv, config=None):
 
 def read_json(tmp_path, name):
     return json.loads((tmp_path / "out" / f"{name}.json").read_text())
+
+
+def bargaining_gains(artifact):
+    """Each gain of nbs.json's points over its disagreement point."""
+    d = artifact["disagreement"]["utilities"]
+    return [u - v for key in ("solution", "fairness") if key in artifact
+            for u, v in zip(artifact[key]["utilities"], d)]
 
 
 def read_csv(tmp_path, name):
@@ -263,6 +270,14 @@ class TestPricing:
         assert run(tmp_path, "pricing", config=small_config) == 2
         assert capsys.readouterr().err == ne_err
 
+    @pytest.mark.parametrize("argv", [["ne"], ["pricing"], ["social"], ["nbs"],
+                                      ["repeated"]])
+    def test_single_bit_packets_name_the_network(self, tmp_path, small_config, capsys,
+                                                 argv):
+        small_config["network"]["packet_bits"] = 1
+        assert run(tmp_path, *argv, config=small_config) == 2
+        assert capsys.readouterr().err.startswith("error: network: packet_bits = 1: ")
+
     def test_deprecated_priced_tol_is_ignored(self, tmp_path, small_config):
         assert "priced_tol" not in small_config["search"]
         (tmp_path / "a").mkdir()
@@ -339,44 +354,94 @@ class TestEfficiencyCommands:
 
     @pytest.mark.parametrize("case", sorted(GOLDENS["runs"]))
     def test_search_goldens(self, tmp_path, capsys, case):
+        # the goldens came from a grid search at n = 60: the frontier search
+        # must score at least as well, and leave every other field as it was
         network, command = case.split("/")
         cfg = json.loads(default_config_path().read_text())
         cfg["network"].update(GOLDENS["networks"][network])
         want = GOLDENS["runs"][case]
         argv = GOLDENS["commands"][command]
-        assert run(tmp_path, "--quiet", *argv, "--n", "60", config=cfg) == want["exit"]
+        assert run(tmp_path, "--quiet", *argv, config=cfg) == want["exit"]
         assert capsys.readouterr().err == want["stderr"]
         out = tmp_path / "out"
-        assert {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()} == want["files"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(want["files"])
+        name = argv[0] + ".json"
+        got, old = read_json(tmp_path, argv[0]), json.loads(want["files"][name])
+        welfare = lambda w, u: w[0] * u[0] + w[1] * u[1]
+        gains = lambda point, d: [u - v for u, v in zip(point["utilities"], d)]
+        if argv[0] == "social":
+            pairs = [(welfare(got["weights"], got["utilities"]),
+                      welfare(old["weights"], old["utilities"]))]
+            same = ["weights"]
+        elif argv[0] == "nbs":
+            d = old["disagreement"]["utilities"]
+            pairs = [(math.prod(gains(got["solution"], d)), math.prod(gains(old["solution"], d))),
+                     (min(gains(got["fairness"], d)), min(gains(old["fairness"], d)))]
+            same = ["disagreement"]
+        else:
+            w = cfg["weights"]
+            pairs = [(welfare(w, got["u_cooperate"]), welfare(w, old["u_cooperate"]))]
+            same = ["punish_profile", "u_punish"]
+        for key in same:
+            assert got[key] == old[key]
+        for score, golden in pairs:
+            assert score >= golden - 1e-12 * abs(golden)
 
     def test_social(self, tmp_path, capsys):
-        assert run(tmp_path, "social", "--n", "150") == 0
+        assert run(tmp_path, "social") == 0
         out = capsys.readouterr().out
         assert "š/σ²" in out and "σ²u/t" in out
         artifact = read_json(tmp_path, "social")
         assert artifact["normalized"] == pytest.approx([0.278, 0.446], abs=0.005)
 
-    def test_nbs_with_fairness_computes_the_grid_once(self, tmp_path, monkeypatch):
-        rows = []  # rows of each band on the 60-point grid; patches have 9 points or 1
-        surfaces = icpower.efficiency._surfaces
-
-        def counted(model, axis1, axis2):
-            if len(axis2) == 60:
-                rows.extend(axis1.tolist())
-            return surfaces(model, axis1, axis2)
-
-        monkeypatch.setattr(icpower.efficiency, "_surfaces", counted)
-        assert run(tmp_path, "--quiet", "nbs", "--n", "60", "--fairness") == 0
-        assert rows == np.linspace(0.0, 5.0, 60).tolist()
-
     def test_nbs_with_fairness(self, tmp_path, capsys):
-        assert run(tmp_path, "nbs", "--n", "150", "--fairness") == 0
+        assert run(tmp_path, "nbs", "--fairness") == 0
         out = capsys.readouterr().out
         assert "ṡ/σ²" in out and "equal-gain point" in out
         artifact = read_json(tmp_path, "nbs")
         assert set(artifact) == {"disagreement", "solution", "fairness"}
         assert artifact["solution"]["normalized"] == pytest.approx(
             [0.288, 0.434], abs=0.005)
+
+    @pytest.mark.parametrize("argv", [["nbs"], ["nbs", "--fairness"]])
+    def test_nbs_with_the_equilibrium_on_the_cap(self, tmp_path, argv):
+        # the equilibrium is (P, P); a grid search scored it below itself,
+        # as the scalar and array utilities differ in the last bit there,
+        # and exited 3 saying no sampled profile weakly improves on it
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"] = {"gains": [[0.465, 0.915], [1.192, 0.478]], "noise_power": 2.195,
+                          "processing_gain": 6.777, "power_cap": 7.404, "packet_bits": 24,
+                          "rate_scale": 1.0}
+        assert run(tmp_path, "--quiet", *argv, config=cfg) == 0
+        artifact = read_json(tmp_path, "nbs")
+        assert artifact["disagreement"]["profile"] == [7.404, 7.404]
+        assert min(bargaining_gains(artifact)) >= 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(0.1, 2.0), min_size=4, max_size=4), st.floats(0.2, 3.0),
+           st.floats(1.0, 8.0), st.floats(0.5, 8.0), st.integers(2, 60))
+    def test_nbs_answers_at_every_equilibrium_on_the_cap(self, tmp_path_factory, g, noise,
+                                                          w, cap, bits):
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"] = {"gains": [g[:2], g[2:]], "noise_power": noise,
+                          "processing_gain": w, "power_cap": cap, "packet_bits": bits,
+                          "rate_scale": 1.0}
+        model = config_from_dict(cfg).model
+        assume(all(best_response_ee(model, (cap, cap), k) == cap for k in range(2)))
+        tmp_path = tmp_path_factory.mktemp("nbs")
+        for argv in (["nbs"], ["nbs", "--fairness"]):
+            assert run(tmp_path, "--quiet", *argv, config=cfg) == 0
+            assert min(bargaining_gains(read_json(tmp_path, "nbs"))) >= 0.0
+
+    def test_deprecated_refine_tol_is_ignored(self, tmp_path, small_config):
+        assert "refine_tol" not in small_config["search"]
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        assert run(tmp_path / "a", "--quiet", "social", config=small_config) == 0
+        small_config["search"]["refine_tol"] = 1e-3
+        assert run(tmp_path / "b", "--quiet", "social", config=small_config) == 0
+        assert ((tmp_path / "a" / "out" / "social.json").read_bytes()
+                == (tmp_path / "b" / "out" / "social.json").read_bytes())
 
     @pytest.mark.parametrize("k", [-540, -520, 520, 1000])
     def test_nbs_is_the_same_at_any_power_of_two_rate(self, tmp_path, k):
@@ -387,8 +452,7 @@ class TestEfficiencyCommands:
         for scale in (0, k):
             cfg = json.loads(default_config_path().read_text())
             cfg["network"]["rate_scale"] = math.ldexp(1.0, scale)
-            assert run(tmp_path, "--quiet", "nbs", "--n", "60", "--fairness",
-                       config=cfg) == 0
+            assert run(tmp_path, "--quiet", "nbs", "--fairness", config=cfg) == 0
             artifacts.append(read_json(tmp_path, "nbs"))
         for point in artifacts[1].values():
             point["utilities"] = [math.ldexp(u, -k) for u in point["utilities"]]
@@ -397,7 +461,7 @@ class TestEfficiencyCommands:
 
 class TestRepeated:
     def test_summary_and_artifacts(self, tmp_path, capsys):
-        assert run(tmp_path, "repeated", "--n", "150", "--deviant", "1",
+        assert run(tmp_path, "repeated", "--deviant", "1",
                    "--delta", "0.9") == 0
         out = capsys.readouterr().out
         assert "δ̲ =" in out and "unprofitable" in out
@@ -408,23 +472,23 @@ class TestRepeated:
         assert len(rows) == 21  # header + default 20 stages
 
     def test_bad_deviant_rejected(self, tmp_path, capsys):
-        assert run(tmp_path, "--quiet", "repeated", "--n", "80",
+        assert run(tmp_path, "--quiet", "repeated",
                    "--deviant", "3") == 2
         assert "--deviant" in capsys.readouterr().err
 
     def test_delta_out_of_range(self, tmp_path, capsys):
-        assert run(tmp_path, "--quiet", "repeated", "--n", "80",
+        assert run(tmp_path, "--quiet", "repeated",
                    "--delta", "1.0") == 2
         assert "--delta" in capsys.readouterr().err
 
     def test_negative_stages_rejected(self, tmp_path, capsys):
-        assert run(tmp_path, "--quiet", "repeated", "--n", "80",
+        assert run(tmp_path, "--quiet", "repeated",
                    "--stages", "-3") == 2
         assert "--stages" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_deviation_stage_rejected(self, tmp_path, capsys):
-        assert run(tmp_path, "--quiet", "repeated", "--n", "80",
+        assert run(tmp_path, "--quiet", "repeated",
                    "--deviate-at", "-2") == 2
         assert "--deviate-at" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -448,10 +512,14 @@ class TestDriver:
 
     @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
     def test_zero_grid_size_rejected(self, tmp_path, capsys, command):
-        assert run(tmp_path, "--quiet", command, "--n", "0") == 2
-        err = capsys.readouterr().err
-        assert "n_per_axis must be >= 2" in err
-        assert "--n: " in err
+        # only pareto samples a grid; the searches take no --n at all
+        try:
+            code = run(tmp_path, "--quiet", command, "--n", "0")
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code == 2
+        assert ("error: --n: n_per_axis must be >= 2" if command == "pareto"
+                else "error: unrecognized arguments: --n 0") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n, message", [("0", "error: --n: n_per_axis must be >= 2"),
@@ -466,18 +534,16 @@ class TestDriver:
         assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("command", ["social", "nbs", "repeated"])
-    @pytest.mark.parametrize("n, message", [("0", "error: --n: n_per_axis must be >= 2"),
-                                            ("5", "error: utility-plane analysis supports "
-                                                  "exactly 2 players, got 3")])
-    def test_searches_check_the_grid_before_the_dynamics(self, tmp_path, capsys, command,
-                                                         n, message):
+    def test_searches_check_the_player_count_before_the_dynamics(self, tmp_path, capsys,
+                                                                 command):
         # one sweep cannot converge, so exit 2 shows the dynamics never ran
         cfg = json.loads(default_config_path().read_text())
         cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
         cfg["weights"] = [0.5, 0.25, 0.25]
         cfg["search"]["max_iter"] = 1
-        assert run(tmp_path, "--quiet", command, "--n", n, config=cfg) == 2
-        assert capsys.readouterr().err == message + "\n"
+        assert run(tmp_path, "--quiet", command, config=cfg) == 2
+        assert capsys.readouterr().err == ("error: utility-plane analysis supports "
+                                           "exactly 2 players, got 3\n")
 
     @pytest.mark.parametrize("argv, source", [(["--n", "20000"], "--n: the utility "
                                                "plane at n = 20000"),
@@ -494,18 +560,6 @@ class TestDriver:
         assert run(tmp_path, "--quiet", "pareto", *argv, config=small_config) == 2
         assert capsys.readouterr().err == f"error: {source} does not fit in memory\n"
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["social", "nbs", "repeated"])
-    def test_search_out_of_memory_names_the_size(self, tmp_path, small_config, capsys,
-                                                  monkeypatch, command):
-        # the searches hold no plane; a band that cannot be allocated still exits 2
-        def too_large(model, axis1, axis2):
-            raise MemoryError
-
-        monkeypatch.setattr(icpower.efficiency, "_surfaces", too_large)
-        assert run(tmp_path, "--quiet", command, "--n", "20000", config=small_config) == 2
-        assert capsys.readouterr().err == ("error: --n: the utility plane at n = 20000 "
-                                           "does not fit in memory\n")
 
     @pytest.mark.parametrize("command", ["ne", "nbs", "repeated"])
     def test_unconverged_dynamics_exit_3_with_the_cause(self, tmp_path, small_config,
@@ -529,14 +583,20 @@ class TestDriver:
     @pytest.mark.parametrize("gains, argv, message", [
         ([[0.55, 0.56], [0.26, 1.5]], ["repeated", "--deviant", "1"],
          "player 0: cooperation utility 0.0 does not beat punishment utility 0.213"),
-        ([[1.04, 0.12], [0.21, 0.94]], ["nbs"],
-         "no sampled profile weakly improves on the disagreement utilities\n"),
+        # a narrow improvement region, which a 60-point grid missed: nbs
+        # exited 3, saying no sampled profile weakly improves on the NE
+        ([[1.04, 0.12], [0.21, 0.94]], ["nbs"], None),
     ], ids=["cooperation-not-rational", "empty-improvement-region"])
     def test_solver_outcome_on_valid_config_exits_3(self, tmp_path, capsys, gains,
                                                     argv, message):
         cfg = json.loads(default_config_path().read_text())
         cfg["network"]["gains"] = gains
-        assert run(tmp_path, "--quiet", *argv, "--n", "60", config=cfg) == 3
+        code = run(tmp_path, "--quiet", *argv, config=cfg)
+        if message is None:
+            assert code == 0
+            assert min(bargaining_gains(read_json(tmp_path, "nbs"))) >= 0.0
+            return
+        assert code == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
@@ -545,8 +605,6 @@ class TestDriver:
         (["repeated", "--stages", "-1"], "--stages"),
         (["repeated", "--deviate-at", "-1"], "--deviate-at"),
         (["repeated", "--delta", "2"], "--delta"),
-        (["nbs", "--n", "0"], "n_per_axis"),
-        (["repeated", "--n", "0"], "n_per_axis"),
     ])
     def test_flags_checked_before_the_dynamics(self, tmp_path, small_config, capsys,
                                                argv, flag):
@@ -559,7 +617,7 @@ class TestDriver:
     def test_deviation_stage_past_any_list(self, tmp_path, capsys, at):
         # the cooperation phase counts in closed form: no list of `at` stages
         start = time.perf_counter()
-        assert run(tmp_path, "--quiet", "repeated", "--n", "60", "--deviant", "1",
+        assert run(tmp_path, "--quiet", "repeated", "--deviant", "1",
                    "--deviate-at", str(at)) == 0
         assert time.perf_counter() - start < 1.0
         artifact = read_json(tmp_path, "repeated")
@@ -576,7 +634,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("argv, key, source", [
         (["pareto", "--n", str(10 ** 20)], None, "--n"),
-        (["social"], 10 ** 30, "search.n_per_axis"),
+        (["pareto"], 10 ** 30, "search.n_per_axis"),
     ], ids=["--n", "n_per_axis"])
     def test_plane_numpy_cannot_index_names_the_size(self, tmp_path, small_config, capsys,
                                                       argv, key, source):
@@ -607,9 +665,8 @@ class TestDriver:
         cfg = json.loads(default_config_path().read_text())
         cfg["network"].update(network)
         for argv in (["ne"], ["pricing", "--alpha", "0.12"], ["pricing", "--alpha", "0"],
-                     ["pareto", "--n", "20"], ["social", "--n", "20"],
-                     ["nbs", "--n", "20", "--fairness"],
-                     ["repeated", "--n", "20", "--deviant", "1"], ["finite"]):
+                     ["pareto", "--n", "20"], ["social"], ["nbs", "--fairness"],
+                     ["repeated", "--deviant", "1"], ["finite"]):
             code = run(tmp_path, "--quiet", *argv, config=cfg)
             err = capsys.readouterr().err
             assert code in (0, 2, 3), argv
@@ -634,9 +691,8 @@ class TestDriver:
                 "packet_bits": int(2.0 ** rng.uniform(1.0, 53.0)), "rate_scale": draw()}
             for argv in (["ne"], ["pricing", "--alpha", "0.12"],
                          ["pricing", "--sweep", "0:0.3:3"], ["pareto", "--n", "9"],
-                         ["social", "--n", "9"], ["nbs", "--n", "9"],
-                         ["nbs", "--n", "9", "--fairness"],
-                         ["repeated", "--n", "9", "--deviant", "1"], ["finite"]):
+                         ["social"], ["nbs"], ["nbs", "--fairness"],
+                         ["repeated", "--deviant", "1"], ["finite"]):
                 code = run(tmp_path, "--quiet", *argv, config=cfg)
                 err = capsys.readouterr().err
                 assert code in (0, 2, 3), (cfg["network"], argv)
@@ -675,9 +731,8 @@ class TestDriver:
 
         monkeypatch.setattr(icpower.cli, "_table", checked)
         for argv in (["ne"], ["pricing", "--alpha", "0.15"],
-                     ["pricing", "--sweep", "0:0.15:4"], ["social", "--n", "30"],
-                     ["nbs", "--n", "30", "--fairness"],
-                     ["repeated", "--n", "30", "--deviant", "1"]):
+                     ["pricing", "--sweep", "0:0.15:4"], ["social"], ["nbs", "--fairness"],
+                     ["repeated", "--deviant", "1"]):
             run(tmp_path, "--quiet", *argv)
         assert len(types) == 6
         assert all(kinds and kinds <= {int, float} for kinds in types)
@@ -709,7 +764,7 @@ class TestOneParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         for argv in (["ne"], ["pricing", "--alpha", "0.12"], ["finite"],
-                     ["social", "--n", "20"], ["ne"]):
+                     ["social"], ["ne"]):
             assert run(tmp_path, "--quiet", *argv) == 0
         assert built == []
         icpower.cli._build_parser()  # the count sees a build

@@ -108,7 +108,7 @@ class TestValidation:
         ("network", "packet_bits", True, "network: packet_bits must be an integer"),
         ("search", "max_iter", True, "search: max_iter must be an integer"),
         ("search", "br_tol", math.inf, "search: br_tol must be finite"),
-        ("search", "refine_tol", math.inf, "search: refine_tol must be finite"),
+        ("search", "refine_tol", math.inf, r"^search\.refine_tol: must be finite, got Infinity$"),
         (None, "weights", [math.nan, 0.5], "weights: weights must be finite"),
         ("search", "br_tol", True, r"^search\.br_tol: must be a number, got true$"),
         ("search", "refine_tol", True, r"^search\.refine_tol: must be a number"),

@@ -2,7 +2,6 @@
 import builtins
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
                      in_improvement_region, nash_bargaining, ne_continuous,
                      pareto_frontier, social_optimum, utility_grid, utility_point)
 import icpower.efficiency
-from icpower.efficiency import _scan, _surfaces, grid_csv_rows
+from icpower.efficiency import _pieces, _surfaces, grid_csv_rows
 from icpower.network import _sinr_per_watt
 
 from conftest import make_model
@@ -63,7 +62,30 @@ random_models = st.builds(
     st.floats(0.05, 3.0), st.floats(0.2, 5.0))
 
 
-zoom_models = random_models.filter(lambda m: m.packet_bits >= 2)
+def two_by_two(direct, cross, **network):
+    """A model with the given direct and cross gains."""
+    return make_model(gains=((direct[0], cross[0]), (cross[1], direct[1])), **network)
+
+
+pair = lambda lo, hi: st.tuples(st.floats(lo, hi), st.floats(lo, hi))
+# Networks the frontier search must handle: bench-like draws; wide ones; a
+# zero cross gain (kappa = 0); a cap far below the lone best responses, so
+# the curve leaves the box and the equilibrium sits on the cap; and cross
+# gains strong enough that kappa * gamma_star^2 >= 1.
+frontier_models = st.one_of(
+    st.builds(lambda d, c, bits, cap: two_by_two(d, c, packet_bits=bits, power_cap=cap),
+              pair(0.5, 1.5), pair(0.1, 0.6), st.integers(10, 40), st.floats(3.0, 8.0)),
+    st.builds(lambda d, c, bits, cap, noise, w, rate: two_by_two(
+        d, c, packet_bits=bits, power_cap=cap, noise_power=noise, processing_gain=w,
+        rate_scale=rate), pair(0.1, 2.0), pair(0.0, 1.2), st.integers(2, 60),
+        st.floats(0.5, 8.0), st.floats(0.2, 3.0), st.floats(1.0, 8.0), st.floats(0.2, 5.0)),
+    st.builds(lambda d, c, bits, k: two_by_two(d, (c, 0.0)[::k], packet_bits=bits),
+              pair(0.5, 1.5), st.floats(0.1, 1.0), st.integers(2, 40), st.sampled_from([1, -1])),
+    st.builds(lambda d, c, bits, cap: two_by_two(d, c, packet_bits=bits, power_cap=cap),
+              pair(0.5, 1.5), pair(0.0, 0.6), st.integers(2, 40), st.floats(0.05, 1.0)),
+    st.builds(lambda d, c, bits, w: two_by_two(d, c, packet_bits=bits, processing_gain=w),
+              pair(0.1, 0.5), pair(0.8, 2.0), st.integers(2, 40), st.floats(1.0, 2.0)),
+)
 
 
 def dense_patch(model, center, half, n=401):
@@ -248,82 +270,128 @@ class TestSocialOptimum:
         assert so_welfare >= best_grid
 
     def test_degenerate_weights_give_single_user_optimum(self, ref_model):
-        so = social_optimum(ref_model, Weights((1.0, 0.0)), 200)
+        so = social_optimum(ref_model, Weights((1.0, 0.0)))
         assert so.profile.powers[1] == 0.0
         expected_s1 = gamma_star(20) / (4.0 * 0.75)
         assert so.profile.powers[0] == pytest.approx(expected_s1, abs=1e-4)
 
     def test_symmetric_model_symmetric_optimum(self, symmetric_model):
-        so = social_optimum(symmetric_model, Weights((0.5, 0.5)), 150)
+        so = social_optimum(symmetric_model, Weights((0.5, 0.5)))
         s1, s2 = so.profile.powers
         assert abs(s1 - s2) <= 1e-5
 
     def test_lone_best_response_beats_a_coarse_grid_basin(self):
-        # at n = 24 the zoom from the best cell ends at (0.1662, 0.1547),
-        # welfare 3.8264; player 1 alone at its lone best response has 3.8611
+        # a zoom from the best cell of a 24-point grid ended at (0.1662,
+        # 0.1547), welfare 3.8264; player 1 alone at its lone best response
+        # has 3.8611
         model = make_model(gains=((1.25, 0.75), (0.375, 1.0)), noise_power=0.125,
                            power_cap=4.0, packet_bits=14)
-        so = social_optimum(model, Weights((0.5, 0.5)), 24)
+        so = social_optimum(model, Weights((0.5, 0.5)))
         assert so.profile.powers == (best_response_ee(model, (0.0, 0.0), 0), 0.0)
         assert 0.5 * so.utilities[0] + 0.5 * so.utilities[1] >= 3.8611
 
-    def test_single_bit_packets_keep_the_zoom_result(self):
-        # L = 1 has no lone best response: gamma_star raises
-        model = make_model(packet_bits=1)
-        plane = utility_grid(model, 20)
-        so = social_optimum(model, Weights((0.5, 0.5)), 20)
-        u1, u2 = dense_patch(model, so.profile.powers, 0.0, n=1)
-        assert 0.5 * u1 + 0.5 * u2 >= np.max(0.5 * plane.u1 + 0.5 * plane.u2)
-
     def test_weight_count_checked(self, ref_model):
         with pytest.raises(ValueError, match="2 weights"):
-            social_optimum(ref_model, Weights((1.0,)), 50)
+            social_optimum(ref_model, Weights((1.0,)))
 
 
 class TestZoom:
-    """The grid-then-refine optimizers against their grid and a dense local
-    search around their result."""
+    """The frontier searches against a grid and against a dense local search
+    around their result, on the array path."""
 
     @staticmethod
     def check(plane, point, score):
-        # rescored on the array path: math.expm1 and np.expm1 round differently
+        # rescored on the array path, as the grid and the patch are
         model, n = plane.model, len(plane.axis)
         x = point.profile.powers
         got = float(score(*dense_patch(model, x, 0.0, n=1))[0, 0])
         grid = float(np.max(score(plane.u1, plane.u2)))
-        assert got >= grid
-        # an improvement region the grid meets only at its edge is no basin
-        assume(grid > 0.0)
+        assert got >= grid - 1e-12 * abs(grid)
+        if grid <= 0.0:  # an improvement region the grid meets only at its edge is no basin
+            return
         # a quarter grid step: close enough to stay in the result's basin
         half = 0.25 * model.power_cap / (n - 1)
         dense = float(np.max(score(*dense_patch(model, x, half))))
         assert got >= dense - 1e-12 * abs(dense)
 
-    @settings(max_examples=40, deadline=None)
-    @given(zoom_models, st.integers(20, 150))
-    def test_social_optimum(self, model, n):
-        plane = utility_grid(model, n)
-        point = social_optimum(model, Weights((0.5, 0.5)), n)
-        self.check(plane, point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)
-
-    @settings(max_examples=40, deadline=None)
-    @given(zoom_models, st.integers(20, 150))
-    def test_nash_bargaining(self, model, n):
+    @staticmethod
+    def bargain(model, combine):
+        """The equilibrium's utilities and ``combine`` of the gains over them,
+        -inf off the improvement region."""
         ne = ne_continuous(model)
         assume(ne.converged)
         disagreement = utility_point(model, ne.solution.powers)
         d1, d2 = disagreement.utilities
-        plane = utility_grid(model, n)
-        try:
-            point = nash_bargaining(model, disagreement, n)
-        except EmptyImprovementRegionError:
-            assume(False)
 
-        def product(u1, u2):
+        def score(u1, u2):
             g1, g2 = u1 - d1, u2 - d2
-            return np.where((g1 >= 0) & (g2 >= 0), g1 * g2, -np.inf)
+            return np.where((g1 >= 0) & (g2 >= 0), combine(g1, g2), -np.inf)
+        return disagreement, score
 
-        self.check(plane, point, product)
+    @settings(max_examples=60, deadline=None)
+    @given(frontier_models, st.integers(20, 150))
+    def test_social_optimum(self, model, n):
+        point = social_optimum(model, Weights((0.5, 0.5)))
+        self.check(utility_grid(model, n), point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frontier_models, st.integers(20, 150))
+    def test_nash_bargaining(self, model, n):
+        disagreement, score = self.bargain(model, np.multiply)
+        self.check(utility_grid(model, n), nash_bargaining(model, disagreement), score)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frontier_models, st.integers(20, 150))
+    def test_fairness_projection(self, model, n):
+        disagreement, score = self.bargain(model, np.minimum)
+        self.check(utility_grid(model, n), fairness_projection(model, disagreement), score)
+
+    @settings(max_examples=30, deadline=None)
+    @given(frontier_models, st.integers(10, 40))
+    def test_union_holds_the_plane_frontier(self, model, n):
+        # for each frontier cell (x, y), each piece's point where u1 first
+        # reaches x, or a lone best response, is in the box with u2 >= y;
+        # within 1e-12, as the cells' array utilities round differently
+        pieces = _pieces(model)
+        lone = [(best_response_ee(model, (0.0, 0.0), 0), 0.0),
+                (0.0, best_response_ee(model, (0.0, 0.0), 1))]
+        u = lambda s, k: ee_utility(model, s, k)
+        for cell in frontier_points(utility_grid(model, n)):
+            x, y = cell.utilities
+            x -= 1e-12 * x
+            best = max((u(s, 1) for s in lone if u(s, 0) >= x), default=-math.inf)
+            for lo, hi, k, at in pieces:
+                def reaches(t):
+                    s = at(t)
+                    return s is not None and u(s, 0) >= x
+                # u1 rises with t where k = 0, and falls where k = 1
+                good, bad = (hi, lo) if k == 0 else (lo, hi)
+                if not reaches(good):
+                    continue
+                if reaches(bad):
+                    good = bad
+                while abs(good - bad) > 1e-15 * (hi - lo):
+                    mid = 0.5 * (good + bad)
+                    good, bad = (mid, bad) if reaches(mid) else (good, mid)
+                if max(at(good)) <= model.power_cap:
+                    best = max(best, u(at(good), 1))
+            assert best >= y - 1e-12 * abs(y), (cell, best)
+
+    @settings(max_examples=40, deadline=None)
+    @given(frontier_models)
+    def test_curve_trades_one_utility_for_the_other(self, model):
+        # along the curve, from (0, BR2(0)) to (BR1(0), 0), u1 rises and u2
+        # falls; the powers need not be monotone, and the box may cut the
+        # curve more than once
+        (_, hi, _, first), (_, _, _, second) = _pieces(model)[:2]
+        ts = [hi * i / 400 for i in range(401)]
+        path = [first(t) for t in ts] + [second(t) for t in reversed(ts)]
+        assume(all(s is not None for s in path))
+        u = [(ee_utility(model, s, 0), ee_utility(model, s, 1)) for s in path]
+        top = [max(v[k] for v in u) for k in range(2)]
+        for a, b in zip(u, u[1:]):
+            assert b[0] >= a[0] - 1e-12 * top[0]
+            assert b[1] <= a[1] + 1e-12 * top[1]
 
     @staticmethod
     def gains_over_ne(model, point_of):
@@ -344,6 +412,12 @@ class TestZoom:
                            noise_power=1.5471, power_cap=9.9422, packet_bits=2)
         assert min(self.gains_over_ne(model, fairness_projection)) >= 0.0048
 
+    def test_equal_gain_reaches_the_top_of_its_ridge(self):
+        # a 2-D zoom stopped on the min(g1, g2) ridge at 0.0123977
+        model = make_model(gains=((0.369, 1.006), (0.480, 0.353)), processing_gain=7.75,
+                           power_cap=4.35, packet_bits=16)
+        assert min(self.gains_over_ne(model, fairness_projection)) >= 0.01254
+
 
 def traced_peak(fn, *args):
     """Peak bytes that fn(*args) holds at once, its result included."""
@@ -357,52 +431,7 @@ def traced_peak(fn, *args):
 
 
 class TestBandedSearch:
-    """The searches scan the grid band by band, straight from the model, and
-    find the cell one argmax over the whole score picks."""
-
-    @staticmethod
-    def scores(model, axis1, axis2, seed):
-        """Two scores, each a weighted sum, a bargaining product or minimum
-        against a drawn disagreement (-inf off its region), or a sum of
-        utilities quantized to three levels, so that ties are common."""
-        u1, u2 = _surfaces(model, axis1, axis2)
-        rng = np.random.default_rng(seed)
-        top = max(u1.max(), u2.max(), 1e-300)
-        d1, d2 = rng.uniform(0.0, 1.1, 2) * top
-
-        def bargain(combine):
-            def score(v1, v2):
-                g1, g2 = v1 - d1, v2 - d2
-                return np.where((g1 >= 0.0) & (g2 >= 0.0), combine(g1, g2), -np.inf)
-            return score
-
-        kinds = [lambda v1, v2: 0.25 * v1 + 0.75 * v2, bargain(np.multiply),
-                 bargain(np.minimum),
-                 lambda v1, v2: np.floor(3.0 * v1 / top) + np.floor(3.0 * v2 / top)]
-        return [kinds[k] for k in rng.integers(0, len(kinds), 2)], (u1, u2)
-
-    @settings(max_examples=200, deadline=None)
-    @given(random_models, st.integers(1, 70), st.integers(1, 70), st.integers(1, 150),
-           st.integers(0, 2**32 - 1))
-    @example(make_model(), 400, 400, 8192, 1)  # the shipped band at the shipped n
-    def test_scan_matches_the_full_argmax(self, model, n1, n2, band, seed):
-        axis1, axis2 = (np.linspace(0.0, model.power_cap, n) for n in (n1, n2))
-        scores, surfaces = self.scores(model, axis1, axis2, seed)
-        with mock.patch.object(icpower.efficiency, "_BAND", band):
-            found = _scan(model, axis1, axis2, scores)
-        for score, (i, j, value) in zip(scores, found):
-            full = score(*surfaces)
-            k = int(np.argmax(full))
-            assert (i, j) == divmod(k, n2)
-            assert float(value).hex() == float(full.flat[k]).hex()
-
-    @pytest.mark.parametrize("band", [1, 100, 8192])
-    def test_grid_of_infeasible_bands_raises(self, ref_model, band):
-        unreachable = UtilityPoint(PowerProfile((0.0, 0.0)), (10.0, 10.0), (10.0, 10.0))
-        with mock.patch.object(icpower.efficiency, "_BAND", band):
-            for search in (nash_bargaining, fairness_projection, bargaining_points):
-                with pytest.raises(EmptyImprovementRegionError):
-                    search(ref_model, unreachable, 70)
+    """Only the plane holds whole surfaces; the searches hold none."""
 
     def test_plane_holds_no_more_than_its_surfaces(self, ref_model):
         surfaces = 2 * 400 * 400 * 8
@@ -462,15 +491,17 @@ class TestNashBargaining:
         from icpower import ne_continuous
         ne = ne_continuous(symmetric_model)
         base = utility_point(symmetric_model, ne.solution.powers)
-        nbs = nash_bargaining(symmetric_model, base, 150)
+        nbs = nash_bargaining(symmetric_model, base)
         u1, u2 = nbs.utilities
         assert abs(u1 - u2) <= 1e-4
 
     def test_empty_region_raises(self, ref_model):
+        # utilities no profile reaches, claimed at a profile in the box
         unreachable = UtilityPoint(profile=PowerProfile((1.0, 1.0)),
                                    utilities=(10.0, 10.0), normalized=(10.0, 10.0))
-        with pytest.raises(EmptyImprovementRegionError):
-            nash_bargaining(ref_model, unreachable, 50)
+        for search in (nash_bargaining, fairness_projection, bargaining_points):
+            with pytest.raises(EmptyImprovementRegionError):
+                search(ref_model, unreachable)
 
 
 class TestFairnessProjection:

@@ -31,8 +31,11 @@ print(json.dumps([None if argv is None else cli.main(argv), "numpy" in sys.modul
     (["pricing", "--sweep", "0:0.12:5"], 0, False),
     (["pareto", "--n", "20"], 0, True),
     (["finite"], 0, True),
+    (["social"], 0, False),
+    (["nbs", "--fairness"], 0, False),
+    (["repeated"], 0, False),
 ], ids=["import-and-load-config", "ne", "pricing-0.12", "pricing-0.15", "pricing-sweep",
-     "pareto", "finite"])
+     "pareto", "finite", "social", "nbs-fairness", "repeated"])
 def test_numpy_is_imported_only_by_array_commands(tmp_path, argv, code, loads_numpy):
     if argv is not None:
         argv = ["--quiet", "--out", str(tmp_path), *argv]

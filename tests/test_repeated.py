@@ -20,7 +20,7 @@ def policy(so_point, ne_report):
 
 @pytest.fixture(scope="module")
 def games(ref_model, policy, symmetric_model):
-    so = social_optimum(symmetric_model, Weights((0.5, 0.5)), 60)
+    so = social_optimum(symmetric_model, Weights((0.5, 0.5)))
     symmetric = TriggerPolicy(so.profile, ne_continuous(symmetric_model).solution)
     return {"reference": (ref_model, policy), "symmetric": (symmetric_model, symmetric)}
 

@@ -446,6 +446,16 @@ class TestBandedSearch:
                "both": lambda: bargaining_points(ref_model, ne_point)}[search]
         assert traced_peak(run) < 0.5 * 400 * 400 * 8
 
+    @pytest.mark.parametrize("samples", [1, 100, 8192])
+    def test_grid_of_infeasible_bands_raises(self, ref_model, monkeypatch, samples):
+        # disagreement utilities no profile reaches, at any number of samples
+        # on each piece of the frontier
+        unreachable = UtilityPoint(PowerProfile((0.0, 0.0)), (10.0, 10.0), (10.0, 10.0))
+        monkeypatch.setattr(icpower.efficiency, "_SAMPLES", samples)
+        for search in (nash_bargaining, fairness_projection, bargaining_points):
+            with pytest.raises(EmptyImprovementRegionError):
+                search(ref_model, unreachable)
+
     def test_both_bargaining_points_match_their_own_searches(self, ne_point, nbs_point,
                                                              ref_model):
         assert bargaining_points(ref_model, ne_point) == (

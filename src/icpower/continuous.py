@@ -5,7 +5,8 @@ correctly delivered per joule: u_k = throughput(sinr_k) / s_k.  The packet
 success model makes a unique target SINR optimal, which yields a closed-form
 best response and a fixed-point (Jacobi) iteration to the Nash equilibrium.
 A linear power surcharge alpha * s_k steers that equilibrium toward the
-Pareto frontier.
+Pareto frontier; its best response is one Newton solve without a bracket,
+the loop that also inverts the efficiency frontier's ratio R.
 """
 from __future__ import annotations
 
@@ -115,70 +116,42 @@ def best_response_ee(model: NetworkModel, profile: Powers, k: int) -> float:
     return min(model.power_cap, gamma_star(model.packet_bits) / mu)
 
 
-def _slope(gamma: float, bits: int) -> float:
-    """h = d/dgamma [(1 - exp(-gamma))^L / gamma]: > 0 before gamma_star, < 0 after."""
-    q = -math.expm1(-gamma)
-    return q ** (bits - 1) * (bits * gamma * math.exp(-gamma) - q) / (gamma * gamma)
-
-
-@lru_cache(maxsize=None)
-def _slope_peak(bits: int) -> tuple[float, float]:
-    """Argmax and max of h: for L >= 3 the one root of h' on (0, gamma_star),
-    bisected on g^3 h'(g) / q^(L-2) ~ (L-1)(L-2) g^2, q = 1 - exp(-g).  For
-    L = 2 that form cancels near 0, where h falls from its limit 1 at 0+, and
-    a point just above 0 stands in for the peak."""
-    def scaled_derivative(g: float) -> float:
-        e = math.exp(-g)
-        return (e * e * (bits * bits * g * g + 2 * bits * g + 2)
-                - e * (bits * g * g + 2 * bits * g + 4) + 2)
-
-    peak = 1e-13 if bits == 2 else bisect_root(
-        scaled_derivative, 1e-3, gamma_star(bits), residual_tol=0.0)
-    return peak, _slope(peak, bits)
-
-
-def _slope_root(c: float, bits: int, peak: float) -> float:
-    """The root of f = h - c past the peak, for 0 < c < h(peak) and the peak
-    of ``_slope_peak``: secant steps from (peak, gamma_star) on a bracket that
-    each f's sign narrows.  A step that leaves it or fails to halve the step
-    before last is a bisection step.  Past a 2-ulp step, |f| within L ulps of
-    c (the rounding q^(L-1) carries into h) or a slope that rounding leaves
-    >= 0, doubling strides find a sign change that ``bisect_root`` closes:
-    f(root) == 0 or f flips at an adjacent float, as on [peak, 50].  No
-    point is evaluated twice."""
-    memo = {peak: _slope_peak(bits)[1] - c}
-
-    def f(g: float) -> float:
-        if g not in memo:
-            memo[g] = _slope(g, bits) - c
-        return memo[g]
-
-    lo, hi = peak, 50.0  # f(peak) > 0 > f(50)
-    last, g = peak, gamma_star(bits)
-    old = step = hi - lo
-    while True:  # each step lands strictly inside the shrinking bracket
-        fg = f(g)
-        if fg == 0.0:
+def _newton(bits: int, g: float,
+            rest: Callable[[float, float], tuple[float, float]]) -> float:
+    """The larger root of L - E(g) = P(g), E(g) = expm1(g) / g, by Newton's
+    method from g, or 0.0 if the steps find none; ``rest(g, expm1(g))`` gives
+    P(g) and P'(g).  E is convex and rises, so where P is convex the left side
+    minus P is concave: past its first step, which may rise, each step falls
+    toward the root, and the first that does not ends the loop.  A slope >= 0,
+    a step to 0 or below, or an infinite P means no root on that side."""
+    first = True
+    while g > 0.0:
+        x = math.expm1(g)
+        e = x / g
+        p, dp = rest(g, x)
+        slope = (e - 1.0 - x) / g - dp  # -E'(g) - P'(g), E' = (exp(g) - E) / g
+        if not (slope < 0.0 and p < math.inf):
+            return 0.0
+        nxt = g - (bits - e - p) / slope
+        if nxt >= g and not first:
             return g
-        lo, hi = (g, hi) if fg > 0.0 else (lo, g)
-        slope = (fg - memo[last]) / (g - last)
-        # f falls, so at a slope >= 0 rounding outweighs f's change: g is in
-        # f's noise band, about g - last from the root
-        secant = fg / slope if slope < 0.0 else g - last
-        if slope >= 0.0 or abs(secant) <= 2.0 * math.ulp(g) or abs(fg) <= bits * math.ulp(c):
-            break
-        good = lo < g - secant < hi and abs(secant) <= 0.5 * abs(old)
-        old, step = step, secant if good else g - 0.5 * (lo + hi)
-        if abs(step) <= 2.0 * math.ulp(g):
-            break
-        last, g = g, g - step
-    up, width = fg > 0.0, max(math.ulp(g), abs(secant))
-    while True:  # ends at lo or hi at worst, whose signs differ
-        x = min(g + width, hi) if up else max(g - width, lo)
-        if (f(x) > 0.0) != up:
-            break
-        g, width = x, 2.0 * width
-    return bisect_root(f, min(g, x), max(g, x), residual_tol=0.0)
+        g, first = nxt, False
+    return 0.0
+
+
+def _price(g: float, x: float, c: float, bits: int) -> tuple[float, float]:
+    """c k(g) and its derivative, k = g exp(g) / q^(L-1), q = 1 - exp(-g) and
+    x = expm1(g): h = c exactly where L - E(g) = c k(g)."""
+    power = (-math.expm1(-g)) ** (bits - 1)
+    if power == 0.0:  # h underflows to 0 < c
+        return math.inf, math.inf
+    ck = c * g * (1.0 + x) / power
+    return ck, ck * (1.0 / g + 1.0 - (bits - 1) / x)
+
+
+def _priced_root(c: float, bits: int) -> float:
+    """The root of h = c past h's peak, for c > 0, or 0.0 if c >= max h."""
+    return _newton(bits, gamma_star(bits), partial(_price, c=c, bits=bits))
 
 
 def best_response_priced(model: NetworkModel, profile: Powers, k: int,
@@ -187,23 +160,20 @@ def best_response_priced(model: NetworkModel, profile: Powers, k: int,
 
     At gamma = mu_k * s_k the utility is t * mu_k * [(1 - exp(-gamma))^L / gamma
     - c * gamma], c = alpha / (t * mu_k^2), whose one interior maximum solves
-    h = c past h's peak: gamma_star at c = 0, else the secant root that
-    ``_slope_root`` certifies as a bisection would.  Capped, it must beat silence.
-    Where t * mu_k^2 underflows to 0 the limit mu_k -> 0+ holds: c -> inf
-    prices every power out, unless alpha = 0 leaves the unpriced response.
+    h = c past h's peak: gamma_star at c = 0, else ``_priced_root``, where no
+    root means silence.  Capped, it must beat silence.  Where t * mu_k^2
+    underflows to 0 the limit mu_k -> 0+ holds: c -> inf prices every power
+    out, unless alpha = 0 leaves the unpriced response.
     """
     mu = effective_gain(model, profile, k)
     scale = model.rate_scale * mu * mu
     if scale == 0.0:
         return best_response_ee(model, profile, k) if pricing.alpha == 0.0 else 0.0
     c = pricing.alpha / scale
-    peak, slope_max = _slope_peak(model.packet_bits)
-    if c >= slope_max:
-        return 0.0
-    gamma = gamma_star(model.packet_bits) if c == 0.0 else _slope_root(
-        c, model.packet_bits, peak)
+    bits = model.packet_bits
+    gamma = gamma_star(bits) if c == 0.0 else _priced_root(c, bits)
     v = min(model.power_cap, gamma / mu)
-    return v if packet_throughput(mu * v, model) / v > pricing.alpha * v else 0.0
+    return v if v > 0.0 and packet_throughput(mu * v, model) / v > pricing.alpha * v else 0.0
 
 
 Responder = Callable[[NetworkModel, Sequence[float], int], float]

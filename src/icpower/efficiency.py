@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .config import SolverOutcomeError, Weights
-from .continuous import best_response_ee, ee_utility, gamma_star
+from .continuous import _newton, best_response_ee, ee_utility, gamma_star
 from .network import (NetworkModel, PowerProfile, Powers, _utility_bound,
                       power_tuple, sinr_grid)
 from .numerics import bisect_root, golden_section_max
@@ -70,7 +70,7 @@ def _surfaces(model: NetworkModel, axis1: np.ndarray,
         np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)  # 1 - exp(-gamma)
         u **= model.packet_bits
         u *= model.rate_scale
-        np.divide(u, own, out=u, where=own > 0)  # a silent player's +0.0 stays
+        u /= np.where(own > 0, own, np.inf)  # a silent player's +0.0 stays
     return gammas
 
 
@@ -147,28 +147,14 @@ def _ratio(gamma: float, bits: int) -> float:
 
 
 def _ratio_inverse(y: float, bits: int) -> float:
-    """The gamma in [0, gamma_star] where R = y, by Newton's method on log R
-    over log gamma (slope -1 near 0), from the root of R's tangent at
-    gamma_star or of (L - 1) / (L gamma) >= R; a step that leaves the
-    bracket bisects it."""
+    """The gamma in [0, gamma_star] where R = y: the root of L - E(gamma) =
+    L y gamma, E(gamma) = expm1(gamma) / gamma, by Newton's method from
+    gamma_star or from (L - 1) / (L y) >= R^-1(y), 0 where L y overflows."""
     star = gamma_star(bits)
     if not y > 0.0:
         return star
-    if y == math.inf:
-        return 0.0
-    target, lo, hi = math.log(y), -math.inf, math.log(star)
-    tangent = star - y * bits * star * star / (1.0 + bits * (star - 1.0))
-    x = math.log(min((bits - 1) / (bits * y), tangent if tangent > 0.0 else star))
-    for _ in range(64):
-        g = math.exp(x)
-        e = math.expm1(g) / g
-        f = math.log((bits - e) / (bits * g)) - target if e < bits else -math.inf
-        lo, hi = (x, hi) if f > 0.0 else (lo, x)
-        step = -f * (bits - e) / (bits + 1 + (g - 2.0) * e) if f > -math.inf else math.inf
-        if abs(step) <= 2.0 ** -43:
-            return math.exp(x - step)
-        x = x - step if lo < x - step < hi else hi - 1.0 if lo == -math.inf else 0.5 * (lo + hi)
-    return math.exp(x)
+    ly = bits * y
+    return _newton(bits, min(star, (bits - 1) / ly), lambda g, x: (ly * g, ly))
 
 
 def _pieces(model: NetworkModel) -> list[tuple]:
@@ -180,11 +166,11 @@ def _pieces(model: NetworkModel) -> list[tuple]:
     With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on
     the curve R(gamma_1) * R(gamma_2) = kappa = beta_1 * beta_2, beta_k =
     g_kj / (W * g_jj).  Its half k runs gamma_k from 0 to R^-1(sqrt(kappa)),
-    with the other SINR R^-1(kappa / R(gamma_k)), so kappa = 0 gives both
-    branches gamma_j = gamma_star.  The powers, s_k = (noise / (W * g_kk)) *
-    gamma_k * (1 + beta_k * gamma_j) / (1 - kappa * gamma_1 * gamma_2), may
-    leave the box.  Then the cap edges: player j at power_cap and player k
-    from 0 to its best response.
+    with the other SINR R^-1(kappa / R(gamma_k)), whose argument is at most
+    sqrt(kappa), so kappa = 0 gives both branches gamma_j = gamma_star.  The
+    powers, s_k = (noise / (W * g_kk)) * gamma_k * (1 + beta_k * gamma_j) /
+    (1 - kappa * gamma_1 * gamma_2), may leave the box.  Then the cap edges:
+    player j at power_cap and player k from 0 to its best response.
     """
     bits, cap, w = model.packet_bits, model.power_cap, model.processing_gain
     watts = [model.noise_power / (w * row[k]) for k, row in enumerate(model.gains)]
@@ -247,6 +233,8 @@ def _search(model: NetworkModel, scores: list,
     visit((0.0, best_response_ee(model, silent, 1)), every)
     for lo, hi, k, at in _pieces(model):
         if disagreement is not None:
+            at = lru_cache(maxsize=None)(at)  # the cut's ends are bisected from and sampled
+
             def excess(t: float, j: int) -> float:
                 s = at(t)
                 return -math.inf if s is None else (

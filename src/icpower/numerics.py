@@ -1,5 +1,5 @@
-"""Scalar bisection (gamma_star, the slope peak and the priced root's
-certificate) and golden-section search (the efficiency optimizers)."""
+"""Scalar bisection (gamma_star and the efficiency search's improvement
+intervals) and golden-section search (the efficiency optimizers)."""
 from __future__ import annotations
 
 import math

@@ -1,5 +1,6 @@
 """Continuous game: throughput model, optimal SINR, best responses, dynamics."""
 import dataclasses
+import functools
 import math
 import random
 import statistics
@@ -14,7 +15,7 @@ from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      br_dynamics, ee_utility, gamma_star, ne_continuous,
                      packet_throughput, priced_responder, priced_utility)
 from icpower import continuous
-from icpower.continuous import _slope, _slope_peak, _slope_root, trace_csv_rows
+from icpower.continuous import _priced_root, trace_csv_rows
 from icpower.network import effective_gain, sinr
 from icpower.numerics import bisect_root
 
@@ -210,22 +211,19 @@ def golden_section_max(f, lo, hi, tol=1e-12):
     return 0.5 * (a + b)
 
 
-class TestSlopePeak:
-    @pytest.mark.parametrize("bits, peak", [(3, 0.3234766478020756),
-                                            (1000, 0.047197667366093946)])
-    def test_frozen_golden_section_values(self, bits, peak):
-        assert _slope_peak(bits)[1] == pytest.approx(peak, rel=1e-12)
+def slope(g, bits):
+    """The oracle's h = d/dg [(1 - exp(-g))^L / g]: > 0 before gamma_star, < 0 after."""
+    q = -math.expm1(-g)
+    return q ** (bits - 1) * (bits * g * math.exp(-g) - q) / (g * g)
 
-    def test_matches_golden_section_search(self):
-        for bits in range(3, 1001):
-            h = lambda g: _slope(g, bits)
-            want = h(golden_section_max(h, 0.0, gamma_star(bits)))
-            assert _slope_peak(bits)[1] == pytest.approx(want, rel=1e-12), bits
 
-    def test_two_bits_keeps_the_limit_at_zero(self):
-        peak, top = _slope_peak(2)
-        assert 0.0 < peak < gamma_star(2)
-        assert abs(top - 1.0) <= 1e-12
+@functools.lru_cache(maxsize=None)
+def slope_peak(bits):
+    """Argmax and max of h on (0, gamma_star), by golden section; for L = 2,
+    where h falls from its limit 1 at 0+, a point next to 0."""
+    h = lambda g: slope(g, bits)
+    peak = golden_section_max(h, 0.0, gamma_star(bits))
+    return peak, h(peak)
 
 
 def rounding_band(c, bits, g):
@@ -235,19 +233,31 @@ def rounding_band(c, bits, g):
     q = -math.expm1(-g)
     err = sys.float_info.epsilon * (bits * c + q ** bits / (g * g))
     d = 1e-7 * (1.0 + g)
-    return 4.0 * err * d / (_slope(g, bits) - _slope(g + d, bits))
+    return 4.0 * err * d / (slope(g, bits) - slope(g + d, bits))
 
 
-def certified(f, g):
-    """f(g) == 0, or f changes sign between g and an adjacent float."""
-    fg = f(g)
-    return fg == 0.0 or any((f(math.nextafter(g, t)) > 0.0) != (fg > 0.0)
-                            for t in (0.0, math.inf))
+def oracle_root(c, bits):
+    """The bisection of h - c on [peak, 50] that the Newton root replaced."""
+    return bisect_root(lambda g: slope(g, bits) - c, slope_peak(bits)[0], 50.0,
+                       residual_tol=0.0)
+
+
+def counting_steps(patch):
+    """Patch the priced root's P, called once per Newton step, to log each g."""
+    calls = []
+    price = continuous._price
+
+    def counted(g, x, c, bits):
+        calls.append(g)
+        return price(g, x, c, bits)
+
+    patch.setattr(continuous, "_price", counted)
+    return calls
 
 
 class TestSlopeRoot:
-    """The safeguarded secant root of h = c against the bisection on
-    [peak, 50] that it replaced, kept here as the oracle."""
+    """The Newton root of h = c against the bisection on [peak, 50] that an
+    earlier version used, kept here as the oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 1000), st.floats(0.0, 1.0 - 1e-9, exclude_min=True))
@@ -260,32 +270,50 @@ class TestSlopeRoot:
     @example(3, 1.0 - 1e-9)
     @example(20, 1.0 - 1e-9)
     @example(1000, 1.0 - 1e-9)
-    # L = 2, whose peak is the stand-in 1e-13
+    # L = 2, whose h falls from its supremum 1 at 0+
     @example(2, 1.0 - 1e-9)
     @example(2, 0.5)
     def test_matches_bisection(self, bits, u):
         # within 1e-13 relative, or within the band where the computed f has
         # several sign changes, each of which the bisection could return
-        peak, top = _slope_peak(bits)
+        top = slope_peak(bits)[1]
         c = u * top
         assume(0.0 < c < top)
-        f = lambda g: _slope(g, bits) - c
-        got = _slope_root(c, bits, peak)
-        want = bisect_root(f, peak, 50.0, residual_tol=0.0)
-        assert certified(f, got)
+        got = _priced_root(c, bits)
+        want = oracle_root(c, bits)
         assert abs(got - want) <= 1e-13 * got + rounding_band(c, bits, got)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(math.log10(2.0), 6.0), st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))
+    @example(math.log10(2.0), 1e-6, 1.0)
+    @example(6.0, 0.5, 1.0)
+    def test_price_factor_is_convex(self, log_bits, u, v):
+        # k = g exp(g) / q^(L-1), q = 1 - exp(-g), so L - E - c k is concave
+        # on (0, gamma_star]: by second differences, up to the L ulps that
+        # q^(L-1) rounds to
+        bits = int(10.0 ** log_bits)
+        a, c = sorted(w * gamma_star(bits) for w in (u, v))
+        b = 0.5 * (a + c)
+        powers = [(-math.expm1(-g)) ** (bits - 1) for g in (a, b, c)]
+        assume(a < b < c and min(powers) >= sys.float_info.min)
+        ka, kb, kc = (g * math.exp(g) / p for g, p in zip((a, b, c), powers))
+        assert ka + kc - 2.0 * kb >= -4.0 * bits * sys.float_info.epsilon * (ka + kc + 2.0 * kb)
+
+    def test_silent_exactly_past_the_peak(self):
+        # no root a millionth above max h, the root a millionth below it
+        for bits in range(2, 1001):
+            top = slope_peak(bits)[1]
+            assert _priced_root((1.0 + 1e-6) * top, bits) == 0.0, bits
+            c = (1.0 - 1e-6) * top
+            got = _priced_root(c, bits)
+            assert abs(got - oracle_root(c, bits)) <= (
+                1e-13 * got + rounding_band(c, bits, got)), bits
+
     def test_work_per_response(self, monkeypatch):
-        # counts evaluations of h, not time, so it reads the same on every
-        # machine; the bisection on [peak, 50] spent about 59 per response
+        # counts Newton steps, not time, so it reads the same on every
+        # machine; the bisection on [peak, 50] spent about 59 evaluations of h
         rng = random.Random(17)
-        calls = []
-
-        def counted(g, bits):
-            calls.append(g)
-            return _slope(g, bits)
-
-        monkeypatch.setattr(continuous, "_slope", counted)
+        calls = counting_steps(monkeypatch)
         counts = []
         for _ in range(600):
             model = make_model(
@@ -294,34 +322,26 @@ class TestSlopeRoot:
                 noise_power=rng.uniform(0.1, 3.0), processing_gain=rng.uniform(1.0, 16.0),
                 power_cap=rng.uniform(0.5, 10.0), packet_bits=rng.randint(2, 60),
                 rate_scale=rng.uniform(0.5, 3.0))
-            _slope_peak(model.packet_bits)  # cached per L, so outside the count
+            gamma_star(model.packet_bits)  # cached per L, so outside the count
             before = len(calls)
             best_response_priced(model, (0.0, rng.uniform(0.0, 10.0)), 0,
                                  PricingConfig(rng.uniform(0.0, 0.5)))
-            if len(calls) > before:  # silence and alpha = 0 need no root
+            if len(calls) > before:  # alpha = 0 and t mu^2 = 0 need no root
                 counts.append(len(calls) - before)
         assert len(counts) >= 300
         assert max(counts) <= 25
         assert statistics.mean(counts) <= 10
 
     def test_two_bits_across_c(self, monkeypatch):
-        # two points in f's noise band give a secant slope of either sign;
-        # stepping on from them instead of stopping crawled by bisection
-        # from the bracket's far end, up to 40 evaluations on these draws
+        # L = 2 over its whole range of c, down to roots next to 0
         rng = random.Random(1)
-        peak, top = _slope_peak(2)
-        calls = []
-
-        def counted(g, bits):
-            calls.append(g)
-            return _slope(g, bits)
-
-        monkeypatch.setattr(continuous, "_slope", counted)
+        top = slope_peak(2)[1]
+        calls = counting_steps(monkeypatch)
         counts = []
         for _ in range(3000):
             c = rng.uniform(0.0, 1.0) * top
             before = len(calls)
-            _slope_root(c, 2, peak)
+            _priced_root(c, 2)
             counts.append(len(calls) - before)
         assert max(counts) <= 25
 
@@ -331,51 +351,34 @@ class TestSlopeRoot:
     @example(2, 1.0 - 1e-9)
     @example(2, 1e-13)
     def test_no_point_is_evaluated_twice(self, bits, u):
-        # the bracket's ends are handed to bisect_root, which must not
-        # evaluate them again
-        peak, top = _slope_peak(bits)
+        # the loop stops at the first step that does not fall, before
+        # evaluating its point
+        top = slope_peak(bits)[1]
         c = u * top
         assume(0.0 < c < top)
-        calls = []
-
-        def counted(g, bits):
-            calls.append(g)
-            return _slope(g, bits)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(continuous, "_slope", counted)
-            _slope_root(c, bits, peak)
-        assert calls and peak not in calls  # h(peak) comes from the cache
-        assert len(set(calls)) == len(calls)
+            calls = counting_steps(patch)
+            _priced_root(c, bits)
+        assert calls and len(set(calls)) == len(calls)
 
 
 class TestSlopeScaledDerivative:
-    """L = 2, whose scaled h' cancels near 0, so that ``_slope_peak`` puts a
-    stand-in just above 0 and the root uses no h'."""
+    """L = 2, whose h has no interior peak: it falls from its supremum 1 at
+    0+, so roots for c next to 1 lie next to 0."""
 
     def test_two_bits_near_the_peak_takes_fewer_steps(self, monkeypatch):
-        # roots within 1e-3 of 0.  Newton from gamma_star overshot past the
-        # bracket's low end and the safeguard halved 13-21 times: about 28
-        # evaluations of h each on these draws.  The first secant, through
-        # (peak, gamma_star), lands within a factor 2.5 of the root, which is
-        # about (1 - c) / 2; what is left past 25 is the certificate's bisection
-        # where the computed h - c is noise, on roots below 1e-5
+        # roots within 1e-3 of 0.  Newton from gamma_star on h - c overshot
+        # past 0 and needed a safeguard; on L - E = c k it falls to the root
         rng = random.Random(18)
-        peak, top = _slope_peak(2)
-        calls = []
-
-        def counted(g, bits):
-            calls.append(g)
-            return _slope(g, bits)
-
-        monkeypatch.setattr(continuous, "_slope", counted)
+        top = slope_peak(2)[1]
+        calls = counting_steps(monkeypatch)
         counts = []
         for _ in range(200):
             c = (1.0 - 10.0 ** rng.uniform(-14.0, -3.0)) * top
             before = len(calls)
-            got = _slope_root(c, 2, peak)
+            got = _priced_root(c, 2)
             counts.append(len(calls) - before)
-            assert certified(lambda g: _slope(g, 2) - c, got)
+            assert abs(got - oracle_root(c, 2)) <= 1e-13 * got + rounding_band(c, 2, got)
             assert got < 1e-5 or counts[-1] <= 25
         assert statistics.mean(counts) <= 15
 

@@ -1,6 +1,7 @@
 """Utility plane: grids, Pareto frontier, welfare optimum, bargaining."""
 import builtins
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,9 @@ from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
                      in_improvement_region, nash_bargaining, ne_continuous,
                      pareto_frontier, social_optimum, utility_grid, utility_point)
 import icpower.efficiency
-from icpower.efficiency import _pieces, _surfaces, grid_csv_rows
+from icpower.efficiency import _pieces, _ratio, _ratio_inverse, _surfaces, grid_csv_rows
 from icpower.network import _sinr_per_watt
+from icpower.numerics import bisect_root
 
 from conftest import make_model
 
@@ -295,6 +297,61 @@ class TestSocialOptimum:
             social_optimum(ref_model, Weights((1.0,)))
 
 
+def ratio_root(y, bits):
+    """The oracle for R^-1: bisection on log gamma of the computed R - y to a
+    factor 1.001, then on gamma."""
+    f = lambda g: _ratio(g, bits) - y
+    lo, hi = math.log(1e-305), math.log(2.0 * gamma_star(bits))
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(math.exp(mid)) > 0.0 else (lo, mid)
+    return bisect_root(f, math.exp(lo), math.exp(hi), residual_tol=0.0)
+
+
+class TestRatioInverse:
+    """R^-1 solves psi = L - E(gamma) - L y gamma = 0, E = expm1(gamma) / gamma,
+    by Newton's method without a bracket, which needs psi concave and falling."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0, 53.0), st.floats(-300.0, 300.0),
+           st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3, unique=True))
+    def test_psi_is_concave_and_falls(self, log_bits, log_y, shares):
+        bits, y = int(2.0 ** log_bits), 10.0 ** log_y
+        a, b, c = sorted(u * gamma_star(bits) for u in shares)
+        assume(bits * y * c < math.inf)
+        psi = lambda g: bits - math.expm1(g) / g - bits * y * g
+        tol = 8.0 * sys.float_info.epsilon * (bits + bits * y * c)  # rounding of a psi
+        assert psi(a) >= psi(b) - tol and psi(b) >= psi(c) - tol
+        w = (c - b) / (c - a)
+        assert psi(b) >= w * psi(a) + (1.0 - w) * psi(c) - tol
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.floats(1.0, 53.0))
+    @example(300.0, 53.0)  # L y overflows
+    @example(-300.0, 1.0)
+    @example(300.0, 1.0)
+    @example(-300.0, 53.0)
+    def test_matches_bisection(self, log_y, log_bits):
+        y, bits = 10.0 ** log_y, int(2.0 ** log_bits)
+        got = _ratio_inverse(y, bits)
+        if bits * y == math.inf:  # the start (L - 1) / (L y) is 0, the limit
+            assert got == 0.0
+            return
+        want = ratio_root(y, bits)
+        # within the band where rounding, about 2 eps / gamma in R, gives the
+        # computed R - y several sign changes
+        e = math.expm1(want) / want
+        r = _ratio(want, bits)
+        slope = ((math.exp(want) - e) / want / bits + r) / want  # -R'
+        band = 4.0 * sys.float_info.epsilon * (2.0 / want + abs(r)) / slope
+        assert abs(got - want) <= 1e-15 * want + band
+
+    def test_limits(self):
+        assert _ratio_inverse(0.0, 20) == gamma_star(20)
+        assert _ratio_inverse(math.inf, 20) == 0.0
+        assert _ratio_inverse(1e300, 2 ** 53) == 0.0
+
+
 class TestZoom:
     """The frontier searches against a grid and against a dense local search
     around their result, on the array path."""
@@ -455,6 +512,25 @@ class TestBandedSearch:
         for search in (nash_bargaining, fairness_projection, bargaining_points):
             with pytest.raises(EmptyImprovementRegionError):
                 search(ref_model, unreachable)
+
+    def test_no_curve_point_is_evaluated_twice(self, ref_model, ne_point, nbs_point,
+                                               monkeypatch):
+        # the improvement-interval cut tests each end, hands it to a bisection
+        # and samples it; each of these once evaluated the end's point again
+        calls = []
+        pieces = _pieces
+
+        def counted(model):
+            def count(i, at):
+                def point(t):
+                    calls.append((i, t))
+                    return at(t)
+                return point
+            return [(lo, hi, k, count(i, at)) for i, (lo, hi, k, at) in enumerate(pieces(model))]
+
+        monkeypatch.setattr(icpower.efficiency, "_pieces", counted)
+        assert nash_bargaining(ref_model, ne_point) == nbs_point
+        assert calls and len(set(calls)) == len(calls)
 
     def test_both_bargaining_points_match_their_own_searches(self, ne_point, nbs_point,
                                                              ref_model):

@@ -146,7 +146,10 @@ class FiniteScenario:
             raise ConfigError(f"finite.gains.{keys[0]}: sets the on/off power level to "
                               f"{level!r}, which must be a finite number > 0")
         build = build_nfe_game if name == "nfe" else build_ic_game
-        return build(self.params, *gains, model.noise_power, model.processing_gain)
+        try:
+            return build(self.params, *gains, model.noise_power, model.processing_gain)
+        except ValueError as exc:  # the near-far bound on h1/h2
+            raise ConfigError(f"finite.gains: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -237,8 +240,11 @@ def config_from_dict(data: dict) -> RunConfig:
         if not isinstance(data["weights"], (list, tuple)):
             raise ConfigError("weights: expected an array")
         weights = _build("weights", Weights, w=tuple(data["weights"]))
+        if len(weights.w) != model.num_players:
+            raise ConfigError(f"weights: need {model.num_players}, one per player, "
+                              f"got {len(weights.w)}")
     else:
-        weights = Weights((0.5, 0.5))
+        weights = Weights((1.0 / model.num_players,) * model.num_players)
 
     # search.priced_tol and search.refine_tol are deprecated and ignored
     search = (_dataclass_section(data, "search", SearchConfig,

@@ -5,8 +5,9 @@ correctly delivered per joule: u_k = throughput(sinr_k) / s_k.  The packet
 success model makes a unique target SINR optimal, which yields a closed-form
 best response and a fixed-point (Jacobi) iteration to the Nash equilibrium.
 A linear power surcharge alpha * s_k steers that equilibrium toward the
-Pareto frontier; its best response is one Newton solve without a bracket,
-the loop that also inverts the efficiency frontier's ratio R.
+Pareto frontier.  One Newton loop without a bracket finds the target SINR,
+the surcharged best response and the inverse of the efficiency frontier's
+ratio R.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 from .network import (NetworkModel, PowerProfile, Powers, _checked, _sinr_per_watt,
                       effective_gain, power_tuple, sinr)
-from .numerics import bisect_root
 
 __all__ = [
     "DegenerateUtilityError",
@@ -86,8 +86,10 @@ def gamma_star(packet_bits: int) -> float:
     """The SINR at which marginal and average throughput-per-SINR coincide.
 
     Solves L * g * exp(-g) = 1 - exp(-g) for g > 0, the first-order condition
-    of maximizing throughput(g)/g.  The root is unique for L >= 2; for L = 1
-    the efficiency is monotone decreasing and no positive root exists.
+    of maximizing throughput(g)/g: L = E(g), ``_newton`` with P = 0, from
+    2 ln L + 2, where E = (e^2 L^2 - 1) / (2 ln L + 2) >= L.  The root is
+    unique for L >= 2; for L = 1 the efficiency is monotone decreasing and no
+    positive root exists.
     """
     if not (isinstance(packet_bits, int) and packet_bits >= 1):
         raise ValueError("packet_bits must be an integer >= 1")
@@ -95,12 +97,7 @@ def gamma_star(packet_bits: int) -> float:
         raise DegenerateUtilityError(
             "packet_bits = 1: throughput/power is monotone, no optimal SINR"
         )
-
-    def f(g: float) -> float:
-        # L*g*exp(-g) - (1 - exp(-g)); expm1 keeps the tail exact near 0
-        return packet_bits * g * math.exp(-g) + math.expm1(-g)
-
-    return bisect_root(f, 1e-6, 50.0, residual_tol=1e-12)
+    return _newton(packet_bits, 2.0 * math.log(packet_bits) + 2.0, lambda g, x: (0.0, 0.0))
 
 
 def best_response_ee(model: NetworkModel, profile: Powers, k: int) -> float:
@@ -121,10 +118,9 @@ def _newton(bits: int, g: float,
     """The larger root of L - E(g) = P(g), E(g) = expm1(g) / g, by Newton's
     method from g, or 0.0 if the steps find none; ``rest(g, expm1(g))`` gives
     P(g) and P'(g).  E is convex and rises, so where P is convex the left side
-    minus P is concave: past its first step, which may rise, each step falls
-    toward the root, and the first that does not ends the loop.  A slope >= 0,
-    a step to 0 or below, or an infinite P means no root on that side."""
-    first = True
+    minus P is concave: from a start at or above the root each step falls
+    toward it, and the first that does not ends the loop.  A slope >= 0, a
+    step to 0 or below, or an infinite P means no root on that side."""
     while g > 0.0:
         x = math.expm1(g)
         e = x / g
@@ -133,9 +129,9 @@ def _newton(bits: int, g: float,
         if not (slope < 0.0 and p < math.inf):
             return 0.0
         nxt = g - (bits - e - p) / slope
-        if nxt >= g and not first:
+        if nxt >= g:
             return g
-        g, first = nxt, False
+        g = nxt
     return 0.0
 
 

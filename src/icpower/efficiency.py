@@ -99,9 +99,8 @@ class UtilityPlane:
 
 def _check_players(model: NetworkModel) -> None:
     if model.num_players != 2:
-        raise ValueError(
-            f"utility-plane analysis supports exactly 2 players, got {model.num_players}"
-        )
+        raise ValueError(f"network: gains: utility-plane analysis supports exactly 2 "
+                         f"players, got {model.num_players}")
 
 
 def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
@@ -242,8 +241,8 @@ def _search(model: NetworkModel, scores: list,
             rise, fall = partial(excess, j=k), partial(excess, j=1 - k)
             if rise(hi) < 0.0 or fall(lo) < 0.0:
                 continue
-            lo, hi = (lo if rise(lo) >= 0.0 else bisect_root(rise, lo, hi, 0.0),
-                      hi if fall(hi) >= 0.0 else bisect_root(fall, lo, hi, 0.0))
+            lo, hi = (lo if rise(lo) >= 0.0 else bisect_root(rise, lo, hi),
+                      hi if fall(hi) >= 0.0 else bisect_root(fall, lo, hi))
         n = _SAMPLES if hi > lo else 1
         ts = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
         values = [visit(at(t), every) for t in ts]

@@ -1,5 +1,5 @@
-"""Scalar bisection (gamma_star and the efficiency search's improvement
-intervals) and golden-section search (the efficiency optimizers)."""
+"""Scalar bisection (the efficiency search's improvement intervals) and
+golden-section search (the efficiency optimizers)."""
 from __future__ import annotations
 
 import math
@@ -10,16 +10,11 @@ __all__ = ["bisect_root", "golden_section_max"]
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    residual_tol: float = 1e-12,
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Find a root of f on [lo, hi] by bisection.
 
-    Requires a sign change on the bracket.  Stops once |f(mid)| falls below
-    ``residual_tol`` or the bracket cannot be narrowed further.
+    Requires a sign change on the bracket.  Stops where f(mid) is 0 or the
+    bracket's ends are adjacent floats.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -31,7 +26,7 @@ def bisect_root(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) <= residual_tol or mid in (lo, hi):
+        if fm == 0.0 or mid in (lo, hi):
             return mid
         if (fm < 0.0) == (flo < 0.0):
             lo, flo = mid, fm

@@ -523,8 +523,9 @@ class TestDriver:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n, message", [("0", "error: --n: n_per_axis must be >= 2"),
-                                            ("5", "error: utility-plane analysis supports "
-                                                  "exactly 2 players, got 3")])
+                                            ("5", "error: network: gains: utility-plane "
+                                                  "analysis supports exactly 2 players, "
+                                                  "got 3")])
     def test_grid_size_is_checked_before_the_player_count(self, tmp_path, capsys, n,
                                                           message):
         cfg = json.loads(default_config_path().read_text())
@@ -542,8 +543,49 @@ class TestDriver:
         cfg["weights"] = [0.5, 0.25, 0.25]
         cfg["search"]["max_iter"] = 1
         assert run(tmp_path, "--quiet", command, config=cfg) == 2
-        assert capsys.readouterr().err == ("error: utility-plane analysis supports "
-                                           "exactly 2 players, got 3\n")
+        assert capsys.readouterr().err == ("error: network: gains: utility-plane "
+                                           "analysis supports exactly 2 players, got 3\n")
+
+    THREE_PLAYERS = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
+    COMMANDS = (["ne"], ["pricing"], ["pareto", "--n", "5"], ["social"], ["nbs"],
+                ["repeated"], ["finite"])
+
+    @pytest.mark.parametrize("edits, commands", [
+        ({"finite.gains.h1": 0.9}, [["finite", "--scenario", "nfe"]]),  # near-far
+        ({"finite.gains.h": 1e-320}, [["finite"]]),
+        ({"finite": None}, [["finite"]]),
+        ({"weights": [0.5, 0.25, 0.25]}, COMMANDS),
+        ({"weights": [0.5, 0.4]}, COMMANDS),
+        ({"network.gains": THREE_PLAYERS, "weights": [0.5, 0.25, 0.25]},
+         [["pareto", "--n", "5"], ["social"], ["nbs"], ["repeated"]]),
+        ({"network.gains": [[0.75, 0.5], [0.25]]}, COMMANDS),
+        ({"network.packet_bits": 1}, [["ne"], ["pricing"], ["social"], ["nbs"]]),
+        ({"network.noise_power": 1e-10, "network.rate_scale": 1e300}, COMMANDS),
+        ({"pricing": None}, [["pricing"]]),
+        ({"pricing.alpha": -0.1}, COMMANDS),
+        ({"search.n_per_axis": 1}, COMMANDS),
+        ({"search.max_iter": 0}, COMMANDS),
+        ({"output.directory": ""}, COMMANDS),
+    ], ids=["near-far", "tiny-h", "no-finite", "three-weights", "weights-sum",
+            "three-players", "ragged-gains", "one-bit", "utility-overflows", "no-pricing",
+            "negative-alpha", "one-point-axis", "no-sweeps", "empty-output"])
+    def test_every_exit_2_opens_with_a_field_path(self, tmp_path, capsys, edits,
+                                                  commands):
+        cfg = json.loads(default_config_path().read_text())
+        for path, value in edits.items():
+            *parents, key = path.split(".")
+            section = cfg
+            for name in parents:
+                section = section[name]
+            if value is None:
+                del section[key]
+            else:
+                section[key] = value
+        for argv in commands:
+            assert run(tmp_path, "--quiet", *argv, config=cfg) == 2, argv
+            err = capsys.readouterr().err
+            assert re.match(r"error: (network|finite|pricing|weights|search|output)[.:]",
+                            err), (argv, err)
 
     @pytest.mark.parametrize("argv, source", [(["--n", "20000"], "--n: the utility "
                                                "plane at n = 20000"),

@@ -61,6 +61,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="weights"):
             config_from_dict(base_dict)
 
+    def test_one_weight_per_player(self, base_dict):
+        base_dict["weights"] = [0.5, 0.25, 0.25]
+        with pytest.raises(ConfigError, match=r"^weights: need 2, one per player, got 3$"):
+            config_from_dict(base_dict)
+        base_dict["network"]["gains"] = [[1.0, 0.2, 0.1], [0.15, 0.9, 0.2],
+                                         [0.1, 0.25, 1.1]]
+        assert config_from_dict(base_dict).weights.w == (0.5, 0.25, 0.25)
+        del base_dict["weights"]
+        assert config_from_dict(base_dict).weights.w == (1.0 / 3.0,) * 3
+
     def test_network_invariant_has_path(self, base_dict):
         base_dict["network"]["noise_power"] = 0.0
         with pytest.raises(ConfigError, match="network: noise_power"):

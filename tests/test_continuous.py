@@ -1,5 +1,6 @@
 """Continuous game: throughput model, optimal SINR, best responses, dynamics."""
 import dataclasses
+import decimal
 import functools
 import math
 import random
@@ -24,6 +25,17 @@ from conftest import make_model
 # root of 2*g*exp(-g) = 1 - exp(-g), frozen from an independent pre-build
 # root-finder run
 GAMMA_STAR_2 = 1.2564312086261695
+
+
+def decimal_gamma_star(bits):
+    """The root of e^g - 1 = L g, g > 0, bisected in 40-digit decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        lo, hi = decimal.Decimal("0.5"), decimal.Decimal(80)  # e^g - 1 - L g < 0 at 0.5
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid.exp() - 1 < bits * mid else (lo, mid)
+        return lo
 
 
 def linear_solve_ne(model):
@@ -166,6 +178,17 @@ class TestGammaStar:
             g = gamma_star(bits)
             assert abs(bits * g * math.exp(-g) - (1 - math.exp(-g))) <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.0, 53.0).map(lambda log_bits: int(2.0 ** log_bits)))
+    @example(2)
+    @example(3)
+    @example(20)
+    @example(2 ** 53)
+    def test_within_one_ulp_of_the_decimal_root(self, bits):
+        got = gamma_star(bits)
+        assert abs(decimal.Decimal(got) - decimal_gamma_star(bits)) <= decimal.Decimal(
+            math.ulp(got))
+
     def test_two_bit_root_frozen_value(self):
         assert gamma_star(2) == pytest.approx(GAMMA_STAR_2, abs=1e-9)
 
@@ -238,8 +261,7 @@ def rounding_band(c, bits, g):
 
 def oracle_root(c, bits):
     """The bisection of h - c on [peak, 50] that the Newton root replaced."""
-    return bisect_root(lambda g: slope(g, bits) - c, slope_peak(bits)[0], 50.0,
-                       residual_tol=0.0)
+    return bisect_root(lambda g: slope(g, bits) - c, slope_peak(bits)[0], 50.0)
 
 
 def counting_steps(patch):

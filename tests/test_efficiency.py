@@ -305,7 +305,7 @@ def ratio_root(y, bits):
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if f(math.exp(mid)) > 0.0 else (lo, mid)
-    return bisect_root(f, math.exp(lo), math.exp(hi), residual_tol=0.0)
+    return bisect_root(f, math.exp(lo), math.exp(hi))
 
 
 class TestRatioInverse:

@@ -23,13 +23,3 @@ class TestBisectRoot:
     def test_decreasing_function(self):
         root = bisect_root(lambda x: 3.0 - x, 0.0, 10.0)
         assert abs(root - 3.0) < 1e-9
-
-    def test_residual_stopping(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - 0.5
-
-        bisect_root(f, 0.0, 1.0, residual_tol=1e-3)
-        assert all(abs(c - 0.5) > 1e-3 for c in calls[:-1]) or len(calls) <= 3

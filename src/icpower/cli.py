@@ -4,13 +4,13 @@ Loads a JSON config, dispatches one solver command, prints a short console
 summary (normalized powers to 2 decimals, utilities to 3), and writes
 machine-readable artifacts <command>.json / <command>.csv into the output
 directory.  Exit codes: 0 success, 2 validation error (bad config or
-flags), 3 a solver outcome on a valid config (the dynamics did not
-converge, or cooperation is not rational),
-4 I/O error.  The parser is built once per process, at import; ``main`` only
-parses.  finite and pareto build arrays, and only they import numpy: finite
-imports its module inside its body, and pareto the functions of efficiency
-that import numpy.  social, nbs and repeated search the frontier's
-one-dimensional pieces in plain floats.
+flags), 3 a solver outcome on a valid config (the dynamics of ne or pricing
+did not converge, no profile improves on the equilibrium, or cooperation is
+not rational), 4 I/O error.  The parser is built once per process, at
+import; ``main`` only parses.  finite and pareto build arrays, and only they
+import numpy: finite imports its module inside its body, and pareto the
+functions of efficiency that import numpy.  social, nbs and repeated search
+the frontier's pieces in plain floats; nbs and repeated run no dynamics.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .config import (SCENARIOS, ConfigError, RunConfig, SolverOutcomeError,
                      default_config_path, load_config)
 from .continuous import (DegenerateUtilityError, PricingConfig, SolveReport, br_dynamics,
                          priced_responder, trace_csv_rows)
-from .efficiency import (UtilityPoint, _check_players, bargaining_points, nash_bargaining,
+from .efficiency import (UtilityPoint, bargaining_points, nash_bargaining, nash_equilibrium,
                          social_optimum)
 from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigger,
                        trigger_csv_rows)
@@ -108,16 +108,6 @@ def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
     responder = None if alpha is None else priced_responder(PricingConfig(alpha))
     return br_dynamics(cfg.model, responder=responder, tol=cfg.search.br_tol,
                        max_iter=cfg.search.max_iter)
-
-
-def _converged_ne(cfg: RunConfig) -> UtilityPoint:
-    """The unpriced equilibrium of a 2-player network as a utility point; the
-    player count is checked before the dynamics run, which must converge."""
-    _check_players(cfg.model)
-    ne = _dynamics(cfg)
-    if not ne.converged:
-        raise SolverOutcomeError(_unconverged(ne))
-    return UtilityPoint(ne.solution, ne.utilities, ne.normalized_utilities)
 
 
 def _point_row(pt: UtilityPoint) -> list[float]:
@@ -306,7 +296,7 @@ def cmd_social(cfg: RunConfig, args) -> Output:
 
 
 def cmd_nbs(cfg: RunConfig, args) -> Output:
-    disagreement = _converged_ne(cfg)
+    disagreement = nash_equilibrium(cfg.model)
     nbs, fair = (bargaining_points(cfg.model, disagreement) if args.fairness
                  else (nash_bargaining(cfg.model, disagreement), None))
     artifact = {"disagreement": _point_dict(disagreement), "solution": _point_dict(nbs)}
@@ -332,7 +322,7 @@ def cmd_repeated(cfg: RunConfig, args) -> Output:
         raise ConfigError("--deviate-at must be >= 0")
     if args.delta is not None and not 0.0 <= args.delta < 1.0:
         raise ConfigError("--delta must be in [0, 1)")
-    ne = _converged_ne(cfg)
+    ne = nash_equilibrium(cfg.model)
     so = social_optimum(cfg.model, cfg.weights)
     policy = TriggerPolicy(cooperate_profile=so.profile, punish_profile=ne.profile)
     dmin = min_discount(cfg.model, policy)

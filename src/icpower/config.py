@@ -83,7 +83,7 @@ class FiniteGameParams:
 @dataclass(frozen=True)
 class SearchConfig:
     """Numerical settings: the utility plane's points per axis (``pareto``),
-    and the best-response dynamics' tolerance and sweep limit."""
+    and the tolerance and sweep limit of ``ne``'s and ``pricing``'s dynamics."""
 
     n_per_axis: int = 400
     br_tol: float = 1e-10

@@ -31,7 +31,6 @@ __all__ = [
     "best_response_priced",
     "priced_responder",
     "br_dynamics",
-    "ne_continuous",
     "trace_csv_rows",
 ]
 
@@ -324,12 +323,6 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
             return _report(model, current, trace, residual, tol, "cycle", period)
         step = residual  # the next sweep's step, the same operands in the same order
     return _report(model, current, trace, residual, tol, "max_iter")
-
-
-def ne_continuous(model: NetworkModel, tol: float = 1e-10,
-                  max_iter: int = 10_000) -> SolveReport:
-    """Nash equilibrium of the unpriced game via closed-form best responses."""
-    return br_dynamics(model, responder=best_response_ee, tol=tol, max_iter=max_iter)
 
 
 def trace_csv_rows(model: NetworkModel, report: SolveReport) -> tuple[list[str], list[list]]:

@@ -4,9 +4,9 @@ Samples the achievable utility region over [0, power_cap]^2 on a grid and
 extracts that sample's Pareto frontier.  Maximizes weighted social welfare,
 and computes the Nash bargaining solution and the equal-gain point over the
 improvement region of a disagreement point (typically the noncooperative
-equilibrium), by a search along the one-dimensional pieces that hold the
-frontier itself.  Only the sampled plane uses numpy, imported where it is
-built, so the optimizers run without it.
+equilibrium, ``nash_equilibrium``), by a search along the one-dimensional
+pieces that hold the frontier itself.  Only the sampled plane uses numpy,
+imported where it is built, so the optimizers run without it.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import SolverOutcomeError, Weights
 from .continuous import _newton, best_response_ee, ee_utility, gamma_star
@@ -32,6 +32,7 @@ __all__ = [
     "utility_point",
     "utility_grid",
     "pareto_frontier",
+    "nash_equilibrium",
     "social_optimum",
     "in_improvement_region",
     "nash_bargaining",
@@ -156,37 +157,64 @@ def _ratio_inverse(y: float, bits: int) -> float:
     return _newton(bits, min(star, (bits - 1) / ly), lambda g, x: (ly * g, ly))
 
 
+def _sinr_inverse(model: NetworkModel) -> tuple[float, Callable]:
+    """``(kappa, powers)``: ``powers(gamma)`` is the 2-player profile with
+    SINRs gamma, s_k = (noise / (W * g_kk)) * gamma_k * (1 + beta_k * gamma_j)
+    / (1 - kappa * gamma_1 * gamma_2), beta_k = g_kj / (W * g_jj) and kappa =
+    beta_1 * beta_2, or None where its powers are not finite and nonnegative."""
+    w = model.processing_gain
+    watts = [model.noise_power / (w * row[k]) for k, row in enumerate(model.gains)]
+    beta = [model.gains[k][1 - k] / (w * model.gains[1 - k][1 - k]) for k in range(2)]
+    kappa = beta[0] * beta[1] if beta[0] and beta[1] else 0.0
+
+    def powers(gamma: tuple[float, float]) -> Optional[tuple[float, float]]:
+        det = 1.0 - kappa * gamma[0] * gamma[1]
+        if not det > 0.0:
+            return None
+        s = tuple(gamma[i] * (1.0 + beta[i] * gamma[1 - i]) / det * watts[i]
+                  for i in range(2))
+        return s if all(0.0 <= v < math.inf for v in s) else None  # inf * 0 is NaN
+    return kappa, powers
+
+
+def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
+    """The unpriced game's equilibrium in closed form.  The best response
+    min(power_cap, gamma_star / mu_k) is a standard interference function
+    (Yates, 1995), so it is unique: both players at gamma_star, clipped to the
+    cap, or one at the cap and the other best-responding.  Of these three the
+    one with the smallest best-response residual wins, since next to the cap
+    rounding can put the first on the wrong side."""
+    _check_players(model)
+    cap, star = model.power_cap, gamma_star(model.packet_bits)
+    both = _sinr_inverse(model)[1]((star, star))
+    candidates = [] if both is None else [tuple(min(v, cap) for v in both)]
+    candidates += [(cap, best_response_ee(model, (cap, cap), 1)),
+                   (best_response_ee(model, (cap, cap), 0), cap)]
+    residual = lambda s: max(abs(best_response_ee(model, s, k) - s[k]) for k in range(2))
+    return utility_point(model, min(candidates, key=residual))
+
+
 def _pieces(model: NetworkModel) -> list[tuple]:
     """The one-dimensional pieces ``(lo, hi, k, at)`` whose union, with the
     two lone best responses, holds the Pareto frontier of [0, power_cap]^2:
     ``at(t)`` is a profile, or None where its powers are not finite, and
     along t in [lo, hi] player k's utility rises and the other's falls.
 
-    With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on
-    the curve R(gamma_1) * R(gamma_2) = kappa = beta_1 * beta_2, beta_k =
-    g_kj / (W * g_jj).  Its half k runs gamma_k from 0 to R^-1(sqrt(kappa)),
-    with the other SINR R^-1(kappa / R(gamma_k)), whose argument is at most
-    sqrt(kappa), so kappa = 0 gives both branches gamma_j = gamma_star.  The
-    powers, s_k = (noise / (W * g_kk)) * gamma_k * (1 + beta_k * gamma_j) /
-    (1 - kappa * gamma_1 * gamma_2), may leave the box.  Then the cap edges:
-    player j at power_cap and player k from 0 to its best response.
+    With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on the
+    curve R(gamma_1) * R(gamma_2) = kappa of ``_sinr_inverse``.  Its half k
+    runs gamma_k from 0 to R^-1(sqrt(kappa)), with the other SINR R^-1(kappa
+    / R(gamma_k)), whose argument is at most sqrt(kappa), so kappa = 0 gives
+    both branches gamma_j = gamma_star; the powers may leave the box.  Then
+    the cap edges: player j at power_cap and k from 0 to its best response.
     """
-    bits, cap, w = model.packet_bits, model.power_cap, model.processing_gain
-    watts = [model.noise_power / (w * row[k]) for k, row in enumerate(model.gains)]
-    beta = [model.gains[k][1 - k] / (w * model.gains[1 - k][1 - k]) for k in range(2)]
-    kappa = beta[0] * beta[1] if beta[0] and beta[1] else 0.0
+    bits, cap = model.packet_bits, model.power_cap
+    kappa, powers = _sinr_inverse(model)
 
     def curve(k: int) -> tuple:
         def at(t: float) -> Optional[tuple[float, float]]:
             r = _ratio(t, bits)  # <= 0 only by rounding next to gamma_star
             other = _ratio_inverse(kappa / r if r > 0.0 else 0.0, bits)
-            gamma = (t, other) if k == 0 else (other, t)
-            det = 1.0 - kappa * gamma[0] * gamma[1]
-            if not det > 0.0:
-                return None
-            s = tuple(gamma[i] * (1.0 + beta[i] * gamma[1 - i]) / det * watts[i]
-                      for i in range(2))
-            return s if all(0.0 <= v < math.inf for v in s) else None  # inf * 0 is NaN
+            return powers((t, other) if k == 0 else (other, t))
         return 0.0, _ratio_inverse(math.sqrt(kappa), bits), k, at
 
     def edge(k: int) -> tuple:

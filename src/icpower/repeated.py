@@ -105,7 +105,7 @@ def min_discount_from_utilities(u_dev: Sequence[float], u_coop: Sequence[float],
     for k, (dev, coop, punish) in enumerate(zip(u_dev, u_coop, u_punish)):
         if not coop > punish:
             raise CooperationNotRationalError(
-                f"player {k}: cooperation utility {coop} does not beat "
+                f"player {k + 1}: cooperation utility {coop} does not beat "
                 f"punishment utility {punish}"
             )
         if dev > coop:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from icpower import (NetworkModel, Weights, nash_bargaining, ne_continuous,
+from icpower import (NetworkModel, Weights, br_dynamics, nash_bargaining,
                      pareto_frontier, social_optimum, utility_grid,
                      utility_point)
 
@@ -33,7 +33,7 @@ def symmetric_model() -> NetworkModel:
 
 @pytest.fixture(scope="session")
 def ne_report(ref_model):
-    return ne_continuous(ref_model)
+    return br_dynamics(ref_model)
 
 
 @pytest.fixture(scope="session")

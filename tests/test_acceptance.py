@@ -15,7 +15,7 @@ from icpower import (FiniteGameParams, JointDistribution, PricingConfig,
                      discounted_utility, distance_to_frontier, DiscountSpec,
                      ee_utility, gamma_star, in_improvement_region,
                      is_correlated_equilibrium, iterated_dominance,
-                     min_discount, nash_bargaining, ne_continuous,
+                     min_discount, nash_bargaining, nash_equilibrium,
                      packet_throughput, priced_responder,
                      priced_utility, pure_nash, simulate_trigger,
                      social_optimum, TriggerPolicy, utility_grid,
@@ -48,7 +48,7 @@ def test_ac1_optimal_sinr(record_ac):
 
 def test_ac2_continuous_equilibrium(record_ac, ref_model):
     start = time.perf_counter()
-    report = ne_continuous(ref_model)
+    report = br_dynamics(ref_model)
     elapsed = time.perf_counter() - start
     s = report.solution.normalized(1.0)
     gs = gamma_star(20)
@@ -76,12 +76,11 @@ def test_ac2_continuous_equilibrium(record_ac, ref_model):
 
 def test_ac3_social_optimum(record_ac, ref_model):
     start = time.perf_counter()
-    ne = ne_continuous(ref_model)
+    ne = nash_equilibrium(ref_model)
     so = social_optimum(ref_model, Weights((0.5, 0.5)))
     elapsed = time.perf_counter() - start
     s = so.profile.normalized(1.0)
-    improves = in_improvement_region(so, utility_point(ref_model,
-                                                       ne.solution.powers))
+    improves = in_improvement_region(so, ne)
     ok = (within(s, (2.20, 1.55), 0.05)
           and within(so.normalized, (0.278, 0.446), 0.005)
           and improves and elapsed < 5.0)
@@ -118,8 +117,7 @@ def test_ac4_pricing(record_ac, ref_model):
 
 def test_ac5_nash_bargaining(record_ac, ref_model):
     start = time.perf_counter()
-    ne = ne_continuous(ref_model)
-    disagreement = utility_point(ref_model, ne.solution.powers)
+    disagreement = nash_equilibrium(ref_model)
     so = social_optimum(ref_model, Weights((0.5, 0.5)))
     nbs = nash_bargaining(ref_model, disagreement)
     elapsed = time.perf_counter() - start
@@ -264,7 +262,7 @@ def test_ac10_invariance_suite(record_ac, ref_model, symmetric_model,
     # homogeneity: scaling noise and cap rescales powers, fixes the rest
     c = 2.5
     scaled = make_model(noise_power=c, power_cap=5.0 * c)
-    scaled_ne = ne_continuous(scaled)
+    scaled_ne = br_dynamics(scaled)
     homog = (within(scaled_ne.solution.powers,
                     tuple(v * c for v in ne_report.solution.powers), 1e-8)
              and within(scaled_ne.normalized_utilities,
@@ -272,10 +270,9 @@ def test_ac10_invariance_suite(record_ac, ref_model, symmetric_model,
              and within(scaled_ne.sinrs, ne_report.sinrs, 1e-8))
 
     # symmetry: symmetric network, symmetric NE and NBS
-    sym_ne = ne_continuous(symmetric_model)
-    sym_base = utility_point(symmetric_model, sym_ne.solution.powers)
+    sym_base = nash_equilibrium(symmetric_model)
     sym_nbs = nash_bargaining(symmetric_model, sym_base)
-    symmetric = (abs(sym_ne.solution.powers[0] - sym_ne.solution.powers[1])
+    symmetric = (abs(sym_base.profile.powers[0] - sym_base.profile.powers[1])
                  <= 1e-9
                  and abs(sym_nbs.utilities[0] - sym_nbs.utilities[1]) <= 1e-4)
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import icpower.cli
+import icpower.continuous
 import icpower.efficiency
 from icpower import (FiniteGame, SolveReport, best_response_ee, config_from_dict,
                      default_config_path, load_config)
@@ -537,11 +538,9 @@ class TestDriver:
     @pytest.mark.parametrize("command", ["social", "nbs", "repeated"])
     def test_searches_check_the_player_count_before_the_dynamics(self, tmp_path, capsys,
                                                                  command):
-        # one sweep cannot converge, so exit 2 shows the dynamics never ran
         cfg = json.loads(default_config_path().read_text())
         cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
         cfg["weights"] = [0.5, 0.25, 0.25]
-        cfg["search"]["max_iter"] = 1
         assert run(tmp_path, "--quiet", command, config=cfg) == 2
         assert capsys.readouterr().err == ("error: network: gains: utility-plane "
                                            "analysis supports exactly 2 players, got 3\n")
@@ -603,7 +602,7 @@ class TestDriver:
         assert capsys.readouterr().err == f"error: {source} does not fit in memory\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["ne", "nbs", "repeated"])
+    @pytest.mark.parametrize("command", ["ne"])
     def test_unconverged_dynamics_exit_3_with_the_cause(self, tmp_path, small_config,
                                                         capsys, command):
         small_config["search"]["max_iter"] = 1
@@ -624,7 +623,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("gains, argv, message", [
         ([[0.55, 0.56], [0.26, 1.5]], ["repeated", "--deviant", "1"],
-         "player 0: cooperation utility 0.0 does not beat punishment utility 0.213"),
+         "player 1: cooperation utility 0.0 does not beat punishment utility 0.213"),
         # a narrow improvement region, which a 60-point grid missed: nbs
         # exited 3, saying no sampled profile weakly improves on the NE
         ([[1.04, 0.12], [0.21, 0.94]], ["nbs"], None),
@@ -648,12 +647,48 @@ class TestDriver:
         (["repeated", "--deviate-at", "-1"], "--deviate-at"),
         (["repeated", "--delta", "2"], "--delta"),
     ])
-    def test_flags_checked_before_the_dynamics(self, tmp_path, small_config, capsys,
-                                               argv, flag):
-        # the dynamics would exit 3 here, so exit 2 shows they never ran
-        small_config["search"]["max_iter"] = 1
-        assert run(tmp_path, "--quiet", *argv, config=small_config) == 2
+    def test_flags_checked_before_the_dynamics(self, tmp_path, capsys, argv, flag):
+        # on this network repeated exits 3 once the equilibrium is solved
+        # (cooperation is not rational), so exit 2 shows the flags came first
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"]["gains"] = [[0.55, 0.56], [0.26, 1.5]]
+        assert run(tmp_path, "--quiet", "repeated", config=cfg) == 3
+        capsys.readouterr()
+        assert run(tmp_path, "--quiet", *argv, config=cfg) == 2
         assert flag in capsys.readouterr().err
+
+    # kappa * gamma_star^2 = 0.9996: each pair of synchronous sweeps shrinks
+    # the error only by that factor, so 10,000 sweeps leave it at 1e-4
+    SLOW_NETWORK = {"gains": [[1.0, 0.886], [0.886, 1.0]], "noise_power": 0.0001}
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["ne"], 3, "error: best-response dynamics did not converge (residual 1.353e-04"),
+        (["nbs", "--fairness"], 0, ""),
+        (["repeated", "--deviant", "1"], 3, "error: player 2: cooperation utility 0.0 "
+                                            "does not beat punishment utility "),
+    ], ids=["ne", "nbs", "repeated"])
+    def test_equilibrium_the_dynamics_miss(self, tmp_path, capsys, argv, code, message):
+        # nbs and repeated take the unique equilibrium in closed form: nbs
+        # succeeds, and repeated exits 3 for its own reason, the social
+        # optimum silencing player 2; only ne's trajectory fails to converge
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"].update(self.SLOW_NETWORK)
+        assert run(tmp_path, "--quiet", *argv, config=cfg) == code
+        assert capsys.readouterr().err.startswith(message)
+        if argv[0] == "nbs":
+            nbs = read_json(tmp_path, "nbs")
+            assert nbs["disagreement"]["profile"] == pytest.approx([0.67023020428] * 2,
+                                                                    rel=1e-10)
+            assert min(bargaining_gains(nbs)) >= 0.0
+
+    @pytest.mark.parametrize("argv", [["nbs", "--fairness"], ["repeated", "--deviant", "1"]])
+    def test_nbs_and_repeated_run_no_dynamics(self, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("br_dynamics ran")
+
+        monkeypatch.setattr(icpower.cli, "br_dynamics", refuse)
+        monkeypatch.setattr(icpower.continuous, "br_dynamics", refuse)
+        assert run(tmp_path, "--quiet", *argv) == 0
 
     @pytest.mark.parametrize("at", [10 ** 9, 10 ** 20, 10 ** 400])
     def test_deviation_stage_past_any_list(self, tmp_path, capsys, at):

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      SolveReport, best_response_ee, best_response_priced,
-                     br_dynamics, ee_utility, gamma_star, ne_continuous,
+                     br_dynamics, ee_utility, gamma_star,
                      packet_throughput, priced_responder, priced_utility)
 from icpower import continuous
 from icpower.continuous import _priced_root, trace_csv_rows
@@ -658,7 +658,7 @@ class TestNeContinuous:
         assume(gs ** 2 * g[0][1] * g[1][0] < 0.9 * w ** 2 * g[0][0] * g[1][1])
         expected = linear_solve_ne(model)
         assume(all(0.0 < e < model.power_cap for e in expected))
-        report = ne_continuous(model)
+        report = br_dynamics(model)
         assert report.converged
         assert report.solution.powers == pytest.approx(tuple(expected), rel=1e-7)
 
@@ -678,7 +678,7 @@ class TestNeContinuous:
     def test_homogeneity_of_equilibrium(self, ref_model, ne_report):
         c = 3.7
         scaled = make_model(noise_power=c, power_cap=5.0 * c)
-        report = ne_continuous(scaled)
+        report = br_dynamics(scaled)
         assert report.solution.powers == pytest.approx(
             tuple(v * c for v in ne_report.solution.powers), rel=1e-9)
         assert report.normalized_utilities == pytest.approx(
@@ -686,7 +686,7 @@ class TestNeContinuous:
         assert report.sinrs == pytest.approx(ne_report.sinrs, rel=1e-9)
 
     def test_symmetric_model_symmetric_solution(self, symmetric_model):
-        report = ne_continuous(symmetric_model)
+        report = br_dynamics(symmetric_model)
         s1, s2 = report.solution.powers
         assert abs(s1 - s2) <= 1e-9
 

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
-                     UtilityPoint, Weights, bargaining_points, best_response_ee, distance_to_frontier,
-                     ee_utility, fairness_projection, gamma_star,
-                     in_improvement_region, nash_bargaining, ne_continuous,
+                     UtilityPoint, Weights, bargaining_points, best_response_ee,
+                     br_dynamics, distance_to_frontier, ee_utility, fairness_projection,
+                     gamma_star, in_improvement_region, nash_bargaining, nash_equilibrium,
                      pareto_frontier, social_optimum, utility_grid, utility_point)
 import icpower.efficiency
 from icpower.efficiency import _pieces, _ratio, _ratio_inverse, _surfaces, grid_csv_rows
-from icpower.network import _sinr_per_watt
+from icpower.network import _sinr_per_watt, sinr
 from icpower.numerics import bisect_root
 
 from conftest import make_model
@@ -375,9 +375,7 @@ class TestZoom:
     def bargain(model, combine):
         """The equilibrium's utilities and ``combine`` of the gains over them,
         -inf off the improvement region."""
-        ne = ne_continuous(model)
-        assume(ne.converged)
-        disagreement = utility_point(model, ne.solution.powers)
+        disagreement = nash_equilibrium(model)
         d1, d2 = disagreement.utilities
 
         def score(u1, u2):
@@ -452,7 +450,7 @@ class TestZoom:
 
     @staticmethod
     def gains_over_ne(model, point_of):
-        ne = utility_point(model, ne_continuous(model).solution.powers)
+        ne = nash_equilibrium(model)
         point = point_of(model, ne)
         return [u - d for u, d in zip(point.utilities, ne.utilities)]
 
@@ -538,6 +536,49 @@ class TestBandedSearch:
             nbs_point, fairness_projection(ref_model, ne_point))
 
 
+class TestNashEquilibrium:
+    """The closed-form unpriced equilibrium against the best responses and
+    the dynamics, on wide networks, a third of them with one cross gain 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair(0.2, 1.5), pair(0.0, 1.5), st.sampled_from([None, 0, 1]),
+           st.floats(0.01, 3.0), st.floats(1.0, 8.0), st.floats(0.5, 10.0),
+           st.integers(2, 60))
+    # knife edges: the cap 1 ulp below the larger power at gamma_star, where
+    # taking that profile if it fits, else (P, BR2(P)) unless player 1 would
+    # leave the cap, misses the equilibrium by 0.83, 0.69 and 0.95 P
+    @example((0.2637, 0.9752), (1.2939, 0.1079), None, 0.0524, 6.0489,
+             0.7767482556968979, 49)
+    @example((0.3142, 1.3188), (0.0, 0.1743), 0, 1.2172, 6.8238, 1.9722488996246348, 9)
+    @example((0.2204, 1.2153), (1.4423, 0.0), 1, 0.1901, 2.8921, 5.926350516378703, 59)
+    # det <= 0: kappa * gamma_star^2 = 2, so the equilibrium is (BR1(P), P)
+    @example((1.0, 0.2), (0.111, 0.177), None, 0.01, 1.0, 5.0, 20)
+    def test_mutual_best_response_and_limit_of_the_dynamics(self, direct, cross, zero,
+                                                           noise, w, cap, bits):
+        if zero is not None:
+            cross = (0.0, cross[1]) if zero == 0 else (cross[0], 0.0)
+        model = two_by_two(direct, cross, noise_power=noise, processing_gain=w,
+                           power_cap=cap, packet_bits=bits)
+        ne = nash_equilibrium(model)
+        s = ne.profile.powers
+        assert all(0.0 <= v <= cap for v in s)
+        for k in range(2):
+            assert abs(best_response_ee(model, s, k) - s[k]) <= 1e-12 * cap
+        assert ne == utility_point(model, s)
+        # a step tolerance relative to the cap: at the default 1e-10, a
+        # contraction near 1 stops the sweeps up to ~1e-9 P short of the limit
+        report = br_dynamics(model, tol=1e-13 * cap)
+        if report.converged:
+            assert max(abs(a - b) for a, b in zip(s, report.solution.powers)) <= 1e-9 * cap
+
+    def test_interior_equilibrium_is_at_gamma_star(self, ref_model, ne_report):
+        ne = nash_equilibrium(ref_model)
+        star = gamma_star(ref_model.packet_bits)
+        for k in range(2):
+            assert sinr(ref_model, ne.profile.powers, k) == pytest.approx(star, rel=1e-14)
+        assert ne.profile.powers == pytest.approx(ne_report.solution.powers, rel=1e-9)
+
+
 class TestImprovementRegion:
     def test_weak_inequality(self, ne_point):
         assert in_improvement_region(ne_point, ne_point)
@@ -574,9 +615,7 @@ class TestNashBargaining:
         assert ne_point.normalized[0] < so_point.normalized[0] < nbs_point.normalized[0]
 
     def test_symmetric_model_equal_split(self, symmetric_model):
-        from icpower import ne_continuous
-        ne = ne_continuous(symmetric_model)
-        base = utility_point(symmetric_model, ne.solution.powers)
+        base = nash_equilibrium(symmetric_model)
         nbs = nash_bargaining(symmetric_model, base)
         u1, u2 = nbs.utilities
         assert abs(u1 - u2) <= 1e-4

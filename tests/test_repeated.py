@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from icpower import (CooperationNotRationalError, DiscountSpec, PowerProfile,
                      TriggerPolicy, Weights, best_response_ee, deviation_payoff,
                      discounted_utility, ee_utility, min_discount,
-                     min_discount_from_utilities, ne_continuous, simulate_trigger,
+                     min_discount_from_utilities, nash_equilibrium, simulate_trigger,
                      social_optimum, utility_grid)
 from icpower.repeated import trigger_csv_rows
 
@@ -21,7 +21,7 @@ def policy(so_point, ne_report):
 @pytest.fixture(scope="module")
 def games(ref_model, policy, symmetric_model):
     so = social_optimum(symmetric_model, Weights((0.5, 0.5)))
-    symmetric = TriggerPolicy(so.profile, ne_continuous(symmetric_model).solution)
+    symmetric = TriggerPolicy(so.profile, nash_equilibrium(symmetric_model).profile)
     return {"reference": (ref_model, policy), "symmetric": (symmetric_model, symmetric)}
 
 
@@ -133,7 +133,7 @@ class TestMinDiscount:
         assert min_discount_from_utilities([1.5], [1.5], [1.0]) == 0.0
 
     def test_irrational_cooperation_rejected(self):
-        with pytest.raises(CooperationNotRationalError, match="player 0"):
+        with pytest.raises(CooperationNotRationalError, match="player 1"):
             min_discount_from_utilities([2.0], [1.0], [1.0])
 
     def test_length_mismatch(self):

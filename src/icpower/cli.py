@@ -5,12 +5,12 @@ summary (normalized powers to 2 decimals, utilities to 3), and writes
 machine-readable artifacts <command>.json / <command>.csv into the output
 directory.  Exit codes: 0 success, 2 validation error (bad config or
 flags), 3 a solver outcome on a valid config (the dynamics of ne or pricing
-did not converge, no profile improves on the equilibrium, or cooperation is
-not rational), 4 I/O error.  The parser is built once per process, at
-import; ``main`` only parses.  finite and pareto build arrays, and only they
-import numpy: finite imports its module inside its body, and pareto the
-functions of efficiency that import numpy.  social, nbs and repeated search
-the frontier's pieces in plain floats; nbs and repeated run no dynamics.
+did not converge, or cooperation is not rational for repeated), 4 I/O error.
+The parser is built once per process, at import; ``main`` only parses.
+finite and pareto build arrays, and only they import numpy: finite imports
+its module inside its body, and pareto the functions of efficiency that
+import numpy.  social, nbs and repeated search the frontier's pieces in
+plain floats; nbs and repeated run no dynamics.
 """
 from __future__ import annotations
 

@@ -145,7 +145,7 @@ def _price(g: float, x: float, c: float, bits: int) -> tuple[float, float]:
 
 
 def _priced_root(c: float, bits: int) -> float:
-    """The root of h = c past h's peak, for c > 0, or 0.0 if c >= max h."""
+    """The root of h = c past h's peak, for c >= 0, or 0.0 if c >= max h."""
     return _newton(bits, gamma_star(bits), partial(_price, c=c, bits=bits))
 
 
@@ -153,21 +153,21 @@ def best_response_priced(model: NetworkModel, profile: Powers, k: int,
                          pricing: PricingConfig) -> float:
     """Player k's surcharged-utility maximizer over [0, power_cap].
 
-    At gamma = mu_k * s_k the utility is t * mu_k * [(1 - exp(-gamma))^L / gamma
-    - c * gamma], c = alpha / (t * mu_k^2), whose one interior maximum solves
-    h = c past h's peak: gamma_star at c = 0, else ``_priced_root``, where no
-    root means silence.  Capped, it must beat silence.  Where t * mu_k^2
-    underflows to 0 the limit mu_k -> 0+ holds: c -> inf prices every power
-    out, unless alpha = 0 leaves the unpriced response.
+    At alpha = 0 it is ``best_response_ee``.  Otherwise, at gamma = mu_k * s_k
+    the utility is t * mu_k * [(1 - exp(-gamma))^L / gamma - c * gamma],
+    c = alpha / (t * mu_k^2), whose one interior maximum solves h = c past
+    h's peak, ``_priced_root``, where no root means silence.  Capped, it must
+    beat silence.  Where t * mu_k^2 underflows to 0 the limit mu_k -> 0+
+    holds: c -> inf prices every power out.
     """
+    if pricing.alpha == 0.0:
+        return best_response_ee(model, profile, k)
     mu = effective_gain(model, profile, k)
     scale = model.rate_scale * mu * mu
     if scale == 0.0:
-        return best_response_ee(model, profile, k) if pricing.alpha == 0.0 else 0.0
+        return 0.0
     c = pricing.alpha / scale
-    bits = model.packet_bits
-    gamma = gamma_star(bits) if c == 0.0 else _priced_root(c, bits)
-    v = min(model.power_cap, gamma / mu)
+    v = min(model.power_cap, _priced_root(c, model.packet_bits) / mu)
     return v if v > 0.0 and packet_throughput(mu * v, model) / v > pricing.alpha * v else 0.0
 
 

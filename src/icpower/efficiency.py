@@ -62,11 +62,10 @@ def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
                         normalized=tuple(u * model.utility_scale for u in utilities))
 
 
-def _surfaces(model: NetworkModel, axis1: np.ndarray,
-              axis2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Utility surfaces u1(s1, s2), u2(s1, s2) on axis1 x axis2, made in place."""
+def _surfaces(model: NetworkModel, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Utility surfaces u1(s1, s2), u2(s1, s2) on axis x axis, made in place."""
     import numpy as np
-    powers, gammas = sinr_grid(model, axis1, axis2)
+    powers, gammas = sinr_grid(model, axis)
     for own, u in zip(powers, gammas):
         np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)  # 1 - exp(-gamma)
         u **= model.packet_bits
@@ -100,7 +99,7 @@ class UtilityPlane:
 
 def _check_players(model: NetworkModel) -> None:
     if model.num_players != 2:
-        raise ValueError(f"network: gains: utility-plane analysis supports exactly 2 "
+        raise ValueError(f"network: gains: the efficiency analysis supports exactly 2 "
                          f"players, got {model.num_players}")
 
 
@@ -111,7 +110,7 @@ def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
     axis = np.linspace(0.0, model.power_cap, n_per_axis)
-    u1, u2 = _surfaces(model, axis, axis)
+    u1, u2 = _surfaces(model, axis)
     return UtilityPlane(axis, u1, u2, model)
 
 

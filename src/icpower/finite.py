@@ -145,7 +145,7 @@ def _on_off_game(params: FiniteGameParams, gains: tuple,
     p = params.power_level(gains[0][0], noise_power, processing_gain)
     model = replace(model, power_cap=p)
     levels = np.array([0.0, model.power_cap])
-    powers, gammas = sinr_grid(model, levels, levels)
+    powers, gammas = sinr_grid(model, levels)
     payoffs = [np.where(gamma >= req * (1.0 - _THRESHOLD_RTOL), t, 0.0) - c * s / p
                for s, gamma in zip(np.broadcast_arrays(*powers), gammas)]
     return FiniteGame(strategies=((0.0, p), (0.0, p)), payoffs=np.stack(payoffs, axis=-1))

@@ -198,6 +198,23 @@ class TestPricing:
         for a, b in zip(ne["solution"], priced["solution"]):
             assert abs(a - b) <= 1e-5
 
+    @pytest.mark.parametrize("gains", [[[1e-9, 0.5], [1.0, 1.0]], [[1e-12, 0.5], [0.25, 1.0]]],
+                             ids=["cycled", "silenced"])
+    def test_zero_alpha_equals_ne_on_a_faint_link(self, tmp_path, gains):
+        # player 1's throughput at the cap underflows to 0, yet its unpriced
+        # response is the cap: pricing at alpha = 0 must neither cycle nor
+        # silence it
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"].update(gains=gains, packet_bits=40)
+        assert run(tmp_path, "--quiet", "ne", config=cfg) == 0
+        ne = read_json(tmp_path, "ne")
+        assert run(tmp_path, "--quiet", "pricing", "--alpha", "0", config=cfg) == 0
+        priced = read_json(tmp_path, "pricing")
+        assert priced.pop("alpha") == 0.0 and priced == ne
+        assert run(tmp_path, "--quiet", "pricing", "--sweep", "0:0.2:3", config=cfg) == 0
+        first = read_json(tmp_path, "pricing_sweep")[0]
+        assert first.pop("alpha") == 0.0 and first == ne
+
     def test_sweep_artifact_rows(self, tmp_path):
         assert run(tmp_path, "--quiet", "pricing", "--sweep", "0:0.12:5") == 0
         rows = read_csv(tmp_path, "pricing_sweep")
@@ -524,7 +541,7 @@ class TestDriver:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n, message", [("0", "error: --n: n_per_axis must be >= 2"),
-                                            ("5", "error: network: gains: utility-plane "
+                                            ("5", "error: network: gains: the efficiency "
                                                   "analysis supports exactly 2 players, "
                                                   "got 3")])
     def test_grid_size_is_checked_before_the_player_count(self, tmp_path, capsys, n,
@@ -542,7 +559,7 @@ class TestDriver:
         cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
         cfg["weights"] = [0.5, 0.25, 0.25]
         assert run(tmp_path, "--quiet", command, config=cfg) == 2
-        assert capsys.readouterr().err == ("error: network: gains: utility-plane "
+        assert capsys.readouterr().err == ("error: network: gains: the efficiency "
                                            "analysis supports exactly 2 players, got 3\n")
 
     THREE_PLAYERS = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]

@@ -97,6 +97,9 @@ drawn_models = st.builds(
     st.floats(0.0, 1.0), st.integers(2, 60), st.floats(0.5, 10.0),
     st.floats(0.1, 3.0), st.floats(1.0, 16.0))
 
+# direct gains down to where the throughput at the cap underflows to 0
+log_uniform_gains = st.floats(-14.0, math.log10(1.6)).map(lambda e: 10.0 ** e)
+
 
 class TestPacketThroughput:
     def test_zero_sinr_zero_throughput(self, ref_model):
@@ -414,8 +417,8 @@ class TestVanishingSinrPerWatt:
         opp = (0.0, 1.0)
         assert best_response_ee(model, opp, 0) == model.power_cap
         assert best_response_priced(model, opp, 0, PricingConfig(0.12)) == 0.0
-        if effective_gain(model, opp, 0) ** 2 == 0.0:  # priced alpha = 0 is unpriced
-            assert best_response_priced(model, opp, 0, PricingConfig(0.0)) == model.power_cap
+        # priced alpha = 0 is unpriced, also where only T(mu * cap) underflows
+        assert best_response_priced(model, opp, 0, PricingConfig(0.0)) == model.power_cap
 
 
 class TestBestResponseEe:
@@ -445,6 +448,32 @@ class TestBestResponsePriced:
         opp = (0.0, 1.97)
         br = best_response_priced(ref_model, opp, 0, PricingConfig(0.0))
         assert br == best_response_ee(ref_model, opp, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_uniform_gains, log_uniform_gains, st.floats(0.0, 1.2), st.floats(0.0, 1.2),
+           st.integers(2, 60), st.floats(0.5, 8.0), st.floats(0.2, 3.0),
+           st.floats(1.0, 8.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(0, 1))
+    # a faint player 1 whose throughput at the cap underflows to 0: the
+    # unpriced response is still the cap
+    @example(1e-12, 1.0, 0.5, 0.25, 40, 5.0, 1.0, 4.0, 1.0, 1.0, 0)
+    def test_zero_alpha_is_the_unpriced_response(self, d1, d2, c1, c2, bits, cap,
+                                                 noise, w, f1, f2, k):
+        model = make_model(gains=((d1, c1), (c2, d2)), packet_bits=bits, power_cap=cap,
+                           noise_power=noise, processing_gain=w)
+        s = (f1 * cap, f2 * cap)
+        assert (best_response_priced(model, s, k, PricingConfig(0.0))
+                == best_response_ee(model, s, k))
+
+    def test_overflowing_price_scale_leaves_the_unpriced_response(self):
+        # t * mu^2 overflows, so c = alpha / inf = 0 and the root of h = 0 is
+        # gamma_star: the surcharge leaves min(P, gamma_star / mu)
+        model = make_model(gains=((1e160, 0.5), (0.25, 1.0)))
+        opp = (0.0, 1.0)
+        mu = effective_gain(model, opp, 0)
+        assert model.rate_scale * mu * mu == math.inf
+        assert (best_response_priced(model, opp, 0, PricingConfig(0.12))
+                == best_response_ee(model, opp, 0) < model.power_cap)
 
     def test_reference_component(self, ref_model):
         br = best_response_priced(ref_model, (0.0, 1.57), 0, PricingConfig(0.12))

@@ -43,7 +43,7 @@ def reference_grid(model, n):
     """The utility plane as a list with one UtilityPoint per cell, s1-major,
     built cell by cell from the vectorized surfaces."""
     axis = np.linspace(0.0, model.power_cap, n)
-    u1, u2 = _surfaces(model, axis, axis)
+    u1, u2 = _surfaces(model, axis)
     scale = model.noise_power / model.rate_scale
     points = []
     for i, a in enumerate(axis):

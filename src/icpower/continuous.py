@@ -46,6 +46,11 @@ def packet_throughput(gamma: float, model: NetworkModel) -> float:
     """
     if not gamma >= 0:  # NaN fails too
         raise ValueError("sinr must be >= 0")
+    return _throughput(gamma, model)
+
+
+def _throughput(gamma: float, model: NetworkModel) -> float:
+    """``packet_throughput`` without the check, for a gamma known to be >= 0."""
     # -expm1(-g) = 1 - exp(-g) without cancellation for small g
     return model.rate_scale * (-math.expm1(-gamma)) ** model.packet_bits
 
@@ -56,10 +61,18 @@ def ee_utility(model: NetworkModel, profile: Powers, k: int) -> float:
     Defined as 0 at s_k = 0, the continuous limit: for L >= 2 the throughput
     vanishes faster than the power.
     """
-    s = _checked(model, profile, k)
-    if s[k] == 0.0:
-        return 0.0
-    return packet_throughput(_sinr_per_watt(model, s, k) * s[k], model) / s[k]
+    return _utility(model, _checked(model, profile, k), k)
+
+
+def _utility(model: NetworkModel, s: tuple[float, ...], k: int) -> float:
+    """``ee_utility`` without the checks, the same arithmetic: ``s`` holds
+    one finite power >= 0 per player and k is a player."""
+    return _efficiency(_sinr_per_watt(model, s, k) * s[k], s[k], model)
+
+
+def _efficiency(gamma: float, power: float, model: NetworkModel) -> float:
+    """Throughput per watt at own SINR gamma and own power, 0 at power 0."""
+    return 0.0 if power == 0.0 else _throughput(gamma, model) / power
 
 
 @dataclass(frozen=True)
@@ -76,8 +89,8 @@ class PricingConfig:
 def priced_utility(model: NetworkModel, profile: Powers, k: int,
                    pricing: PricingConfig) -> float:
     """Energy efficiency minus the power surcharge; may be negative."""
-    s = power_tuple(profile, model.num_players)
-    return ee_utility(model, s, k) - pricing.alpha * s[k]
+    s = _checked(model, profile, k)
+    return _utility(model, s, k) - pricing.alpha * s[k]
 
 
 @lru_cache(maxsize=None)
@@ -331,8 +344,9 @@ def trace_csv_rows(model: NetworkModel, report: SolveReport) -> tuple[list[str],
     header = (["iter"] + [f"s_{k + 1}" for k in ks]
               + [f"u_{k + 1}" for k in ks] + [f"gamma_{k + 1}" for k in ks])
     rows = []
-    for n, prof in enumerate(report.trace):
-        rows.append([n, *prof,
-                     *(ee_utility(model, prof, k) for k in ks),
-                     *(sinr(model, prof, k) for k in ks)])
+    for n, prof in enumerate(report.trace):  # each row checked once, each gamma made once
+        s = power_tuple(prof, model.num_players)
+        gammas = [_sinr_per_watt(model, s, k) * s[k] for k in ks]
+        rows.append([n, *prof, *(_efficiency(g, p, model) for g, p in zip(gammas, s)),
+                     *gammas])
     return header, rows

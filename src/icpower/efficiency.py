@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import SolverOutcomeError, Weights
-from .continuous import _newton, best_response_ee, ee_utility, gamma_star
+from .continuous import _newton, _utility, best_response_ee, gamma_star
 from .network import (NetworkModel, PowerProfile, Powers, _utility_bound,
                       power_tuple, sinr_grid)
 from .numerics import bisect_root, golden_section_max
@@ -57,7 +57,7 @@ class EmptyImprovementRegionError(SolverOutcomeError):
 
 def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
     s = power_tuple(profile, model.num_players)
-    utilities = tuple(ee_utility(model, s, k) for k in range(model.num_players))
+    utilities = tuple(_utility(model, s, k) for k in range(model.num_players))
     return UtilityPoint(profile=PowerProfile(s), utilities=utilities,
                         normalized=tuple(u * model.utility_scale for u in utilities))
 
@@ -170,9 +170,10 @@ def _sinr_inverse(model: NetworkModel) -> tuple[float, Callable]:
         det = 1.0 - kappa * gamma[0] * gamma[1]
         if not det > 0.0:
             return None
-        s = tuple(gamma[i] * (1.0 + beta[i] * gamma[1 - i]) / det * watts[i]
-                  for i in range(2))
-        return s if all(0.0 <= v < math.inf for v in s) else None  # inf * 0 is NaN
+        s0 = gamma[0] * (1.0 + beta[0] * gamma[1]) / det * watts[0]
+        s1 = gamma[1] * (1.0 + beta[1] * gamma[0]) / det * watts[1]
+        # one test catches negative, inf and the NaN of inf * 0
+        return (s0, s1) if 0.0 <= s0 < math.inf and 0.0 <= s1 < math.inf else None
     return kappa, powers
 
 
@@ -236,8 +237,11 @@ def _search(model: NetworkModel, scores: list,
     disagreement point, a piece is first cut to its improvement interval,
     whose ends are bisected where a utility reaches the disagreement's, so
     that a narrow region still gets samples.  Every candidate is scored by
-    ``ee_utility`` at its own powers, -inf outside the box.  A score that is
-    -inf at every candidate raises EmptyImprovementRegionError.
+    ``continuous._utility``, ``ee_utility``'s arithmetic without its checks,
+    at its own powers, -inf outside the box: the pieces' profiles and the
+    lone best responses are finite and nonnegative as built, and the
+    disagreement profile is checked once, here.  A score that is -inf
+    at every candidate raises EmptyImprovementRegionError.
     """
     cap, silent = model.power_cap, (0.0, 0.0)
     best = [(-math.inf, silent)] * len(scores)
@@ -246,7 +250,7 @@ def _search(model: NetworkModel, scores: list,
     def visit(s: Optional[tuple[float, float]], which) -> list[float]:
         if s is None or max(s) > cap:
             return [-math.inf] * len(which)
-        u = ee_utility(model, s, 0), ee_utility(model, s, 1)
+        u = _utility(model, s, 0), _utility(model, s, 1)
         values = [scores[i](*u) for i in which]
         for i, v in zip(which, values):
             if v > best[i][0]:
@@ -254,7 +258,7 @@ def _search(model: NetworkModel, scores: list,
         return values
 
     if disagreement is not None:
-        visit(disagreement.profile.powers, every)
+        visit(power_tuple(disagreement.profile.powers, 2), every)
     visit((best_response_ee(model, silent, 0), 0.0), every)
     visit((0.0, best_response_ee(model, silent, 1)), every)
     for lo, hi, k, at in _pieces(model):
@@ -264,7 +268,7 @@ def _search(model: NetworkModel, scores: list,
             def excess(t: float, j: int) -> float:
                 s = at(t)
                 return -math.inf if s is None else (
-                    ee_utility(model, s, j) - disagreement.utilities[j])
+                    _utility(model, s, j) - disagreement.utilities[j])
             rise, fall = partial(excess, j=k), partial(excess, j=1 - k)
             if rise(hi) < 0.0 or fall(lo) < 0.0:
                 continue

@@ -149,7 +149,7 @@ def _sinr_per_watt(model: NetworkModel, s, k: int):
     Arithmetic operators only: the entries of ``s`` may be floats or arrays.
     """
     row = model.gains[k]
-    interference = sum(row[j] * s[j] for j in range(model.num_players) if j != k)
+    interference = sum(row[j] * s[j] for j in range(len(row)) if j != k)
     return model.processing_gain * row[k] / (model.noise_power + interference)
 
 

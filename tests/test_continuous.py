@@ -16,7 +16,7 @@ from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      br_dynamics, ee_utility, gamma_star,
                      packet_throughput, priced_responder, priced_utility)
 from icpower import continuous
-from icpower.continuous import _priced_root, trace_csv_rows
+from icpower.continuous import _priced_root, _throughput, _utility, trace_csv_rows
 from icpower.network import effective_gain, sinr
 from icpower.numerics import bisect_root
 
@@ -100,6 +100,20 @@ drawn_models = st.builds(
 # direct gains down to where the throughput at the cap underflows to 0
 log_uniform_gains = st.floats(-14.0, math.log10(1.6)).map(lambda e: 10.0 ** e)
 
+# models with noise / rate_scale != 1, faint direct links and packets up to 2**53
+kernel_models = st.builds(
+    lambda d1, d2, c1, c2, bits, cap, noise, rate: make_model(
+        gains=((d1, c1), (c2, d2)), packet_bits=bits, power_cap=cap,
+        noise_power=noise, rate_scale=rate),
+    st.one_of(st.just(1e-300), log_uniform_gains), log_uniform_gains,
+    st.floats(0.0, 1.2), st.floats(0.0, 1.2),
+    st.one_of(st.integers(1, 60), st.integers(1, 2 ** 53)), st.floats(0.5, 8.0),
+    st.floats(0.2, 3.0), st.floats(0.5, 4.0))
+kernel_powers = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+kernel_profiles = st.tuples(kernel_powers, kernel_powers)
+FAINT = make_model(gains=((1e-300, 0.5), (0.25, 1.0)), noise_power=0.8, rate_scale=2.5)
+LONG = make_model(packet_bits=2 ** 53, noise_power=2.0, rate_scale=0.5)
+
 
 class TestPacketThroughput:
     def test_zero_sinr_zero_throughput(self, ref_model):
@@ -169,6 +183,12 @@ class TestPricedUtility:
 
     def test_zero_power_zero_value(self, ref_model):
         assert priced_utility(ref_model, (0.0, 1.0), 0, PricingConfig(5.0)) == 0.0
+
+    def test_profile_and_player_checked(self, ref_model):
+        with pytest.raises(ValueError, match="profile has 3 entries"):
+            priced_utility(ref_model, (1.0, 1.0, 1.0), 0, PricingConfig(0.1))
+        with pytest.raises(IndexError, match="player index 2 out of range"):
+            priced_utility(ref_model, (1.0, 1.0), 2, PricingConfig(0.1))
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -387,7 +407,7 @@ class TestSlopeRoot:
         assert calls and len(set(calls)) == len(calls)
 
 
-class TestSlopeScaledDerivative:
+class TestPricedRootTwoBits:
     """L = 2, whose h has no interior peak: it falls from its supremum 1 at
     0+, so roots for c next to 1 lie next to 0."""
 
@@ -801,3 +821,33 @@ class TestSolveReport:
         last = rows[-1]
         assert tuple(last[3:5]) == pytest.approx(ne_report.utilities, rel=1e-12)
         assert tuple(last[5:7]) == pytest.approx(ne_report.sinrs, rel=1e-12)
+
+
+class TestUncheckedKernel:
+    """The search and the trace CSV score checked profiles with the private
+    kernel; it must give the public functions' floats bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_models, kernel_profiles, st.floats(0.0, 200.0))
+    @example(FAINT, (5.0, 1.0), 1e-300)
+    @example(LONG, (0.0, 3.0), 40.0)
+    @example(LONG, (2.5, 0.0), 0.0)
+    def test_kernel_is_the_public_path(self, model, s, gamma):
+        for k in range(2):
+            assert _utility(model, s, k) == ee_utility(model, s, k)
+        assert _throughput(gamma, model) == packet_throughput(gamma, model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_models, st.lists(kernel_profiles, min_size=1, max_size=6))
+    @example(FAINT, [(5.0, 5.0), (0.0, 1.3), (5.0, 0.0)])
+    @example(LONG, [(0.0, 0.0), (1e-3, 4.0)])
+    def test_trace_rows_are_the_public_path(self, model, trace):
+        report = SolveReport(solution=PowerProfile(trace[-1]), utilities=(0.0, 0.0),
+                             normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
+                             iterations=len(trace) - 1, trace=tuple(trace),
+                             converged=False, residual=1.0, tolerance=1e-10,
+                             termination="max_iter")
+        _, rows = trace_csv_rows(model, report)
+        for n, (row, prof) in enumerate(zip(rows, trace)):
+            assert row == [n, *prof, *(ee_utility(model, prof, k) for k in range(2)),
+                           *(sinr(model, prof, k) for k in range(2))]

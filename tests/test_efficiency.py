@@ -13,7 +13,9 @@ from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
                      br_dynamics, distance_to_frontier, ee_utility, fairness_projection,
                      gamma_star, in_improvement_region, nash_bargaining, nash_equilibrium,
                      pareto_frontier, social_optimum, utility_grid, utility_point)
+import icpower.continuous
 import icpower.efficiency
+import icpower.network
 from icpower.efficiency import _pieces, _ratio, _ratio_inverse, _surfaces, grid_csv_rows
 from icpower.network import _sinr_per_watt, sinr
 from icpower.numerics import bisect_root
@@ -534,6 +536,31 @@ class TestBandedSearch:
                                                              ref_model):
         assert bargaining_points(ref_model, ne_point) == (
             nbs_point, fairness_projection(ref_model, ne_point))
+
+
+class TestCheckedOnce:
+    """The searches check profiles at their boundary and score every candidate
+    with the unchecked kernel, so the number of profile checks is a small
+    constant: the best responses that set the equilibrium and the pieces'
+    ends."""
+
+    def test_checks_do_not_grow_with_the_samples(self, ref_model, monkeypatch):
+        checked, calls = icpower.network._checked, []
+
+        def counted(*args):
+            calls.append(args)
+            return checked(*args)
+        for module in (icpower.network, icpower.continuous, icpower.efficiency):
+            if getattr(module, "_checked", None) is checked:  # each module that imported it
+                monkeypatch.setattr(module, "_checked", counted)
+        counts = []
+        for samples in (48, 96, 192):
+            monkeypatch.setattr(icpower.efficiency, "_SAMPLES", samples)
+            calls.clear()
+            social_optimum(ref_model, Weights((0.5, 0.5)))
+            bargaining_points(ref_model, nash_equilibrium(ref_model))
+            counts.append(len(calls))
+        assert 0 < counts[0] <= 20 and len(set(counts)) == 1, counts
 
 
 class TestNashEquilibrium:

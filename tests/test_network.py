@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from icpower import (NetworkModel, PowerProfile, PricingConfig, best_response_ee,
-                     best_response_priced, br_dynamics, ee_utility, effective_gain,
-                     gamma_star, packet_throughput, priced_utility, sinr, utility_point)
+from icpower import (NetworkModel, PowerProfile, PricingConfig, SolveReport,
+                     best_response_ee, best_response_priced, br_dynamics, ee_utility,
+                     effective_gain, gamma_star, packet_throughput, priced_utility, sinr,
+                     trace_csv_rows, utility_point)
 from icpower.network import power_tuple
 
 from conftest import make_model
@@ -111,6 +112,9 @@ ENTRY_POINTS = {
     "priced_utility": lambda m, p: priced_utility(m, p, 0, PricingConfig(0.12)),
     "br_dynamics": lambda m, p: br_dynamics(m, init=p),
     "utility_point": utility_point,
+    "trace_csv_rows": lambda m, p: trace_csv_rows(m, SolveReport(
+        PowerProfile((1.0, 1.0)), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1,
+        (tuple(p), (1.0, 1.0)), False, 1.0, 1e-10, "max_iter")),
 }
 
 

@@ -156,14 +156,22 @@ def _ratio_inverse(y: float, bits: int) -> float:
     return _newton(bits, min(star, (bits - 1) / ly), lambda g, x: (ly * g, ly))
 
 
-def _sinr_inverse(model: NetworkModel) -> tuple[float, Callable]:
-    """``(kappa, powers)``: ``powers(gamma)`` is the 2-player profile with
-    SINRs gamma, s_k = (noise / (W * g_kk)) * gamma_k * (1 + beta_k * gamma_j)
-    / (1 - kappa * gamma_1 * gamma_2), beta_k = g_kj / (W * g_jj) and kappa =
-    beta_1 * beta_2, or None where its powers are not finite and nonnegative."""
-    w = model.processing_gain
-    watts = [model.noise_power / (w * row[k]) for k, row in enumerate(model.gains)]
-    beta = [model.gains[k][1 - k] / (w * model.gains[1 - k][1 - k]) for k in range(2)]
+def _channel(model: NetworkModel) -> tuple[float, Callable, Callable]:
+    """The 2-player channel ``(kappa, powers, utilities)``, its constants
+    computed once.  ``powers(gamma)`` is the profile with SINRs gamma, s_k =
+    (noise / (W * g_kk)) * gamma_k * (1 + beta_k * gamma_j) / (1 - kappa *
+    gamma_1 * gamma_2), beta_k = g_kj / (W * g_jj) and kappa = beta_1 *
+    beta_2, or None where its powers are not finite and nonnegative.
+    ``utilities(s)`` is ``(ee_utility(model, s, 0), ee_utility(model, s, 1))``
+    at finite powers s >= 0, unchecked, by the same operations in the same
+    order: gamma_k = (W * g_kk) / (noise + g_kj * s_j) * s_k and u_k = t *
+    (1 - exp(-gamma_k))^L / s_k, 0 where s_k = 0."""
+    w, noise = model.processing_gain, model.noise_power
+    rate, bits = model.rate_scale, model.packet_bits
+    (g11, g12), (g21, g22) = model.gains
+    w1, w2 = w * g11, w * g22
+    watts = [noise / w1, noise / w2]
+    beta = [g12 / w2, g21 / w1]
     kappa = beta[0] * beta[1] if beta[0] and beta[1] else 0.0
 
     def powers(gamma: tuple[float, float]) -> Optional[tuple[float, float]]:
@@ -174,7 +182,14 @@ def _sinr_inverse(model: NetworkModel) -> tuple[float, Callable]:
         s1 = gamma[1] * (1.0 + beta[1] * gamma[0]) / det * watts[1]
         # one test catches negative, inf and the NaN of inf * 0
         return (s0, s1) if 0.0 <= s0 < math.inf and 0.0 <= s1 < math.inf else None
-    return kappa, powers
+
+    def utilities(s: tuple[float, float]) -> tuple[float, float]:
+        s1, s2 = s
+        return (0.0 if s1 == 0.0 else
+                rate * (-math.expm1(-(w1 / (noise + g12 * s2) * s1))) ** bits / s1,
+                0.0 if s2 == 0.0 else
+                rate * (-math.expm1(-(w2 / (noise + g21 * s1) * s2))) ** bits / s2)
+    return kappa, powers, utilities
 
 
 def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
@@ -186,7 +201,7 @@ def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
     rounding can put the first on the wrong side."""
     _check_players(model)
     cap, star = model.power_cap, gamma_star(model.packet_bits)
-    both = _sinr_inverse(model)[1]((star, star))
+    both = _channel(model)[1]((star, star))
     candidates = [] if both is None else [tuple(min(v, cap) for v in both)]
     candidates += [(cap, best_response_ee(model, (cap, cap), 1)),
                    (best_response_ee(model, (cap, cap), 0), cap)]
@@ -194,21 +209,22 @@ def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
     return utility_point(model, min(candidates, key=residual))
 
 
-def _pieces(model: NetworkModel) -> list[tuple]:
+def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
     """The one-dimensional pieces ``(lo, hi, k, at)`` whose union, with the
     two lone best responses, holds the Pareto frontier of [0, power_cap]^2:
     ``at(t)`` is a profile, or None where its powers are not finite, and
     along t in [lo, hi] player k's utility rises and the other's falls.
 
     With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on the
-    curve R(gamma_1) * R(gamma_2) = kappa of ``_sinr_inverse``.  Its half k
+    curve R(gamma_1) * R(gamma_2) = kappa of ``channel``, the model's
+    ``_channel``, which also maps the curve's SINRs to powers.  Its half k
     runs gamma_k from 0 to R^-1(sqrt(kappa)), with the other SINR R^-1(kappa
     / R(gamma_k)), whose argument is at most sqrt(kappa), so kappa = 0 gives
     both branches gamma_j = gamma_star; the powers may leave the box.  Then
     the cap edges: player j at power_cap and k from 0 to its best response.
     """
     bits, cap = model.packet_bits, model.power_cap
-    kappa, powers = _sinr_inverse(model)
+    kappa, powers, _ = channel
 
     def curve(k: int) -> tuple:
         def at(t: float) -> Optional[tuple[float, float]]:
@@ -236,21 +252,24 @@ def _search(model: NetworkModel, scores: list,
     silent, is never better than the other's lone best response.  Given a
     disagreement point, a piece is first cut to its improvement interval,
     whose ends are bisected where a utility reaches the disagreement's, so
-    that a narrow region still gets samples.  Every candidate is scored by
-    ``continuous._utility``, ``ee_utility``'s arithmetic without its checks,
-    at its own powers, -inf outside the box: the pieces' profiles and the
-    lone best responses are finite and nonnegative as built, and the
-    disagreement profile is checked once, here.  A score that is -inf
-    at every candidate raises EmptyImprovementRegionError.
+    that a narrow region still gets samples.  Every candidate is scored at
+    its own powers, -inf outside the box, by the ``utilities`` of one
+    ``_channel`` built per search: ``ee_utility``'s floats without its
+    checks, since the pieces' profiles and the lone best responses are finite
+    and nonnegative as built, and the disagreement profile is checked once,
+    here.  A score that is -inf at every candidate raises
+    EmptyImprovementRegionError.
     """
     cap, silent = model.power_cap, (0.0, 0.0)
+    channel = _channel(model)
+    utilities = channel[2]
     best = [(-math.inf, silent)] * len(scores)
     every = range(len(scores))
 
     def visit(s: Optional[tuple[float, float]], which) -> list[float]:
         if s is None or max(s) > cap:
             return [-math.inf] * len(which)
-        u = _utility(model, s, 0), _utility(model, s, 1)
+        u = utilities(s)
         values = [scores[i](*u) for i in which]
         for i, v in zip(which, values):
             if v > best[i][0]:
@@ -261,14 +280,14 @@ def _search(model: NetworkModel, scores: list,
         visit(power_tuple(disagreement.profile.powers, 2), every)
     visit((best_response_ee(model, silent, 0), 0.0), every)
     visit((0.0, best_response_ee(model, silent, 1)), every)
-    for lo, hi, k, at in _pieces(model):
+    for lo, hi, k, at in _pieces(model, channel):
         if disagreement is not None:
             at = lru_cache(maxsize=None)(at)  # the cut's ends are bisected from and sampled
 
             def excess(t: float, j: int) -> float:
                 s = at(t)
                 return -math.inf if s is None else (
-                    _utility(model, s, j) - disagreement.utilities[j])
+                    utilities(s)[j] - disagreement.utilities[j])
             rise, fall = partial(excess, j=k), partial(excess, j=1 - k)
             if rise(hi) < 0.0 or fall(lo) < 0.0:
                 continue

@@ -16,7 +16,8 @@ from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
 import icpower.continuous
 import icpower.efficiency
 import icpower.network
-from icpower.efficiency import _pieces, _ratio, _ratio_inverse, _surfaces, grid_csv_rows
+from icpower.efficiency import (_channel, _pieces, _ratio, _ratio_inverse, _surfaces,
+                                grid_csv_rows)
 from icpower.network import _sinr_per_watt, sinr
 from icpower.numerics import bisect_root
 
@@ -409,7 +410,7 @@ class TestZoom:
         # for each frontier cell (x, y), each piece's point where u1 first
         # reaches x, or a lone best response, is in the box with u2 >= y;
         # within 1e-12, as the cells' array utilities round differently
-        pieces = _pieces(model)
+        pieces = _pieces(model, _channel(model))
         lone = [(best_response_ee(model, (0.0, 0.0), 0), 0.0),
                 (0.0, best_response_ee(model, (0.0, 0.0), 1))]
         u = lambda s, k: ee_utility(model, s, k)
@@ -440,7 +441,7 @@ class TestZoom:
         # along the curve, from (0, BR2(0)) to (BR1(0), 0), u1 rises and u2
         # falls; the powers need not be monotone, and the box may cut the
         # curve more than once
-        (_, hi, _, first), (_, _, _, second) = _pieces(model)[:2]
+        (_, hi, _, first), (_, _, _, second) = _pieces(model, _channel(model))[:2]
         ts = [hi * i / 400 for i in range(401)]
         path = [first(t) for t in ts] + [second(t) for t in reversed(ts)]
         assume(all(s is not None for s in path))
@@ -520,13 +521,14 @@ class TestBandedSearch:
         calls = []
         pieces = _pieces
 
-        def counted(model):
+        def counted(model, channel):
             def count(i, at):
                 def point(t):
                     calls.append((i, t))
                     return at(t)
                 return point
-            return [(lo, hi, k, count(i, at)) for i, (lo, hi, k, at) in enumerate(pieces(model))]
+            return [(lo, hi, k, count(i, at))
+                    for i, (lo, hi, k, at) in enumerate(pieces(model, channel))]
 
         monkeypatch.setattr(icpower.efficiency, "_pieces", counted)
         assert nash_bargaining(ref_model, ne_point) == nbs_point
@@ -540,9 +542,10 @@ class TestBandedSearch:
 
 class TestCheckedOnce:
     """The searches check profiles at their boundary and score every candidate
-    with the unchecked kernel, so the number of profile checks is a small
-    constant: the best responses that set the equilibrium and the pieces'
-    ends."""
+    with the utilities of one ``_channel`` map built per search, so the number
+    of profile checks is a small constant, the best responses that set the
+    equilibrium and the pieces' ends, and so is the number of calls to
+    ``continuous._utility``, the kernel of the points they return."""
 
     def test_checks_do_not_grow_with_the_samples(self, ref_model, monkeypatch):
         checked, calls = icpower.network._checked, []
@@ -561,6 +564,25 @@ class TestCheckedOnce:
             bargaining_points(ref_model, nash_equilibrium(ref_model))
             counts.append(len(calls))
         assert 0 < counts[0] <= 20 and len(set(counts)) == 1, counts
+
+    def test_kernel_calls_do_not_grow_with_the_samples(self, ref_model, monkeypatch):
+        kernel, calls = icpower.continuous._utility, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+        for module in (icpower.continuous, icpower.efficiency):
+            monkeypatch.setattr(module, "_utility", counted)
+        disagreement = nash_equilibrium(ref_model)
+        counts = []
+        for samples in (48, 96, 192):
+            monkeypatch.setattr(icpower.efficiency, "_SAMPLES", samples)
+            calls.clear()
+            social_optimum(ref_model, Weights((0.5, 0.5)))
+            bargaining_points(ref_model, disagreement)
+            counts.append(len(calls))
+        # two utilities for each of the three points returned
+        assert 0 < counts[0] <= 6 and len(set(counts)) == 1, counts
 
 
 class TestNashEquilibrium:

@@ -7,10 +7,10 @@ directory.  Exit codes: 0 success, 2 validation error (bad config or
 flags), 3 a solver outcome on a valid config (the dynamics of ne or pricing
 did not converge, or cooperation is not rational for repeated), 4 I/O error.
 The parser is built once per process, at import; ``main`` only parses.
-finite and pareto build arrays, and only they import numpy: finite imports
-its module inside its body, and pareto the functions of efficiency that
-import numpy.  social, nbs and repeated search the frontier's pieces in
-plain floats; nbs and repeated run no dynamics.
+Only pareto builds arrays, and only it imports numpy, through the functions
+of efficiency that build the utility plane.  finite solves its 2 x 2 games
+in plain floats, and social, nbs and repeated search the frontier's pieces
+in plain floats; nbs and repeated run no dynamics.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import (SCENARIOS, ConfigError, RunConfig, SolverOutcomeError,
                      default_config_path, load_config)
@@ -27,11 +27,10 @@ from .continuous import (DegenerateUtilityError, PricingConfig, SolveReport, br_
                          priced_responder, trace_csv_rows)
 from .efficiency import (UtilityPoint, bargaining_points, nash_bargaining, nash_equilibrium,
                          social_optimum)
+from .finite import (FiniteGame, JointDistribution, is_correlated_equilibrium,
+                     iterated_dominance, pure_nash)
 from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigger,
                        trigger_csv_rows)
-
-if TYPE_CHECKING:
-    from .finite import FiniteGame
 
 __all__ = ["main"]
 
@@ -126,15 +125,11 @@ _POINT_HEADER = ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm"]
 # -- finite ------------------------------------------------------------
 
 def _matrix_lines(game: FiniteGame) -> list[str]:
-    from .finite import payoff
     s1, s2 = game.strategies
     lines = ["payoffs (player 1 rows, player 2 columns):"]
     lines.append(" " * 10 + "".join(f"{f's2={v:.2f}':>18}" for v in s2))
-    for i, a in enumerate(s1):
-        cells = ""
-        for j in range(len(s2)):
-            u = payoff(game, (i, j))
-            cells += f"{'(' + ', '.join(f'{v:.2f}' for v in u) + ')':>18}"
+    for a, row in zip(s1, game.payoffs):
+        cells = "".join(f"{'(' + ', '.join(f'{v:.2f}' for v in u) + ')':>18}" for u in row)
         lines.append(f"{f's1={a:.2f}':>10}" + cells)
     return lines
 
@@ -142,8 +137,6 @@ def _matrix_lines(game: FiniteGame) -> list[str]:
 def cmd_finite(cfg: RunConfig, args) -> Output:
     if cfg.finite is None:
         raise ConfigError("finite: section missing from config (required by this command)")
-    from .finite import (JointDistribution, is_correlated_equilibrium,
-                         iterated_dominance, pure_nash)
     scenario = args.scenario or cfg.finite.scenario
     game = cfg.finite.build(cfg.model, scenario)
     reduced, log = iterated_dominance(game)
@@ -177,7 +170,7 @@ def cmd_finite(cfg: RunConfig, args) -> Output:
         _say(args, f"uniform mixture over the {len(nash)} pure NE(s): "
                    f"correlated equilibrium {verdict} (worst slack {worst:.2e})")
         correlated = {"checked": True, "holds": holds, "worst_slack": worst,
-                      "distribution": dist.probabilities.tolist()}
+                      "distribution": [list(r) for r in dist.probabilities]}
 
     artifact = {
         "scenario": scenario,

@@ -10,19 +10,16 @@ import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .continuous import PricingConfig
+from .finite import FiniteGame, FiniteGameParams, build_ic_game, build_nfe_game
 from .network import NetworkModel
-
-if TYPE_CHECKING:
-    from .finite import FiniteGame
 
 __all__ = [
     "ConfigError",
     "SolverOutcomeError",
     "Weights",
-    "FiniteGameParams",
     "SearchConfig",
     "OutputConfig",
     "FiniteScenario",
@@ -59,25 +56,6 @@ class Weights:
             raise ValueError(f"weights must sum to 1 (got {sum(vals)})")
         if not all(map(math.isfinite, vals)):
             raise ValueError("weights must be finite")
-
-
-@dataclass(frozen=True)
-class FiniteGameParams:
-    """Reward/cost parameters of the on/off transmission games."""
-
-    throughput_reward: float = 1.0
-    power_cost: float = 0.01
-    sinr_threshold: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not self.throughput_reward > self.power_cost > 0:
-            raise ValueError("need throughput_reward > power_cost > 0")
-        if not self.sinr_threshold > 0:
-            raise ValueError("sinr_threshold must be > 0")
-
-    def power_level(self, gain: float, noise_power: float, processing_gain: float) -> float:
-        """The on/off power that puts a lone transmitter of this gain at the threshold."""
-        return noise_power * self.sinr_threshold / (gain * processing_gain)
 
 
 @dataclass(frozen=True)
@@ -133,7 +111,6 @@ class FiniteScenario:
         """Construct the requested on/off game on the model's noise floor; the
         gain that sets its power level, h or the weak h1, is named where that
         level is not a finite number > 0."""
-        from .finite import build_ic_game, build_nfe_game
         name = scenario or self.scenario
         if name not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")

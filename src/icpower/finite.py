@@ -1,9 +1,10 @@
-"""Finite strategic-form games: payoff tensors, dominance, pure equilibria.
+"""Finite two-player games: payoff matrices, dominance, pure equilibria.
 
 Strategies are transmit power levels; the two bundled constructions are the
 near-far scenario (one strong, one weak transmitter) and the symmetric
-on/off scenario where both links share one gain.  Joint profiles are tuples
-of per-player strategy indices, player 0 first.
+on/off scenario where both links share one gain.  Joint profiles are pairs
+``(i, j)`` of strategy indices, player 0's first.  Games and distributions
+hold nested tuples of floats, so they compare by value and hash.
 """
 from __future__ import annotations
 
@@ -11,10 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .config import FiniteGameParams
-from .network import NetworkModel, sinr_grid
+from .network import NetworkModel, _sinr_per_watt
 
 __all__ = [
     "FiniteGame",
@@ -37,50 +35,65 @@ __all__ = [
 _THRESHOLD_RTOL = 1e-9
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
+@dataclass(frozen=True)
+class FiniteGameParams:
+    """Reward/cost parameters of the on/off transmission games."""
 
-
-@dataclass(frozen=True, eq=False)
-class FiniteGame:
-    """A finite game: per-player strategy lists plus a payoff tensor.
-
-    ``payoffs`` is a read-only array with one axis per player (player 0
-    outermost) and a trailing axis holding the per-player utility vector.
-    Games compare by value and are not hashable.
-    """
-
-    strategies: tuple[tuple[float, ...], ...]
-    payoffs: np.ndarray
+    throughput_reward: float = 1.0
+    power_cost: float = 0.01
+    sinr_threshold: float = 4.0
 
     def __post_init__(self) -> None:
-        strategies = tuple(tuple(float(v) for v in row) for row in self.strategies)
-        if not strategies or any(not row for row in strategies):
+        if not self.throughput_reward > self.power_cost > 0:
+            raise ValueError("need throughput_reward > power_cost > 0")
+        if not self.sinr_threshold > 0:
+            raise ValueError("sinr_threshold must be > 0")
+
+    def power_level(self, gain: float, noise_power: float, processing_gain: float) -> float:
+        """The on/off power that puts a lone transmitter of this gain at the threshold."""
+        return noise_power * self.sinr_threshold / (gain * processing_gain)
+
+
+def _floats(rows) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in row) for row in rows)
+
+
+@dataclass(frozen=True)
+class FiniteGame:
+    """A two-player finite game: per-player strategy lists plus a payoff matrix.
+
+    ``payoffs[i][j]`` is the utility pair ``(u1, u2)`` when player 0 plays
+    its strategy i and player 1 its strategy j.
+    """
+
+    strategies: tuple[tuple[float, ...], tuple[float, ...]]
+    payoffs: tuple[tuple[tuple[float, float], ...], ...]
+
+    def __post_init__(self) -> None:
+        strategies = _floats(self.strategies)
+        if len(strategies) != 2:
+            raise ValueError(f"a finite game has 2 players, got {len(strategies)}")
+        if not all(strategies):
             raise ValueError("every player needs at least one strategy")
         object.__setattr__(self, "strategies", strategies)
-        arr = _read_only(self.payoffs)
-        shape = tuple(len(row) for row in strategies) + (len(strategies),)
-        if arr.shape != shape:
-            raise ValueError(f"payoff tensor shape {arr.shape} != expected {shape}")
-        object.__setattr__(self, "payoffs", arr)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FiniteGame) and self.strategies == other.strategies
-                and np.array_equal(self.payoffs, other.payoffs))
+        payoffs = tuple(_floats(row) for row in self.payoffs)
+        shape = tuple(map(len, strategies)) + (2,)
+        if (len(payoffs) != shape[0] or any(len(row) != shape[1] for row in payoffs)
+                or any(len(cell) != 2 for row in payoffs for cell in row)):
+            raise ValueError(f"payoff matrix shape != expected {shape}")
+        object.__setattr__(self, "payoffs", payoffs)
 
     @property
     def num_players(self) -> int:
         return len(self.strategies)
 
     def profile_values(self, joint_index: Sequence[int]) -> tuple[float, ...]:
-        """Map a joint strategy-index tuple to the power levels it selects."""
+        """Map a joint strategy-index pair to the power levels it selects."""
         return tuple(self.strategies[k][i] for k, i in enumerate(joint_index))
 
     def to_json_dict(self) -> dict:
         return {"strategies": [list(r) for r in self.strategies],
-                "payoffs": self.payoffs.tolist()}
+                "payoffs": [[list(cell) for cell in row] for row in self.payoffs]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGame":
@@ -88,21 +101,21 @@ class FiniteGame:
                    payoffs=data["payoffs"])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class JointDistribution:
-    """A probability distribution over joint strategy profiles, held as a
-    read-only array."""
+    """A probability distribution over joint strategy profiles:
+    ``probabilities[i][j]`` is the weight of ``(i, j)``."""
 
-    probabilities: np.ndarray
+    probabilities: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        arr = _read_only(self.probabilities)
-        if (arr < 0).any():
+        rows = _floats(self.probabilities)
+        if any(v < 0 for row in rows for v in row):
             raise ValueError("probabilities must be >= 0")
-        total = float(arr.sum())
+        total = math.fsum(v for row in rows for v in row)
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"probabilities must sum to 1 (got {total})")
-        object.__setattr__(self, "probabilities", arr)
+        object.__setattr__(self, "probabilities", rows)
 
     @classmethod
     def point_mass(cls, shape: Sequence[int], joint_index: Sequence[int]) -> "JointDistribution":
@@ -111,13 +124,14 @@ class JointDistribution:
     @classmethod
     def uniform_over(cls, shape: Sequence[int],
                      joint_indices: Iterable[Sequence[int]]) -> "JointDistribution":
-        arr = np.zeros(tuple(shape))
+        n1, n2 = shape
         idx = list(joint_indices)
         if not idx:
             raise ValueError("need at least one profile")
-        for j in idx:
-            arr[tuple(j)] = 1.0 / len(idx)
-        return cls(probabilities=arr)
+        rows = [[0.0] * n2 for _ in range(n1)]
+        for i, j in idx:
+            rows[i][j] = 1.0 / len(idx)
+        return cls(probabilities=rows)
 
 
 @dataclass(frozen=True)
@@ -144,11 +158,14 @@ def _on_off_game(params: FiniteGameParams, gains: tuple,
                          packet_bits=1, rate_scale=1.0)
     p = params.power_level(gains[0][0], noise_power, processing_gain)
     model = replace(model, power_cap=p)
-    levels = np.array([0.0, model.power_cap])
-    powers, gammas = sinr_grid(model, levels)
-    payoffs = [np.where(gamma >= req * (1.0 - _THRESHOLD_RTOL), t, 0.0) - c * s / p
-               for s, gamma in zip(np.broadcast_arrays(*powers), gammas)]
-    return FiniteGame(strategies=((0.0, p), (0.0, p)), payoffs=np.stack(payoffs, axis=-1))
+    levels = (0.0, model.power_cap)
+
+    def cell(s: tuple[float, float]) -> tuple[float, float]:
+        return tuple((t if _sinr_per_watt(model, s, k) * s[k] >= req * (1.0 - _THRESHOLD_RTOL)
+                      else 0.0) - c * s[k] / p for k in range(2))
+
+    return FiniteGame(strategies=(levels, levels),
+                      payoffs=[[cell((a, b)) for b in levels] for a in levels])
 
 
 def build_nfe_game(params: FiniteGameParams, h1: float, h2: float,
@@ -193,30 +210,41 @@ def _check_joint(game: FiniteGame, idx: tuple[int, ...]) -> None:
             raise IndexError(f"strategy index {i} out of range for player {k}")
 
 
-def payoff(game: FiniteGame, joint_index: Sequence[int]) -> tuple[float, ...]:
-    """Utility vector at a joint strategy-index profile."""
+def payoff(game: FiniteGame, joint_index: Sequence[int]) -> tuple[float, float]:
+    """Utility pair at a joint strategy-index profile."""
     idx = tuple(joint_index)
     _check_joint(game, idx)
-    return tuple(game.payoffs[idx].tolist())
+    i, j = idx
+    return game.payoffs[i][j]
 
 
-def _own(payoffs: np.ndarray, k: int) -> np.ndarray:
-    """Player k's payoffs with k's strategy on axis 0, opponents after it."""
-    return np.moveaxis(payoffs[..., k], k, 0)
+def _own(game: FiniteGame, k: int) -> list[list[float]]:
+    """Player k's payoffs as ``own[i][o]``: its strategy i against the opponent's o."""
+    if k == 0:
+        return [[cell[0] for cell in row] for row in game.payoffs]
+    return [[cell[1] for cell in col] for col in zip(*game.payoffs)]
+
+
+def _check_player(game: FiniteGame, k: int) -> None:
+    if not 0 <= k < game.num_players:
+        raise IndexError(f"player index {k} out of range")
 
 
 def strictly_dominated(game: FiniteGame, k: int, strat_index: int) -> tuple[bool, int | None]:
     """Whether some single alternative beats ``strat_index`` against every
-    opponent profile.  Returns (dominated, first dominating index or None)."""
-    if not 0 <= k < game.num_players:
-        raise IndexError(f"player index {k} out of range")
+    opponent strategy.  Returns (dominated, first dominating index or None)."""
+    _check_player(game, k)
     if not 0 <= strat_index < len(game.strategies[k]):
         raise IndexError(f"strategy index {strat_index} out of range for player {k}")
-    own = _own(game.payoffs, k)
-    beats = (own > own[strat_index]).reshape(len(own), -1).all(axis=1)
-    beats[strat_index] = False
-    hits = np.flatnonzero(beats)
-    return (True, int(hits[0])) if hits.size else (False, None)
+    own = _own(game, k)
+    for alt, values in enumerate(own):
+        if alt != strat_index and all(a > b for a, b in zip(values, own[strat_index])):
+            return True, alt
+    return False, None
+
+
+def _drop(row: tuple, i: int) -> tuple:
+    return row[:i] + row[i + 1:]
 
 
 def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]:
@@ -237,28 +265,33 @@ def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]
             return game, log
         row = game.strategies[k]
         log.append(Elimination(round=len(log) + 1, player=k, strategy=row[i], dominator=row[alt]))
-        strategies = game.strategies[:k] + (row[:i] + row[i + 1:],) + game.strategies[k + 1:]
-        game = FiniteGame(strategies=strategies, payoffs=np.delete(game.payoffs, i, axis=k))
+        if k == 0:
+            game = FiniteGame((_drop(row, i), game.strategies[1]), _drop(game.payoffs, i))
+        else:
+            game = FiniteGame((game.strategies[0], _drop(row, i)),
+                              [_drop(cells, i) for cells in game.payoffs])
 
 
 def best_responses_finite(game: FiniteGame, k: int, opp_profile: Sequence[int]) -> set[int]:
-    """All utility-maximizing strategy indices of player k against fixed
-    opponent indices (ties kept)."""
+    """All utility-maximizing strategy indices of player k against a fixed
+    opponent index, given as a 1-tuple (ties kept)."""
+    _check_player(game, k)
     opp = tuple(opp_profile)
-    if len(opp) != game.num_players - 1:
-        raise IndexError(f"opponent profile needs {game.num_players - 1} entries")
+    if len(opp) != 1:
+        raise IndexError(f"opponent profile needs 1 entry, got {len(opp)}")
     _check_joint(game, opp[:k] + (0,) + opp[k:])
-    values = _own(game.payoffs, k)[(slice(None),) + opp]
-    return set(np.flatnonzero(values == values.max()).tolist())
+    values = [row[opp[0]] for row in _own(game, k)]
+    top = max(values)
+    return {i for i, v in enumerate(values) if v == top}
 
 
-def pure_nash(game: FiniteGame) -> set[tuple[int, ...]]:
-    """All joint index profiles where every player plays a best response."""
-    stable = np.ones(game.payoffs.shape[:-1], dtype=bool)
-    for k in range(game.num_players):
-        u = game.payoffs[..., k]
-        stable &= u == u.max(axis=k, keepdims=True)
-    return set(map(tuple, np.argwhere(stable).tolist()))
+def pure_nash(game: FiniteGame) -> set[tuple[int, int]]:
+    """All joint index profiles where both players play a best response."""
+    rows = game.payoffs
+    top1 = [max(cell[0] for cell in col) for col in zip(*rows)]  # per column j
+    top2 = [max(cell[1] for cell in row) for row in rows]  # per row i
+    return {(i, j) for i, row in enumerate(rows) for j, (u1, u2) in enumerate(row)
+            if u1 == top1[j] and u2 == top2[i]}
 
 
 def is_correlated_equilibrium(game: FiniteGame, dist: JointDistribution,
@@ -270,20 +303,17 @@ def is_correlated_equilibrium(game: FiniteGame, dist: JointDistribution,
     must be >= -tol.  Returns (holds, worst slack).
     """
     q = dist.probabilities
-    shape = game.payoffs.shape[:-1]
-    if q.shape != shape:
-        raise ValueError(f"distribution shape {q.shape} != game shape {shape}")
+    shape = tuple(map(len, game.strategies))
+    if len(q) != shape[0] or any(len(row) != shape[1] for row in q):
+        raise ValueError(f"distribution shape != game shape {shape}")
     worst = math.inf
-    for k in range(game.num_players):
-        own, weight = _own(game.payoffs, k), np.moveaxis(q, k, 0)
-        n_k = len(own)
-        # slack[rec, alt]: expected gain of obeying rec instead of playing alt
-        gain = weight[:, None] * (own[:, None] - own[None, :])
-        slack = gain.reshape(n_k, n_k, -1).sum(axis=2)
-        off_diagonal = slack[~np.eye(n_k, dtype=bool)]
-        if off_diagonal.size:
-            # + 0.0 turns a -0.0 sum into 0.0, as a sum started at 0 gives
-            worst = min(worst, float(off_diagonal.min()) + 0.0)
+    for k, weights in enumerate((q, list(zip(*q)))):
+        own = _own(game, k)
+        # the expected gain of obeying rec instead of playing alt
+        slacks = [sum(w * (a - b) for w, a, b in zip(weights[rec], own[rec], own[alt]))
+                  for rec in range(len(own)) for alt in range(len(own)) if alt != rec]
+        if slacks:
+            worst = min(worst, min(slacks))
     if math.isinf(worst):
         worst = 0.0  # single-strategy players: nothing to deviate to
     return worst >= -tol, worst

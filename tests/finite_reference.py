@@ -12,7 +12,7 @@ import math
 
 
 def _cell(game, joint):
-    node = game.payoffs.tolist()
+    node = game.payoffs
     for i in joint:
         node = node[i]
     return node
@@ -87,7 +87,6 @@ def pure_nash(game):
 
 def ce_check(game, q, tol=1e-9):
     """(holds, worst slack) of the obedience inequalities of ``q``."""
-    q = q.tolist()
     worst = math.inf
     for k, row in enumerate(game.strategies):
         for rec in range(len(row)):

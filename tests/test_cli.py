@@ -131,6 +131,30 @@ class TestFinite:
                           payoffs=artifact["payoffs"])
         assert game.num_players == 2
 
+    @pytest.mark.parametrize("scenario, artifact", [
+        ("nfe", {"scenario": "nfe", "strategies": [[0.0, 4.0], [0.0, 4.0]],
+                 "payoffs": [[[0.0, 0.0], [0.0, 0.99]], [[0.99, 0.0], [-0.01, 0.99]]],
+                 "eliminations": [
+                     {"round": 1, "player": 1, "strategy": 0.0, "dominator": 4.0},
+                     {"round": 2, "player": 0, "strategy": 4.0, "dominator": 0.0}],
+                 "reduced_strategies": [[0.0], [4.0]],
+                 "pure_nash": [[0.0, 4.0]],
+                 "correlated": {"checked": True, "holds": True, "worst_slack": 0.0,
+                                "distribution": [[0.0, 1.0], [0.0, 0.0]]}}),
+        ("ic", {"scenario": "ic", "strategies": [[0.0, 1.0], [0.0, 1.0]],
+                "payoffs": [[[0.0, 0.0], [0.0, 0.99]], [[0.99, 0.0], [-0.01, -0.01]]],
+                "eliminations": [],
+                "reduced_strategies": [[0.0, 1.0], [0.0, 1.0]],
+                "pure_nash": [[0.0, 1.0], [1.0, 0.0]],
+                "correlated": {"checked": True, "holds": True, "worst_slack": 0.005,
+                               "distribution": [[0.0, 0.5], [0.5, 0.0]]}}),
+    ], ids=["nfe", "ic"])
+    def test_bundled_artifact_pinned(self, tmp_path, scenario, artifact):
+        # every byte of finite.json for the bundled config, floats exact
+        assert run(tmp_path, "--quiet", "finite", "--scenario", scenario, "--ce-uniform") == 0
+        text = (tmp_path / "out" / "finite.json").read_text(encoding="utf-8")
+        assert text == json.dumps(artifact, indent=2) + "\n"
+
     def test_ic_output_includes_ce(self, tmp_path, capsys):
         assert run(tmp_path, "finite", "--scenario", "ic") == 0
         out = capsys.readouterr().out

@@ -720,7 +720,7 @@ class TestBrDynamics:
         assert report.solution.powers == pytest.approx((2.17, 1.57), abs=0.01)
 
 
-class TestNeContinuous:
+class TestInteriorEquilibrium:
     @settings(max_examples=100, deadline=None)
     @given(drawn_models)
     def test_interior_equilibrium_solves_the_linear_system(self, model):

@@ -1,7 +1,4 @@
 """Finite on/off games: construction, dominance, equilibria, CE checks."""
-import math
-
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -43,7 +40,7 @@ class TestGameType:
             FiniteGame(strategies=((0.0, 1.0), (0.0, 1.0)),
                        payoffs=[[(0, 0), (0, 0)]])
         with pytest.raises(ValueError, match="at least one strategy"):
-            FiniteGame(strategies=((0.0, 1.0), ()), payoffs=np.zeros((2, 0, 2)))
+            FiniteGame(strategies=((0.0, 1.0), ()), payoffs=[[], []])
 
     def test_payoff_lookup_and_errors(self, nfe_game):
         assert payoff(nfe_game, (0, 0)) == (0.0, 0.0)
@@ -215,39 +212,53 @@ class TestCorrelated:
 
 
 class TestArrays:
+    """Payoff matrices and distributions are nested tuples of floats."""
+
     def test_payoffs_and_probabilities_are_read_only(self, ic_game):
-        with pytest.raises(ValueError):
-            ic_game.payoffs[0, 0, 0] = 1.0
+        with pytest.raises(TypeError):
+            ic_game.payoffs[0][0] = (1.0, 1.0)
         dist = JointDistribution.point_mass((2, 2), (0, 1))
-        with pytest.raises(ValueError):
-            dist.probabilities[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            dist.probabilities[0][0] = 1.0
 
     def test_input_array_is_copied(self):
-        raw = np.zeros((1, 1))
-        game = FiniteGame(strategies=((0.0,),), payoffs=raw)
-        raw[0, 0] = 5.0
-        assert game.payoffs[0, 0] == 0.0
+        raw = [[(0, 0)]]
+        game = FiniteGame(strategies=((0.0,), (0.0,)), payoffs=raw)
+        raw[0][0] = (5, 5)
+        assert game.payoffs == (((0.0, 0.0),),)
+        weights = [[1, 0]]
+        dist = JointDistribution(weights)
+        weights[0][0] = 0
+        assert dist.probabilities == ((1.0, 0.0),)
 
-    def test_value_equality_not_hashable(self, ic_game, nfe_game):
-        assert ic_game == FiniteGame(ic_game.strategies, ic_game.payoffs.tolist())
+    def test_value_equality_and_hash(self, ic_game, nfe_game):
+        clone = FiniteGame(ic_game.strategies, [list(map(list, row)) for row in ic_game.payoffs])
+        assert clone == ic_game and hash(clone) == hash(ic_game)
         assert ic_game != nfe_game and ic_game != "ic"
-        with pytest.raises(TypeError):
-            hash(ic_game)
+        assert len({ic_game, clone, nfe_game}) == 2
+        mix = JointDistribution.uniform_over((2, 2), [(0, 1), (1, 0)])
+        same = JointDistribution([[0, 0.5], [0.5, 0]])
+        assert mix == same and hash(mix) == hash(same)
+
+    def test_three_players_rejected(self):
+        with pytest.raises(ValueError, match="2 players"):
+            FiniteGame(strategies=((0.0,), (0.0,), (0.0,)), payoffs=[[[(0, 0, 0)]]])
 
 
 @st.composite
 def tied_games(draw):
-    """2-3 players, 1-3 strategies each, payoffs in 0..3 so ties are common."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
-    shape = tuple(sizes) + (len(sizes),)
-    cells = draw(st.lists(st.integers(0, 3), min_size=math.prod(shape),
-                          max_size=math.prod(shape)))
-    weights = draw(st.lists(st.integers(0, 4), min_size=math.prod(sizes),
-                            max_size=math.prod(sizes)).filter(any))
-    game = FiniteGame(strategies=tuple(tuple(float(v) for v in range(n)) for n in sizes),
-                      payoffs=np.array(cells, dtype=float).reshape(shape))
-    q = np.array(weights, dtype=float).reshape(sizes)
-    return game, JointDistribution(q / q.sum())
+    """2 players, 1-3 strategies each, payoffs in 0..3 so ties are common."""
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix(cell):
+        return st.lists(st.lists(cell, min_size=n2, max_size=n2), min_size=n1, max_size=n1)
+
+    payoffs = draw(matrix(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    weights = draw(matrix(st.integers(0, 4)).filter(lambda q: any(map(any, q))))
+    total = sum(map(sum, weights))
+    game = FiniteGame(strategies=(tuple(map(float, range(n1))), tuple(map(float, range(n2)))),
+                      payoffs=payoffs)
+    return game, JointDistribution([[w / total for w in row] for row in weights])
 
 
 class TestAgainstBruteForce:
@@ -259,8 +270,8 @@ class TestAgainstBruteForce:
         for k, n in enumerate(sizes):
             for i in range(n):
                 assert strictly_dominated(game, k, i) == ref.strictly_dominated(game, k, i)
-            for opp in np.ndindex(*(m for j, m in enumerate(sizes) if j != k)):
-                assert best_responses_finite(game, k, opp) == ref.best_responses(game, k, opp)
+            for opp in range(sizes[1 - k]):
+                assert best_responses_finite(game, k, (opp,)) == ref.best_responses(game, k, (opp,))
 
         reduced, log = iterated_dominance(game)
         active, ref_log = ref.iterated_dominance(game)
@@ -268,7 +279,7 @@ class TestAgainstBruteForce:
             (r, k, game.strategies[k][i], game.strategies[k][a]) for r, k, i, a in ref_log]
         assert reduced == FiniteGame(
             tuple(tuple(game.strategies[k][i] for i in keep) for k, keep in enumerate(active)),
-            game.payoffs[np.ix_(*active)])
+            [[game.payoffs[i][j] for j in active[1]] for i in active[0]])
 
         assert pure_nash(game) == ref.pure_nash(game)
         holds, worst = is_correlated_equilibrium(game, dist)

@@ -1,4 +1,4 @@
-"""Package surface: lazy re-exports, and which commands start without numpy."""
+"""Package surface: re-exports, and which commands start without numpy."""
 import json
 import os
 import subprocess
@@ -30,12 +30,13 @@ print(json.dumps([None if argv is None else cli.main(argv), "numpy" in sys.modul
     (["pricing", "--alpha", "0.15"], 3, False),  # a period-4 cycle
     (["pricing", "--sweep", "0:0.12:5"], 0, False),
     (["pareto", "--n", "20"], 0, True),
-    (["finite"], 0, True),
+    (["finite"], 0, False),
+    (["finite", "--scenario", "nfe", "--ce-uniform"], 0, False),
     (["social"], 0, False),
     (["nbs", "--fairness"], 0, False),
     (["repeated"], 0, False),
 ], ids=["import-and-load-config", "ne", "pricing-0.12", "pricing-0.15", "pricing-sweep",
-     "pareto", "finite", "social", "nbs-fairness", "repeated"])
+     "pareto", "finite", "finite-nfe-ce-uniform", "social", "nbs-fairness", "repeated"])
 def test_numpy_is_imported_only_by_array_commands(tmp_path, argv, code, loads_numpy):
     if argv is not None:
         argv = ["--quiet", "--out", str(tmp_path), *argv]

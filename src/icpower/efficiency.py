@@ -5,7 +5,8 @@ extracts that sample's Pareto frontier.  Maximizes weighted social welfare,
 and computes the Nash bargaining solution and the equal-gain point over the
 improvement region of a disagreement point (typically the noncooperative
 equilibrium, ``nash_equilibrium``), by a search along the one-dimensional
-pieces that hold the frontier itself.  Only the sampled plane uses numpy,
+pieces that hold the frontier itself: samples, then bracketed roots of each
+score's derivative along a piece.  Only the sampled plane uses numpy,
 imported where it is built, so the optimizers run without it.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .config import SolverOutcomeError, Weights
 from .continuous import _newton, _utility, best_response_ee, gamma_star
 from .network import (NetworkModel, PowerProfile, Powers, _utility_bound,
                       power_tuple, sinr_grid)
-from .numerics import bisect_root, golden_section_max
+from .numerics import illinois_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,9 +135,8 @@ def pareto_frontier(plane: UtilityPlane) -> np.ndarray:
     return order[u2_sorted > best_before][::-1]
 
 
-_SAMPLES = 48  # points sampled on each piece of the frontier
-_WIDTH = 1e-13  # golden sections stop at this share of the sampled interval
-_PROBE = 1e-6  # share of a piece between an end and the point that tests its slope
+_SAMPLES = 48  # points on the sampling grid of each piece of the frontier
+_STRIDE = 4  # every 4th sample is taken first, the rest only where they can matter
 
 
 def _ratio(gamma: float, bits: int) -> float:
@@ -156,8 +156,20 @@ def _ratio_inverse(y: float, bits: int) -> float:
     return _newton(bits, min(star, (bits - 1) / ly), lambda g, x: (ly * g, ly))
 
 
-def _channel(model: NetworkModel) -> tuple[float, Callable, Callable]:
-    """The 2-player channel ``(kappa, powers, utilities)``, its constants
+def _ratio_slope(gamma: float, bits: int) -> float:
+    """-R'(gamma) * L * gamma^2 = e^gamma + L - 2 E(gamma) > 0, for gamma > 0."""
+    x = math.expm1(gamma)
+    return x + 1.0 + bits - 2.0 * x / gamma
+
+
+def _elasticity(gamma: float, bits: int) -> float:
+    """gamma * T'(gamma) / T(gamma) = L gamma / expm1(gamma), L at 0, in a
+    form that cannot overflow."""
+    return bits * gamma * math.exp(-gamma) / -math.expm1(-gamma) if gamma > 0.0 else float(bits)
+
+
+def _channel(model: NetworkModel) -> tuple[float, Callable, Callable, list[float]]:
+    """The 2-player channel ``(kappa, powers, utilities, beta)``, its constants
     computed once.  ``powers(gamma)`` is the profile with SINRs gamma, s_k =
     (noise / (W * g_kk)) * gamma_k * (1 + beta_k * gamma_j) / (1 - kappa *
     gamma_1 * gamma_2), beta_k = g_kj / (W * g_jj) and kappa = beta_1 *
@@ -189,7 +201,7 @@ def _channel(model: NetworkModel) -> tuple[float, Callable, Callable]:
                 rate * (-math.expm1(-(w1 / (noise + g12 * s2) * s1))) ** bits / s1,
                 0.0 if s2 == 0.0 else
                 rate * (-math.expm1(-(w2 / (noise + g21 * s1) * s2))) ** bits / s2)
-    return kappa, powers, utilities
+    return kappa, powers, utilities, beta
 
 
 def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
@@ -210,80 +222,158 @@ def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
 
 
 def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
-    """The one-dimensional pieces ``(lo, hi, k, at)`` whose union, with the
-    two lone best responses, holds the Pareto frontier of [0, power_cap]^2:
-    ``at(t)`` is a profile, or None where its powers are not finite, and
-    along t in [lo, hi] player k's utility rises and the other's falls.
+    """The one-dimensional pieces ``(lo, hi, k, at, slope)`` whose union, with
+    the two lone best responses, holds the Pareto frontier of [0,
+    power_cap]^2: ``at(t)`` is a profile, or None where its powers are not
+    finite, and along t in [lo, hi] player k's utility rises and the other's
+    falls.  ``slope(t)``, for t > 0, is (d log u1 / dt, d log u2 / dt) there.
 
     With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on the
     curve R(gamma_1) * R(gamma_2) = kappa of ``channel``, the model's
     ``_channel``, which also maps the curve's SINRs to powers.  Its half k
     runs gamma_k from 0 to R^-1(sqrt(kappa)), with the other SINR R^-1(kappa
     / R(gamma_k)), whose argument is at most sqrt(kappa), so kappa = 0 gives
-    both branches gamma_j = gamma_star; the powers may leave the box.  Then
-    the cap edges: player j at power_cap and k from 0 to its best response.
+    both branches gamma_j = gamma_star; the powers may leave the box.  There
+    u_k = (t / c_k) F(gamma_k) D / (1 + beta_k gamma_j), with F = T / gamma
+    and D = 1 - kappa gamma_1 gamma_2, and gamma_j' = -R'(gamma_k) R(gamma_j)
+    / (R(gamma_k) R'(gamma_j)).  Then the cap edges: player j at power_cap
+    and k from 0 to its best response, where only the SINRs move.
     """
     bits, cap = model.packet_bits, model.power_cap
-    kappa, powers, _ = channel
+    kappa, powers, _, beta = channel
 
     def curve(k: int) -> tuple:
+        solved = {}  # t: (gamma_j, y), so that a sampled t is solved once
+
         def at(t: float) -> Optional[tuple[float, float]]:
             r = _ratio(t, bits)  # <= 0 only by rounding next to gamma_star
-            other = _ratio_inverse(kappa / r if r > 0.0 else 0.0, bits)
-            return powers((t, other) if k == 0 else (other, t))
-        return 0.0, _ratio_inverse(math.sqrt(kappa), bits), k, at
+            y = kappa / r if r > 0.0 else 0.0
+            g = _ratio_inverse(y, bits)  # gamma_j = R^-1(kappa / R(gamma_k))
+            solved[t] = g, y
+            return powers((t, g) if k == 0 else (g, t))
+
+        def slope(t: float) -> tuple[float, float]:
+            if t not in solved:
+                at(t)
+            g, y = solved[t]
+            x = math.expm1(t)
+            # d log gamma_j / dt, with -R'/R = ratio_slope / (gamma (L - E))
+            dlog = 0.0 if y == 0.0 or g == 0.0 else (
+                -_ratio_slope(t, bits) / (t * (bits - x / t)) * y * bits * g
+                / _ratio_slope(g, bits))
+            dd = -kappa * g * (1.0 + t * dlog) / (1.0 - kappa * t * g)  # d log D / dt
+            bk, bj = beta[k], beta[1 - k]
+            dk = (_elasticity(t, bits) - 1.0) / t + dd - bk * g * dlog / (1.0 + bk * g)
+            dj = (_elasticity(g, bits) - 1.0) * dlog + dd - bj / (1.0 + bj * t)
+            return (dk, dj) if k == 0 else (dj, dk)
+        return 0.0, _ratio_inverse(math.sqrt(kappa), bits), k, at, slope
 
     def edge(k: int) -> tuple:
+        j = 1 - k
+        w, noise, gains = model.processing_gain, model.noise_power, model.gains
+        mu = w * gains[k][k] / (noise + gains[k][j] * cap)
+
+        def slope(t: float) -> tuple[float, float]:
+            den = noise + gains[j][k] * t
+            dk = (_elasticity(mu * t, bits) - 1.0) / t
+            dj = -_elasticity(w * gains[j][j] / den * cap, bits) * gains[j][k] / den
+            return (dk, dj) if k == 0 else (dj, dk)
         return (0.0, best_response_ee(model, (cap, cap), k), k,
-                lambda t: (t, cap) if k == 0 else (cap, t))
+                lambda t: (t, cap) if k == 0 else (cap, t), slope)
 
     return [curve(0), curve(1), edge(0), edge(1)]
 
 
 def _search(model: NetworkModel, scores: list,
             disagreement: Optional[UtilityPoint] = None) -> list[UtilityPoint]:
-    """The best point of each ``score(u1, u2)``, nondecreasing in each
-    utility, over [0, power_cap]^2.
+    """The best point of each score over [0, power_cap]^2.  A score is
+    ``(value, rate)``: ``value(u1, u2)``, nondecreasing in each utility, and
+    ``rate(u1, u2, du1, du2)``, whose sign is that of the value's slope along
+    a piece and whose root is its maximum there.  Both take the utilities,
+    and their derivatives along the piece, in units of ``_unit``.
 
     The candidates are the disagreement profile, the two lone best responses
-    and, on each piece of ``_pieces``, ``_SAMPLES`` evenly spaced points,
-    each scored by every score, then a golden section for one score around
-    each of its sampled local maxima.  A piece's start, where player k is
-    silent, is never better than the other's lone best response.  Given a
-    disagreement point, a piece is first cut to its improvement interval,
-    whose ends are bisected where a utility reaches the disagreement's, so
-    that a narrow region still gets samples.  Every candidate is scored at
-    its own powers, -inf outside the box, by the ``utilities`` of one
-    ``_channel`` built per search: ``ee_utility``'s floats without its
-    checks, since the pieces' profiles and the lone best responses are finite
-    and nonnegative as built, and the disagreement profile is checked once,
-    here.  A score that is -inf at every candidate raises
-    EmptyImprovementRegionError.
+    and, on each piece of ``_pieces``, up to ``_SAMPLES`` evenly spaced
+    points, each scored by every score.  Along a piece one utility rises and
+    the other falls, so nothing between two visited points beats the pair of
+    their better utilities (``beaten``); where that bound is below the best
+    found, the stretch between is skipped: a whole piece, judged from its
+    ends, or a stretch between two of every ``_STRIDE``-th sample, which
+    are taken first.  Each sampled local maximum, the highest first and
+    unless its bracket is beaten, is refined by ``illinois_root`` on its
+    rate, bracketed by its neighbouring samples where the rate changes sign
+    there; at a piece's end, or next to a skipped stretch, the sign of the
+    rate there says whether the maximum is inside.  A rate is never
+    evaluated at t = 0 or where a piece has no profile: there the samples'
+    order gives its sign.  Each root iterate is scored by every score, like
+    a sample, so a refinement cannot lose the sampled best.  A piece's
+    start, where player k is silent, is never better than the other's lone
+    best response.  Given a disagreement point, a piece is first cut to its
+    improvement interval, whose ends are roots, from values alone, of a
+    utility minus the disagreement's, so that a narrow region still gets
+    samples.  Every candidate is scored at its own powers, -inf outside the
+    box, by the ``utilities`` of one ``_channel`` built per search:
+    ``ee_utility``'s floats without its checks, since the pieces' profiles
+    and the lone best responses are finite and nonnegative as built, and the
+    disagreement profile is checked once, here.  A score that is -inf at
+    every candidate raises EmptyImprovementRegionError.
     """
     cap, silent = model.power_cap, (0.0, 0.0)
     channel = _channel(model)
-    utilities = channel[2]
+    utilities, unit = channel[2], _unit(model)
     best = [(-math.inf, silent)] * len(scores)
-    every = range(len(scores))
+    valued, nowhere = [value for value, _ in scores], [-math.inf] * len(scores)
 
-    def visit(s: Optional[tuple[float, float]], which) -> list[float]:
-        if s is None or max(s) > cap:
-            return [-math.inf] * len(which)
-        u = utilities(s)
-        values = [scores[i](*u) for i in which]
-        for i, v in zip(which, values):
+    def visit(s: Optional[tuple[float, float]]) -> tuple[Optional[tuple], list[float]]:
+        """The utilities at s in units, None where s is None, and every score there."""
+        if s is None:
+            return None, nowhere
+        u1, u2 = utilities(s)
+        u1, u2 = u1 * unit, u2 * unit
+        if s[0] > cap or s[1] > cap:
+            return (u1, u2), nowhere
+        values = [value(u1, u2) for value in valued]
+        for i, v in enumerate(values):
             if v > best[i][0]:
                 best[i] = (v, s)
-        return values
+        return (u1, u2), values
+
+    def beaten(x: tuple, y: tuple) -> list[bool]:
+        """Per score, whether nothing on a piece between two visited points
+        can beat the best found: each utility is monotone along a piece, so
+        it is at most its larger value at the two, and no score falls as a
+        utility rises."""
+        if x[0] is None or y[0] is None:
+            return [False] * len(scores)
+        ideal = max(x[0][0], y[0][0]), max(x[0][1], y[0][1])
+        return [value(*ideal) < b for value, (b, _) in zip(valued, best)]
+
+    def refine(i: int, a: int, b: int, at, slope, ts: list, seen: list) -> None:
+        """Refine score i between samples a < b of a piece, where it peaks."""
+        rate = scores[i][1]
+
+        def rated(t: float, u: tuple[float, float]) -> float:
+            d1, d2 = slope(t)
+            return rate(*u, u[0] * d1, u[1] * d2)
+
+        def f(t: float) -> float:
+            u = visit(at(t))[0]
+            return math.nan if u is None else rated(t, u)
+
+        def known(m: int, sign: float) -> float:
+            u = seen[m][0]
+            return sign * math.inf if u is None or ts[m] == 0.0 else rated(ts[m], u)
+        fa, fb = known(a, 1.0), known(b, -1.0)
+        if fa > 0.0 > fb:  # at an end, the maximum is inside
+            illinois_root(f, ts[a], ts[b], fa, fb)
 
     if disagreement is not None:
-        visit(power_tuple(disagreement.profile.powers, 2), every)
-    visit((best_response_ee(model, silent, 0), 0.0), every)
-    visit((0.0, best_response_ee(model, silent, 1)), every)
-    for lo, hi, k, at in _pieces(model, channel):
+        visit(power_tuple(disagreement.profile.powers, 2))
+    visit((best_response_ee(model, silent, 0), 0.0))
+    visit((0.0, best_response_ee(model, silent, 1)))
+    for lo, hi, k, at, slope in _pieces(model, channel):
         if disagreement is not None:
-            at = lru_cache(maxsize=None)(at)  # the cut's ends are bisected from and sampled
-
+            at = lru_cache(maxsize=None)(at)  # the cut's ends are tested, solved from and sampled
             def excess(t: float, j: int) -> float:
                 s = at(t)
                 return -math.inf if s is None else (
@@ -291,28 +381,46 @@ def _search(model: NetworkModel, scores: list,
             rise, fall = partial(excess, j=k), partial(excess, j=1 - k)
             if rise(hi) < 0.0 or fall(lo) < 0.0:
                 continue
-            lo, hi = (lo if rise(lo) >= 0.0 else bisect_root(rise, lo, hi),
-                      hi if fall(hi) >= 0.0 else bisect_root(fall, lo, hi))
+            lo, hi = (lo if rise(lo) >= 0.0 else illinois_root(rise, lo, hi, rise(lo), rise(hi)),
+                      hi if fall(hi) >= 0.0 else illinois_root(fall, hi, lo, fall(hi), fall(lo)))
         n = _SAMPLES if hi > lo else 1
+        ends = visit(at(lo)), visit(at(hi))
+        if n == 1 or all(beaten(*ends)):
+            continue
         ts = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
-        values = [visit(at(t), every) for t in ts]
-        for i in every:
-            v = [vals[i] for vals in values]
-            f = lambda t: visit(at(t), (i,))[0]
-            for j in range(n):
-                if not (v[j] > -math.inf and (j == 0 or v[j] > v[j - 1])
-                        and (j == n - 1 or v[j] >= v[j + 1])):
-                    continue
-                if j in (0, n - 1):  # the maximum is inside only if f rises inward
-                    inward = (1.0 if j == 0 else -1.0) * _PROBE * (hi - lo)
-                    if j == 0 and lo == 0.0 or not f(ts[j] + inward) > v[j]:
-                        continue
-                golden_section_max(f, ts[max(j - 1, 0)], ts[min(j + 1, n - 1)],
-                                   _WIDTH * (hi - lo))
+        seen = [ends[0]] + [None] * (n - 2) + [ends[1]]
+        coarse = list(range(0, n - 1, _STRIDE)) + [n - 1]
+        for m in coarse[1:-1]:
+            seen[m] = visit(at(ts[m]))
+        for p, q in zip(coarse, coarse[1:]):
+            if not all(beaten(seen[p], seen[q])):
+                seen[p + 1:q] = [visit(at(t)) for t in ts[p + 1:q]]
+        peaks = []  # (sampled value, score, a, b): a local maximum between samples a < b
+        for j in range(1 if lo == 0.0 else 0, n):  # not at a silent start
+            if seen[j] is None:
+                continue
+            a = j - 1 if j > 0 and seen[j - 1] else j
+            b = j + 1 if j < n - 1 and seen[j + 1] else j
+            peaks += [(v, i, a, b) for i, v in enumerate(seen[j][1])
+                      if a < b and v > -math.inf and (a == j or v > seen[a][1][i])
+                      and (b == j or v >= seen[b][1][i])]
+        for _, i, a, b in sorted(peaks, reverse=True):  # the highest first
+            if not beaten(seen[a], seen[b])[i]:
+                refine(i, a, b, at, slope, ts, seen)
     if any(v == -math.inf for v, _ in best):
         raise EmptyImprovementRegionError(
             "no profile weakly improves on the disagreement utilities")
     return [utility_point(model, s) for _, s in best]
+
+
+def _unit(model: NetworkModel) -> float:
+    """The power of two just above both players' utility bounds, a normal
+    float.  Scores see utilities in this unit: the product of two gains then
+    cannot overflow, nor a derivative's products leave the normal range, and
+    scaling by a power of two is exact, so the best point is the one the plain
+    utilities pick wherever their products neither overflow nor underflow."""
+    bound = max(_utility_bound(model, k) for k in range(2))
+    return math.ldexp(1.0, -min(max(math.frexp(bound)[1], -1022), 1022))
 
 
 def social_optimum(model: NetworkModel, weights: Weights) -> UtilityPoint:
@@ -321,7 +429,8 @@ def social_optimum(model: NetworkModel, weights: Weights) -> UtilityPoint:
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
-    return _search(model, [lambda u1, u2: w1 * u1 + w2 * u2])[0]
+    return _search(model, [(lambda u1, u2: w1 * u1 + w2 * u2,
+                            lambda u1, u2, du1, du2: w1 * du1 + w2 * du2)])[0]
 
 
 def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bool:
@@ -331,46 +440,51 @@ def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bo
     return all(c >= b for c, b in zip(candidate.utilities, baseline.utilities))
 
 
+# The bargaining scores ``(combine, rate)`` of the gains g = u - d: the Nash
+# product, whose rate is its slope g2 g1' + g1 g2', and min(g1, g2), whose
+# rate (g2 - g1)(g1' - g2') is the slope of -(g1 - g2)^2 / 2.  Along a piece
+# g_k rises and g_j falls, so that rate has the sign of g_j - g_k, which is
+# monotone there, and its root is the top of min's kink.
+_PRODUCT = (operator.mul, lambda g1, g2, dg1, dg2: g2 * dg1 + g1 * dg2)
+_EQUAL_GAIN = (min, lambda g1, g2, dg1, dg2: (g2 - g1) * (dg1 - dg2))
+
+
 def _bargain(model: NetworkModel, disagreement: UtilityPoint,
-             combines: list) -> list[UtilityPoint]:
-    """Maximize each ``combine(g1, g2)`` of the nonnegative utility gains.
+             kinds: list) -> list[UtilityPoint]:
+    """Maximize each of ``kinds`` (``_PRODUCT``, ``_EQUAL_GAIN``) of the
+    nonnegative utility gains.
 
     Points outside the improvement region score -inf; the disagreement
-    profile itself scores combine(0, 0).  The gains are scored in units of
-    the power of two just above both players' utility bounds: g1 * g2 then
-    cannot overflow, and scaling by a power of two is exact, so the best
-    point is the one the plain gains pick wherever their product neither
-    overflows nor underflows.
+    profile itself scores combine(0, 0).  The gains are in ``_search``'s
+    units, so g1 * g2 cannot overflow.
     """
     _check_players(model)
-    d1, d2 = disagreement.utilities
-    bound = max(_utility_bound(model, k) for k in range(2))
-    unit = math.ldexp(1.0, -min(max(math.frexp(bound)[1], -1022), 1022))  # a normal float
+    d1, d2 = (d * _unit(model) for d in disagreement.utilities)
 
-    def scorer(combine):
-        def score(u1, u2):
-            g1, g2 = (u1 - d1) * unit, (u2 - d2) * unit
+    def scorer(combine, rate):
+        def value(u1, u2):
+            g1, g2 = u1 - d1, u2 - d2
             return combine(g1, g2) if g1 >= 0.0 and g2 >= 0.0 else -math.inf
-        return score
+        return value, lambda u1, u2, du1, du2: rate(u1 - d1, u2 - d2, du1, du2)
 
-    return _search(model, list(map(scorer, combines)), disagreement)
+    return _search(model, [scorer(*kind) for kind in kinds], disagreement)
 
 
 def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint) -> UtilityPoint:
     """Maximize the product of utility gains over the improvement region."""
-    return _bargain(model, disagreement, [operator.mul])[0]
+    return _bargain(model, disagreement, [_PRODUCT])[0]
 
 
 def fairness_projection(model: NetworkModel, baseline: UtilityPoint) -> UtilityPoint:
     """Equal-gain point: push both utilities up by the same amount until the
     frontier is reached (diagnostic; maximizes the smaller gain)."""
-    return _bargain(model, baseline, [min])[0]
+    return _bargain(model, baseline, [_EQUAL_GAIN])[0]
 
 
 def bargaining_points(model: NetworkModel,
                       disagreement: UtilityPoint) -> tuple[UtilityPoint, UtilityPoint]:
     """``nash_bargaining`` and ``fairness_projection`` from one search."""
-    return tuple(_bargain(model, disagreement, [operator.mul, min]))
+    return tuple(_bargain(model, disagreement, [_PRODUCT, _EQUAL_GAIN]))
 
 
 def distance_to_frontier(point: UtilityPoint, frontier: Sequence[UtilityPoint]) -> float:

@@ -125,12 +125,16 @@ class JointDistribution:
     def uniform_over(cls, shape: Sequence[int],
                      joint_indices: Iterable[Sequence[int]]) -> "JointDistribution":
         n1, n2 = shape
-        idx = list(joint_indices)
+        idx = [tuple(p) for p in joint_indices]
         if not idx:
             raise ValueError("need at least one profile")
         rows = [[0.0] * n2 for _ in range(n1)]
-        for i, j in idx:
-            rows[i][j] = 1.0 / len(idx)
+        for p in idx:
+            if len(p) != 2 or not (0 <= p[0] < n1 and 0 <= p[1] < n2):
+                raise ValueError(f"profile {p} is out of range for shape {tuple(shape)}")
+            if rows[p[0]][p[1]]:
+                raise ValueError(f"profile {p} is listed twice")
+            rows[p[0]][p[1]] = 1.0 / len(idx)
         return cls(probabilities=rows)
 
 

@@ -418,7 +418,7 @@ class TestZoom:
             x, y = cell.utilities
             x -= 1e-12 * x
             best = max((u(s, 1) for s in lone if u(s, 0) >= x), default=-math.inf)
-            for lo, hi, k, at in pieces:
+            for lo, hi, k, at, _ in pieces:
                 def reaches(t):
                     s = at(t)
                     return s is not None and u(s, 0) >= x
@@ -441,7 +441,7 @@ class TestZoom:
         # along the curve, from (0, BR2(0)) to (BR1(0), 0), u1 rises and u2
         # falls; the powers need not be monotone, and the box may cut the
         # curve more than once
-        (_, hi, _, first), (_, _, _, second) = _pieces(model, _channel(model))[:2]
+        (_, hi, _, first, _), (_, _, _, second, _) = _pieces(model, _channel(model))[:2]
         ts = [hi * i / 400 for i in range(401)]
         path = [first(t) for t in ts] + [second(t) for t in reversed(ts)]
         assume(all(s is not None for s in path))
@@ -475,6 +475,47 @@ class TestZoom:
         model = make_model(gains=((0.369, 1.006), (0.480, 0.353)), processing_gain=7.75,
                            power_cap=4.35, packet_bits=16)
         assert min(self.gains_over_ne(model, fairness_projection)) >= 0.01254
+
+
+class TestPieceSlopes:
+    """Each piece's d log u_k / dt against a central difference of log u_k,
+    extrapolated from steps h and h / 2 (Richardson), which the test computes
+    from the piece's profiles with log1p, so that it keeps its digits at any
+    L: u_k = t (1 - exp(-gamma_k))^L / s_k."""
+
+    @staticmethod
+    def log_utilities(model, s):
+        (g11, g12), (g21, g22) = model.gains
+        logs = []
+        for k, (own, cross) in enumerate(((g11, g12), (g22, g21))):
+            gamma = model.processing_gain * own * s[k] / (model.noise_power + cross * s[1 - k])
+            logs.append(math.log(model.rate_scale) - math.log(s[k])
+                        + model.packet_bits * math.log1p(-math.exp(-gamma)))
+        return logs
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair(0.2, 2.0), st.tuples(*[st.just(0.0) | st.floats(0.01, 1.0)] * 2),
+           st.integers(2, 60) | st.integers(2, 2 ** 53), st.floats(0.01, 100.0),
+           st.floats(0.01, 100.0), st.floats(1.0, 8.0), st.floats(0.5, 8.0),
+           st.integers(0, 3), st.floats(0.05, 0.95))
+    @example((1.0, 1.0), (0.5, 0.5), 2 ** 53, 1.0, 1.0, 4.0, 5.0, 0, 0.5)
+    @example((1.0, 1.0), (0.0, 0.5), 20, 0.3, 3.0, 4.0, 5.0, 1, 0.5)  # kappa = 0
+    def test_slopes_match_a_central_difference(self, direct, cross, bits, noise, rate, w,
+                                               cap, piece, share):
+        model = two_by_two(direct, cross, packet_bits=bits, noise_power=noise,
+                           rate_scale=rate, processing_gain=w, power_cap=cap)
+        lo, hi, _, at, slope = _pieces(model, _channel(model))[piece]
+        t = lo + share * (hi - lo)
+        h = 2e-5 * (hi - lo)
+        ends = [at(t + d) for d in (-h, h, -0.5 * h, 0.5 * h)]
+        assume(all(s is not None and min(s) > 0.0 for s in ends))
+        logs = [self.log_utilities(model, s) for s in ends]
+        for k, got in enumerate(slope(t)):
+            wide, narrow = (logs[1][k] - logs[0][k]) / (2.0 * h), (logs[3][k] - logs[2][k]) / h
+            want = (4.0 * narrow - wide) / 3.0
+            # truncation, about h^4 of the fifth derivative, and the rounding of log u
+            tol = 1e-8 * abs(want) + 1e-12 * (1.0 + abs(logs[1][k])) / h
+            assert abs(got - want) <= tol, (k, got, want)
 
 
 def traced_peak(fn, *args):
@@ -527,8 +568,8 @@ class TestBandedSearch:
                     calls.append((i, t))
                     return at(t)
                 return point
-            return [(lo, hi, k, count(i, at))
-                    for i, (lo, hi, k, at) in enumerate(pieces(model, channel))]
+            return [(lo, hi, k, count(i, at), slope)
+                    for i, (lo, hi, k, at, slope) in enumerate(pieces(model, channel))]
 
         monkeypatch.setattr(icpower.efficiency, "_pieces", counted)
         assert nash_bargaining(ref_model, ne_point) == nbs_point
@@ -583,6 +624,56 @@ class TestCheckedOnce:
             counts.append(len(calls))
         # two utilities for each of the three points returned
         assert 0 < counts[0] <= 6 and len(set(counts)) == 1, counts
+
+
+class TestRootCounts:
+    """Each refinement of a sampled maximum, and each end of an improvement
+    interval, solves R^-1 for a small constant number of curve points: a
+    bracketed root stops where floats or rounding do, where a golden section
+    took about 58 points and a bisection about 52.  Every routine the search
+    takes from ``numerics`` is counted; a run over a whole piece is an
+    interval end, the others are refinements."""
+
+    @staticmethod
+    def curve_points_per_run(monkeypatch, search):
+        solves, runs, pieces = [0], [], []
+        inverse, make_pieces = icpower.efficiency._ratio_inverse, icpower.efficiency._pieces
+
+        def counted_inverse(*args):
+            solves[0] += 1
+            return inverse(*args)
+
+        def recorded_pieces(*args):
+            made = make_pieces(*args)
+            pieces.extend({piece[0], piece[1]} for piece in made)
+            return made
+
+        def counted(finder):
+            def run(f, a, b, *rest):
+                before = solves[0]
+                result = finder(f, a, b, *rest)
+                runs.append(("end" if {a, b} in pieces else "refine", solves[0] - before))
+                return result
+            return run
+        monkeypatch.setattr(icpower.efficiency, "_ratio_inverse", counted_inverse)
+        monkeypatch.setattr(icpower.efficiency, "_pieces", recorded_pieces)
+        for name, obj in list(vars(icpower.efficiency).items()):
+            if getattr(obj, "__module__", None) == "icpower.numerics":
+                monkeypatch.setattr(icpower.efficiency, name, counted(obj))
+        search()
+        return ([n for kind, n in runs if kind == "refine"],
+                [n for kind, n in runs if kind == "end"])
+
+    def test_social_optimum(self, ref_model, monkeypatch):
+        refine, ends = self.curve_points_per_run(
+            monkeypatch, lambda: social_optimum(ref_model, Weights((0.5, 0.5))))
+        assert not ends and refine and 0 < max(refine) <= 14, refine
+
+    def test_bargaining_points(self, ref_model, ne_point, monkeypatch):
+        refine, ends = self.curve_points_per_run(
+            monkeypatch, lambda: bargaining_points(ref_model, ne_point))
+        assert refine and 0 < max(refine) <= 14, refine
+        assert ends and 0 < max(ends) <= 16, ends
 
 
 class TestNashEquilibrium:

@@ -186,6 +186,23 @@ class TestCorrelated:
         with pytest.raises(ValueError, match="at least one"):
             JointDistribution.uniform_over((2, 2), [])
 
+    def test_uniform_over_names_a_repeated_profile(self):
+        # it once weighted the cell 1/2 and then failed "must sum to 1 (got 0.5)"
+        with pytest.raises(ValueError, match=r"profile \(0, 1\) is listed twice"):
+            JointDistribution.uniform_over((2, 2), [(0, 1), (0, 1)])
+
+    def test_uniform_over_names_a_negative_index(self):
+        # it once put (-1, 0) silently on the last row
+        with pytest.raises(ValueError,
+                           match=r"profile \(-1, 0\) is out of range for shape \(2, 2\)"):
+            JointDistribution.uniform_over((2, 2), [(-1, 0), (1, 1)])
+
+    def test_uniform_over_names_an_index_past_the_shape(self):
+        # it once raised a bare IndexError
+        with pytest.raises(ValueError,
+                           match=r"profile \(2, 0\) is out of range for shape \(2, 2\)"):
+            JointDistribution.uniform_over((2, 2), [(2, 0)])
+
     def test_uniform_ne_mixture_is_ce(self, ic_game):
         mix = JointDistribution.uniform_over((2, 2), sorted(pure_nash(ic_game)))
         holds, worst = is_correlated_equilibrium(ic_game, mix)

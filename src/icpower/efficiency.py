@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import SolverOutcomeError, Weights
@@ -227,6 +227,7 @@ def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
     power_cap]^2: ``at(t)`` is a profile, or None where its powers are not
     finite, and along t in [lo, hi] player k's utility rises and the other's
     falls.  ``slope(t)``, for t > 0, is (d log u1 / dt, d log u2 / dt) there.
+    A curve point is solved once per t, whichever of the two asks first.
 
     With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on the
     curve R(gamma_1) * R(gamma_2) = kappa of ``channel``, the model's
@@ -243,19 +244,18 @@ def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
     kappa, powers, _, beta = channel
 
     def curve(k: int) -> tuple:
-        solved = {}  # t: (gamma_j, y), so that a sampled t is solved once
+        solved = {}  # t: (profile, gamma_j, y), so that each t is solved once
 
-        def at(t: float) -> Optional[tuple[float, float]]:
-            r = _ratio(t, bits)  # <= 0 only by rounding next to gamma_star
-            y = kappa / r if r > 0.0 else 0.0
-            g = _ratio_inverse(y, bits)  # gamma_j = R^-1(kappa / R(gamma_k))
-            solved[t] = g, y
-            return powers((t, g) if k == 0 else (g, t))
+        def solve(t: float) -> tuple:
+            if t not in solved:
+                r = _ratio(t, bits)  # <= 0 only by rounding next to gamma_star
+                y = kappa / r if r > 0.0 else 0.0
+                g = _ratio_inverse(y, bits)  # gamma_j = R^-1(kappa / R(gamma_k))
+                solved[t] = powers((t, g) if k == 0 else (g, t)), g, y
+            return solved[t]
 
         def slope(t: float) -> tuple[float, float]:
-            if t not in solved:
-                at(t)
-            g, y = solved[t]
+            _, g, y = solve(t)
             x = math.expm1(t)
             # d log gamma_j / dt, with -R'/R = ratio_slope / (gamma (L - E))
             dlog = 0.0 if y == 0.0 or g == 0.0 else (
@@ -266,7 +266,7 @@ def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
             dk = (_elasticity(t, bits) - 1.0) / t + dd - bk * g * dlog / (1.0 + bk * g)
             dj = (_elasticity(g, bits) - 1.0) * dlog + dd - bj / (1.0 + bj * t)
             return (dk, dj) if k == 0 else (dj, dk)
-        return 0.0, _ratio_inverse(math.sqrt(kappa), bits), k, at, slope
+        return 0.0, _ratio_inverse(math.sqrt(kappa), bits), k, lambda t: solve(t)[0], slope
 
     def edge(k: int) -> tuple:
         j = 1 - k
@@ -296,31 +296,31 @@ def _search(model: NetworkModel, scores: list,
     and, on each piece of ``_pieces``, up to ``_SAMPLES`` evenly spaced
     points, each scored by every score.  Along a piece one utility rises and
     the other falls, so nothing between two visited points beats the pair of
-    their better utilities (``beaten``); where that bound is below the best
-    found, the stretch between is skipped: a whole piece, judged from its
-    ends, or a stretch between two of every ``_STRIDE``-th sample, which
-    are taken first.  Each sampled local maximum, the highest first and
-    unless its bracket is beaten, is refined by ``illinois_root`` on its
-    rate, bracketed by its neighbouring samples where the rate changes sign
-    there; at a piece's end, or next to a skipped stretch, the sign of the
-    rate there says whether the maximum is inside.  A rate is never
-    evaluated at t = 0 or where a piece has no profile: there the samples'
-    order gives its sign.  Each root iterate is scored by every score, like
-    a sample, so a refinement cannot lose the sampled best.  A piece's
-    start, where player k is silent, is never better than the other's lone
-    best response.  Given a disagreement point, a piece is first cut to its
-    improvement interval, whose ends are roots, from values alone, of a
-    utility minus the disagreement's, so that a narrow region still gets
-    samples.  Every candidate is scored at its own powers, -inf outside the
-    box, by the ``utilities`` of one ``_channel`` built per search:
-    ``ee_utility``'s floats without its checks, since the pieces' profiles
-    and the lone best responses are finite and nonnegative as built, and the
-    disagreement profile is checked once, here.  A score that is -inf at
-    every candidate raises EmptyImprovementRegionError.
+    their larger utilities, each raised by its rounding error, (L + 8) ulps
+    (``beaten``); where that bound is below the best found, the stretch
+    between is skipped: a whole piece, judged from its ends, or a stretch
+    between two of every ``_STRIDE``-th sample, which are taken first.  Each
+    sampled local maximum is refined by ``illinois_root`` on its rate,
+    bracketed by its neighbouring samples where the rate changes sign there;
+    at a piece's end, or next to a skipped stretch, the sign of the rate there
+    says whether the maximum is inside.  A rate is never evaluated at t = 0 or
+    where a piece has no profile: there the samples' order gives its sign.
+    Each root iterate is scored by every score, like a sample, so a refinement
+    cannot lose the sampled best.  A piece's start, where player k is silent,
+    is never better than the other's lone best response.  Given a disagreement
+    point, a piece is first cut to its improvement interval, whose ends are
+    roots, from values alone, of a utility minus the disagreement's, so that a
+    narrow region still gets samples.  Every candidate is scored at its own
+    powers, -inf outside the box, by the ``utilities`` of one ``_channel``
+    built per search: ``ee_utility``'s floats without its checks, since the
+    pieces' profiles and the lone best responses are finite and nonnegative as
+    built, and the disagreement profile is checked once, here.  A score that
+    is -inf at every candidate raises EmptyImprovementRegionError.
     """
     cap, silent = model.power_cap, (0.0, 0.0)
     channel = _channel(model)
     utilities, unit = channel[2], _unit(model)
+    slack = 1.0 + (model.packet_bits + 8) * math.ulp(1.0)  # q^L's rounding error
     best = [(-math.inf, silent)] * len(scores)
     valued, nowhere = [value for value, _ in scores], [-math.inf] * len(scores)
 
@@ -341,11 +341,11 @@ def _search(model: NetworkModel, scores: list,
     def beaten(x: tuple, y: tuple) -> list[bool]:
         """Per score, whether nothing on a piece between two visited points
         can beat the best found: each utility is monotone along a piece, so
-        it is at most its larger value at the two, and no score falls as a
-        utility rises."""
+        it is at most its larger value at the two, up to its rounding error,
+        and no score falls as a utility rises."""
         if x[0] is None or y[0] is None:
             return [False] * len(scores)
-        ideal = max(x[0][0], y[0][0]), max(x[0][1], y[0][1])
+        ideal = max(x[0][0], y[0][0]) * slack, max(x[0][1], y[0][1]) * slack
         return [value(*ideal) < b for value, (b, _) in zip(valued, best)]
 
     def refine(i: int, a: int, b: int, at, slope, ts: list, seen: list) -> None:
@@ -373,7 +373,6 @@ def _search(model: NetworkModel, scores: list,
     visit((0.0, best_response_ee(model, silent, 1)))
     for lo, hi, k, at, slope in _pieces(model, channel):
         if disagreement is not None:
-            at = lru_cache(maxsize=None)(at)  # the cut's ends are tested, solved from and sampled
             def excess(t: float, j: int) -> float:
                 s = at(t)
                 return -math.inf if s is None else (
@@ -395,18 +394,15 @@ def _search(model: NetworkModel, scores: list,
         for p, q in zip(coarse, coarse[1:]):
             if not all(beaten(seen[p], seen[q])):
                 seen[p + 1:q] = [visit(at(t)) for t in ts[p + 1:q]]
-        peaks = []  # (sampled value, score, a, b): a local maximum between samples a < b
         for j in range(1 if lo == 0.0 else 0, n):  # not at a silent start
             if seen[j] is None:
                 continue
             a = j - 1 if j > 0 and seen[j - 1] else j
             b = j + 1 if j < n - 1 and seen[j + 1] else j
-            peaks += [(v, i, a, b) for i, v in enumerate(seen[j][1])
-                      if a < b and v > -math.inf and (a == j or v > seen[a][1][i])
-                      and (b == j or v >= seen[b][1][i])]
-        for _, i, a, b in sorted(peaks, reverse=True):  # the highest first
-            if not beaten(seen[a], seen[b])[i]:
-                refine(i, a, b, at, slope, ts, seen)
+            for i, v in enumerate(seen[j][1]):
+                if (a < b and v > -math.inf and (a == j or v > seen[a][1][i])
+                        and (b == j or v >= seen[b][1][i])):
+                    refine(i, a, b, at, slope, ts, seen)
     if any(v == -math.inf for v, _ in best):
         raise EmptyImprovementRegionError(
             "no profile weakly improves on the disagreement utilities")

@@ -557,22 +557,29 @@ class TestBandedSearch:
 
     def test_no_curve_point_is_evaluated_twice(self, ref_model, ne_point, nbs_point,
                                                monkeypatch):
-        # the improvement-interval cut tests each end, hands it to a bisection
-        # and samples it; each of these once evaluated the end's point again
-        calls = []
-        pieces = _pieces
+        # the improvement-interval cut tests each end, hands it to a root
+        # finder and samples it, and a refinement takes each iterate's slope;
+        # each of these once solved the end's point again
+        calls, asked = [], [None]
+        pieces, inverse = _pieces, icpower.efficiency._ratio_inverse
+
+        def solved(*args):
+            calls.append(asked[0])
+            return inverse(*args)
 
         def counted(model, channel):
-            def count(i, at):
-                def point(t):
-                    calls.append((i, t))
-                    return at(t)
-                return point
-            return [(lo, hi, k, count(i, at), slope)
+            def tag(i, f):
+                def tagged(t):
+                    asked[0] = i, t
+                    return f(t)
+                return tagged
+            return [(lo, hi, k, tag(i, at), tag(i, slope))
                     for i, (lo, hi, k, at, slope) in enumerate(pieces(model, channel))]
 
+        monkeypatch.setattr(icpower.efficiency, "_ratio_inverse", solved)
         monkeypatch.setattr(icpower.efficiency, "_pieces", counted)
         assert nash_bargaining(ref_model, ne_point) == nbs_point
+        calls = [c for c in calls if c is not None]  # not the curves' own ends
         assert calls and len(set(calls)) == len(calls)
 
     def test_both_bargaining_points_match_their_own_searches(self, ne_point, nbs_point,

@@ -3,8 +3,8 @@
 Layers: physical channel (network), finite on/off games (finite), the
 continuous energy-efficiency game and its equilibria (continuous),
 efficiency analysis on the utility plane and its frontier (efficiency),
-grim-trigger repeated play (repeated), bisection and golden-section
-search (numerics), and a JSON-configured CLI (config, cli).  The package
+grim-trigger repeated play (repeated), bisection and bracketed roots
+(numerics), and a JSON-configured CLI (config, cli).  The package
 re-exports every module's ``__all__`` except the CLI's.  No module imports
 numpy at import time: efficiency imports it inside the functions that build
 the utility plane.

@@ -213,15 +213,15 @@ def config_from_dict(data: dict) -> RunConfig:
     pricing = (_dataclass_section(data, "pricing", PricingConfig)
                if "pricing" in data else None)
 
+    weights = {}  # none given: RunConfig's equal weights
     if "weights" in data:
         if not isinstance(data["weights"], (list, tuple)):
             raise ConfigError("weights: expected an array")
-        weights = _build("weights", Weights, w=tuple(data["weights"]))
-        if len(weights.w) != model.num_players:
+        given = _build("weights", Weights, w=tuple(data["weights"]))
+        if len(given.w) != model.num_players:
             raise ConfigError(f"weights: need {model.num_players}, one per player, "
-                              f"got {len(weights.w)}")
-    else:
-        weights = Weights((1.0 / model.num_players,) * model.num_players)
+                              f"got {len(given.w)}")
+        weights["weights"] = given
 
     # search.priced_tol and search.refine_tol are deprecated and ignored
     search = (_dataclass_section(data, "search", SearchConfig,
@@ -231,8 +231,8 @@ def config_from_dict(data: dict) -> RunConfig:
               if "output" in data else OutputConfig())
 
     _check_numbers(data, "")  # last, so each field's own check speaks first
-    return RunConfig(model=model, finite=finite, pricing=pricing,
-                     weights=weights, search=search, output=output)
+    return RunConfig(model=model, finite=finite, pricing=pricing, search=search,
+                     output=output, **weights)
 
 
 def load_config(path) -> RunConfig:

@@ -65,14 +65,11 @@ def ee_utility(model: NetworkModel, profile: Powers, k: int) -> float:
 
 
 def _utility(model: NetworkModel, s: tuple[float, ...], k: int) -> float:
-    """``ee_utility`` without the checks, the same arithmetic: ``s`` holds
-    one finite power >= 0 per player and k is a player."""
-    return _efficiency(_sinr_per_watt(model, s, k) * s[k], s[k], model)
-
-
-def _efficiency(gamma: float, power: float, model: NetworkModel) -> float:
-    """Throughput per watt at own SINR gamma and own power, 0 at power 0."""
-    return 0.0 if power == 0.0 else _throughput(gamma, model) / power
+    """``ee_utility`` without the checks, the package's one utility kernel:
+    ``s`` holds one finite power >= 0 per player and k is a player."""
+    power = s[k]
+    return 0.0 if power == 0.0 else _throughput(_sinr_per_watt(model, s, k) * power,
+                                                model) / power
 
 
 @dataclass(frozen=True)
@@ -344,9 +341,8 @@ def trace_csv_rows(model: NetworkModel, report: SolveReport) -> tuple[list[str],
     header = (["iter"] + [f"s_{k + 1}" for k in ks]
               + [f"u_{k + 1}" for k in ks] + [f"gamma_{k + 1}" for k in ks])
     rows = []
-    for n, prof in enumerate(report.trace):  # each row checked once, each gamma made once
+    for n, prof in enumerate(report.trace):  # each row checked once
         s = power_tuple(prof, model.num_players)
-        gammas = [_sinr_per_watt(model, s, k) * s[k] for k in ks]
-        rows.append([n, *prof, *(_efficiency(g, p, model) for g, p in zip(gammas, s)),
-                     *gammas])
+        rows.append([n, *prof, *(_utility(model, s, k) for k in ks),
+                     *(_sinr_per_watt(model, s, k) * s[k] for k in ks)])
     return header, rows

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequ
 
 from .config import SolverOutcomeError, Weights
 from .continuous import _newton, _utility, best_response_ee, gamma_star
-from .network import (NetworkModel, PowerProfile, Powers, _utility_bound,
+from .network import (NetworkModel, PowerProfile, Powers, _sinr_per_watt, _utility_bound,
                       power_tuple, sinr_grid)
 from .numerics import illinois_root
 
@@ -98,16 +98,9 @@ class UtilityPlane:
                             utilities=(x, y), normalized=(x * scale, y * scale))
 
 
-def _check_players(model: NetworkModel) -> None:
-    if model.num_players != 2:
-        raise ValueError(f"network: gains: the efficiency analysis supports exactly 2 "
-                         f"players, got {model.num_players}")
-
-
 def utility_grid(model: NetworkModel, n_per_axis: int = 400) -> UtilityPlane:
     """Sample [0, power_cap]^2 uniformly (endpoints included), s1-major order."""
     import numpy as np
-    _check_players(model)
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
     axis = np.linspace(0.0, model.power_cap, n_per_axis)
@@ -168,18 +161,13 @@ def _elasticity(gamma: float, bits: int) -> float:
     return bits * gamma * math.exp(-gamma) / -math.expm1(-gamma) if gamma > 0.0 else float(bits)
 
 
-def _channel(model: NetworkModel) -> tuple[float, Callable, Callable, list[float]]:
-    """The 2-player channel ``(kappa, powers, utilities, beta)``, its constants
-    computed once.  ``powers(gamma)`` is the profile with SINRs gamma, s_k =
-    (noise / (W * g_kk)) * gamma_k * (1 + beta_k * gamma_j) / (1 - kappa *
-    gamma_1 * gamma_2), beta_k = g_kj / (W * g_jj) and kappa = beta_1 *
-    beta_2, or None where its powers are not finite and nonnegative.
-    ``utilities(s)`` is ``(ee_utility(model, s, 0), ee_utility(model, s, 1))``
-    at finite powers s >= 0, unchecked, by the same operations in the same
-    order: gamma_k = (W * g_kk) / (noise + g_kj * s_j) * s_k and u_k = t *
-    (1 - exp(-gamma_k))^L / s_k, 0 where s_k = 0."""
+def _channel(model: NetworkModel) -> tuple[float, Callable, list[float]]:
+    """The channel ``(kappa, powers, beta)``, its constants computed once.
+    ``powers(gamma)`` is the profile with SINRs gamma, s_k = (noise / (W *
+    g_kk)) * gamma_k * (1 + beta_k * gamma_j) / (1 - kappa * gamma_1 *
+    gamma_2), beta_k = g_kj / (W * g_jj) and kappa = beta_1 * beta_2, or None
+    where its powers are not finite and nonnegative."""
     w, noise = model.processing_gain, model.noise_power
-    rate, bits = model.rate_scale, model.packet_bits
     (g11, g12), (g21, g22) = model.gains
     w1, w2 = w * g11, w * g22
     watts = [noise / w1, noise / w2]
@@ -194,14 +182,7 @@ def _channel(model: NetworkModel) -> tuple[float, Callable, Callable, list[float
         s1 = gamma[1] * (1.0 + beta[1] * gamma[0]) / det * watts[1]
         # one test catches negative, inf and the NaN of inf * 0
         return (s0, s1) if 0.0 <= s0 < math.inf and 0.0 <= s1 < math.inf else None
-
-    def utilities(s: tuple[float, float]) -> tuple[float, float]:
-        s1, s2 = s
-        return (0.0 if s1 == 0.0 else
-                rate * (-math.expm1(-(w1 / (noise + g12 * s2) * s1))) ** bits / s1,
-                0.0 if s2 == 0.0 else
-                rate * (-math.expm1(-(w2 / (noise + g21 * s1) * s2))) ** bits / s2)
-    return kappa, powers, utilities, beta
+    return kappa, powers, beta
 
 
 def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
@@ -211,7 +192,6 @@ def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
     cap, or one at the cap and the other best-responding.  Of these three the
     one with the smallest best-response residual wins, since next to the cap
     rounding can put the first on the wrong side."""
-    _check_players(model)
     cap, star = model.power_cap, gamma_star(model.packet_bits)
     both = _channel(model)[1]((star, star))
     candidates = [] if both is None else [tuple(min(v, cap) for v in both)]
@@ -221,7 +201,7 @@ def nash_equilibrium(model: NetworkModel) -> UtilityPoint:
     return utility_point(model, min(candidates, key=residual))
 
 
-def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
+def _pieces(model: NetworkModel) -> list[tuple]:
     """The one-dimensional pieces ``(lo, hi, k, at, slope)`` whose union, with
     the two lone best responses, holds the Pareto frontier of [0,
     power_cap]^2: ``at(t)`` is a profile, or None where its powers are not
@@ -230,18 +210,18 @@ def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
     A curve point is solved once per t, whichever of the two asks first.
 
     With gamma_k = mu_k * s_k the utilities' gradients are antiparallel on the
-    curve R(gamma_1) * R(gamma_2) = kappa of ``channel``, the model's
-    ``_channel``, which also maps the curve's SINRs to powers.  Its half k
-    runs gamma_k from 0 to R^-1(sqrt(kappa)), with the other SINR R^-1(kappa
-    / R(gamma_k)), whose argument is at most sqrt(kappa), so kappa = 0 gives
-    both branches gamma_j = gamma_star; the powers may leave the box.  There
+    curve R(gamma_1) * R(gamma_2) = kappa of the model's ``_channel``, which
+    also maps the curve's SINRs to powers.  Its half k runs gamma_k from 0 to
+    R^-1(sqrt(kappa)), with the other SINR R^-1(kappa / R(gamma_k)), whose
+    argument is at most sqrt(kappa), so kappa = 0 gives both branches
+    gamma_j = gamma_star; the powers may leave the box.  There
     u_k = (t / c_k) F(gamma_k) D / (1 + beta_k gamma_j), with F = T / gamma
     and D = 1 - kappa gamma_1 gamma_2, and gamma_j' = -R'(gamma_k) R(gamma_j)
     / (R(gamma_k) R'(gamma_j)).  Then the cap edges: player j at power_cap
     and k from 0 to its best response, where only the SINRs move.
     """
     bits, cap = model.packet_bits, model.power_cap
-    kappa, powers, _, beta = channel
+    kappa, powers, beta = _channel(model)
 
     def curve(k: int) -> tuple:
         solved = {}  # t: (profile, gamma_j, y), so that each t is solved once
@@ -270,16 +250,15 @@ def _pieces(model: NetworkModel, channel: tuple) -> list[tuple]:
 
     def edge(k: int) -> tuple:
         j = 1 - k
-        w, noise, gains = model.processing_gain, model.noise_power, model.gains
-        mu = w * gains[k][k] / (noise + gains[k][j] * cap)
+        gain, mu = model.gains[j][k], _sinr_per_watt(model, (cap, cap), k)
+        at = (lambda t: (t, cap)) if k == 0 else (lambda t: (cap, t))
 
         def slope(t: float) -> tuple[float, float]:
-            den = noise + gains[j][k] * t
             dk = (_elasticity(mu * t, bits) - 1.0) / t
-            dj = -_elasticity(w * gains[j][j] / den * cap, bits) * gains[j][k] / den
+            dj = (-_elasticity(_sinr_per_watt(model, at(t), j) * cap, bits) * gain
+                  / (model.noise_power + gain * t))
             return (dk, dj) if k == 0 else (dj, dk)
-        return (0.0, best_response_ee(model, (cap, cap), k), k,
-                lambda t: (t, cap) if k == 0 else (cap, t), slope)
+        return 0.0, best_response_ee(model, (cap, cap), k), k, at, slope
 
     return [curve(0), curve(1), edge(0), edge(1)]
 
@@ -311,15 +290,13 @@ def _search(model: NetworkModel, scores: list,
     point, a piece is first cut to its improvement interval, whose ends are
     roots, from values alone, of a utility minus the disagreement's, so that a
     narrow region still gets samples.  Every candidate is scored at its own
-    powers, -inf outside the box, by the ``utilities`` of one ``_channel``
-    built per search: ``ee_utility``'s floats without its checks, since the
-    pieces' profiles and the lone best responses are finite and nonnegative as
-    built, and the disagreement profile is checked once, here.  A score that
-    is -inf at every candidate raises EmptyImprovementRegionError.
+    powers, -inf outside the box, by ``continuous._utility``: ``ee_utility``'s
+    floats without its checks, since the pieces' profiles and the lone best
+    responses are finite and nonnegative as built, and the disagreement
+    profile is checked once, here.  A score that is -inf at every candidate
+    raises EmptyImprovementRegionError.
     """
-    cap, silent = model.power_cap, (0.0, 0.0)
-    channel = _channel(model)
-    utilities, unit = channel[2], _unit(model)
+    cap, silent, unit = model.power_cap, (0.0, 0.0), _unit(model)
     slack = 1.0 + (model.packet_bits + 8) * math.ulp(1.0)  # q^L's rounding error
     best = [(-math.inf, silent)] * len(scores)
     valued, nowhere = [value for value, _ in scores], [-math.inf] * len(scores)
@@ -328,8 +305,7 @@ def _search(model: NetworkModel, scores: list,
         """The utilities at s in units, None where s is None, and every score there."""
         if s is None:
             return None, nowhere
-        u1, u2 = utilities(s)
-        u1, u2 = u1 * unit, u2 * unit
+        u1, u2 = _utility(model, s, 0) * unit, _utility(model, s, 1) * unit
         if s[0] > cap or s[1] > cap:
             return (u1, u2), nowhere
         values = [value(u1, u2) for value in valued]
@@ -371,12 +347,12 @@ def _search(model: NetworkModel, scores: list,
         visit(power_tuple(disagreement.profile.powers, 2))
     visit((best_response_ee(model, silent, 0), 0.0))
     visit((0.0, best_response_ee(model, silent, 1)))
-    for lo, hi, k, at, slope in _pieces(model, channel):
+    for lo, hi, k, at, slope in _pieces(model):
         if disagreement is not None:
             def excess(t: float, j: int) -> float:
                 s = at(t)
                 return -math.inf if s is None else (
-                    utilities(s)[j] - disagreement.utilities[j])
+                    _utility(model, s, j) - disagreement.utilities[j])
             rise, fall = partial(excess, j=k), partial(excess, j=1 - k)
             if rise(hi) < 0.0 or fall(lo) < 0.0:
                 continue
@@ -421,7 +397,6 @@ def _unit(model: NetworkModel) -> float:
 
 def social_optimum(model: NetworkModel, weights: Weights) -> UtilityPoint:
     """Maximize w1*u1 + w2*u2 over [0, power_cap]^2 (see ``_search``)."""
-    _check_players(model)
     if len(weights.w) != 2:
         raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
@@ -454,7 +429,6 @@ def _bargain(model: NetworkModel, disagreement: UtilityPoint,
     profile itself scores combine(0, 0).  The gains are in ``_search``'s
     units, so g1 * g2 cannot overflow.
     """
-    _check_players(model)
     d1, d2 = (d * _unit(model) for d in disagreement.utilities)
 
     def scorer(combine, rate):

@@ -21,7 +21,7 @@ class NetworkModel:
     """An interference channel with one receiver per transmitter.
 
     Attributes:
-        gains: K x K matrix of nonnegative link gains, ``gains[j][k]`` from
+        gains: 2 x 2 matrix of nonnegative link gains, ``gains[j][k]`` from
             transmitter k to receiver j.  Diagonal entries must be positive.
         noise_power: receiver noise power (W), > 0.
         processing_gain: despreading/processing gain, >= 1, with
@@ -43,10 +43,9 @@ class NetworkModel:
     def __post_init__(self) -> None:
         rows = tuple(tuple(float(g) for g in row) for row in self.gains)
         object.__setattr__(self, "gains", rows)
-        k = len(rows)
-        if k < 2:
-            raise ValueError("gains: need at least 2 players")
-        if any(len(row) != k for row in rows):
+        if len(rows) != 2:
+            raise ValueError(f"gains: need exactly 2 players, got {len(rows)}")
+        if any(len(row) != 2 for row in rows):
             raise ValueError("gains: matrix must be square")
         for j, row in enumerate(rows):
             for i, g in enumerate(row):
@@ -144,20 +143,20 @@ def _checked(model: NetworkModel, profile: Powers, k: int) -> tuple[float, ...]:
 
 
 def _sinr_per_watt(model: NetworkModel, s, k: int):
-    """SINR per watt of player k, the package's one SINR expression.
+    """SINR per watt of player k, W * g_kk / (noise + g_kj * s_j) with j = 1 - k,
+    the package's one SINR expression.
 
     Arithmetic operators only: the entries of ``s`` may be floats or arrays.
     """
-    row = model.gains[k]
-    interference = sum(row[j] * s[j] for j in range(len(row)) if j != k)
-    return model.processing_gain * row[k] / (model.noise_power + interference)
+    row, j = model.gains[k], 1 - k
+    return model.processing_gain * row[k] / (model.noise_power + row[j] * s[j])
 
 
 def effective_gain(model: NetworkModel, profile: Powers, k: int) -> float:
     """Gain factor turning player k's own power into its SINR.
 
     Equals processing_gain * gains[k][k] / (noise + interference), where the
-    interference sums the opponents' received powers at receiver k.  Does not
+    interference is the opponent's received power at receiver k.  Does not
     depend on the k-th entry of ``profile``.
     """
     return _sinr_per_watt(model, _checked(model, profile, k), k)

@@ -248,17 +248,6 @@ class TestPricing:
             [0.0, 0.03, 0.06, 0.09, 0.12])
         assert all(r[-1] == "1" for r in rows[1:])
 
-    def test_sweep_header_fits_the_rows_for_three_players(self, tmp_path, small_config):
-        small_config["network"]["gains"] = [[1.0, 0.2, 0.1], [0.15, 0.9, 0.2],
-                                            [0.1, 0.25, 1.1]]
-        small_config["weights"] = [0.3, 0.3, 0.4]
-        assert run(tmp_path, "--quiet", "pricing", "--sweep", "0:0.1:3",
-                   config=small_config) == 0
-        header, *rows = read_csv(tmp_path, "pricing_sweep")
-        assert header == ["alpha", "s_1", "s_2", "s_3", "u_1", "u_2", "u_3", "u1_norm",
-                          "u2_norm", "u3_norm", "iterations", "converged"]
-        assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
-
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1e6),
            st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(0.0, 1e6)),
@@ -564,17 +553,15 @@ class TestDriver:
                 else "error: unrecognized arguments: --n 0") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("n, message", [("0", "error: --n: n_per_axis must be >= 2"),
-                                            ("5", "error: network: gains: the efficiency "
-                                                  "analysis supports exactly 2 players, "
-                                                  "got 3")])
-    def test_grid_size_is_checked_before_the_player_count(self, tmp_path, capsys, n,
-                                                          message):
+    @pytest.mark.parametrize("n", ["0", "5"])
+    def test_player_count_is_checked_before_the_grid_size(self, tmp_path, capsys, n):
+        # the network model is rejected as the config loads, before --n is read
         cfg = json.loads(default_config_path().read_text())
         cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
         cfg["weights"] = [0.5, 0.25, 0.25]
         assert run(tmp_path, "--quiet", "pareto", "--n", n, config=cfg) == 2
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err == ("error: network: gains: need exactly 2 "
+                                           "players, got 3\n")
 
     @pytest.mark.parametrize("command", ["social", "nbs", "repeated"])
     def test_searches_check_the_player_count_before_the_dynamics(self, tmp_path, capsys,
@@ -583,8 +570,18 @@ class TestDriver:
         cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
         cfg["weights"] = [0.5, 0.25, 0.25]
         assert run(tmp_path, "--quiet", command, config=cfg) == 2
-        assert capsys.readouterr().err == ("error: network: gains: the efficiency "
-                                           "analysis supports exactly 2 players, got 3\n")
+        assert capsys.readouterr().err == ("error: network: gains: need exactly 2 "
+                                           "players, got 3\n")
+
+    @pytest.mark.parametrize("argv", [["ne"], ["pricing", "--alpha", "0.12"],
+                                      ["pricing", "--sweep", "0:0.1:3"], ["finite"]],
+                             ids=["ne", "pricing", "pricing-sweep", "finite"])
+    def test_every_command_needs_two_players(self, tmp_path, capsys, argv):
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"]["gains"] = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
+        assert run(tmp_path, "--quiet", *argv, config=cfg) == 2
+        assert capsys.readouterr().err.startswith("error: network: gains: ")
+        assert not (tmp_path / "out").exists()
 
     THREE_PLAYERS = [[0.75, 0.5, 0.2], [0.25, 1.0, 0.2], [0.1, 0.2, 0.9]]
     COMMANDS = (["ne"], ["pricing"], ["pareto", "--n", "5"], ["social"], ["nbs"],

@@ -67,9 +67,12 @@ class TestValidation:
             config_from_dict(base_dict)
         base_dict["network"]["gains"] = [[1.0, 0.2, 0.1], [0.15, 0.9, 0.2],
                                          [0.1, 0.25, 1.1]]
-        assert config_from_dict(base_dict).weights.w == (0.5, 0.25, 0.25)
+        with pytest.raises(ConfigError,
+                           match=r"^network: gains: need exactly 2 players, got 3$"):
+            config_from_dict(base_dict)
+        base_dict["network"]["gains"] = [[1.0, 0.2], [0.15, 0.9]]
         del base_dict["weights"]
-        assert config_from_dict(base_dict).weights.w == (1.0 / 3.0,) * 3
+        assert config_from_dict(base_dict).weights.w == (0.5, 0.5)
 
     def test_network_invariant_has_path(self, base_dict):
         base_dict["network"]["noise_power"] = 0.0

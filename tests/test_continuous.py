@@ -17,7 +17,6 @@ from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
                      packet_throughput, priced_responder, priced_utility)
 from icpower import continuous
 from icpower.continuous import _priced_root, _throughput, _utility, trace_csv_rows
-from icpower.efficiency import _channel
 from icpower.network import effective_gain, sinr
 from icpower.numerics import bisect_root
 
@@ -112,26 +111,6 @@ kernel_models = st.builds(
     st.floats(0.2, 3.0), st.floats(0.5, 4.0))
 kernel_powers = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
 kernel_profiles = st.tuples(kernel_powers, kernel_powers)
-
-
-@st.composite
-def channel_cases(draw):
-    """A 2-player model with both direct gains down to 1e-300, cross gains
-    down to 0, noise / rate_scale != 1, rate_scale up to 2**520 and packets
-    up to 2**53, and a profile whose powers run from 0 to power_cap."""
-    direct = st.one_of(st.just(1e-300), log_uniform_gains)
-    cross = st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(0.0, 1.2))
-    model = draw(st.builds(
-        lambda d1, d2, c1, c2, bits, cap, noise, rate, w: make_model(
-            gains=((d1, c1), (c2, d2)), packet_bits=bits, power_cap=cap,
-            noise_power=noise, rate_scale=rate, processing_gain=w),
-        direct, direct, cross, cross,
-        st.one_of(st.integers(1, 60), st.integers(1, 2 ** 53)), st.floats(0.5, 8.0),
-        st.floats(0.2, 3.0), st.one_of(st.just(2.0 ** 520), st.floats(0.5, 4.0)),
-        st.floats(1.0, 16.0)))
-    power = st.one_of(st.sampled_from([0.0, model.power_cap]),
-                      st.floats(0.0, model.power_cap))
-    return model, (draw(power), draw(power))
 
 
 FAINT = make_model(gains=((1e-300, 0.5), (0.25, 1.0)), noise_power=0.8, rate_scale=2.5)
@@ -847,9 +826,8 @@ class TestSolveReport:
 
 
 class TestUncheckedKernel:
-    """The search scores checked profiles with the channel map's utilities,
-    and the trace CSV with the private kernel; both must give the public
-    functions' floats bit for bit."""
+    """The search and the trace CSV score checked profiles with the private
+    kernel, which must give the public functions' floats bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_models, kernel_profiles, st.floats(0.0, 200.0))
@@ -860,17 +838,6 @@ class TestUncheckedKernel:
         for k in range(2):
             assert _utility(model, s, k) == ee_utility(model, s, k)
         assert _throughput(gamma, model) == packet_throughput(gamma, model)
-
-    @settings(max_examples=300, deadline=None)
-    @given(channel_cases())
-    @example((FAINT, (5.0, 1.0)))
-    @example((LONG, (0.0, 5.0)))
-    @example((make_model(gains=((1e-300, 0.0), (0.0, 1e-300)), rate_scale=2.0 ** 520,
-                         noise_power=0.5), (5.0, 5.0)))
-    def test_channel_map_is_the_public_path(self, case):
-        # the frontier search scores its candidates with this map
-        model, s = case
-        assert _channel(model)[2](s) == (ee_utility(model, s, 0), ee_utility(model, s, 1))
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_models, st.lists(kernel_profiles, min_size=1, max_size=6))

@@ -16,7 +16,7 @@ from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
 import icpower.continuous
 import icpower.efficiency
 import icpower.network
-from icpower.efficiency import (_channel, _pieces, _ratio, _ratio_inverse, _surfaces,
+from icpower.efficiency import (_pieces, _ratio, _ratio_inverse, _surfaces,
                                 grid_csv_rows)
 from icpower.network import _sinr_per_watt, sinr
 from icpower.numerics import bisect_root
@@ -199,10 +199,10 @@ class TestUtilityGrid:
             utility_grid(ref_model, 1)
 
     def test_two_players_only(self):
-        three = make_model(gains=((1.0, 0.1, 0.1), (0.1, 1.0, 0.1),
-                                  (0.1, 0.1, 1.0)))
-        with pytest.raises(ValueError, match="2 players"):
-            utility_grid(three, 5)
+        # a model of any other size cannot be built, so the plane never sees one
+        with pytest.raises(ValueError, match=r"^gains: need exactly 2 players, got 3$"):
+            utility_grid(make_model(gains=((1.0, 0.1, 0.1), (0.1, 1.0, 0.1),
+                                           (0.1, 0.1, 1.0))), 5)
 
     def test_single_user_bound(self, ref_model, grid_points):
         # nobody beats the best interference-free efficiency of their link
@@ -410,7 +410,7 @@ class TestZoom:
         # for each frontier cell (x, y), each piece's point where u1 first
         # reaches x, or a lone best response, is in the box with u2 >= y;
         # within 1e-12, as the cells' array utilities round differently
-        pieces = _pieces(model, _channel(model))
+        pieces = _pieces(model)
         lone = [(best_response_ee(model, (0.0, 0.0), 0), 0.0),
                 (0.0, best_response_ee(model, (0.0, 0.0), 1))]
         u = lambda s, k: ee_utility(model, s, k)
@@ -441,7 +441,7 @@ class TestZoom:
         # along the curve, from (0, BR2(0)) to (BR1(0), 0), u1 rises and u2
         # falls; the powers need not be monotone, and the box may cut the
         # curve more than once
-        (_, hi, _, first, _), (_, _, _, second, _) = _pieces(model, _channel(model))[:2]
+        (_, hi, _, first, _), (_, _, _, second, _) = _pieces(model)[:2]
         ts = [hi * i / 400 for i in range(401)]
         path = [first(t) for t in ts] + [second(t) for t in reversed(ts)]
         assume(all(s is not None for s in path))
@@ -504,7 +504,7 @@ class TestPieceSlopes:
                                                cap, piece, share):
         model = two_by_two(direct, cross, packet_bits=bits, noise_power=noise,
                            rate_scale=rate, processing_gain=w, power_cap=cap)
-        lo, hi, _, at, slope = _pieces(model, _channel(model))[piece]
+        lo, hi, _, at, slope = _pieces(model)[piece]
         t = lo + share * (hi - lo)
         h = 2e-5 * (hi - lo)
         ends = [at(t + d) for d in (-h, h, -0.5 * h, 0.5 * h)]
@@ -567,14 +567,14 @@ class TestBandedSearch:
             calls.append(asked[0])
             return inverse(*args)
 
-        def counted(model, channel):
+        def counted(model):
             def tag(i, f):
                 def tagged(t):
                     asked[0] = i, t
                     return f(t)
                 return tagged
             return [(lo, hi, k, tag(i, at), tag(i, slope))
-                    for i, (lo, hi, k, at, slope) in enumerate(pieces(model, channel))]
+                    for i, (lo, hi, k, at, slope) in enumerate(pieces(model))]
 
         monkeypatch.setattr(icpower.efficiency, "_ratio_inverse", solved)
         monkeypatch.setattr(icpower.efficiency, "_pieces", counted)
@@ -590,10 +590,9 @@ class TestBandedSearch:
 
 class TestCheckedOnce:
     """The searches check profiles at their boundary and score every candidate
-    with the utilities of one ``_channel`` map built per search, so the number
-    of profile checks is a small constant, the best responses that set the
-    equilibrium and the pieces' ends, and so is the number of calls to
-    ``continuous._utility``, the kernel of the points they return."""
+    with the unchecked ``continuous._utility``, so the number of profile checks
+    is a small constant: the best responses that set the equilibrium and the
+    pieces' ends."""
 
     def test_checks_do_not_grow_with_the_samples(self, ref_model, monkeypatch):
         checked, calls = icpower.network._checked, []
@@ -612,25 +611,6 @@ class TestCheckedOnce:
             bargaining_points(ref_model, nash_equilibrium(ref_model))
             counts.append(len(calls))
         assert 0 < counts[0] <= 20 and len(set(counts)) == 1, counts
-
-    def test_kernel_calls_do_not_grow_with_the_samples(self, ref_model, monkeypatch):
-        kernel, calls = icpower.continuous._utility, []
-
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
-        for module in (icpower.continuous, icpower.efficiency):
-            monkeypatch.setattr(module, "_utility", counted)
-        disagreement = nash_equilibrium(ref_model)
-        counts = []
-        for samples in (48, 96, 192):
-            monkeypatch.setattr(icpower.efficiency, "_SAMPLES", samples)
-            calls.clear()
-            social_optimum(ref_model, Weights((0.5, 0.5)))
-            bargaining_points(ref_model, disagreement)
-            counts.append(len(calls))
-        # two utilities for each of the three points returned
-        assert 0 < counts[0] <= 6 and len(set(counts)) == 1, counts
 
 
 class TestRootCounts:

@@ -23,8 +23,10 @@ class TestNetworkModelValidation:
             make_model(gains=((0.75, 0.5, 0.1), (0.25, 1.0, 0.1)))
 
     def test_needs_two_players(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match=r"^gains: need exactly 2 players, got 1$"):
             make_model(gains=((1.0,),))
+        with pytest.raises(ValueError, match=r"^gains: need exactly 2 players, got 3$"):
+            make_model(gains=((1.0, 0.1, 0.1), (0.1, 1.0, 0.1), (0.1, 0.1, 1.0)))
 
     def test_negative_cross_gain_rejected(self):
         with pytest.raises(ValueError, match=r"gains\[0\]\[1\] must be >= 0"):

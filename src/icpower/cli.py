@@ -233,9 +233,8 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
             norm_powers = report.solution.normalized(cfg.model.noise_power)
             _say(args, f"α = {alpha:.4g}: s̃*/σ² = {_fmt_vec(norm_powers, 2)}, "
                        f"σ²u/t = {_fmt_vec(report.normalized_utilities, 3)}")
-        ks = range(1, cfg.model.num_players + 1)
-        header = (["alpha"] + [f"s_{k}" for k in ks] + [f"u_{k}" for k in ks]
-                  + [f"u{k}_norm" for k in ks] + ["iterations", "converged"])
+        header = ["alpha", "s_1", "s_2", "u_1", "u_2", "u1_norm", "u2_norm",
+                  "iterations", "converged"]
         rows = [[alpha, *r.solution.powers, *r.utilities, *r.normalized_utilities,
                  r.iterations, int(r.converged)] for alpha, r in runs]
         artifact = [{"alpha": alpha, **r.to_dict()} for alpha, r in runs]
@@ -306,9 +305,8 @@ def cmd_nbs(cfg: RunConfig, args) -> Output:
 # -- repeated ----------------------------------------------------------
 
 def cmd_repeated(cfg: RunConfig, args) -> Output:
-    if args.deviant is not None and not 1 <= args.deviant <= cfg.model.num_players:
-        raise ConfigError(f"--deviant must be a player number in "
-                          f"1..{cfg.model.num_players}")
+    if args.deviant not in (None, 1, 2):
+        raise ConfigError("--deviant must be a player number in 1..2")
     if args.stages < 0:
         raise ConfigError("--stages must be >= 0")
     if args.deviate_at < 0:
@@ -385,10 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ne)
 
     sp = sub.add_parser("pricing", help="equilibrium under a linear power surcharge")
-    sp.add_argument("--alpha", type=float, help="surcharge per watt "
-                                                "(default: from config)")
-    sp.add_argument("--sweep", metavar="LO:HI:STEPS",
-                    help="run a range of surcharge levels")
+    level = sp.add_mutually_exclusive_group()
+    level.add_argument("--alpha", type=float, help="surcharge per watt "
+                                                   "(default: from config)")
+    level.add_argument("--sweep", metavar="LO:HI:STEPS",
+                       help="run a range of surcharge levels")
     sp.set_defaults(func=cmd_pricing)
 
     sp = sub.add_parser("pareto",

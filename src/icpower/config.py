@@ -43,9 +43,9 @@ class SolverOutcomeError(ValueError):
 
 @dataclass(frozen=True)
 class Weights:
-    """Convex welfare weights, one per player."""
+    """Convex welfare weights: a pair, one per player."""
 
-    w: tuple[float, ...]
+    w: tuple[float, float]
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.w)
@@ -56,6 +56,8 @@ class Weights:
             raise ValueError(f"weights must sum to 1 (got {sum(vals)})")
         if not all(map(math.isfinite, vals)):
             raise ValueError("weights must be finite")
+        if len(vals) != 2:
+            raise ValueError(f"need 2, one per player, got {len(vals)}")
 
 
 @dataclass(frozen=True)
@@ -217,11 +219,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if "weights" in data:
         if not isinstance(data["weights"], (list, tuple)):
             raise ConfigError("weights: expected an array")
-        given = _build("weights", Weights, w=tuple(data["weights"]))
-        if len(given.w) != model.num_players:
-            raise ConfigError(f"weights: need {model.num_players}, one per player, "
-                              f"got {len(given.w)}")
-        weights["weights"] = given
+        weights["weights"] = _build("weights", Weights, w=tuple(data["weights"]))
 
     # search.priced_tol and search.refine_tol are deprecated and ignored
     search = (_dataclass_section(data, "search", SearchConfig,

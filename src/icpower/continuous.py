@@ -275,12 +275,12 @@ class SolveReport:
 def _report(model: NetworkModel, profile: tuple[float, ...],
             trace: list[tuple[float, ...]], residual: float, tol: float,
             termination: str, period: Optional[int] = None) -> SolveReport:
-    utilities = tuple(ee_utility(model, profile, k) for k in range(model.num_players))
+    utilities = tuple(ee_utility(model, profile, k) for k in (0, 1))
     return SolveReport(
         solution=PowerProfile(profile),
         utilities=utilities,
         normalized_utilities=tuple(u * model.utility_scale for u in utilities),
-        sinrs=tuple(sinr(model, profile, k) for k in range(model.num_players)),
+        sinrs=tuple(sinr(model, profile, k) for k in (0, 1)),
         iterations=len(trace) - 1,
         trace=tuple(trace),
         converged=termination == "converged",
@@ -309,20 +309,16 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
         raise ValueError("max_iter must be >= 1")
     if responder is None:
         responder = best_response_ee
-    k_range = range(model.num_players)
-    if init is None:
-        current = (model.power_cap,) * model.num_players
-    else:
-        current = power_tuple(init, model.num_players)
+    current = (model.power_cap,) * 2 if init is None else power_tuple(init)
     trace = [current]
     seen = {current: 0}  # profile -> its latest index in the trace
-    nxt = tuple(responder(model, current, k) for k in k_range)
+    nxt = tuple(responder(model, current, k) for k in (0, 1))
     step = max(abs(a - b) for a, b in zip(nxt, current))
     for _ in range(max_iter):
         trace.append(nxt)
         current = nxt
         # the residual sweep is the next iterate if the loop goes on
-        nxt = tuple(responder(model, current, k) for k in k_range)
+        nxt = tuple(responder(model, current, k) for k in (0, 1))
         residual = max(abs(a - b) for a, b in zip(nxt, current))
         if step <= tol and residual <= tol:
             return _report(model, current, trace, residual, tol, "converged")
@@ -337,12 +333,10 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
 
 def trace_csv_rows(model: NetworkModel, report: SolveReport) -> tuple[list[str], list[list]]:
     """Header and rows for a per-iteration CSV of the dynamics trace."""
-    ks = range(model.num_players)
-    header = (["iter"] + [f"s_{k + 1}" for k in ks]
-              + [f"u_{k + 1}" for k in ks] + [f"gamma_{k + 1}" for k in ks])
+    header = ["iter", "s_1", "s_2", "u_1", "u_2", "gamma_1", "gamma_2"]
     rows = []
     for n, prof in enumerate(report.trace):  # each row checked once
-        s = power_tuple(prof, model.num_players)
-        rows.append([n, *prof, *(_utility(model, s, k) for k in ks),
-                     *(_sinr_per_watt(model, s, k) * s[k] for k in ks)])
+        s = power_tuple(prof)
+        rows.append([n, *prof, *(_utility(model, s, k) for k in (0, 1)),
+                     *(_sinr_per_watt(model, s, k) * s[k] for k in (0, 1))])
     return header, rows

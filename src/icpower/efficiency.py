@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .config import SolverOutcomeError, Weights
+from .config import Weights
 from .continuous import _newton, _utility, best_response_ee, gamma_star
 from .network import (NetworkModel, PowerProfile, Powers, _sinr_per_watt, _utility_bound,
                       power_tuple, sinr_grid)
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
 __all__ = [
     "UtilityPoint",
     "UtilityPlane",
-    "EmptyImprovementRegionError",
     "utility_point",
     "utility_grid",
     "pareto_frontier",
@@ -52,13 +51,9 @@ class UtilityPoint(NamedTuple):
     normalized: tuple[float, ...]
 
 
-class EmptyImprovementRegionError(SolverOutcomeError):
-    """No profile in the box weakly improves on the disagreement point."""
-
-
 def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
-    s = power_tuple(profile, model.num_players)
-    utilities = tuple(_utility(model, s, k) for k in range(model.num_players))
+    s = power_tuple(profile)
+    utilities = (_utility(model, s, 0), _utility(model, s, 1))
     return UtilityPoint(profile=PowerProfile(s), utilities=utilities,
                         normalized=tuple(u * model.utility_scale for u in utilities))
 
@@ -292,9 +287,8 @@ def _search(model: NetworkModel, scores: list,
     narrow region still gets samples.  Every candidate is scored at its own
     powers, -inf outside the box, by ``continuous._utility``: ``ee_utility``'s
     floats without its checks, since the pieces' profiles and the lone best
-    responses are finite and nonnegative as built, and the disagreement
-    profile is checked once, here.  A score that is -inf at every candidate
-    raises EmptyImprovementRegionError.
+    responses are finite and nonnegative as built, and ``_bargain`` checks
+    the disagreement's.
     """
     cap, silent, unit = model.power_cap, (0.0, 0.0), _unit(model)
     slack = 1.0 + (model.packet_bits + 8) * math.ulp(1.0)  # q^L's rounding error
@@ -344,7 +338,7 @@ def _search(model: NetworkModel, scores: list,
             illinois_root(f, ts[a], ts[b], fa, fb)
 
     if disagreement is not None:
-        visit(power_tuple(disagreement.profile.powers, 2))
+        visit(disagreement.profile.powers)
     visit((best_response_ee(model, silent, 0), 0.0))
     visit((0.0, best_response_ee(model, silent, 1)))
     for lo, hi, k, at, slope in _pieces(model):
@@ -379,9 +373,6 @@ def _search(model: NetworkModel, scores: list,
                 if (a < b and v > -math.inf and (a == j or v > seen[a][1][i])
                         and (b == j or v >= seen[b][1][i])):
                     refine(i, a, b, at, slope, ts, seen)
-    if any(v == -math.inf for v, _ in best):
-        raise EmptyImprovementRegionError(
-            "no profile weakly improves on the disagreement utilities")
     return [utility_point(model, s) for _, s in best]
 
 
@@ -397,8 +388,6 @@ def _unit(model: NetworkModel) -> float:
 
 def social_optimum(model: NetworkModel, weights: Weights) -> UtilityPoint:
     """Maximize w1*u1 + w2*u2 over [0, power_cap]^2 (see ``_search``)."""
-    if len(weights.w) != 2:
-        raise ValueError(f"need 2 weights, got {len(weights.w)}")
     w1, w2 = weights.w
     return _search(model, [(lambda u1, u2: w1 * u1 + w2 * u2,
                             lambda u1, u2, du1, du2: w1 * du1 + w2 * du2)])[0]
@@ -425,10 +414,16 @@ def _bargain(model: NetworkModel, disagreement: UtilityPoint,
     """Maximize each of ``kinds`` (``_PRODUCT``, ``_EQUAL_GAIN``) of the
     nonnegative utility gains.
 
-    Points outside the improvement region score -inf; the disagreement
-    profile itself scores combine(0, 0).  The gains are in ``_search``'s
-    units, so g1 * g2 cannot overflow.
+    The disagreement point is its profile, which must lie in the box: d is
+    the utilities there, whatever ``disagreement.utilities`` claims, so that
+    profile scores combine(0, 0) and points outside the improvement region
+    score -inf.  The gains are in ``_search``'s units, so g1 * g2 cannot
+    overflow.
     """
+    disagreement = utility_point(model, disagreement.profile)
+    for i, s in enumerate(disagreement.profile.powers):
+        if s > model.power_cap:
+            raise ValueError(f"disagreement.profile[{i}] exceeds power_cap")
     d1, d2 = (d * _unit(model) for d in disagreement.utilities)
 
     def scorer(combine, rate):

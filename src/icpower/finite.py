@@ -83,10 +83,6 @@ class FiniteGame:
             raise ValueError(f"payoff matrix shape != expected {shape}")
         object.__setattr__(self, "payoffs", payoffs)
 
-    @property
-    def num_players(self) -> int:
-        return len(self.strategies)
-
     def profile_values(self, joint_index: Sequence[int]) -> tuple[float, ...]:
         """Map a joint strategy-index pair to the power levels it selects."""
         return tuple(self.strategies[k][i] for k, i in enumerate(joint_index))
@@ -207,8 +203,8 @@ def build_ic_game(params: FiniteGameParams, h: float,
 
 
 def _check_joint(game: FiniteGame, idx: tuple[int, ...]) -> None:
-    if len(idx) != game.num_players:
-        raise IndexError(f"joint index has {len(idx)} entries for {game.num_players} players")
+    if len(idx) != 2:
+        raise IndexError(f"joint index has {len(idx)} entries for 2 players")
     for k, i in enumerate(idx):
         if not 0 <= i < len(game.strategies[k]):
             raise IndexError(f"strategy index {i} out of range for player {k}")
@@ -230,7 +226,7 @@ def _own(game: FiniteGame, k: int) -> list[list[float]]:
 
 
 def _check_player(game: FiniteGame, k: int) -> None:
-    if not 0 <= k < game.num_players:
+    if k not in (0, 1):
         raise IndexError(f"player index {k} out of range")
 
 

@@ -80,10 +80,6 @@ class NetworkModel:
                                  f"/ noise_power must be finite")
 
     @property
-    def num_players(self) -> int:
-        return len(self.gains)
-
-    @property
     def utility_scale(self) -> float:
         """noise_power / rate_scale, which turns a utility into noise units."""
         return self.noise_power / self.rate_scale
@@ -91,15 +87,12 @@ class NetworkModel:
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """A vector of transmit powers, one per player (W)."""
+    """A pair of transmit powers, one per player (W)."""
 
-    powers: tuple[float, ...]
+    powers: tuple[float, float]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "powers", power_tuple(self.powers))
-
-    def __len__(self) -> int:
-        return len(self.powers)
 
     def normalized(self, noise_power: float) -> tuple[float, ...]:
         """Powers expressed in noise units, s / sigma^2."""
@@ -109,8 +102,8 @@ class PowerProfile:
 Powers = Union[PowerProfile, Sequence[float]]
 
 
-def power_tuple(profile: Powers, num_players: int | None = None) -> tuple[float, ...]:
-    """Coerce a profile-like argument to a tuple of floats, each >= 0 and finite."""
+def power_tuple(profile: Powers) -> tuple[float, float]:
+    """Coerce a profile-like argument to a pair of floats, each >= 0 and finite."""
     if isinstance(profile, PowerProfile):
         vals = profile.powers
     else:
@@ -120,10 +113,8 @@ def power_tuple(profile: Powers, num_players: int | None = None) -> tuple[float,
                 what = ">= 0" if math.isfinite(s) else "finite"
                 # index tests identity before ==, so it finds a NaN too
                 raise ValueError(f"powers[{vals.index(s)}] must be {what}")
-    if num_players is not None and len(vals) != num_players:
-        raise ValueError(
-            f"profile has {len(vals)} entries, model has {num_players} players"
-        )
+    if len(vals) != 2:
+        raise ValueError(f"profile has {len(vals)} entries, model has 2 players")
     return vals
 
 
@@ -136,9 +127,9 @@ def _utility_bound(model: NetworkModel, k: int) -> float:
 
 def _checked(model: NetworkModel, profile: Powers, k: int) -> tuple[float, ...]:
     """Coerce ``profile`` for ``model`` and check that k names a player."""
-    s = power_tuple(profile, model.num_players)
-    if not 0 <= k < model.num_players:
-        raise IndexError(f"player index {k} out of range for {model.num_players} players")
+    s = power_tuple(profile)
+    if k not in (0, 1):
+        raise IndexError(f"player index {k} out of range for 2 players")
     return s
 
 

@@ -39,16 +39,9 @@ class TriggerPolicy:
     cooperate_profile: PowerProfile
     punish_profile: PowerProfile
 
-    def __post_init__(self) -> None:
-        if len(self.cooperate_profile) != len(self.punish_profile):
-            raise ValueError("profiles must have the same number of players")
-
     def check_against(self, model: NetworkModel) -> None:
         for name, prof in (("cooperate_profile", self.cooperate_profile),
                            ("punish_profile", self.punish_profile)):
-            if len(prof) != model.num_players:
-                raise ValueError(f"{name} has {len(prof)} entries for "
-                                 f"{model.num_players} players")
             for i, s in enumerate(prof.powers):
                 if s > model.power_cap:
                     raise ValueError(f"{name}[{i}] exceeds power_cap")
@@ -114,7 +107,7 @@ def min_discount_from_utilities(u_dev: Sequence[float], u_coop: Sequence[float],
 
 
 def _utilities(model: NetworkModel, prof: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(ee_utility(model, prof, k) for k in range(model.num_players))
+    return tuple(ee_utility(model, prof, k) for k in (0, 1))
 
 
 def min_discount(model: NetworkModel, policy: TriggerPolicy) -> float:
@@ -122,8 +115,7 @@ def min_discount(model: NetworkModel, policy: TriggerPolicy) -> float:
     policy.check_against(model)
     u_coop = _utilities(model, policy.cooperate_profile.powers)
     u_punish = _utilities(model, policy.punish_profile.powers)
-    u_dev = [ee_utility(model, _deviation_profile(model, policy, k), k)
-             for k in range(model.num_players)]
+    u_dev = [ee_utility(model, _deviation_profile(model, policy, k), k) for k in (0, 1)]
     return min_discount_from_utilities(u_dev, u_coop, u_punish)
 
 
@@ -133,7 +125,7 @@ def _trigger_path(model: NetworkModel, policy: TriggerPolicy,
     cooperation pair, the number of stages that hold it, then the pairs after
     them, the last repeating forever.  Each distinct profile is evaluated once."""
     policy.check_against(model)
-    if deviant is not None and not 0 <= deviant < model.num_players:
+    if deviant not in (None, 0, 1):
         raise IndexError(f"deviant index {deviant} out of range")
     if deviate_at < 0:
         raise ValueError("deviate_at must be >= 0")
@@ -162,7 +154,7 @@ def simulate_trigger(model: NetworkModel, policy: TriggerPolicy, spec: DiscountS
     lead = spec.delta ** min(held_for, 2 ** 64)
     return tuple((1.0 - lead) * u_held[k]
                  + lead * discounted_utility([u[k] for _, u in after], spec)
-                 for k in range(model.num_players))
+                 for k in (0, 1))
 
 
 def trigger_csv_rows(model: NetworkModel, policy: TriggerPolicy, spec: DiscountSpec,
@@ -170,14 +162,12 @@ def trigger_csv_rows(model: NetworkModel, policy: TriggerPolicy, spec: DiscountS
                      stages: int = 20) -> tuple[list[str], list[list]]:
     """Stage-by-stage trigger trace with running discounted sums."""
     held, held_for, after = _trigger_path(model, policy, deviant, deviate_at)
-    ks = range(model.num_players)
-    header = (["stage"] + [f"s_{k + 1}" for k in ks] + [f"u_{k + 1}" for k in ks]
-              + [f"disc_u_{k + 1}" for k in ks])
-    running = [0.0] * model.num_players
+    header = ["stage", "s_1", "s_2", "u_1", "u_2", "disc_u_1", "disc_u_2"]
+    running = [0.0, 0.0]
     rows = []
     for n in range(stages):
         prof, stage_u = held if n < held_for else after[min(n - held_for, len(after) - 1)]
-        for k in ks:
+        for k in (0, 1):
             running[k] += spec.delta ** n * stage_u[k]
         rows.append([n, *prof, *stage_u, *running])
     return header, rows

@@ -129,7 +129,7 @@ class TestFinite:
         # artifact rebuilds into a valid game
         game = FiniteGame(strategies=tuple(tuple(r) for r in artifact["strategies"]),
                           payoffs=artifact["payoffs"])
-        assert game.num_players == 2
+        assert len(game.strategies) == 2
 
     @pytest.mark.parametrize("scenario, artifact", [
         ("nfe", {"scenario": "nfe", "strategies": [[0.0, 4.0], [0.0, 4.0]],
@@ -242,7 +242,8 @@ class TestPricing:
     def test_sweep_artifact_rows(self, tmp_path):
         assert run(tmp_path, "--quiet", "pricing", "--sweep", "0:0.12:5") == 0
         rows = read_csv(tmp_path, "pricing_sweep")
-        assert rows[0][0] == "alpha"
+        assert rows[0] == ["alpha", "s_1", "s_2", "u_1", "u_2", "u1_norm", "u2_norm",
+                           "iterations", "converged"]
         assert len(rows) == 6
         assert [float(r[0]) for r in rows[1:]] == pytest.approx(
             [0.0, 0.03, 0.06, 0.09, 0.12])
@@ -551,6 +552,19 @@ class TestDriver:
         assert code == 2
         assert ("error: --n: n_per_axis must be >= 2" if command == "pareto"
                 else "error: unrecognized arguments: --n 0") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", ["0.1", "nan"])
+    def test_alpha_and_sweep_are_exclusive(self, tmp_path, capsys, alpha):
+        # a sweep sets every surcharge level, so an --alpha beside it is an
+        # error, never silently ignored
+        try:
+            code = run(tmp_path, "--quiet", "pricing", "--alpha", alpha, "--sweep", "0:0.1:3")
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code == 2
+        assert ("argument --sweep: not allowed with argument --alpha"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n", ["0", "5"])
@@ -863,7 +877,7 @@ class TestDriver:
 
     def test_default_config_resolves(self):
         cfg = config_from_dict(json.loads(default_config_path().read_text()))
-        assert cfg.model.num_players == 2
+        assert len(cfg.model.gains) == 2
 
 
 class TestOneParser:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from icpower import (ConfigError, RunConfig, config_from_dict,
+from icpower import (ConfigError, RunConfig, Weights, config_from_dict,
                      default_config_path, load_config, pure_nash)
 
 from conftest import make_model
@@ -60,6 +60,15 @@ class TestValidation:
         base_dict["weights"] = [0.5, 0.6]
         with pytest.raises(ConfigError, match="weights"):
             config_from_dict(base_dict)
+
+    @pytest.mark.parametrize("w, message", [
+        ((0.2, 0.3, 0.5), r"^need 2, one per player, got 3$"),
+        ((1.0,), r"^need 2, one per player, got 1$"),
+        ((0.5, 0.6, 0.1), r"^weights must sum to 1"),  # the count is checked last
+    ], ids=["three", "one", "three-bad-sum"])
+    def test_weights_are_a_pair(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            Weights(w)
 
     def test_one_weight_per_player(self, base_dict):
         base_dict["weights"] = [0.5, 0.25, 0.25]

@@ -51,32 +51,32 @@ def linear_solve_ne(model):
 def step_rule_dynamics(model, responder, tol, max_iter):
     """The earlier stop rule: stop on the first step <= tol, then spend one
     more sweep on the residual.  Returns (profile, trace, residual)."""
-    current = (model.power_cap,) * model.num_players
+    current = (model.power_cap,) * 2
     trace = [current]
     for _ in range(max_iter):
-        nxt = tuple(responder(model, current, k) for k in range(model.num_players))
+        nxt = tuple(responder(model, current, k) for k in range(2))
         trace.append(nxt)
         step = max(abs(a - b) for a, b in zip(nxt, current))
         current = nxt
         if step <= tol:
             break
     residual = max(abs(current[k] - responder(model, current, k))
-                   for k in range(model.num_players))
+                   for k in range(2))
     return current, tuple(trace), residual
 
 
 def max_iter_dynamics(model, responder, tol, max_iter, init=None):
     """The loop without the repeat check, which runs a cycle to max_iter.
     Returns (converged, profile, trace, residual)."""
-    current = (model.power_cap,) * model.num_players if init is None else tuple(init)
+    current = (model.power_cap,) * 2 if init is None else tuple(init)
     trace = [current]
-    nxt = tuple(responder(model, current, k) for k in range(model.num_players))
+    nxt = tuple(responder(model, current, k) for k in range(2))
     converged = False
     for _ in range(max_iter):
         trace.append(nxt)
         step = max(abs(a - b) for a, b in zip(nxt, current))
         current = nxt
-        nxt = tuple(responder(model, current, k) for k in range(model.num_players))
+        nxt = tuple(responder(model, current, k) for k in range(2))
         residual = max(abs(a - b) for a, b in zip(nxt, current))
         if step <= tol and residual <= tol:
             converged = True

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from icpower import (EmptyImprovementRegionError, PowerProfile, UtilityPlane,
-                     UtilityPoint, Weights, bargaining_points, best_response_ee,
-                     br_dynamics, distance_to_frontier, ee_utility, fairness_projection,
-                     gamma_star, in_improvement_region, nash_bargaining, nash_equilibrium,
-                     pareto_frontier, social_optimum, utility_grid, utility_point)
+from icpower import (PowerProfile, UtilityPlane, UtilityPoint, Weights, bargaining_points,
+                     best_response_ee, br_dynamics, distance_to_frontier, ee_utility,
+                     fairness_projection, gamma_star, in_improvement_region, nash_bargaining,
+                     nash_equilibrium, pareto_frontier, social_optimum, utility_grid,
+                     utility_point)
 import icpower.continuous
 import icpower.efficiency
 import icpower.network
@@ -295,9 +295,10 @@ class TestSocialOptimum:
         assert so.profile.powers == (best_response_ee(model, (0.0, 0.0), 0), 0.0)
         assert 0.5 * so.utilities[0] + 0.5 * so.utilities[1] >= 3.8611
 
-    def test_weight_count_checked(self, ref_model):
-        with pytest.raises(ValueError, match="2 weights"):
-            social_optimum(ref_model, Weights((1.0,)))
+    def test_weight_count_checked(self):
+        # the weights are a pair by type, so social_optimum needs no check
+        with pytest.raises(ValueError, match=r"^need 2, one per player, got 1$"):
+            Weights((1.0,))
 
 
 def ratio_root(y, bits):
@@ -547,13 +548,15 @@ class TestBandedSearch:
 
     @pytest.mark.parametrize("samples", [1, 100, 8192])
     def test_grid_of_infeasible_bands_raises(self, ref_model, monkeypatch, samples):
-        # disagreement utilities no profile reaches, at any number of samples
-        # on each piece of the frontier
-        unreachable = UtilityPoint(PowerProfile((0.0, 0.0)), (10.0, 10.0), (10.0, 10.0))
+        # disagreement utilities no profile reaches, claimed at a profile in
+        # the box: the search scores from the profile's own utilities, at any
+        # number of samples on each piece of the frontier
+        profile = PowerProfile((0.0, 0.0))
+        claimed = UtilityPoint(profile, (10.0, 10.0), (10.0, 10.0))
         monkeypatch.setattr(icpower.efficiency, "_SAMPLES", samples)
         for search in (nash_bargaining, fairness_projection, bargaining_points):
-            with pytest.raises(EmptyImprovementRegionError):
-                search(ref_model, unreachable)
+            assert search(ref_model, claimed) == search(ref_model,
+                                                        utility_point(ref_model, profile))
 
     def test_no_curve_point_is_evaluated_twice(self, ref_model, ne_point, nbs_point,
                                                monkeypatch):
@@ -715,7 +718,7 @@ class TestImprovementRegion:
         assert not in_improvement_region(ne_point, so_point)
 
     def test_dimension_mismatch(self, ne_point):
-        odd = UtilityPoint(profile=PowerProfile((1.0,)), utilities=(1.0,),
+        odd = UtilityPoint(profile=PowerProfile((1.0, 1.0)), utilities=(1.0,),
                            normalized=(1.0,))
         with pytest.raises(ValueError, match="length"):
             in_improvement_region(odd, ne_point)
@@ -748,12 +751,27 @@ class TestNashBargaining:
         assert abs(u1 - u2) <= 1e-4
 
     def test_empty_region_raises(self, ref_model):
-        # utilities no profile reaches, claimed at a profile in the box
-        unreachable = UtilityPoint(profile=PowerProfile((1.0, 1.0)),
-                                   utilities=(10.0, 10.0), normalized=(10.0, 10.0))
+        # utilities no profile reaches, claimed at a profile in the box, do
+        # not empty the region: the search scores from the profile's own
+        # utilities
+        profile = PowerProfile((1.0, 1.0))
+        claimed = UtilityPoint(profile=profile, utilities=(10.0, 10.0),
+                               normalized=(10.0, 10.0))
+        d = utility_point(ref_model, profile)
+        for search in (nash_bargaining, fairness_projection):
+            got = search(ref_model, claimed)
+            assert got == search(ref_model, d)
+            assert in_improvement_region(got, d)
+        assert bargaining_points(ref_model, claimed) == bargaining_points(ref_model, d)
+
+    @pytest.mark.parametrize("powers", [(5.5, 1.0), (1.0, 5.0000001)],
+                             ids=["player-1", "player-2"])
+    def test_disagreement_above_the_cap_raises(self, ref_model, powers):
+        above = utility_point(ref_model, powers)
         for search in (nash_bargaining, fairness_projection, bargaining_points):
-            with pytest.raises(EmptyImprovementRegionError):
-                search(ref_model, unreachable)
+            with pytest.raises(ValueError, match=r"^disagreement\.profile\[\d\] "
+                                                 r"exceeds power_cap$"):
+                search(ref_model, above)
 
 
 class TestFairnessProjection:

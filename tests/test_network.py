@@ -16,7 +16,7 @@ from conftest import make_model
 
 class TestNetworkModelValidation:
     def test_reference_model_builds(self, ref_model):
-        assert ref_model.num_players == 2
+        assert len(ref_model.gains) == 2
 
     def test_gains_must_be_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -89,18 +89,24 @@ class TestPowerProfile:
     def test_normalized(self):
         assert PowerProfile((3.0, 1.0)).normalized(2.0) == (1.5, 0.5)
 
-    def test_len(self):
-        assert len(PowerProfile((1.0, 2.0, 3.0))) == 3
-
     def test_power_tuple_accepts_profile_list_array(self):
         expected = (1.0, 2.0)
-        assert power_tuple(PowerProfile(expected), 2) == expected
-        assert power_tuple([1, 2], 2) == expected
-        assert power_tuple(np.array([1.0, 2.0]), 2) == expected
+        assert power_tuple(PowerProfile(expected)) == expected
+        assert power_tuple([1, 2]) == expected
+        assert power_tuple(np.array([1.0, 2.0])) == expected
 
     def test_power_tuple_length_mismatch(self):
-        with pytest.raises(ValueError, match="2 entries"):
-            power_tuple((1.0, 2.0), 3)
+        with pytest.raises(ValueError, match=r"^profile has 3 entries, model has 2 players$"):
+            power_tuple((1.0, 2.0, 3.0))
+        # the entries are checked first
+        with pytest.raises(ValueError, match=r"powers\[2\] must be >= 0"):
+            power_tuple((1.0, 2.0, -3.0))
+
+    @pytest.mark.parametrize("powers", [(1.0,), (1.0, 2.0, 3.0)], ids=["one", "three"])
+    def test_profile_is_a_pair(self, powers):
+        with pytest.raises(ValueError, match=rf"^profile has {len(powers)} entries, "
+                                             r"model has 2 players$"):
+            PowerProfile(powers)
 
 
 # the public functions that take a raw profile; each checks it as it coerces it

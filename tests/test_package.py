@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import icpower
-from icpower import CooperationNotRationalError, EmptyImprovementRegionError
+from icpower import CooperationNotRationalError
 
 # A fresh interpreter imports the package and the CLI, loads the bundled
 # config, runs main(argv) unless argv is null, and prints the exit code and
@@ -78,7 +78,6 @@ def test_unknown_attribute_raises():
         icpower.nonexistent
 
 
-@pytest.mark.parametrize("error", [EmptyImprovementRegionError,
-                                   CooperationNotRationalError])
+@pytest.mark.parametrize("error", [CooperationNotRationalError])
 def test_solver_outcomes_stay_value_errors(error):
     assert isinstance(error("no answer"), ValueError)

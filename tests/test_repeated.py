@@ -34,10 +34,10 @@ def stage_by_stage(model, policy, spec, deviant, deviate_at, stages):
         dev = list(coop)
         dev[deviant] = best_response_ee(model, coop, deviant)
         path = [coop] * deviate_at + [tuple(dev), policy.punish_profile.powers]
-    ks = range(model.num_players)
+    ks = range(2)
     payoffs = tuple(discounted_utility([ee_utility(model, prof, k) for prof in path],
                                        spec) for k in ks)
-    running = [0.0] * model.num_players
+    running = [0.0] * 2
     rows = []
     for n in range(stages):
         prof = path[n] if n < len(path) else path[-1]
@@ -49,12 +49,10 @@ def stage_by_stage(model, policy, spec, deviant, deviate_at, stages):
 
 
 class TestTypes:
-    def test_profile_length_mismatch(self, ref_model):
-        with pytest.raises(ValueError, match="same number"):
+    def test_profile_length_mismatch(self):
+        # a policy holds two profiles, and each is a pair by type
+        with pytest.raises(ValueError, match=r"^profile has 1 entries, model has 2 players$"):
             TriggerPolicy(PowerProfile((1.0, 1.0)), PowerProfile((1.0,)))
-        three = TriggerPolicy(PowerProfile((1.0,) * 3), PowerProfile((1.0,) * 3))
-        with pytest.raises(ValueError, match="cooperate_profile has 3 entries for 2"):
-            min_discount(ref_model, three)
 
     def test_policy_checked_against_cap(self, ref_model):
         policy = TriggerPolicy(PowerProfile((6.0, 1.0)), PowerProfile((1.0, 1.0)))

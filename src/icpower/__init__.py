@@ -7,7 +7,8 @@ grim-trigger repeated play (repeated), bisection and bracketed roots
 (numerics), and a JSON-configured CLI (config, cli).  The package
 re-exports every module's ``__all__`` except the CLI's.  No module imports
 numpy at import time: efficiency imports it inside the functions that build
-the utility plane.
+the utility plane.  No module imports ``dataclasses``: the record types are
+``__slots__`` classes on ``network._Record``, which keeps start-up short.
 """
 from . import config, continuous, efficiency, finite, network, numerics, repeated
 from .config import *

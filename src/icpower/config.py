@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .continuous import PricingConfig
 from .finite import FiniteGame, FiniteGameParams, build_ic_game, build_nfe_game
-from .network import NetworkModel
+from .network import NetworkModel, _Record
 
 __all__ = [
     "ConfigError",
@@ -41,15 +39,14 @@ class SolverOutcomeError(ValueError):
     """A valid config has no answer of the kind asked for; the CLI exits 3."""
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(_Record):
     """Convex welfare weights: a pair, one per player."""
 
-    w: tuple[float, float]
+    __slots__ = ("w",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.w)
-        object.__setattr__(self, "w", vals)
+    def __init__(self, w: tuple[float, float]) -> None:
+        vals = tuple(float(v) for v in w)
+        self._set(vals)
         if any(v < 0 for v in vals):
             raise ValueError("weights must be >= 0")
         if abs(sum(vals) - 1.0) > 1e-12:
@@ -60,16 +57,15 @@ class Weights:
             raise ValueError(f"need 2, one per player, got {len(vals)}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Numerical settings: the utility plane's points per axis (``pareto``),
     and the tolerance and sweep limit of ``ne``'s and ``pricing``'s dynamics."""
 
-    n_per_axis: int = 400
-    br_tol: float = 1e-10
-    max_iter: int = 10_000
+    __slots__ = ("n_per_axis", "br_tol", "max_iter")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_per_axis: int = 400, br_tol: float = 1e-10,
+                 max_iter: int = 10_000) -> None:
+        self._set(n_per_axis, br_tol, max_iter)
         if not (isinstance(self.n_per_axis, int) and self.n_per_axis >= 2):
             raise ValueError("n_per_axis must be an integer >= 2")
         if not self.br_tol > 0:
@@ -80,26 +76,23 @@ class SearchConfig:
             raise ValueError("max_iter must be an integer >= 1")
 
 
-@dataclass(frozen=True)
-class OutputConfig:
-    directory: str = "out"
+class OutputConfig(_Record):
+    __slots__ = ("directory",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, directory: str = "out") -> None:
+        self._set(directory)
         if not self.directory:
             raise ValueError("directory must be non-empty")
 
 
-@dataclass(frozen=True)
-class FiniteScenario:
+class FiniteScenario(_Record):
     """Finite-game section: reward parameters plus per-scenario gains."""
 
-    scenario: str
-    params: FiniteGameParams
-    h: Optional[float] = None
-    h1: Optional[float] = None
-    h2: Optional[float] = None
+    __slots__ = ("scenario", "params", *GAIN_KEYS)
 
-    def __post_init__(self) -> None:
+    def __init__(self, scenario: str, params: FiniteGameParams, h: Optional[float] = None,
+                 h1: Optional[float] = None, h2: Optional[float] = None) -> None:
+        self._set(scenario, params, h, h1, h2)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         for key in GAIN_KEYS:
@@ -131,14 +124,15 @@ class FiniteScenario:
             raise ConfigError(f"finite.gains: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    model: NetworkModel
-    finite: Optional[FiniteScenario] = None
-    pricing: Optional[PricingConfig] = None
-    weights: Weights = field(default_factory=lambda: Weights((0.5, 0.5)))
-    search: SearchConfig = field(default_factory=SearchConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+class RunConfig(_Record):
+    __slots__ = ("model", "finite", "pricing", "weights", "search", "output")
+
+    def __init__(self, model: NetworkModel, finite: Optional[FiniteScenario] = None,
+                 pricing: Optional[PricingConfig] = None,
+                 weights: Weights = Weights((0.5, 0.5)),
+                 search: SearchConfig = SearchConfig(),
+                 output: OutputConfig = OutputConfig()) -> None:
+        self._set(model, finite, pricing, weights, search, output)
 
 
 def _check_keys(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
@@ -182,10 +176,30 @@ def _check_numbers(value, path: str) -> None:
         raise ConfigError(f"{path}: must be finite, got {json.dumps(value)}")
 
 
-def _dataclass_section(data: dict, key: str, cls, ignored: tuple[str, ...] = ()):
-    """Build ``cls`` from the object at ``data[key]``, whose keys are its fields."""
+def _check_type(value, path: str, kind=0) -> None:
+    """Require a string at ``path`` (kind str), a number (kind 0) or an array
+    whose entries pass at kind - 1.  A boolean passes as an int, so that
+    ``_check_numbers`` names it after the field's own checks, as before."""
+    if kind is str:
+        ok, want = isinstance(value, str), "a string"
+    elif kind:
+        ok, want = isinstance(value, (list, tuple)), "an array"
+    else:
+        ok, want = isinstance(value, (int, float)), "a number"
+    if not ok:
+        raise ConfigError(f"{path}: must be {want}, got {json.dumps(value, default=repr)}")
+    if kind and kind is not str:
+        for i, item in enumerate(value):
+            _check_type(item, f"{path}[{i}]", kind - 1)
+
+
+def _record_section(data: dict, key: str, cls, ignored: tuple[str, ...] = (), **kinds):
+    """Build ``cls`` from the object at ``data[key]``, whose keys are its fields,
+    each a number unless ``kinds`` gives its kind for ``_check_type``."""
     values = {k: v for k, v in _section(data, key).items() if k not in ignored}
-    _check_keys(values, tuple(f.name for f in fields(cls)), key)
+    _check_keys(values, cls.__slots__, key)
+    for name, value in values.items():
+        _check_type(value, f"{key}.{name}", kinds.get(name, 0))
     return _build(key, cls, **values)
 
 
@@ -196,15 +210,17 @@ def config_from_dict(data: dict) -> RunConfig:
                 "top level")
     if "network" not in data:
         raise ConfigError("network: section is required")
-    model = _dataclass_section(data, "network", NetworkModel)
+    model = _record_section(data, "network", NetworkModel, gains=2)
 
     finite = None
     if "finite" in data:
         fin = _section(data, "finite")
-        param_keys = tuple(f.name for f in fields(FiniteGameParams))
+        param_keys = FiniteGameParams.__slots__
         _check_keys(fin, ("scenario", *param_keys, "gains"), "finite")
-        params = _build("finite", FiniteGameParams,
-                        **{k: fin[k] for k in param_keys if k in fin})
+        values = {k: fin[k] for k in param_keys if k in fin}
+        for key, value in values.items():
+            _check_type(value, f"finite.{key}")
+        params = _build("finite", FiniteGameParams, **values)
         gains = fin.get("gains", {})
         if not isinstance(gains, dict):
             raise ConfigError("finite.gains: expected an object")
@@ -212,20 +228,21 @@ def config_from_dict(data: dict) -> RunConfig:
         finite = _build("finite", FiniteScenario,
                         scenario=fin.get("scenario", "ic"), params=params, **gains)
 
-    pricing = (_dataclass_section(data, "pricing", PricingConfig)
+    pricing = (_record_section(data, "pricing", PricingConfig)
                if "pricing" in data else None)
 
     weights = {}  # none given: RunConfig's equal weights
     if "weights" in data:
         if not isinstance(data["weights"], (list, tuple)):
             raise ConfigError("weights: expected an array")
+        _check_type(data["weights"], "weights", 1)
         weights["weights"] = _build("weights", Weights, w=tuple(data["weights"]))
 
     # search.priced_tol and search.refine_tol are deprecated and ignored
-    search = (_dataclass_section(data, "search", SearchConfig,
-                                 ignored=("priced_tol", "refine_tol"))
+    search = (_record_section(data, "search", SearchConfig,
+                              ignored=("priced_tol", "refine_tol"))
               if "search" in data else SearchConfig())
-    output = (_dataclass_section(data, "output", OutputConfig)
+    output = (_record_section(data, "output", OutputConfig, directory=str)
               if "output" in data else OutputConfig())
 
     _check_numbers(data, "")  # last, so each field's own check speaks first
@@ -253,4 +270,4 @@ def load_config(path) -> RunConfig:
 
 def default_config_path() -> Path:
     """Path of the bundled default config (the reference network)."""
-    return Path(str(resources.files("icpower").joinpath("data/paper.json")))
+    return Path(__file__).with_name("data") / "paper.json"

@@ -12,11 +12,10 @@ ratio R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
-from .network import (NetworkModel, PowerProfile, Powers, _checked, _sinr_per_watt,
+from .network import (NetworkModel, PowerProfile, Powers, _checked, _Record, _sinr_per_watt,
                       effective_gain, power_tuple, sinr)
 
 __all__ = [
@@ -72,13 +71,13 @@ def _utility(model: NetworkModel, s: tuple[float, ...], k: int) -> float:
                                                 model) / power
 
 
-@dataclass(frozen=True)
-class PricingConfig:
+class PricingConfig(_Record):
     """Linear power surcharge: each player pays alpha per watt of utility."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: float) -> None:
+        self._set(alpha)
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
 
@@ -192,8 +191,7 @@ def priced_responder(pricing: PricingConfig) -> Responder:
 _TERMINATIONS = ("converged", "cycle", "max_iter")
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Record):
     """Outcome of a best-response iteration.
 
     ``utilities`` are the plain energy efficiencies at the solution (also for
@@ -206,19 +204,16 @@ class SolveReport:
     a cycle.
     """
 
-    solution: PowerProfile
-    utilities: tuple[float, ...]
-    normalized_utilities: tuple[float, ...]
-    sinrs: tuple[float, ...]
-    iterations: int
-    trace: tuple[tuple[float, ...], ...]
-    converged: bool
-    residual: float
-    tolerance: float
-    termination: str
-    period: Optional[int] = None
+    __slots__ = ("solution", "utilities", "normalized_utilities", "sinrs", "iterations",
+                 "trace", "converged", "residual", "tolerance", "termination", "period")
 
-    def __post_init__(self) -> None:
+    def __init__(self, solution: PowerProfile, utilities: tuple[float, ...],
+                 normalized_utilities: tuple[float, ...], sinrs: tuple[float, ...],
+                 iterations: int, trace: tuple[tuple[float, ...], ...], converged: bool,
+                 residual: float, tolerance: float, termination: str,
+                 period: Optional[int] = None) -> None:
+        self._set(solution, utilities, normalized_utilities, sinrs, iterations, trace,
+                  converged, residual, tolerance, termination, period)
         if len(self.trace) != self.iterations + 1:
             raise ValueError("trace must hold iterations + 1 profiles")
         if not self.trace or self.trace[-1] != self.solution.powers:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import Weights
 from .continuous import _newton, _utility, best_response_ee, gamma_star
-from .network import (NetworkModel, PowerProfile, Powers, _sinr_per_watt, _utility_bound,
-                      power_tuple, sinr_grid)
+from .network import (NetworkModel, PowerProfile, Powers, _Record, _sinr_per_watt,
+                      _utility_bound, power_tuple, sinr_grid)
 from .numerics import illinois_root
 
 if TYPE_CHECKING:
@@ -70,19 +69,21 @@ def _surfaces(model: NetworkModel, axis: np.ndarray) -> tuple[np.ndarray, np.nda
     return gammas
 
 
-@dataclass(frozen=True, eq=False)
-class UtilityPlane:
+class UtilityPlane(_Record):
     """Utility surfaces sampled on an n x n power grid.
 
     ``u1[i, j]`` and ``u2[i, j]`` are the players' utilities at the profile
     ``(axis[i], axis[j])`` of ``model``.  Flat cell k is ``(i, j) =
-    divmod(k, n)``, so flat cells run in s1-major order.
+    divmod(k, n)``, so flat cells run in s1-major order.  Planes compare by
+    identity: arrays have no single truth value to compare by.
     """
 
-    axis: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    model: NetworkModel
+    __slots__ = ("axis", "u1", "u2", "model")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, axis: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                 model: NetworkModel) -> None:
+        self._set(axis, u1, u2, model)
 
     def point(self, k: int) -> UtilityPoint:
         """The profile and utilities of flat cell k."""

@@ -9,10 +9,9 @@ hold nested tuples of floats, so they compare by value and hash.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .network import NetworkModel, _sinr_per_watt
+from .network import NetworkModel, _Record, _sinr_per_watt
 
 __all__ = [
     "FiniteGame",
@@ -35,15 +34,14 @@ __all__ = [
 _THRESHOLD_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FiniteGameParams:
+class FiniteGameParams(_Record):
     """Reward/cost parameters of the on/off transmission games."""
 
-    throughput_reward: float = 1.0
-    power_cost: float = 0.01
-    sinr_threshold: float = 4.0
+    __slots__ = ("throughput_reward", "power_cost", "sinr_threshold")
 
-    def __post_init__(self) -> None:
+    def __init__(self, throughput_reward: float = 1.0, power_cost: float = 0.01,
+                 sinr_threshold: float = 4.0) -> None:
+        self._set(throughput_reward, power_cost, sinr_threshold)
         if not self.throughput_reward > self.power_cost > 0:
             raise ValueError("need throughput_reward > power_cost > 0")
         if not self.sinr_threshold > 0:
@@ -58,30 +56,28 @@ def _floats(rows) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class FiniteGame:
+class FiniteGame(_Record):
     """A two-player finite game: per-player strategy lists plus a payoff matrix.
 
     ``payoffs[i][j]`` is the utility pair ``(u1, u2)`` when player 0 plays
     its strategy i and player 1 its strategy j.
     """
 
-    strategies: tuple[tuple[float, ...], tuple[float, ...]]
-    payoffs: tuple[tuple[tuple[float, float], ...], ...]
+    __slots__ = ("strategies", "payoffs")
 
-    def __post_init__(self) -> None:
-        strategies = _floats(self.strategies)
+    def __init__(self, strategies: Sequence[Sequence[float]],
+                 payoffs: Sequence[Sequence[Sequence[float]]]) -> None:
+        strategies = _floats(strategies)
         if len(strategies) != 2:
             raise ValueError(f"a finite game has 2 players, got {len(strategies)}")
         if not all(strategies):
             raise ValueError("every player needs at least one strategy")
-        object.__setattr__(self, "strategies", strategies)
-        payoffs = tuple(_floats(row) for row in self.payoffs)
+        payoffs = tuple(_floats(row) for row in payoffs)
         shape = tuple(map(len, strategies)) + (2,)
         if (len(payoffs) != shape[0] or any(len(row) != shape[1] for row in payoffs)
                 or any(len(cell) != 2 for row in payoffs for cell in row)):
             raise ValueError(f"payoff matrix shape != expected {shape}")
-        object.__setattr__(self, "payoffs", payoffs)
+        self._set(strategies, payoffs)
 
     def profile_values(self, joint_index: Sequence[int]) -> tuple[float, ...]:
         """Map a joint strategy-index pair to the power levels it selects."""
@@ -97,21 +93,20 @@ class FiniteGame:
                    payoffs=data["payoffs"])
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Record):
     """A probability distribution over joint strategy profiles:
     ``probabilities[i][j]`` is the weight of ``(i, j)``."""
 
-    probabilities: tuple[tuple[float, ...], ...]
+    __slots__ = ("probabilities",)
 
-    def __post_init__(self) -> None:
-        rows = _floats(self.probabilities)
+    def __init__(self, probabilities: Sequence[Sequence[float]]) -> None:
+        rows = _floats(probabilities)
         if any(v < 0 for row in rows for v in row):
             raise ValueError("probabilities must be >= 0")
         total = math.fsum(v for row in rows for v in row)
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"probabilities must sum to 1 (got {total})")
-        object.__setattr__(self, "probabilities", rows)
+        self._set(rows)
 
     @classmethod
     def point_mass(cls, shape: Sequence[int], joint_index: Sequence[int]) -> "JointDistribution":
@@ -134,14 +129,13 @@ class JointDistribution:
         return cls(probabilities=rows)
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(_Record):
     """One dominance-elimination step: who lost what to what."""
 
-    round: int
-    player: int
-    strategy: float
-    dominator: float
+    __slots__ = ("round", "player", "strategy", "dominator")
+
+    def __init__(self, round: int, player: int, strategy: float, dominator: float) -> None:
+        self._set(round, player, strategy, dominator)
 
 
 def _on_off_game(params: FiniteGameParams, gains: tuple,
@@ -157,7 +151,8 @@ def _on_off_game(params: FiniteGameParams, gains: tuple,
     model = NetworkModel(gains, noise_power, processing_gain, power_cap=1.0,
                          packet_bits=1, rate_scale=1.0)
     p = params.power_level(gains[0][0], noise_power, processing_gain)
-    model = replace(model, power_cap=p)
+    model = NetworkModel(model.gains, noise_power, processing_gain, power_cap=p,
+                         packet_bits=1, rate_scale=1.0)
     levels = (0.0, model.power_cap)
 
     def cell(s: tuple[float, float]) -> tuple[float, float]:

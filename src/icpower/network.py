@@ -7,7 +7,6 @@ direct links.  Players are indexed from 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -16,8 +15,46 @@ if TYPE_CHECKING:
 __all__ = ["NetworkModel", "PowerProfile", "effective_gain", "sinr", "sinr_grid"]
 
 
-@dataclass(frozen=True)
-class NetworkModel:
+class _Record:
+    """Base of the package's frozen value types.
+
+    A subclass names its fields in ``__slots__`` and sets them in ``__init__``
+    with ``_set``.  Its instances then refuse assignment, compare equal and
+    hash by type and field values, and print as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return type(self), self._values()
+
+
+class NetworkModel(_Record):
     """An interference channel with one receiver per transmitter.
 
     Attributes:
@@ -33,16 +70,14 @@ class NetworkModel:
             bound on player j's utility, finite.
     """
 
-    gains: tuple[tuple[float, ...], ...]
-    noise_power: float
-    processing_gain: float
-    power_cap: float
-    packet_bits: int
-    rate_scale: float
+    __slots__ = ("gains", "noise_power", "processing_gain", "power_cap", "packet_bits",
+                 "rate_scale")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(float(g) for g in row) for row in self.gains)
-        object.__setattr__(self, "gains", rows)
+    def __init__(self, gains: Sequence[Sequence[float]], noise_power: float,
+                 processing_gain: float, power_cap: float, packet_bits: int,
+                 rate_scale: float) -> None:
+        rows = tuple(tuple(float(g) for g in row) for row in gains)
+        self._set(rows, noise_power, processing_gain, power_cap, packet_bits, rate_scale)
         if len(rows) != 2:
             raise ValueError(f"gains: need exactly 2 players, got {len(rows)}")
         if any(len(row) != 2 for row in rows):
@@ -85,14 +120,13 @@ class NetworkModel:
         return self.noise_power / self.rate_scale
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(_Record):
     """A pair of transmit powers, one per player (W)."""
 
-    powers: tuple[float, float]
+    __slots__ = ("powers",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "powers", power_tuple(self.powers))
+    def __init__(self, powers: Powers) -> None:
+        self._set(power_tuple(powers))
 
     def normalized(self, noise_power: float) -> tuple[float, ...]:
         """Powers expressed in noise units, s / sigma^2."""

@@ -7,12 +7,11 @@ the smallest discount factor that makes cooperation self-enforcing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .config import SolverOutcomeError
 from .continuous import best_response_ee, ee_utility
-from .network import NetworkModel, PowerProfile
+from .network import NetworkModel, PowerProfile, _Record
 
 __all__ = [
     "TriggerPolicy",
@@ -31,13 +30,14 @@ class CooperationNotRationalError(SolverOutcomeError):
     """Cooperation pays no better than punishment; trigger logic is vacuous."""
 
 
-@dataclass(frozen=True)
-class TriggerPolicy:
+class TriggerPolicy(_Record):
     """The two profiles of a grim trigger: hold the first, revert to the
     second forever after any defection."""
 
-    cooperate_profile: PowerProfile
-    punish_profile: PowerProfile
+    __slots__ = ("cooperate_profile", "punish_profile")
+
+    def __init__(self, cooperate_profile: PowerProfile, punish_profile: PowerProfile) -> None:
+        self._set(cooperate_profile, punish_profile)
 
     def check_against(self, model: NetworkModel) -> None:
         for name, prof in (("cooperate_profile", self.cooperate_profile),
@@ -47,13 +47,13 @@ class TriggerPolicy:
                     raise ValueError(f"{name}[{i}] exceeds power_cap")
 
 
-@dataclass(frozen=True)
-class DiscountSpec:
+class DiscountSpec(_Record):
     """Geometric discounting by a factor 0 <= delta < 1, infinite horizon."""
 
-    delta: float
+    __slots__ = ("delta",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, delta: float) -> None:
+        self._set(delta)
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must be >= 0 and < 1")
 

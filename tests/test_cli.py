@@ -542,6 +542,35 @@ class TestDriver:
         assert run(tmp_path, "ne", config=cfg) == 2
         assert "weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("weights", 0), "0.5", 'weights[0]: must be a number, got "0.5"'),
+        (("network", "gains", 0, 0), "0.75",
+         'network.gains[0][0]: must be a number, got "0.75"'),
+        (("network", "gains", 1), 0.5, "network.gains[1]: must be an array, got 0.5"),
+        (("network", "noise_power"), "1.0", 'network.noise_power: must be a number, got "1.0"'),
+        (("network", "power_cap"), None, "network.power_cap: must be a number, got null"),
+        (("network", "rate_scale"), [1.0], "network.rate_scale: must be a number, got [1.0]"),
+        (("pricing", "alpha"), "0.1", 'pricing.alpha: must be a number, got "0.1"'),
+        (("search", "br_tol"), "1e-10", 'search.br_tol: must be a number, got "1e-10"'),
+        (("finite", "power_cost"), "0.01", 'finite.power_cost: must be a number, got "0.01"'),
+        (("output", "directory"), 5, "output.directory: must be a string, got 5"),
+    ], ids=["weight", "gain", "gains-row", "noise-power", "power-cap-null", "rate-scale-array",
+            "alpha", "br-tol", "power-cost", "directory"])
+    def test_wrong_json_type_names_the_field(self, tmp_path, capsys, monkeypatch, path,
+                                              value, message):
+        # without --out, so that the output directory is read from the config
+        cfg = json.loads(default_config_path().read_text())
+        *parents, key = path
+        section = cfg
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "config.json", "--quiet", "ne"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     @pytest.mark.parametrize("command", ["pareto", "social", "nbs", "repeated"])
     def test_zero_grid_size_rejected(self, tmp_path, capsys, command):
         # only pareto samples a grid; the searches take no --n at all

@@ -1,5 +1,4 @@
 """Continuous game: throughput model, optimal SINR, best responses, dynamics."""
-import dataclasses
 import decimal
 import functools
 import math
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from icpower import (DegenerateUtilityError, PowerProfile, PricingConfig,
+from icpower import (DegenerateUtilityError, NetworkModel, PowerProfile, PricingConfig,
                      SolveReport, best_response_ee, best_response_priced,
                      br_dynamics, ee_utility, gamma_star,
                      packet_throughput, priced_responder, priced_utility)
@@ -536,7 +535,8 @@ class TestBestResponsePriced:
            st.floats(0.0, 0.5))
     def test_no_power_in_range_does_better(self, model, rate, opp, alpha):
         # compares utilities, not positions: silence and transmission can tie
-        model = dataclasses.replace(model, rate_scale=rate)
+        model = NetworkModel(model.gains, model.noise_power, model.processing_gain,
+                             model.power_cap, model.packet_bits, rate)
         cfg = PricingConfig(alpha)
         br = best_response_priced(model, (0.0, opp), 0, cfg)
         assert 0.0 <= br <= model.power_cap

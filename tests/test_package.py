@@ -1,6 +1,9 @@
-"""Package surface: re-exports, and which commands start without numpy."""
+"""Package surface: re-exports, which modules start-up imports, and the
+value semantics of the record types."""
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from importlib import import_module
@@ -9,7 +12,13 @@ from pathlib import Path
 import pytest
 
 import icpower
-from icpower import CooperationNotRationalError
+from icpower import (CooperationNotRationalError, DiscountSpec, Elimination, FiniteGame,
+                     FiniteGameParams, FiniteScenario, JointDistribution, OutputConfig,
+                     PowerProfile, PricingConfig, RunConfig, SearchConfig, SolveReport,
+                     TriggerPolicy, UtilityPlane, Weights, utility_grid)
+from icpower.network import _Record
+
+from conftest import make_model
 
 # A fresh interpreter imports the package and the CLI, loads the bundled
 # config, runs main(argv) unless argv is null, and prints the exit code and
@@ -81,3 +90,90 @@ def test_unknown_attribute_raises():
 @pytest.mark.parametrize("error", [CooperationNotRationalError])
 def test_solver_outcomes_stay_value_errors(error):
     assert isinstance(error("no answer"), ValueError)
+
+
+def test_start_up_imports_neither_dataclasses_nor_resources():
+    # -S, so that no site hook can import these first and mask the check
+    code = ("import sys, icpower, icpower.cli as c; c.load_config(c.default_config_path()); "
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+    src = str(Path(icpower.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+def _report():
+    return SolveReport(PowerProfile((1.0, 2.0)), (0.5, 0.25), (0.5, 0.25), (2.0, 3.0), 1,
+                       ((0.0, 0.0), (1.0, 2.0)), True, 0.0, 1e-10, "converged")
+
+
+def _game():
+    return FiniteGame(strategies=((0.0, 1.0), (0.0, 1.0)),
+                      payoffs=[[(0, 0), (0, 1)], [(1, 0), (0.5, 0.5)]])
+
+
+# one fresh instance per call of each record type
+RECORDS = {
+    "NetworkModel": make_model,
+    "PowerProfile": lambda: PowerProfile((1.0, 2.0)),
+    "Weights": lambda: Weights((0.25, 0.75)),
+    "SearchConfig": SearchConfig,
+    "OutputConfig": OutputConfig,
+    "FiniteScenario": lambda: FiniteScenario("ic", FiniteGameParams(), h=1.0),
+    "RunConfig": lambda: RunConfig(make_model(), pricing=PricingConfig(0.12)),
+    "PricingConfig": lambda: PricingConfig(0.12),
+    "SolveReport": _report,
+    "UtilityPlane": lambda: utility_grid(make_model(), 3),
+    "FiniteGameParams": FiniteGameParams,
+    "FiniteGame": _game,
+    "JointDistribution": lambda: JointDistribution.point_mass((2, 2), (0, 1)),
+    "Elimination": lambda: Elimination(1, 0, 0.0, 1.0),
+    "TriggerPolicy": lambda: TriggerPolicy(PowerProfile((1.0, 1.0)), PowerProfile((2.0, 2.0))),
+    "DiscountSpec": lambda: DiscountSpec(0.5),
+}
+
+
+def test_every_record_type_is_covered():
+    assert {cls.__name__ for cls in _Record.__subclasses__()} == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_value_semantics(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    cls = type(a)
+    assert cls.__name__ == name
+    values = tuple(getattr(a, field) for field in cls.__slots__)
+    twin = type("Twin", (cls,), {})(*values)  # the same fields, another type
+    assert a == a and a != twin and twin != a and a != values
+    if cls is UtilityPlane:  # arrays have no single truth value: compared by identity
+        assert a != b and hash(a) != hash(b)
+    else:
+        assert a == b and hash(a) == hash(b) == hash(values)
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    for field in (cls.__slots__[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert tuple(getattr(a, field) for field in cls.__slots__) == values
+
+
+def test_records_are_no_tuples():
+    assert PowerProfile((0.5, 0.5)) != Weights((0.5, 0.5))
+    assert PowerProfile((0.5, 0.5)) != ((0.5, 0.5),)
+    with pytest.raises(TypeError):
+        len(make_model())
+
+
+@pytest.mark.parametrize("record, text", [
+    (make_model(), "NetworkModel(gains=((0.75, 0.5), (0.25, 1.0)), noise_power=1.0, "
+                   "processing_gain=4.0, power_cap=5.0, packet_bits=20, rate_scale=1.0)"),
+    (_report(), "SolveReport(solution=PowerProfile(powers=(1.0, 2.0)), utilities=(0.5, 0.25), "
+                "normalized_utilities=(0.5, 0.25), sinrs=(2.0, 3.0), iterations=1, "
+                "trace=((0.0, 0.0), (1.0, 2.0)), converged=True, residual=0.0, "
+                "tolerance=1e-10, termination='converged', period=None)"),
+    (_game(), "FiniteGame(strategies=((0.0, 1.0), (0.0, 1.0)), "
+              "payoffs=(((0.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.5, 0.5))))"),
+], ids=["NetworkModel", "SolveReport", "FiniteGame"])
+def test_record_repr(record, text):
+    assert repr(record) == text

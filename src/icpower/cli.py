@@ -7,10 +7,12 @@ directory.  Exit codes: 0 success, 2 validation error (bad config or
 flags), 3 a solver outcome on a valid config (the dynamics of ne or pricing
 did not converge, or cooperation is not rational for repeated), 4 I/O error.
 The parser is built once per process, at import; ``main`` only parses.
-Only pareto builds arrays, and only it imports numpy, through the functions
-of efficiency that build the utility plane.  finite solves its 2 x 2 games
-in plain floats, and social, nbs and repeated search the frontier's pieces
-in plain floats; nbs and repeated run no dynamics.
+At import this module loads only ``config`` and ``network``: each command
+imports the solver modules it runs when it runs, so a process compiles and
+executes only those.  Only pareto builds arrays, and only it imports numpy,
+through the functions of efficiency that build the utility plane.  finite
+solves its 2 x 2 games in plain floats, and social, nbs and repeated search
+the frontier's pieces in plain floats; nbs and repeated run no dynamics.
 """
 from __future__ import annotations
 
@@ -19,18 +21,16 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .config import (SCENARIOS, ConfigError, RunConfig, SolverOutcomeError,
+from .config import (SCENARIOS, ConfigError, PricingConfig, RunConfig, SolverOutcomeError,
                      default_config_path, load_config)
-from .continuous import (DegenerateUtilityError, PricingConfig, SolveReport, br_dynamics,
-                         priced_responder, trace_csv_rows)
-from .efficiency import (UtilityPoint, bargaining_points, nash_bargaining, nash_equilibrium,
-                         social_optimum)
-from .finite import (FiniteGame, JointDistribution, is_correlated_equilibrium,
-                     iterated_dominance, pure_nash)
-from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigger,
-                       trigger_csv_rows)
+from .network import DegenerateUtilityError
+
+if TYPE_CHECKING:
+    from .continuous import SolveReport
+    from .efficiency import UtilityPoint
+    from .finite import FiniteGame
 
 __all__ = ["main"]
 
@@ -104,6 +104,7 @@ def _unconverged(report: SolveReport) -> Optional[str]:
 
 def _dynamics(cfg: RunConfig, alpha: Optional[float] = None) -> SolveReport:
     """Best-response dynamics of the unpriced game, or priced at ``alpha``."""
+    from .continuous import br_dynamics, priced_responder
     responder = None if alpha is None else priced_responder(PricingConfig(alpha))
     return br_dynamics(cfg.model, responder=responder, tol=cfg.search.br_tol,
                        max_iter=cfg.search.max_iter)
@@ -135,6 +136,8 @@ def _matrix_lines(game: FiniteGame) -> list[str]:
 
 
 def cmd_finite(cfg: RunConfig, args) -> Output:
+    from .finite import (JointDistribution, is_correlated_equilibrium, iterated_dominance,
+                         pure_nash)
     if cfg.finite is None:
         raise ConfigError("finite: section missing from config (required by this command)")
     scenario = args.scenario or cfg.finite.scenario
@@ -188,6 +191,7 @@ def cmd_finite(cfg: RunConfig, args) -> Output:
 # -- continuous --------------------------------------------------------
 
 def cmd_ne(cfg: RunConfig, args) -> Output:
+    from .continuous import trace_csv_rows
     report = _dynamics(cfg)
     _report_lines(args, cfg, report, "s*")
     return Output("ne", report.to_dict(), _table(*trace_csv_rows(cfg.model, report)),
@@ -225,6 +229,7 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def cmd_pricing(cfg: RunConfig, args) -> Output:
+    from .continuous import trace_csv_rows
     if args.sweep:
         runs = []
         for alpha in _parse_sweep(args.sweep):
@@ -280,6 +285,7 @@ def cmd_pareto(cfg: RunConfig, args) -> Output:
 
 
 def cmd_social(cfg: RunConfig, args) -> Output:
+    from .efficiency import social_optimum
     so = social_optimum(cfg.model, cfg.weights)
     _say(args, f"š/σ² = {_fmt_vec(so.profile.normalized(cfg.model.noise_power), 2)}")
     _say(args, f"σ²u/t = {_fmt_vec(so.normalized, 3)}")
@@ -288,6 +294,7 @@ def cmd_social(cfg: RunConfig, args) -> Output:
 
 
 def cmd_nbs(cfg: RunConfig, args) -> Output:
+    from .efficiency import bargaining_points, nash_bargaining, nash_equilibrium
     disagreement = nash_equilibrium(cfg.model)
     nbs, fair = (bargaining_points(cfg.model, disagreement) if args.fairness
                  else (nash_bargaining(cfg.model, disagreement), None))
@@ -305,6 +312,9 @@ def cmd_nbs(cfg: RunConfig, args) -> Output:
 # -- repeated ----------------------------------------------------------
 
 def cmd_repeated(cfg: RunConfig, args) -> Output:
+    from .efficiency import nash_equilibrium, social_optimum
+    from .repeated import (DiscountSpec, TriggerPolicy, min_discount, simulate_trigger,
+                           trigger_csv_rows)
     if args.deviant not in (None, 1, 2):
         raise ConfigError("--deviant must be a player number in 1..2")
     if args.stages < 0:

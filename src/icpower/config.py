@@ -1,18 +1,22 @@
 """JSON run configuration: schema, validation, and the bundled defaults.
 
 Errors carry the offending field path so a bad config is diagnosable from
-the message alone.
+the message alone.  Every section's record type lives here, the pricing
+and on/off game parameters included, and the module imports only
+``network`` when it loads: the CLI loads a config before it knows which
+solver modules its command needs.
 """
 from __future__ import annotations
 
 import json
 import math
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .continuous import PricingConfig
-from .finite import FiniteGame, FiniteGameParams, build_ic_game, build_nfe_game
 from .network import NetworkModel, _Record
+
+if TYPE_CHECKING:
+    from .finite import FiniteGame
 
 __all__ = [
     "ConfigError",
@@ -20,6 +24,8 @@ __all__ = [
     "Weights",
     "SearchConfig",
     "OutputConfig",
+    "PricingConfig",
+    "FiniteGameParams",
     "FiniteScenario",
     "RunConfig",
     "load_config",
@@ -49,10 +55,10 @@ class Weights(_Record):
         self._set(vals)
         if any(v < 0 for v in vals):
             raise ValueError("weights must be >= 0")
-        if abs(sum(vals) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 (got {sum(vals)})")
         if not all(map(math.isfinite, vals)):
             raise ValueError("weights must be finite")
+        if abs(sum(vals) - 1.0) > 1e-12:
+            raise ValueError(f"weights must sum to 1 (got {sum(vals)})")
         if len(vals) != 2:
             raise ValueError(f"need 2, one per player, got {len(vals)}")
 
@@ -85,6 +91,35 @@ class OutputConfig(_Record):
             raise ValueError("directory must be non-empty")
 
 
+class PricingConfig(_Record):
+    """Linear power surcharge: each player pays alpha per watt of utility."""
+
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: float) -> None:
+        self._set(alpha)
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0")
+
+
+class FiniteGameParams(_Record):
+    """Reward/cost parameters of the on/off transmission games."""
+
+    __slots__ = ("throughput_reward", "power_cost", "sinr_threshold")
+
+    def __init__(self, throughput_reward: float = 1.0, power_cost: float = 0.01,
+                 sinr_threshold: float = 4.0) -> None:
+        self._set(throughput_reward, power_cost, sinr_threshold)
+        if not self.throughput_reward > self.power_cost > 0:
+            raise ValueError("need throughput_reward > power_cost > 0")
+        if not self.sinr_threshold > 0:
+            raise ValueError("sinr_threshold must be > 0")
+
+    def power_level(self, gain: float, noise_power: float, processing_gain: float) -> float:
+        """The on/off power that puts a lone transmitter of this gain at the threshold."""
+        return noise_power * self.sinr_threshold / (gain * processing_gain)
+
+
 class FiniteScenario(_Record):
     """Finite-game section: reward parameters plus per-scenario gains."""
 
@@ -105,7 +140,9 @@ class FiniteScenario(_Record):
     def build(self, model: NetworkModel, scenario: Optional[str] = None) -> FiniteGame:
         """Construct the requested on/off game on the model's noise floor; the
         gain that sets its power level, h or the weak h1, is named where that
-        level is not a finite number > 0."""
+        level is not a finite number > 0.  It imports ``finite`` when called,
+        so that loading a config does not."""
+        from .finite import build_ic_game, build_nfe_game
         name = scenario or self.scenario
         if name not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")

@@ -15,12 +15,13 @@ import math
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
-from .network import (NetworkModel, PowerProfile, Powers, _checked, _Record, _sinr_per_watt,
-                      effective_gain, power_tuple, sinr)
+# PricingConfig is a config section and lives there; the name stays here too,
+# so old pickles of a PricingConfig load
+from .config import PricingConfig
+from .network import (DegenerateUtilityError, NetworkModel, PowerProfile, Powers, _checked,
+                      _Record, _sinr_per_watt, effective_gain, power_tuple, sinr)
 
 __all__ = [
-    "DegenerateUtilityError",
-    "PricingConfig",
     "SolveReport",
     "packet_throughput",
     "ee_utility",
@@ -32,10 +33,6 @@ __all__ = [
     "br_dynamics",
     "trace_csv_rows",
 ]
-
-
-class DegenerateUtilityError(ValueError):
-    """Raised when the efficiency utility has no interior optimum (L = 1)."""
 
 
 def packet_throughput(gamma: float, model: NetworkModel) -> float:
@@ -69,17 +66,6 @@ def _utility(model: NetworkModel, s: tuple[float, ...], k: int) -> float:
     power = s[k]
     return 0.0 if power == 0.0 else _throughput(_sinr_per_watt(model, s, k) * power,
                                                 model) / power
-
-
-class PricingConfig(_Record):
-    """Linear power surcharge: each player pays alpha per watt of utility."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha: float) -> None:
-        self._set(alpha)
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
 
 
 def priced_utility(model: NetworkModel, profile: Powers, k: int,

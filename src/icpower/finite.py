@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+# the on/off games' parameters are a config section; the name stays here too,
+# so old pickles of a FiniteGameParams load
+from .config import FiniteGameParams
 from .network import NetworkModel, _Record, _sinr_per_watt
 
 __all__ = [
     "FiniteGame",
-    "FiniteGameParams",
     "JointDistribution",
     "Elimination",
     "build_nfe_game",
@@ -32,24 +34,6 @@ __all__ = [
 # place the lone transmitter exactly at the required SINR, and rounding in
 # the power level must not flip that case to a failure.
 _THRESHOLD_RTOL = 1e-9
-
-
-class FiniteGameParams(_Record):
-    """Reward/cost parameters of the on/off transmission games."""
-
-    __slots__ = ("throughput_reward", "power_cost", "sinr_threshold")
-
-    def __init__(self, throughput_reward: float = 1.0, power_cost: float = 0.01,
-                 sinr_threshold: float = 4.0) -> None:
-        self._set(throughput_reward, power_cost, sinr_threshold)
-        if not self.throughput_reward > self.power_cost > 0:
-            raise ValueError("need throughput_reward > power_cost > 0")
-        if not self.sinr_threshold > 0:
-            raise ValueError("sinr_threshold must be > 0")
-
-    def power_level(self, gain: float, noise_power: float, processing_gain: float) -> float:
-        """The on/off power that puts a lone transmitter of this gain at the threshold."""
-        return noise_power * self.sinr_threshold / (gain * processing_gain)
 
 
 def _floats(rows) -> tuple[tuple[float, ...], ...]:

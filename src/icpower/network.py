@@ -12,7 +12,13 @@ from typing import TYPE_CHECKING, Sequence, Union
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["NetworkModel", "PowerProfile", "effective_gain", "sinr", "sinr_grid"]
+__all__ = ["DegenerateUtilityError", "NetworkModel", "PowerProfile", "effective_gain", "sinr",
+           "sinr_grid"]
+
+
+class DegenerateUtilityError(ValueError):
+    """Raised when the efficiency utility has no interior optimum (L = 1), a
+    property of the network's packet_bits."""
 
 
 class _Record:

@@ -542,6 +542,16 @@ class TestDriver:
         assert run(tmp_path, "ne", config=cfg) == 2
         assert "weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", [[0.5, math.inf], [math.nan, 0.5]],
+                             ids=["inf", "nan"])
+    def test_non_finite_weight_is_named_before_the_sum(self, tmp_path, capsys, weights):
+        # json writes these as Infinity and NaN, which the config's parser reads back
+        cfg = json.loads(default_config_path().read_text())
+        cfg["weights"] = weights
+        assert run(tmp_path, "--quiet", "social", config=cfg) == 2
+        assert capsys.readouterr().err == "error: weights: weights must be finite\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("path, value, message", [
         (("weights", 0), "0.5", 'weights[0]: must be a number, got "0.5"'),
         (("network", "gains", 0, 0), "0.75",
@@ -767,7 +777,7 @@ class TestDriver:
         def refuse(*args, **kwargs):
             raise AssertionError("br_dynamics ran")
 
-        monkeypatch.setattr(icpower.cli, "br_dynamics", refuse)
+        # the CLI imports br_dynamics from continuous when a command runs
         monkeypatch.setattr(icpower.continuous, "br_dynamics", refuse)
         assert run(tmp_path, "--quiet", *argv) == 0
 

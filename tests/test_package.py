@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 from importlib import import_module
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -21,41 +22,48 @@ from icpower.network import _Record
 from conftest import make_model
 
 # A fresh interpreter imports the package and the CLI, loads the bundled
-# config, runs main(argv) unless argv is null, and prints the exit code and
-# whether numpy got imported.
+# config, runs main(argv) unless argv is null, and prints the exit code,
+# whether numpy got imported, and the package's modules that got loaded.
 IMPORT_SCRIPT = """
 import json, sys
 import icpower, icpower.cli as cli
 cli.load_config(cli.default_config_path())
 argv = json.loads(sys.argv[1])
-print(json.dumps([None if argv is None else cli.main(argv), "numpy" in sys.modules]))
+code = None if argv is None else cli.main(argv)
+loaded = sorted(m.removeprefix("icpower.") for m in sys.modules if m.startswith("icpower."))
+print(json.dumps([code, "numpy" in sys.modules, loaded]))
 """
+START_UP = ["cli", "config", "network"]  # what every command loads
+SEARCH = ["continuous", "efficiency", "numerics"]  # the frontier's searches
 
 
-@pytest.mark.parametrize("argv, code, loads_numpy", [
-    (None, None, False),
-    (["ne"], 0, False),
-    (["pricing", "--alpha", "0.12"], 0, False),
-    (["pricing", "--alpha", "0.15"], 3, False),  # a period-4 cycle
-    (["pricing", "--sweep", "0:0.12:5"], 0, False),
-    (["pareto", "--n", "20"], 0, True),
-    (["finite"], 0, False),
-    (["finite", "--scenario", "nfe", "--ce-uniform"], 0, False),
-    (["social"], 0, False),
-    (["nbs", "--fairness"], 0, False),
-    (["repeated"], 0, False),
+@pytest.mark.parametrize("argv, code, loads_numpy, loads", [
+    (None, None, False, []),
+    (["ne"], 0, False, ["continuous"]),
+    (["pricing", "--alpha", "0.12"], 0, False, ["continuous"]),
+    (["pricing", "--alpha", "0.15"], 3, False, ["continuous"]),  # a period-4 cycle
+    (["pricing", "--sweep", "0:0.12:5"], 0, False, ["continuous"]),
+    (["pareto", "--n", "20"], 0, True, SEARCH),
+    (["finite"], 0, False, ["finite"]),
+    (["finite", "--scenario", "nfe", "--ce-uniform"], 0, False, ["finite"]),
+    (["social"], 0, False, SEARCH),
+    (["nbs", "--fairness"], 0, False, SEARCH),
+    (["repeated"], 0, False, [*SEARCH, "repeated"]),
 ], ids=["import-and-load-config", "ne", "pricing-0.12", "pricing-0.15", "pricing-sweep",
      "pareto", "finite", "finite-nfe-ce-uniform", "social", "nbs-fairness", "repeated"])
-def test_numpy_is_imported_only_by_array_commands(tmp_path, argv, code, loads_numpy):
+def test_numpy_is_imported_only_by_array_commands(tmp_path, argv, code, loads_numpy, loads):
     if argv is not None:
         argv = ["--quiet", "--out", str(tmp_path), *argv]
-    # run the package under test, installed or not
+    # run the package under test, installed or not; -S, so that no site hook
+    # can import numpy first, with numpy's own directory on the path instead
     src = str(Path(icpower.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT, json.dumps(argv)],
+    numpy_home = str(Path(find_spec("numpy").origin).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_SCRIPT, json.dumps(argv)],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join([src, numpy_home])})
     assert proc.stdout, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [code, loads_numpy]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code, loads_numpy,
+                                                        sorted(START_UP + loads)]
 
 
 def test_every_export_resolves():
@@ -156,6 +164,31 @@ def test_record_value_semantics(name):
         with pytest.raises(AttributeError):
             delattr(a, field)
     assert tuple(getattr(a, field) for field in cls.__slots__) == values
+
+
+# pickles of two config sections from when they lived in the solver modules
+# that use them, at protocols 0 and 4
+OLD_PICKLES = {
+    "PricingConfig": (
+        PricingConfig(0.12),
+        b"cicpower.continuous\nPricingConfig\np0\n(F0.12\ntp1\nRp2\n.",
+        b"\x80\x04\x955\x00\x00\x00\x00\x00\x00\x00\x8c\x12icpower.continuous\x94\x8c\r"
+        b"PricingConfig\x94\x93\x94G?\xbe\xb8Q\xeb\x85\x1e\xb8\x85\x94R\x94."),
+    "FiniteGameParams": (
+        FiniteGameParams(1.0, 0.01, 4.0),
+        b"cicpower.finite\nFiniteGameParams\np0\n(F1.0\nF0.01\nF4.0\ntp1\nRp2\n.",
+        b"\x80\x04\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x0eicpower.finite\x94\x8c\x10"
+        b"FiniteGameParams\x94\x93\x94G?\xf0\x00\x00\x00\x00\x00\x00G?\x84z\xe1G\xae\x14{"
+        b"G@\x10\x00\x00\x00\x00\x00\x00\x87\x94R\x94."),
+}
+
+
+@pytest.mark.parametrize("name", OLD_PICKLES)
+def test_old_pickles_still_load(name):
+    record, *old = OLD_PICKLES[name]
+    assert type(record).__module__ == "icpower.config"
+    for data in old:
+        assert pickle.loads(data) == record
 
 
 def test_records_are_no_tuples():

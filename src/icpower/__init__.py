@@ -3,22 +3,25 @@
 Layers: physical channel (network), finite on/off games (finite), the
 continuous energy-efficiency game and its equilibria (continuous),
 efficiency analysis on the utility plane and its frontier (efficiency),
-grim-trigger repeated play (repeated), bisection and bracketed roots
-(numerics), and a JSON-configured CLI (config, cli).  The package
-re-exports every module's ``__all__`` except the CLI's, each name from the
-one module that lists it.  It loads modules on first use (PEP 562): asking
-for a module loads that module, and asking for any other name loads modules
-in turn until one lists it.  So ``import icpower`` loads no module, and a
-CLI command loads only the solver modules it runs.  No module imports numpy
-at import time: efficiency imports it inside the functions that build the
-utility plane.  No module imports ``dataclasses``: the record types are
+grim-trigger repeated play (repeated), the bracketed root of the
+efficiency search (numerics), and a JSON-configured CLI (config, cli).  The
+package re-exports every module's ``__all__`` except the CLI's, each name
+from the one module that lists it.  It loads modules on first use (PEP 562):
+asking for a module loads that module, and asking for any other name loads
+modules in turn, each after the modules it imports, until one lists it.  So
+``import icpower`` loads no module, ``icpower.NetworkModel`` loads only
+``network``, and a CLI command loads only the solver modules it runs.  No
+module imports numpy at import time: efficiency imports it inside the
+functions that build the utility plane.  No module imports ``dataclasses``: the record types are
 ``__slots__`` classes on ``network._Record``, which keeps start-up short.
 """
 import sys
 
 __version__ = "0.1.0"
 
-_MODULES = ("config", "continuous", "efficiency", "finite", "network", "numerics", "repeated")
+# each module after every module it imports, so that a name's lookup stops at
+# its own module before it loads any module that imports that one
+_MODULES = ("network", "config", "numerics", "continuous", "efficiency", "finite", "repeated")
 
 
 def _load(module: str):
@@ -33,7 +36,7 @@ def __getattr__(name: str):
     if name in _MODULES:
         return _load(name)
     if name == "__all__":
-        return [*(n for m in _MODULES for n in _load(m).__all__), "__version__"]
+        return sorted([*(n for m in _MODULES for n in _load(m).__all__), "__version__"])
     for module in map(_load, _MODULES):
         if name in module.__all__:
             return getattr(module, name)

@@ -230,10 +230,10 @@ def _check_type(value, path: str, kind=0) -> None:
             _check_type(item, f"{path}[{i}]", kind - 1)
 
 
-def _record_section(data: dict, key: str, cls, ignored: tuple[str, ...] = (), **kinds):
+def _record_section(data: dict, key: str, cls, **kinds):
     """Build ``cls`` from the object at ``data[key]``, whose keys are its fields,
     each a number unless ``kinds`` gives its kind for ``_check_type``."""
-    values = {k: v for k, v in _section(data, key).items() if k not in ignored}
+    values = _section(data, key)
     _check_keys(values, cls.__slots__, key)
     for name, value in values.items():
         _check_type(value, f"{key}.{name}", kinds.get(name, 0))
@@ -275,9 +275,7 @@ def config_from_dict(data: dict) -> RunConfig:
         _check_type(data["weights"], "weights", 1)
         weights["weights"] = _build("weights", Weights, w=tuple(data["weights"]))
 
-    # search.priced_tol and search.refine_tol are deprecated and ignored
-    search = (_record_section(data, "search", SearchConfig,
-                              ignored=("priced_tol", "refine_tol"))
+    search = (_record_section(data, "search", SearchConfig)
               if "search" in data else SearchConfig())
     output = (_record_section(data, "output", OutputConfig, directory=str)
               if "output" in data else OutputConfig())

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequ
 from .config import Weights
 from .continuous import _newton, _utility, best_response_ee, gamma_star
 from .network import (NetworkModel, PowerProfile, Powers, _Record, _sinr_per_watt,
-                      _utility_bound, power_tuple, sinr_grid)
+                      _utility_bound, power_tuple)
 from .numerics import illinois_root
 
 if TYPE_CHECKING:
@@ -58,9 +58,12 @@ def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
 
 
 def _surfaces(model: NetworkModel, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Utility surfaces u1(s1, s2), u2(s1, s2) on axis x axis, made in place."""
+    """Utility surfaces u1(s1, s2), u2(s1, s2) on axis x axis, ``[i, j]`` at
+    ``(axis[i], axis[j])``: the SINR arrays, from the powers as a column and a
+    row vector, each turned into its utility in place."""
     import numpy as np
-    powers, gammas = sinr_grid(model, axis)
+    powers = (axis[:, None], axis[None, :])
+    gammas = tuple(_sinr_per_watt(model, powers, k) * powers[k] for k in range(2))
     for own, u in zip(powers, gammas):
         np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)  # 1 - exp(-gamma)
         u **= model.packet_bits

@@ -22,10 +22,7 @@ __all__ = [
     "Elimination",
     "build_nfe_game",
     "build_ic_game",
-    "payoff",
-    "strictly_dominated",
     "iterated_dominance",
-    "best_responses_finite",
     "pure_nash",
     "is_correlated_equilibrium",
 ]
@@ -71,11 +68,6 @@ class FiniteGame(_Record):
         return {"strategies": [list(r) for r in self.strategies],
                 "payoffs": [[list(cell) for cell in row] for row in self.payoffs]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FiniteGame":
-        return cls(strategies=tuple(tuple(r) for r in data["strategies"]),
-                   payoffs=data["payoffs"])
-
 
 class JointDistribution(_Record):
     """A probability distribution over joint strategy profiles:
@@ -91,10 +83,6 @@ class JointDistribution(_Record):
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"probabilities must sum to 1 (got {total})")
         self._set(rows)
-
-    @classmethod
-    def point_mass(cls, shape: Sequence[int], joint_index: Sequence[int]) -> "JointDistribution":
-        return cls.uniform_over(shape, [joint_index])
 
     @classmethod
     def uniform_over(cls, shape: Sequence[int],
@@ -181,22 +169,6 @@ def build_ic_game(params: FiniteGameParams, h: float,
     return _on_off_game(params, ((h, h), (h, h)), noise_power, processing_gain)
 
 
-def _check_joint(game: FiniteGame, idx: tuple[int, ...]) -> None:
-    if len(idx) != 2:
-        raise IndexError(f"joint index has {len(idx)} entries for 2 players")
-    for k, i in enumerate(idx):
-        if not 0 <= i < len(game.strategies[k]):
-            raise IndexError(f"strategy index {i} out of range for player {k}")
-
-
-def payoff(game: FiniteGame, joint_index: Sequence[int]) -> tuple[float, float]:
-    """Utility pair at a joint strategy-index profile."""
-    idx = tuple(joint_index)
-    _check_joint(game, idx)
-    i, j = idx
-    return game.payoffs[i][j]
-
-
 def _own(game: FiniteGame, k: int) -> list[list[float]]:
     """Player k's payoffs as ``own[i][o]``: its strategy i against the opponent's o."""
     if k == 0:
@@ -204,17 +176,10 @@ def _own(game: FiniteGame, k: int) -> list[list[float]]:
     return [[cell[1] for cell in col] for col in zip(*game.payoffs)]
 
 
-def _check_player(game: FiniteGame, k: int) -> None:
-    if k not in (0, 1):
-        raise IndexError(f"player index {k} out of range")
-
-
-def strictly_dominated(game: FiniteGame, k: int, strat_index: int) -> tuple[bool, int | None]:
-    """Whether some single alternative beats ``strat_index`` against every
-    opponent strategy.  Returns (dominated, first dominating index or None)."""
-    _check_player(game, k)
-    if not 0 <= strat_index < len(game.strategies[k]):
-        raise IndexError(f"strategy index {strat_index} out of range for player {k}")
+def _strictly_dominated(game: FiniteGame, k: int, strat_index: int) -> tuple[bool, int | None]:
+    """Whether some single alternative beats player k's ``strat_index``
+    against every opponent strategy.  Returns (dominated, first dominating
+    index or None)."""
     own = _own(game, k)
     for alt, values in enumerate(own):
         if alt != strat_index and all(a > b for a, b in zip(values, own[strat_index])):
@@ -237,7 +202,7 @@ def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]
     log: list[Elimination] = []
     while True:
         for k, i in ((k, i) for k, row in enumerate(game.strategies) for i in range(len(row))):
-            dominated, alt = strictly_dominated(game, k, i)
+            dominated, alt = _strictly_dominated(game, k, i)
             if dominated:
                 break
         else:
@@ -249,19 +214,6 @@ def iterated_dominance(game: FiniteGame) -> tuple[FiniteGame, list[Elimination]]
         else:
             game = FiniteGame((game.strategies[0], _drop(row, i)),
                               [_drop(cells, i) for cells in game.payoffs])
-
-
-def best_responses_finite(game: FiniteGame, k: int, opp_profile: Sequence[int]) -> set[int]:
-    """All utility-maximizing strategy indices of player k against a fixed
-    opponent index, given as a 1-tuple (ties kept)."""
-    _check_player(game, k)
-    opp = tuple(opp_profile)
-    if len(opp) != 1:
-        raise IndexError(f"opponent profile needs 1 entry, got {len(opp)}")
-    _check_joint(game, opp[:k] + (0,) + opp[k:])
-    values = [row[opp[0]] for row in _own(game, k)]
-    top = max(values)
-    return {i for i, v in enumerate(values) if v == top}
 
 
 def pure_nash(game: FiniteGame) -> set[tuple[int, int]]:

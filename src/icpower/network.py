@@ -7,13 +7,9 @@ direct links.  Players are indexed from 0.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = ["DegenerateUtilityError", "NetworkModel", "PowerProfile", "effective_gain", "sinr",
-           "sinr_grid"]
+__all__ = ["DegenerateUtilityError", "NetworkModel", "PowerProfile", "effective_gain", "sinr"]
 
 
 class DegenerateUtilityError(ValueError):
@@ -198,10 +194,3 @@ def sinr(model: NetworkModel, profile: Powers, k: int) -> float:
     s = _checked(model, profile, k)
     return _sinr_per_watt(model, s, k) * s[k]
 
-
-def sinr_grid(model: NetworkModel, axis: np.ndarray) -> tuple[tuple, tuple]:
-    """``(s1, s2), (gamma1, gamma2)`` on the 2-player grid axis x axis: powers
-    as a column and a row vector, and fresh SINR arrays, which the caller may
-    overwrite, with ``[i, j]`` at ``(axis[i], axis[j])``."""
-    s = (axis[:, None], axis[None, :])
-    return s, tuple(_sinr_per_watt(model, s, k) * s[k] for k in range(2))

@@ -20,7 +20,6 @@ __all__ = [
     "discounted_utility",
     "deviation_payoff",
     "min_discount",
-    "min_discount_from_utilities",
     "simulate_trigger",
     "trigger_csv_rows",
 ]
@@ -84,16 +83,15 @@ def deviation_payoff(model: NetworkModel, policy: TriggerPolicy, k: int) -> floa
     return ee_utility(model, _deviation_profile(model, policy, k), k)
 
 
-def min_discount_from_utilities(u_dev: Sequence[float], u_coop: Sequence[float],
-                                u_punish: Sequence[float]) -> float:
-    """Smallest delta at which no player gains from a one-shot deviation.
+def _min_discount_from_utilities(u_dev: Sequence[float], u_coop: Sequence[float],
+                                 u_punish: Sequence[float]) -> float:
+    """Smallest delta at which no player gains from a one-shot deviation,
+    from per-player utilities of equal length.
 
     Cooperation holds iff (1 - delta) * u_dev_k + delta * u_punish_k <=
     u_coop_k for every k, i.e. delta >= (u_dev_k - u_coop_k) /
     (u_dev_k - u_punish_k); the binding player sets the threshold.
     """
-    if not len(u_dev) == len(u_coop) == len(u_punish):
-        raise ValueError("utility vectors differ in length")
     threshold = 0.0
     for k, (dev, coop, punish) in enumerate(zip(u_dev, u_coop, u_punish)):
         if not coop > punish:
@@ -116,7 +114,7 @@ def min_discount(model: NetworkModel, policy: TriggerPolicy) -> float:
     u_coop = _utilities(model, policy.cooperate_profile.powers)
     u_punish = _utilities(model, policy.punish_profile.powers)
     u_dev = [ee_utility(model, _deviation_profile(model, policy, k), k) for k in (0, 1)]
-    return min_discount_from_utilities(u_dev, u_coop, u_punish)
+    return _min_discount_from_utilities(u_dev, u_coop, u_punish)
 
 
 def _trigger_path(model: NetworkModel, policy: TriggerPolicy,

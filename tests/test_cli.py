@@ -310,15 +310,13 @@ class TestPricing:
         assert run(tmp_path, *argv, config=small_config) == 2
         assert capsys.readouterr().err.startswith("error: network: packet_bits = 1: ")
 
-    def test_deprecated_priced_tol_is_ignored(self, tmp_path, small_config):
-        assert "priced_tol" not in small_config["search"]
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        assert run(tmp_path / "a", "--quiet", "pricing", config=small_config) == 0
+    def test_dropped_priced_tol_is_an_unknown_key(self, tmp_path, small_config, capsys):
+        # the search has no such tolerance, so the key is a config error
         small_config["search"]["priced_tol"] = 1e-7
-        assert run(tmp_path / "b", "--quiet", "pricing", config=small_config) == 0
-        assert ((tmp_path / "a" / "out" / "pricing.json").read_bytes()
-                == (tmp_path / "b" / "out" / "pricing.json").read_bytes())
+        assert run(tmp_path, "--quiet", "pricing", config=small_config) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: search: unknown key(s) priced_tol; allowed: n_per_axis, br_tol, max_iter")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_sweep_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "--quiet", "pricing", "--sweep", "0-1-5") == 2
@@ -465,15 +463,13 @@ class TestEfficiencyCommands:
             assert run(tmp_path, "--quiet", *argv, config=cfg) == 0
             assert min(bargaining_gains(read_json(tmp_path, "nbs"))) >= 0.0
 
-    def test_deprecated_refine_tol_is_ignored(self, tmp_path, small_config):
-        assert "refine_tol" not in small_config["search"]
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        assert run(tmp_path / "a", "--quiet", "social", config=small_config) == 0
+    def test_dropped_refine_tol_is_an_unknown_key(self, tmp_path, small_config, capsys):
+        # the search has no such tolerance, so the key is a config error
         small_config["search"]["refine_tol"] = 1e-3
-        assert run(tmp_path / "b", "--quiet", "social", config=small_config) == 0
-        assert ((tmp_path / "a" / "out" / "social.json").read_bytes()
-                == (tmp_path / "b" / "out" / "social.json").read_bytes())
+        assert run(tmp_path, "--quiet", "social", config=small_config) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: search: unknown key(s) refine_tol; allowed: n_per_axis, br_tol, max_iter")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k", [-540, -520, 520, 1000])
     def test_nbs_is_the_same_at_any_power_of_two_rate(self, tmp_path, k):

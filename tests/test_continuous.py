@@ -17,8 +17,8 @@ from icpower import (DegenerateUtilityError, NetworkModel, PowerProfile, Pricing
 from icpower import continuous
 from icpower.continuous import _priced_root, _throughput, _utility, trace_csv_rows
 from icpower.network import effective_gain, sinr
-from icpower.numerics import bisect_root
 
+from bisection import bisect_root
 from conftest import make_model
 
 # root of 2*g*exp(-g) = 1 - exp(-g), frozen from an independent pre-build

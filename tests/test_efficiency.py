@@ -19,8 +19,8 @@ import icpower.network
 from icpower.efficiency import (_pieces, _ratio, _ratio_inverse, _surfaces,
                                 grid_csv_rows)
 from icpower.network import _sinr_per_watt, sinr
-from icpower.numerics import bisect_root
 
+from bisection import bisect_root
 from conftest import make_model
 
 

@@ -4,10 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import finite_reference as ref
 from icpower import (Elimination, FiniteGame, FiniteGameParams,
-                     JointDistribution, best_responses_finite, build_ic_game,
-                     build_nfe_game, is_correlated_equilibrium,
-                     iterated_dominance, payoff, pure_nash,
-                     strictly_dominated)
+                     JointDistribution, build_ic_game, build_nfe_game,
+                     is_correlated_equilibrium, iterated_dominance, pure_nash)
+from icpower.finite import _strictly_dominated
 
 PARAMS = FiniteGameParams(throughput_reward=1.0, power_cost=0.01, sinr_threshold=4.0)
 
@@ -42,19 +41,8 @@ class TestGameType:
         with pytest.raises(ValueError, match="at least one strategy"):
             FiniteGame(strategies=((0.0, 1.0), ()), payoffs=[[], []])
 
-    def test_payoff_lookup_and_errors(self, nfe_game):
-        assert payoff(nfe_game, (0, 0)) == (0.0, 0.0)
-        with pytest.raises(IndexError, match="out of range"):
-            payoff(nfe_game, (0, 2))
-        with pytest.raises(IndexError, match="entries"):
-            payoff(nfe_game, (0, 0, 0))
-
     def test_profile_values(self, nfe_game):
         assert nfe_game.profile_values((1, 0)) == (4.0, 0.0)
-
-    def test_json_round_trip(self, ic_game):
-        clone = FiniteGame.from_json_dict(ic_game.to_json_dict())
-        assert clone == ic_game
 
 
 class TestConstruction:
@@ -62,16 +50,16 @@ class TestConstruction:
         assert nfe_game.strategies == ((0.0, 4.0), (0.0, 4.0))
         expected = {(0, 0): (0.0, 0.0), (0, 1): (0.0, 0.99),
                     (1, 0): (0.99, 0.0), (1, 1): (-0.01, 0.99)}
-        for joint, want in expected.items():
-            got = payoff(nfe_game, joint)
-            assert got == pytest.approx(want, abs=1e-12), joint
+        for (i, j), want in expected.items():
+            got = nfe_game.payoffs[i][j]
+            assert got == pytest.approx(want, abs=1e-12), (i, j)
 
     def test_ic_payoff_matrix(self, ic_game):
         assert ic_game.strategies == ((0.0, 1.0), (0.0, 1.0))
         expected = {(0, 0): (0.0, 0.0), (0, 1): (0.0, 0.99),
                     (1, 0): (0.99, 0.0), (1, 1): (-0.01, -0.01)}
-        for joint, want in expected.items():
-            assert payoff(ic_game, joint) == pytest.approx(want, abs=1e-12), joint
+        for (i, j), want in expected.items():
+            assert ic_game.payoffs[i][j] == pytest.approx(want, abs=1e-12), (i, j)
 
     def test_nfe_assumption_violation_named(self):
         with pytest.raises(ValueError, match="near-far assumption"):
@@ -82,7 +70,7 @@ class TestConstruction:
         # still clear the threshold it sits on by construction
         game = build_nfe_game(PARAMS, h1=0.3, h2=1.0, noise_power=0.7,
                               processing_gain=4.0)
-        assert payoff(game, (1, 0))[0] == pytest.approx(0.99, abs=1e-12)
+        assert game.payoffs[1][0][0] == pytest.approx(0.99, abs=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="gain"):
@@ -100,15 +88,9 @@ class TestConstruction:
 class TestDominance:
     def test_nfe_initial_domination(self, nfe_game):
         # strong player's silence is dominated; weak player undecided
-        assert strictly_dominated(nfe_game, 1, 0) == (True, 1)
-        assert strictly_dominated(nfe_game, 0, 0) == (False, None)
-        assert strictly_dominated(nfe_game, 0, 1) == (False, None)
-
-    def test_index_errors(self, nfe_game):
-        with pytest.raises(IndexError):
-            strictly_dominated(nfe_game, 0, 5)
-        with pytest.raises(IndexError, match="player index 2 out of range"):
-            strictly_dominated(nfe_game, 2, 0)
+        assert _strictly_dominated(nfe_game, 1, 0) == (True, 1)
+        assert _strictly_dominated(nfe_game, 0, 0) == (False, None)
+        assert _strictly_dominated(nfe_game, 0, 1) == (False, None)
 
     def test_nfe_iterated_dominance(self, nfe_game):
         reduced, log = iterated_dominance(nfe_game)
@@ -148,12 +130,7 @@ class TestPureNash:
     def test_best_response_ties_kept(self):
         flat = FiniteGame(strategies=((0.0, 1.0), (0.0, 1.0)),
                           payoffs=[[(1, 0), (1, 0)], [(1, 0), (1, 0)]])
-        assert best_responses_finite(flat, 0, (0,)) == {0, 1}
         assert pure_nash(flat) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_opponent_profile_length_checked(self, ic_game):
-        with pytest.raises(IndexError, match="opponent profile"):
-            best_responses_finite(ic_game, 0, (0, 1))
 
     @settings(max_examples=200, deadline=None)
     @given(cost=st.floats(1e-6, 1e3), gain=st.floats(1e-6, 1e3),
@@ -179,7 +156,7 @@ class TestCorrelated:
             JointDistribution(((0.5, 0.0), (0.0, 0.0)))
 
     def test_uniform_and_point_mass_helpers(self):
-        point = JointDistribution.point_mass((2, 2), (0, 1))
+        point = JointDistribution.uniform_over((2, 2), [(0, 1)])
         assert point.probabilities[0][1] == 1.0
         mix = JointDistribution.uniform_over((2, 2), [(0, 1), (1, 0)])
         assert mix.probabilities[0][1] == 0.5 and mix.probabilities[1][0] == 0.5
@@ -211,7 +188,7 @@ class TestCorrelated:
         assert worst == pytest.approx(0.5 * 0.01, abs=1e-12)
 
     def test_point_mass_on_non_equilibrium_fails(self, ic_game):
-        both = JointDistribution.point_mass((2, 2), (1, 1))
+        both = JointDistribution.uniform_over((2, 2), [(1, 1)])
         holds, worst = is_correlated_equilibrium(ic_game, both)
         assert not holds
         assert worst == pytest.approx(-0.01, abs=1e-12)
@@ -219,13 +196,13 @@ class TestCorrelated:
     def test_every_pure_ne_point_mass_is_ce(self, nfe_game, ic_game):
         for game in (nfe_game, ic_game):
             for joint in pure_nash(game):
-                point = JointDistribution.point_mass((2, 2), joint)
+                point = JointDistribution.uniform_over((2, 2), [joint])
                 holds, worst = is_correlated_equilibrium(game, point)
                 assert holds and worst >= 0.0
 
     def test_shape_mismatch_rejected(self, ic_game):
         with pytest.raises(ValueError, match="shape"):
-            is_correlated_equilibrium(ic_game, JointDistribution.point_mass((2, 3), (0, 0)))
+            is_correlated_equilibrium(ic_game, JointDistribution.uniform_over((2, 3), [(0, 0)]))
 
 
 class TestArrays:
@@ -234,7 +211,7 @@ class TestArrays:
     def test_payoffs_and_probabilities_are_read_only(self, ic_game):
         with pytest.raises(TypeError):
             ic_game.payoffs[0][0] = (1.0, 1.0)
-        dist = JointDistribution.point_mass((2, 2), (0, 1))
+        dist = JointDistribution.uniform_over((2, 2), [(0, 1)])
         with pytest.raises(TypeError):
             dist.probabilities[0][0] = 1.0
 
@@ -286,9 +263,7 @@ class TestAgainstBruteForce:
         sizes = [len(s) for s in game.strategies]
         for k, n in enumerate(sizes):
             for i in range(n):
-                assert strictly_dominated(game, k, i) == ref.strictly_dominated(game, k, i)
-            for opp in range(sizes[1 - k]):
-                assert best_responses_finite(game, k, (opp,)) == ref.best_responses(game, k, (opp,))
+                assert _strictly_dominated(game, k, i) == ref.strictly_dominated(game, k, i)
 
         reduced, log = iterated_dominance(game)
         active, ref_log = ref.iterated_dominance(game)

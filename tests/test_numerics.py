@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from icpower.numerics import bisect_root, illinois_root
+from icpower.numerics import illinois_root
+
+from bisection import bisect_root
 
 
 class TestBisectRoot:

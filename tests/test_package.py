@@ -66,6 +66,43 @@ def test_numpy_is_imported_only_by_array_commands(tmp_path, argv, code, loads_nu
                                                         sorted(START_UP + loads)]
 
 
+# the package's public surface: a change to it is a deliberate edit here
+PUBLIC = [
+    "ConfigError", "CooperationNotRationalError", "DegenerateUtilityError", "DiscountSpec",
+    "Elimination", "FiniteGame", "FiniteGameParams", "FiniteScenario", "JointDistribution",
+    "NetworkModel", "OutputConfig", "PowerProfile", "PricingConfig", "RunConfig",
+    "SearchConfig", "SolveReport", "SolverOutcomeError", "TriggerPolicy", "UtilityPlane",
+    "UtilityPoint", "Weights", "__version__", "bargaining_points", "best_response_ee",
+    "best_response_priced", "br_dynamics", "build_ic_game", "build_nfe_game",
+    "config_from_dict", "default_config_path", "deviation_payoff", "discounted_utility",
+    "distance_to_frontier", "ee_utility", "effective_gain", "fairness_projection",
+    "gamma_star", "grid_csv_rows", "illinois_root", "in_improvement_region",
+    "is_correlated_equilibrium", "iterated_dominance", "load_config", "min_discount",
+    "nash_bargaining", "nash_equilibrium", "packet_throughput", "pareto_frontier",
+    "priced_responder", "priced_utility", "pure_nash", "simulate_trigger", "sinr",
+    "social_optimum", "trace_csv_rows", "trigger_csv_rows", "utility_grid", "utility_point",
+]
+
+
+def test_public_surface_is_pinned():
+    assert icpower.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name, loads", [
+    ("NetworkModel", ["network"]),
+    ("sinr", ["network"]),
+    ("load_config", ["config", "network"]),
+])
+def test_a_name_loads_only_its_module_and_what_it_imports(name, loads):
+    # -S, so that no site hook can import a package module first
+    code = (f"import sys, icpower; icpower.{name}; "
+            "print(sorted(m for m in sys.modules if m.startswith('icpower.')))")
+    src = str(Path(icpower.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == f"{[f'icpower.{m}' for m in loads]}\n", proc.stderr
+
+
 def test_every_export_resolves():
     assert len(set(icpower.__all__)) == len(icpower.__all__)
     star = {}
@@ -134,7 +171,7 @@ RECORDS = {
     "UtilityPlane": lambda: utility_grid(make_model(), 3),
     "FiniteGameParams": FiniteGameParams,
     "FiniteGame": _game,
-    "JointDistribution": lambda: JointDistribution.point_mass((2, 2), (0, 1)),
+    "JointDistribution": lambda: JointDistribution.uniform_over((2, 2), [(0, 1)]),
     "Elimination": lambda: Elimination(1, 0, 0.0, 1.0),
     "TriggerPolicy": lambda: TriggerPolicy(PowerProfile((1.0, 1.0)), PowerProfile((2.0, 2.0))),
     "DiscountSpec": lambda: DiscountSpec(0.5),

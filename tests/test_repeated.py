@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from icpower import (CooperationNotRationalError, DiscountSpec, PowerProfile,
                      TriggerPolicy, Weights, best_response_ee, deviation_payoff,
-                     discounted_utility, ee_utility, min_discount,
-                     min_discount_from_utilities, nash_equilibrium, simulate_trigger,
-                     social_optimum, utility_grid)
-from icpower.repeated import trigger_csv_rows
+                     discounted_utility, ee_utility, min_discount, nash_equilibrium,
+                     simulate_trigger, social_optimum, utility_grid)
+from icpower.repeated import _min_discount_from_utilities, trigger_csv_rows
 
 
 @pytest.fixture(scope="module")
@@ -125,28 +124,24 @@ class TestDeviation:
 
 class TestMinDiscount:
     def test_formula_substitution(self):
-        assert min_discount_from_utilities([2.0], [1.5], [1.0]) == pytest.approx(0.5)
+        assert _min_discount_from_utilities([2.0], [1.5], [1.0]) == pytest.approx(0.5)
 
     def test_no_gain_means_zero_threshold(self):
-        assert min_discount_from_utilities([1.5], [1.5], [1.0]) == 0.0
+        assert _min_discount_from_utilities([1.5], [1.5], [1.0]) == 0.0
 
     def test_irrational_cooperation_rejected(self):
         with pytest.raises(CooperationNotRationalError, match="player 1"):
-            min_discount_from_utilities([2.0], [1.0], [1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            min_discount_from_utilities([1.0, 2.0], [1.0], [0.5])
+            _min_discount_from_utilities([2.0], [1.0], [1.0])
 
     def test_binding_player_sets_threshold(self):
         loose = (2.0 - 1.9) / (2.0 - 1.0)
         tight = (3.0 - 1.5) / (3.0 - 1.0)
-        got = min_discount_from_utilities([2.0, 3.0], [1.9, 1.5], [1.0, 1.0])
+        got = _min_discount_from_utilities([2.0, 3.0], [1.9, 1.5], [1.0, 1.0])
         assert got == pytest.approx(max(loose, tight))
 
     def test_wider_cooperation_gap_never_raises_threshold(self):
-        base = min_discount_from_utilities([2.0], [1.5], [1.0])
-        wider = min_discount_from_utilities([2.0], [1.8], [1.0])
+        base = _min_discount_from_utilities([2.0], [1.5], [1.0])
+        wider = _min_discount_from_utilities([2.0], [1.8], [1.0])
         assert wider <= base
 
     def test_network_threshold_in_unit_interval(self, ref_model, policy):
@@ -156,8 +151,8 @@ class TestMinDiscount:
     def test_matches_utilities_formula(self, ref_model, policy, so_point,
                                        ne_report):
         u_dev = [deviation_payoff(ref_model, policy, k) for k in range(2)]
-        expected = min_discount_from_utilities(u_dev, so_point.utilities,
-                                               ne_report.utilities)
+        expected = _min_discount_from_utilities(u_dev, so_point.utilities,
+                                                ne_report.utilities)
         assert min_discount(ref_model, policy) == expected
 
 

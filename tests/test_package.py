@@ -90,7 +90,6 @@ def test_public_surface_is_pinned():
 
 @pytest.mark.parametrize("name, loads", [
     ("NetworkModel", ["network"]),
-    ("sinr", ["network"]),
     ("load_config", ["config", "network"]),
 ])
 def test_a_name_loads_only_its_module_and_what_it_imports(name, loads):

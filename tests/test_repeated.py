@@ -1,13 +1,11 @@
 """Repeated game: discounting, deviation values, trigger thresholds."""
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icpower import (CooperationNotRationalError, DiscountSpec, PowerProfile,
                      TriggerPolicy, Weights, best_response_ee, deviation_payoff,
                      discounted_utility, ee_utility, min_discount, nash_equilibrium,
-                     simulate_trigger, social_optimum, utility_grid)
+                     simulate_trigger, social_optimum)
 from icpower.repeated import _min_discount_from_utilities, trigger_csv_rows
 
 

@@ -12,8 +12,9 @@ modules in turn, each after the modules it imports, until one lists it.  So
 ``import icpower`` loads no module, ``icpower.NetworkModel`` loads only
 ``network``, and a CLI command loads only the solver modules it runs.  No
 module imports numpy at import time: efficiency imports it inside the
-functions that build the utility plane.  No module imports ``dataclasses``: the record types are
-``__slots__`` classes on ``network._Record``, which keeps start-up short.
+functions that build the utility plane.  No module imports ``dataclasses``:
+the record types are ``__slots__`` classes on ``network._Record``, which
+keeps start-up short.
 """
 import sys
 

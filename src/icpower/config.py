@@ -179,13 +179,6 @@ def _check_keys(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
                           f"allowed: {', '.join(allowed)}")
 
 
-def _section(data: dict, key: str) -> dict:
-    value = data[key]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected an object, got {type(value).__name__}")
-    return value
-
-
 def _build(path: str, factory, **kwargs):
     try:
         return factory(**kwargs)
@@ -195,37 +188,30 @@ def _build(path: str, factory, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_numbers(value, path: str) -> None:
-    """Reject every JSON boolean and non-finite number, naming its path.
-
-    No field takes a boolean, yet ``true`` passes any numeric check as 1,
-    and ``Infinity`` passes any lower bound.
-    """
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_numbers(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_numbers(item, f"{path}[{i}]")
-    elif isinstance(value, bool):
-        raise ConfigError(f"{path}: must be a number, got {json.dumps(value)}")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {json.dumps(value)}")
+_JSON_TYPES = {dict: "object", list: "array", tuple: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
 
 
 def _check_type(value, path: str, kind=0) -> None:
-    """Require a string at ``path`` (kind str), a number (kind 0) or an array
-    whose entries pass at kind - 1.  A boolean passes as an int, so that
-    ``_check_numbers`` names it after the field's own checks, as before."""
-    if kind is str:
+    """Require at ``path`` an object (kind dict), a string (kind str), a finite
+    number (kind 0, which no boolean is) or an array whose entries pass at
+    kind - 1.  Where an object belongs, the message names the JSON type it
+    found instead of echoing what may be a whole document."""
+    if kind is dict:
+        ok, want = isinstance(value, dict), "an object"
+    elif kind is str:
         ok, want = isinstance(value, str), "a string"
     elif kind:
         ok, want = isinstance(value, (list, tuple)), "an array"
     else:
-        ok, want = isinstance(value, (int, float)), "a number"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = number and (isinstance(value, int) or math.isfinite(value))
+        want = "finite" if number else "a number"
     if not ok:
-        raise ConfigError(f"{path}: must be {want}, got {json.dumps(value, default=repr)}")
-    if kind and kind is not str:
+        got = (_JSON_TYPES.get(type(value), type(value).__name__) if kind is dict
+               else json.dumps(value, default=repr))
+        raise ConfigError(f"{path}: must be {want}, got {got}")
+    if want == "an array":
         for i, item in enumerate(value):
             _check_type(item, f"{path}[{i}]", kind - 1)
 
@@ -233,7 +219,8 @@ def _check_type(value, path: str, kind=0) -> None:
 def _record_section(data: dict, key: str, cls, **kinds):
     """Build ``cls`` from the object at ``data[key]``, whose keys are its fields,
     each a number unless ``kinds`` gives its kind for ``_check_type``."""
-    values = _section(data, key)
+    values = data[key]
+    _check_type(values, key, dict)
     _check_keys(values, cls.__slots__, key)
     for name, value in values.items():
         _check_type(value, f"{key}.{name}", kinds.get(name, 0))
@@ -241,8 +228,7 @@ def _record_section(data: dict, key: str, cls, **kinds):
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"top level: expected an object, got {type(data).__name__}")
+    _check_type(data, "top level", dict)
     _check_keys(data, ("network", "finite", "pricing", "weights", "search", "output"),
                 "top level")
     if "network" not in data:
@@ -251,7 +237,8 @@ def config_from_dict(data: dict) -> RunConfig:
 
     finite = None
     if "finite" in data:
-        fin = _section(data, "finite")
+        fin = data["finite"]
+        _check_type(fin, "finite", dict)
         param_keys = FiniteGameParams.__slots__
         _check_keys(fin, ("scenario", *param_keys, "gains"), "finite")
         values = {k: fin[k] for k in param_keys if k in fin}
@@ -259,8 +246,7 @@ def config_from_dict(data: dict) -> RunConfig:
             _check_type(value, f"finite.{key}")
         params = _build("finite", FiniteGameParams, **values)
         gains = fin.get("gains", {})
-        if not isinstance(gains, dict):
-            raise ConfigError("finite.gains: expected an object")
+        _check_type(gains, "finite.gains", dict)
         _check_keys(gains, GAIN_KEYS, "finite.gains")
         finite = _build("finite", FiniteScenario,
                         scenario=fin.get("scenario", "ic"), params=params, **gains)
@@ -270,8 +256,6 @@ def config_from_dict(data: dict) -> RunConfig:
 
     weights = {}  # none given: RunConfig's equal weights
     if "weights" in data:
-        if not isinstance(data["weights"], (list, tuple)):
-            raise ConfigError("weights: expected an array")
         _check_type(data["weights"], "weights", 1)
         weights["weights"] = _build("weights", Weights, w=tuple(data["weights"]))
 
@@ -279,8 +263,6 @@ def config_from_dict(data: dict) -> RunConfig:
               if "search" in data else SearchConfig())
     output = (_record_section(data, "output", OutputConfig, directory=str)
               if "output" in data else OutputConfig())
-
-    _check_numbers(data, "")  # last, so each field's own check speaks first
     return RunConfig(model=model, finite=finite, pricing=pricing, search=search,
                      output=output, **weights)
 

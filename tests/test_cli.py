@@ -538,14 +538,17 @@ class TestDriver:
         assert run(tmp_path, "ne", config=cfg) == 2
         assert "weights" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weights", [[0.5, math.inf], [math.nan, 0.5]],
-                             ids=["inf", "nan"])
-    def test_non_finite_weight_is_named_before_the_sum(self, tmp_path, capsys, weights):
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, math.inf], "weights[1]: must be finite, got Infinity"),
+        ([math.nan, 0.5], "weights[0]: must be finite, got NaN"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_weight_is_named_before_the_sum(self, tmp_path, capsys, weights,
+                                                        message):
         # json writes these as Infinity and NaN, which the config's parser reads back
         cfg = json.loads(default_config_path().read_text())
         cfg["weights"] = weights
         assert run(tmp_path, "--quiet", "social", config=cfg) == 2
-        assert capsys.readouterr().err == "error: weights: weights must be finite\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path, value, message", [

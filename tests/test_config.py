@@ -104,35 +104,45 @@ class TestValidation:
         with pytest.raises(ConfigError, match="nfe.*h1"):
             cfg.finite.build(cfg.model, scenario="nfe")
 
+    def test_unknown_scenario_rejected_on_build(self, base_dict):
+        cfg = config_from_dict(base_dict)
+        with pytest.raises(ConfigError,
+                           match=r"^scenario must be one of \('nfe', 'ic'\), got 'duopoly'$"):
+            cfg.finite.build(cfg.model, scenario="duopoly")
+
     def test_search_validated(self, base_dict):
         base_dict["search"]["n_per_axis"] = 1
         with pytest.raises(ConfigError, match="search: n_per_axis"):
             config_from_dict(base_dict)
 
     def test_top_level_array_rejected(self, base_dict):
-        with pytest.raises(ConfigError, match=r"^top level: expected an object, got list$"):
+        with pytest.raises(ConfigError, match=r"^top level: must be an object, got array$"):
             config_from_dict([base_dict])
 
     def test_non_object_section(self, base_dict):
         base_dict["output"] = "out"
-        with pytest.raises(ConfigError, match="output: expected an object"):
+        with pytest.raises(ConfigError, match="output: must be an object, got string"):
             config_from_dict(base_dict)
 
     @pytest.mark.parametrize("section, key, value, match", [
         ("network", "gains", [[0.75, 0.5], [math.inf, 1.0]],
-         r"network: gains\[1\]\[0\] must be finite"),
+         r"network\.gains\[1\]\[0\]: must be finite, got Infinity"),
         ("network", "gains", [[math.nan, 0.5], [0.25, 1.0]],
-         r"network: gains\[0\]\[0\] must be finite"),
-        ("network", "noise_power", math.inf, "network: noise_power must be finite"),
-        ("network", "processing_gain", math.inf, "network: processing_gain must be finite"),
-        ("network", "power_cap", math.inf, "network: power_cap must be finite"),
-        ("network", "rate_scale", math.inf, "network: rate_scale must be finite"),
-        ("network", "packet_bits", True, "network: packet_bits must be an integer"),
-        ("search", "max_iter", True, "search: max_iter must be an integer"),
-        ("search", "br_tol", math.inf, "search: br_tol must be finite"),
+         r"network\.gains\[0\]\[0\]: must be finite, got NaN"),
+        ("network", "noise_power", math.inf,
+         r"network\.noise_power: must be finite, got Infinity"),
+        ("network", "processing_gain", math.inf,
+         r"network\.processing_gain: must be finite, got Infinity"),
+        ("network", "power_cap", math.inf,
+         r"network\.power_cap: must be finite, got Infinity"),
+        ("network", "rate_scale", math.inf,
+         r"network\.rate_scale: must be finite, got Infinity"),
+        ("network", "packet_bits", True, r"network\.packet_bits: must be a number, got true"),
+        ("search", "max_iter", True, r"search\.max_iter: must be a number, got true"),
+        ("search", "br_tol", math.inf, r"search\.br_tol: must be finite, got Infinity"),
         # a key the search does not have is unknown, whatever its value
         ("search", "refine_tol", math.inf, r"^search: unknown key\(s\) refine_tol; "),
-        (None, "weights", [math.nan, 0.5], "weights: weights must be finite"),
+        (None, "weights", [math.nan, 0.5], r"weights\[0\]: must be finite, got NaN"),
         ("search", "br_tol", True, r"^search\.br_tol: must be a number, got true$"),
         ("search", "refine_tol", True, r"^search: unknown key\(s\) refine_tol; "),
         ("network", "noise_power", True, r"^network\.noise_power: must be a number"),
@@ -148,11 +158,12 @@ class TestValidation:
         ("finite", "sinr_threshold", True, r"^finite\.sinr_threshold: must be a number"),
         ("finite", "throughput_reward", math.inf,
          r"^finite\.throughput_reward: must be finite, got Infinity$"),
-        (None, "weights", 0.5, r"^weights: expected an array$"),
-        ("finite", "gains", [], r"^finite\.gains: expected an object$"),
+        (None, "weights", 0.5, r"^weights: must be an array, got 0.5$"),
+        ("finite", "gains", [], r"^finite\.gains: must be an object, got array$"),
         ("output", "directory", "", r"^output: directory must be non-empty$"),
         ("search", "br_tol", 0, r"^search: br_tol must be > 0$"),
-    ])
+        # a list-valued case is named by its value, not by its place in this list
+    ], ids=lambda v: json.dumps(v, separators=(",", ":")) if isinstance(v, list) else None)
     def test_non_finite_and_boolean_numbers_rejected(self, base_dict, section, key,
                                                      value, match):
         (base_dict[section] if section else base_dict)[key] = value

@@ -211,7 +211,7 @@ def _check_type(value, path: str, kind=0) -> None:
         got = (_JSON_TYPES.get(type(value), type(value).__name__) if kind is dict
                else json.dumps(value, default=repr))
         raise ConfigError(f"{path}: must be {want}, got {got}")
-    if want == "an array":
+    if kind not in (0, str, dict):  # an array
         for i, item in enumerate(value):
             _check_type(item, f"{path}[{i}]", kind - 1)
 

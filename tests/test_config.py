@@ -125,10 +125,12 @@ class TestValidation:
             config_from_dict(base_dict)
 
     @pytest.mark.parametrize("section, key, value, match", [
-        ("network", "gains", [[0.75, 0.5], [math.inf, 1.0]],
-         r"network\.gains\[1\]\[0\]: must be finite, got Infinity"),
-        ("network", "gains", [[math.nan, 0.5], [0.25, 1.0]],
-         r"network\.gains\[0\]\[0\]: must be finite, got NaN"),
+        pytest.param("network", "gains", [[0.75, 0.5], [math.inf, 1.0]],
+                     r"network\.gains\[1\]\[0\]: must be finite, got Infinity",
+                     id="network-gains-inf"),
+        pytest.param("network", "gains", [[math.nan, 0.5], [0.25, 1.0]],
+                     r"network\.gains\[0\]\[0\]: must be finite, got NaN",
+                     id="network-gains-nan"),
         ("network", "noise_power", math.inf,
          r"network\.noise_power: must be finite, got Infinity"),
         ("network", "processing_gain", math.inf,
@@ -142,7 +144,8 @@ class TestValidation:
         ("search", "br_tol", math.inf, r"search\.br_tol: must be finite, got Infinity"),
         # a key the search does not have is unknown, whatever its value
         ("search", "refine_tol", math.inf, r"^search: unknown key\(s\) refine_tol; "),
-        (None, "weights", [math.nan, 0.5], r"weights\[0\]: must be finite, got NaN"),
+        pytest.param(None, "weights", [math.nan, 0.5],
+                     r"weights\[0\]: must be finite, got NaN", id="weights-nan"),
         ("search", "br_tol", True, r"^search\.br_tol: must be a number, got true$"),
         ("search", "refine_tol", True, r"^search: unknown key\(s\) refine_tol; "),
         ("network", "noise_power", True, r"^network\.noise_power: must be a number"),
@@ -150,20 +153,23 @@ class TestValidation:
          r"^network\.processing_gain: must be a number"),
         ("network", "power_cap", True, r"^network\.power_cap: must be a number"),
         ("network", "rate_scale", True, r"^network\.rate_scale: must be a number"),
-        ("network", "gains", [[0.75, True], [0.25, 1.0]],
-         r"^network\.gains\[0\]\[1\]: must be a number, got true$"),
+        pytest.param("network", "gains", [[0.75, True], [0.25, 1.0]],
+                     r"^network\.gains\[0\]\[1\]: must be a number, got true$",
+                     id="network-gains-true"),
         ("pricing", "alpha", True, r"^pricing\.alpha: must be a number"),
         ("pricing", "alpha", math.inf, r"^pricing\.alpha: must be finite, got Infinity$"),
-        (None, "weights", [True, False], r"^weights\[0\]: must be a number, got true$"),
+        pytest.param(None, "weights", [True, False],
+                     r"^weights\[0\]: must be a number, got true$", id="weights-true"),
         ("finite", "sinr_threshold", True, r"^finite\.sinr_threshold: must be a number"),
         ("finite", "throughput_reward", math.inf,
          r"^finite\.throughput_reward: must be finite, got Infinity$"),
         (None, "weights", 0.5, r"^weights: must be an array, got 0.5$"),
-        ("finite", "gains", [], r"^finite\.gains: must be an object, got array$"),
+        pytest.param("finite", "gains", [], r"^finite\.gains: must be an object, got array$",
+                     id="finite-gains-empty"),
         ("output", "directory", "", r"^output: directory must be non-empty$"),
         ("search", "br_tol", 0, r"^search: br_tol must be > 0$"),
-        # a list-valued case is named by its value, not by its place in this list
-    ], ids=lambda v: json.dumps(v, separators=(",", ":")) if isinstance(v, list) else None)
+        # a list-valued case needs its own id: pytest would name it by its place in this list
+    ])
     def test_non_finite_and_boolean_numbers_rejected(self, base_dict, section, key,
                                                      value, match):
         (base_dict[section] if section else base_dict)[key] = value

@@ -13,6 +13,10 @@ executes only those.  Only pareto builds arrays, and only it imports numpy,
 through the functions of efficiency that build the utility plane.  finite
 solves its 2 x 2 games in plain floats, and social, nbs and repeated search
 the frontier's pieces in plain floats; nbs and repeated run no dynamics.
+A command's JSON artifact is its data encoded by ``json.dumps(indent=2)``,
+except pareto's: its data is that encoding's text already, set from the
+CSV's own texts of the frontier's values, so that no float is formatted
+twice.
 """
 from __future__ import annotations
 
@@ -46,10 +50,11 @@ def _fmt_vec(values: Sequence[float], decimals: int) -> str:
 
 class Output(NamedTuple):
     """What a command produced, for ``main`` to write: ``<name>.json`` holding
-    ``data`` and, if ``csv`` (a header and the body text) is given,
-    ``<name>.csv``.  A ``failure`` message makes the run exit 3 once the
-    files are written; a command that has nothing to write raises instead.
-    Commands write no file themselves."""
+    ``data``, encoded with ``json.dumps(indent=2)``, or written as is where
+    ``data`` is that encoding's text already, and, if ``csv`` (a header and
+    the body text) is given, ``<name>.csv``.  A ``failure`` message makes
+    the run exit 3 once the files are written; a command that has nothing to
+    write raises instead.  Commands write no file themselves."""
 
     name: str
     data: object
@@ -67,7 +72,7 @@ def _write(outdir: Path, out: Output) -> tuple[list[Path], str]:
     """Write the artifacts; return their paths and the JSON text."""
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / f"{out.name}.json"]
-    text = json.dumps(out.data, indent=2) + "\n"
+    text = out.data if isinstance(out.data, str) else json.dumps(out.data, indent=2) + "\n"
     paths[0].write_text(text, encoding="utf-8")
     if out.csv is not None:
         header, body = out.csv
@@ -257,6 +262,21 @@ def cmd_pricing(cfg: RunConfig, args) -> Output:
 
 # -- efficiency --------------------------------------------------------
 
+def _pareto_json(n: int, texts: list[tuple[str, ...]]) -> str:
+    """pareto.json's text: ``json.dumps(indent=2)`` of ``{"n_per_axis": n,
+    "frontier": [...]}`` byte for byte, with each frontier point's values
+    taken from its CSV line's texts (s1, s2, u1, u2, u1_norm, u2_norm), not
+    formatted again.  json.dumps lays out the document and one point around
+    placeholders.  A float's ``repr`` is its JSON text except inf and nan,
+    which JSON spells Infinity and NaN; no key holds either word.  The
+    frontier is never empty, since a plane holds at least one cell."""
+    doc = json.dumps({"n_per_axis": n, "frontier": ["@"]}, indent=2)
+    point = json.dumps(dict.fromkeys(("profile", "utilities", "normalized"), ["%s", "%s"]),
+                       indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
+    frontier = ",\n    ".join(point % t for t in texts)
+    return doc.replace('"@"', frontier.replace("inf", "Infinity").replace("nan", "NaN")) + "\n"
+
+
 def cmd_pareto(cfg: RunConfig, args) -> Output:
     """The plane at ``--n`` or the config's n_per_axis; one that cannot fit in
     memory exits 2 naming n's source."""
@@ -273,15 +293,13 @@ def cmd_pareto(cfg: RunConfig, args) -> Output:
             pass
     if plane is None:
         raise ConfigError(f"{source}: the utility plane at n = {n} does not fit in memory")
-    cells = pareto_frontier(plane)
-    frontier = [plane.point(k) for k in cells.tolist()]
-    artifact = {"n_per_axis": n,
-                "frontier": [_point_dict(pt) for pt in frontier]}
+    cells = pareto_frontier(plane).tolist()
+    header, body, texts = grid_csv_rows(plane, cells)
     _say(args, f"sampled {n * n} profiles on a {n} x {n} grid; "
-               f"frontier holds {len(frontier)} points")
-    lo, hi = frontier[0].normalized, frontier[-1].normalized
+               f"frontier holds {len(cells)} points")
+    lo, hi = plane.point(cells[0]).normalized, plane.point(cells[-1]).normalized
     _say(args, f"frontier runs from σ²u/t = {_fmt_vec(lo, 3)} to {_fmt_vec(hi, 3)}")
-    return Output("pareto", artifact, grid_csv_rows(plane, cells))
+    return Output("pareto", _pareto_json(n, texts), (header, body))
 
 
 def cmd_social(cfg: RunConfig, args) -> Output:

@@ -248,8 +248,9 @@ def config_from_dict(data: dict) -> RunConfig:
         gains = fin.get("gains", {})
         _check_type(gains, "finite.gains", dict)
         _check_keys(gains, GAIN_KEYS, "finite.gains")
-        finite = _build("finite", FiniteScenario,
-                        scenario=fin.get("scenario", "ic"), params=params, **gains)
+        scenario = fin.get("scenario", "ic")
+        _check_type(scenario, "finite.scenario", str)
+        finite = _build("finite", FiniteScenario, scenario=scenario, params=params, **gains)
 
     pricing = (_record_section(data, "pricing", PricingConfig)
                if "pricing" in data else None)

@@ -60,15 +60,19 @@ def utility_point(model: NetworkModel, profile: Powers) -> UtilityPoint:
 def _surfaces(model: NetworkModel, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Utility surfaces u1(s1, s2), u2(s1, s2) on axis x axis, ``[i, j]`` at
     ``(axis[i], axis[j])``: the SINR arrays, from the powers as a column and a
-    row vector, each turned into its utility in place."""
+    row vector, each turned into its utility in place.  numpy's overflow
+    warning is silenced: an interference term that overflows to inf gives an
+    SINR of 0, and an SINR that does gives a packet success of 1, the limits
+    that Python's float arithmetic takes too, without a warning."""
     import numpy as np
     powers = (axis[:, None], axis[None, :])
-    gammas = tuple(_sinr_per_watt(model, powers, k) * powers[k] for k in range(2))
-    for own, u in zip(powers, gammas):
-        np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)  # 1 - exp(-gamma)
-        u **= model.packet_bits
-        u *= model.rate_scale
-        u /= np.where(own > 0, own, np.inf)  # a silent player's +0.0 stays
+    with np.errstate(over="ignore"):
+        gammas = tuple(_sinr_per_watt(model, powers, k) * powers[k] for k in range(2))
+        for own, u in zip(powers, gammas):
+            np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)  # 1 - exp(-gamma)
+            u **= model.packet_bits
+            u *= model.rate_scale
+            u /= np.where(own > 0, own, np.inf)  # a silent player's +0.0 stays
     return gammas
 
 
@@ -129,6 +133,7 @@ def pareto_frontier(plane: UtilityPlane) -> np.ndarray:
 
 _SAMPLES = 48  # points on the sampling grid of each piece of the frontier
 _STRIDE = 4  # every 4th sample is taken first, the rest only where they can matter
+_PROBE = 2.0 ** -30  # after a silent start, its rate's sign is read at this share of a step
 
 
 def _ratio(gamma: float, bits: int) -> float:
@@ -285,7 +290,10 @@ def _search(model: NetworkModel, scores: list,
     where a piece has no profile: there the samples' order gives its sign.
     Each root iterate is scored by every score, like a sample, so a refinement
     cannot lose the sampled best.  A piece's start, where player k is silent,
-    is never better than the other's lone best response.  Given a disagreement
+    is never better than the other's lone best response, but a maximum may lie
+    just after it: where the start is a sampled maximum, the rate at
+    ``_PROBE`` of the first step, a point scored like an iterate, stands for
+    the rate there, which has a finite limit at 0.  Given a disagreement
     point, a piece is first cut to its improvement interval, whose ends are
     roots, from values alone, of a utility minus the disagreement's, so that a
     narrow region still gets samples.  Every candidate is scored at its own
@@ -322,8 +330,10 @@ def _search(model: NetworkModel, scores: list,
         ideal = max(x[0][0], y[0][0]) * slack, max(x[0][1], y[0][1]) * slack
         return [value(*ideal) < b for value, (b, _) in zip(valued, best)]
 
-    def refine(i: int, a: int, b: int, at, slope, ts: list, seen: list) -> None:
-        """Refine score i between samples a < b of a piece, where it peaks."""
+    def refine(i: int, a: int, b: int, at, slope, ts: list, seen: list,
+               start: bool) -> None:
+        """Refine score i between samples a < b of a piece, where it peaks;
+        from a probe just after a, if ``start``: a silent start that peaks."""
         rate = scores[i][1]
 
         def rated(t: float, u: tuple[float, float]) -> float:
@@ -337,9 +347,10 @@ def _search(model: NetworkModel, scores: list,
         def known(m: int, sign: float) -> float:
             u = seen[m][0]
             return sign * math.inf if u is None or ts[m] == 0.0 else rated(ts[m], u)
-        fa, fb = known(a, 1.0), known(b, -1.0)
+        ta = ts[b] * _PROBE if start else ts[a]
+        fa, fb = f(ta) if start else known(a, 1.0), known(b, -1.0)
         if fa > 0.0 > fb:  # at an end, the maximum is inside
-            illinois_root(f, ts[a], ts[b], fa, fb)
+            illinois_root(f, ta, ts[b], fa, fb)
 
     if disagreement is not None:
         visit(disagreement.profile.powers)
@@ -368,7 +379,7 @@ def _search(model: NetworkModel, scores: list,
         for p, q in zip(coarse, coarse[1:]):
             if not all(beaten(seen[p], seen[q])):
                 seen[p + 1:q] = [visit(at(t)) for t in ts[p + 1:q]]
-        for j in range(1 if lo == 0.0 else 0, n):  # not at a silent start
+        for j in range(n):
             if seen[j] is None:
                 continue
             a = j - 1 if j > 0 and seen[j - 1] else j
@@ -376,7 +387,7 @@ def _search(model: NetworkModel, scores: list,
             for i, v in enumerate(seen[j][1]):
                 if (a < b and v > -math.inf and (a == j or v > seen[a][1][i])
                         and (b == j or v >= seen[b][1][i])):
-                    refine(i, a, b, at, slope, ts, seen)
+                    refine(i, a, b, at, slope, ts, seen, ts[j] == 0.0)
     return [utility_point(model, s) for _, s in best]
 
 
@@ -464,8 +475,9 @@ def distance_to_frontier(point: UtilityPoint, frontier: Sequence[UtilityPoint]) 
     return min(math.hypot(x - fx, y - fy) for fx, fy in (f.normalized for f in frontier))
 
 
-def grid_csv_rows(plane: UtilityPlane, cells: Iterable[int]) -> tuple[list[str], list[str]]:
-    """Header and body of the utility-plane CSV.
+def grid_csv_rows(plane: UtilityPlane, cells: Iterable[int]
+                  ) -> tuple[list[str], list[str], list[tuple[str, ...]]]:
+    """Header, body and frontier texts of the utility-plane CSV.
 
     The body holds one line per profile in s1-major order, as one text block
     of n newline-terminated lines per s1 value.  Each value is its float
@@ -473,22 +485,39 @@ def grid_csv_rows(plane: UtilityPlane, cells: Iterable[int]) -> tuple[list[str],
     the flat ``cells`` given (the frontier's).  Each utility is formatted
     once: at ``utility_scale == 1.0`` the ``u*_norm`` fields reuse the
     ``u*`` text, which is exact because ``x * 1.0 == x`` for every float.
+    A block is one ``",".join`` over a flat list of its fields, in which a
+    line's flag, the newline and the next line's s1 are one field.  The
+    third item holds, for each of ``cells`` in order, the texts of its
+    line's first six fields (s1, s2, u1, u2, u1_norm, u2_norm), so that
+    another artifact of the same values need not format them again.
     """
     header = ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm", "on_frontier"]
     axis = plane.axis
     n = len(axis)
-    flags = ["0"] * (n * n)
-    for k in cells:
-        flags[k] = "1"
-    surfaces = (plane.u1, plane.u2)
+    marked = [[] for _ in range(n)]  # per row: (column, place in cells)
+    for p, k in enumerate(cells):
+        i, j = divmod(k, n)
+        marked[i].append((j, p))
+    texts = [None] * sum(map(len, marked))
+    columns = [plane.u1, plane.u2]
     scale = plane.model.utility_scale
-    scaled = None if scale == 1.0 else [u * scale for u in surfaces]
+    if scale != 1.0:
+        columns += [u * scale for u in columns]
     axis_text = [repr(a) for a in axis.tolist()]
+    fields = [None] * (6 * n + 1)  # s1, then s2, u1, u2, u1_norm, u2_norm, tail per line
+    fields[1::6] = axis_text
     blocks = []
     for r, s1 in enumerate(axis_text):
-        text = [list(map(repr, u[r].tolist())) for u in surfaces]
-        norm = text if scaled is None else [map(repr, u[r].tolist()) for u in scaled]
-        lines = map(",".join, zip([s1] * n, axis_text, *text, *norm,
-                                  flags[r * n:(r + 1) * n]))
-        blocks.append("\n".join(lines) + "\n")
-    return header, blocks
+        fields[0] = s1
+        for c, u in enumerate(columns, 2):
+            fields[c::6] = map(repr, u[r].tolist())
+        if len(columns) == 2:
+            fields[4::6], fields[5::6] = fields[2::6], fields[3::6]
+        tails = ["0\n" + s1] * n
+        for j, p in marked[r]:
+            tails[j] = "1\n" + s1
+            texts[p] = (s1, *fields[6 * j + 1:6 * j + 6])
+        tails[-1] = tails[-1][:2]  # the block's last newline
+        fields[6::6] = tails
+        blocks.append(",".join(fields))
+    return header, blocks, texts

@@ -1,5 +1,6 @@
 """CLI: console output, artifacts, exit codes, determinism."""
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -382,6 +383,63 @@ class TestEfficiencyCommands:
         assert (out / "pareto.csv").read_bytes() == want_csv.encode("utf-8")
         assert (out / "pareto.json").read_bytes() == want_json.encode("utf-8")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.1, 2.0), min_size=2, max_size=2),
+           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), st.floats(0.05, 3.0),
+           st.one_of(st.none(), st.floats(0.2, 5.0)), st.floats(1.0, 8.0),
+           st.floats(0.05, 10.0), st.integers(2, 60), st.integers(2, 30))
+    def test_pareto_json_is_json_dumps_of_the_frontier(self, tmp_path_factory, direct, cross,
+                                                       noise, rate, w, cap, bits, n):
+        # pareto.json is written from pareto.csv's texts; a rate of None makes
+        # sigma^2 / t exactly 1, where the u*_norm fields reuse the u* text
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"] = {"gains": [[direct[0], cross[0]], [cross[1], direct[1]]],
+                          "noise_power": noise, "processing_gain": w, "power_cap": cap,
+                          "packet_bits": bits, "rate_scale": noise if rate is None else rate}
+        want_csv, want_json = reference_pareto(config_from_dict(cfg).model, n)
+        tmp_path = tmp_path_factory.mktemp("pareto")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(tmp_path, "--quiet", "--json", "pareto", "--n", str(n), config=cfg)
+        assert code == 0
+        out = tmp_path / "out"
+        assert (out / "pareto.json").read_bytes() == want_json.encode("utf-8")
+        assert (out / "pareto.csv").read_bytes() == want_csv.encode("utf-8")
+        assert stdout.getvalue() == want_json
+
+    @pytest.mark.parametrize("network", [{"gains": [[0.75, 0.5], [1e308, 1.0]]},
+                                         {"processing_gain": 1e308}],
+                             ids=["cross-gain", "processing-gain"])
+    def test_pareto_near_the_float_limit_is_silent_and_finite(self, tmp_path, network):
+        # an interference term or SINR that overflows takes its limit, with no
+        # numpy warning on stderr and no non-finite value in either artifact
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"].update(network)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "icpower.cli", "--quiet", "--config", str(path),
+             "--out", str(tmp_path / "out"), "pareto", "--n", "40"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(icpower.__file__).parents[1])})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for name in ("pareto.json", "pareto.csv"):
+            text = (tmp_path / "out" / name).read_text()
+            assert not re.search(r"inf|nan|Infinity|NaN", text), name
+
+    def test_pareto_json_spells_an_infinite_utility_as_json_does(self, tmp_path):
+        # at packet_bits = 1 the utility of a subnormal power can round past
+        # the float range; pareto.json then reads Infinity, as json.dumps writes it
+        g, w, noise = 1.513844881093656, 1.8565635837771532, 0.5952851795672228
+        cfg = json.loads(default_config_path().read_text())
+        cfg["network"] = {"gains": [[g, 0.0], [0.0, g]], "noise_power": noise,
+                          "processing_gain": w, "power_cap": 5e-324, "packet_bits": 1,
+                          "rate_scale": 3.807583411094452e307}
+        assert run(tmp_path, "--quiet", "pareto", "--n", "3", config=cfg) == 0
+        text = (tmp_path / "out" / "pareto.json").read_text(encoding="utf-8")
+        assert text == reference_pareto(config_from_dict(cfg).model, 3)[1]
+        assert "Infinity" in text
+
     @pytest.mark.parametrize("case", sorted(GOLDENS["runs"]))
     def test_search_goldens(self, tmp_path, capsys, case):
         # the goldens came from a grid search at n = 60: the frontier search
@@ -563,8 +621,9 @@ class TestDriver:
         (("search", "br_tol"), "1e-10", 'search.br_tol: must be a number, got "1e-10"'),
         (("finite", "power_cost"), "0.01", 'finite.power_cost: must be a number, got "0.01"'),
         (("output", "directory"), 5, "output.directory: must be a string, got 5"),
+        (("finite", "scenario"), None, "finite.scenario: must be a string, got null"),
     ], ids=["weight", "gain", "gains-row", "noise-power", "power-cap-null", "rate-scale-array",
-            "alpha", "br-tol", "power-cost", "directory"])
+            "alpha", "br-tol", "power-cost", "directory", "scenario-null"])
     def test_wrong_json_type_names_the_field(self, tmp_path, capsys, monkeypatch, path,
                                               value, message):
         # without --out, so that the output directory is read from the config
@@ -826,8 +885,6 @@ class TestDriver:
     ], ids=["mu-squared-underflows", "mu-underflows", "huge-gains", "tiny-cap", "huge-cap",
             "tiny-noise", "huge-noise", "packet-bits-past-float", "noise-over-rate-overflows",
             "mu-overflows", "utility-overflows"])
-    # the CLI prints numpy's overflow warnings and goes on, as here
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_valid_config_ends_in_a_traceback(self, tmp_path, capsys, network):
         cfg = json.loads(default_config_path().read_text())
         cfg["network"].update(network)
@@ -842,7 +899,6 @@ class TestDriver:
             for path in (tmp_path / "out").glob("*.json"):  # as a config would load them
                 assert not re.search(r"Infinity|NaN", path.read_text()), (argv, path.name)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_drawn_extreme_networks_end_in_an_exit_code(self, tmp_path, capsys):
         # each field log-uniform over 1e-150..1e150 (processing_gain from 1)
         # and L from 2 to 2**53: each command exits 0, 2 naming a field or 3,

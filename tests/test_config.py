@@ -98,6 +98,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="finite.*scenario"):
             config_from_dict(base_dict)
 
+    @pytest.mark.parametrize("value, shown", [
+        (None, "null"), (True, "true"), (1, "1"), ({}, "{}"), ({"a": 1}, '{"a": 1}'),
+        (math.nan, "NaN"), (["ic"], '["ic"]'),
+    ], ids=["null", "true", "one", "empty-object", "object", "nan", "array"])
+    def test_scenario_must_be_a_string(self, base_dict, value, shown):
+        # a scenario is checked for its JSON shape at its own path, like every value
+        base_dict["finite"]["scenario"] = value
+        with pytest.raises(ConfigError, match=rf"^finite\.scenario: must be a string, "
+                                              rf"got {re.escape(shown)}$"):
+            config_from_dict(base_dict)
+
     def test_missing_scenario_gains_surface_on_build(self, base_dict):
         base_dict["finite"]["gains"] = {"h": 1.0}
         cfg = config_from_dict(base_dict)

@@ -1,5 +1,7 @@
 """Utility plane: grids, Pareto frontier, welfare optimum, bargaining."""
 import builtins
+import csv
+import io
 import math
 import sys
 import tracemalloc
@@ -100,6 +102,11 @@ ONE_POINT_REGION = two_by_two((0.5, 0.5), (0.5625, 0.25), packet_bits=3,
                               power_cap=0.5928105880945603)
 CAP_EQUILIBRIUM = two_by_two((0.5, 0.5), (0.5, 0.5), packet_bits=2,
                              power_cap=0.26374851071378824)
+# a weak player 1 whose welfare optimum lies just off the lone best response
+# of player 2, between a curve's silent start and its first sample, which
+# beats it: the search once took the start for the maximum
+PEAK_AFTER_START = two_by_two((0.1, 1.5625), (0.0, 0.06640625), packet_bits=2,
+                              processing_gain=4.25)
 
 
 def dense_patch(model, center, half):
@@ -401,6 +408,7 @@ class TestZoom:
 
     @settings(max_examples=60, deadline=None)
     @given(frontier_models, st.integers(20, 150))
+    @example(PEAK_AFTER_START, 20)
     def test_social_optimum(self, model, n):
         point = social_optimum(model, Weights((0.5, 0.5)))
         self.check(utility_grid(model, n), point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)
@@ -810,7 +818,7 @@ class TestExports:
     def test_grid_csv_marks_only_grid_profiles(self, ref_model):
         plane = utility_grid(ref_model, 5)
         for cells, marked in (([7], [7]), ([], [])):
-            _, body = grid_csv_rows(plane, cells)
+            _, body, _ = grid_csv_rows(plane, cells)
             flags = [line.rsplit(",", 1)[1] for line in "".join(body).splitlines()]
             assert flags == ["1" if k in marked else "0" for k in range(25)]
 
@@ -834,9 +842,9 @@ class TestExports:
         plane = utility_grid(ref_model, 12)
         points = all_points(plane)
         cells = pareto_frontier(plane)
-        header, body = grid_csv_rows(plane, cells)
-        rows = [[float(v) for v in line.split(",")]
-                for line in "".join(body).splitlines()]
+        header, body, texts = grid_csv_rows(plane, cells)
+        lines = "".join(body).splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines]
         assert header == ["s1", "s2", "u1", "u2", "u1_norm", "u2_norm",
                           "on_frontier"]
         assert len(rows) == len(points)
@@ -844,3 +852,26 @@ class TestExports:
         for row, pt in zip(rows, points):
             assert (row[0], row[1]) == pt.profile.powers
             assert (row[2], row[3]) == pt.utilities
+        # each frontier cell's texts are the first six fields of its line
+        assert texts == [tuple(lines[k].split(",")[:6]) for k in cells.tolist()]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("network", [{}, {"noise_power": 0.4, "rate_scale": 2.5}],
+                             ids=["unit-scale", "scaled"])
+    def test_grid_csv_is_what_csv_writer_writes_for_each_single_cell(self, n, network):
+        # every cell marked alone: a flag in a row's last column, which ends
+        # its block, and in the first and last rows
+        plane = utility_grid(make_model(**network), n)
+        points = all_points(plane)
+        for k in range(n * n):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["s1", "s2", "u1", "u2", "u1_norm", "u2_norm", "on_frontier"])
+            for m, pt in enumerate(points):
+                writer.writerow([*pt.profile.powers, *pt.utilities, *pt.normalized,
+                                 int(m == k)])
+            header, body, texts = grid_csv_rows(plane, [k])
+            want = buf.getvalue().splitlines(keepends=True)
+            assert [",".join(header) + "\n", *body] == [want[0]] + [
+                "".join(want[1 + r * n:1 + (r + 1) * n]) for r in range(n)]
+            assert texts == [tuple(want[1 + k].split(",")[:6])]

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .config import (SCENARIOS, ConfigError, PricingConfig, RunConfig, SolverOutcomeError,
                      default_config_path, load_config)
-from .network import DegenerateUtilityError
 
 if TYPE_CHECKING:
     from .continuous import SolveReport
@@ -267,14 +266,14 @@ def _pareto_json(n: int, texts: list[tuple[str, ...]]) -> str:
     "frontier": [...]}`` byte for byte, with each frontier point's values
     taken from its CSV line's texts (s1, s2, u1, u2, u1_norm, u2_norm), not
     formatted again.  json.dumps lays out the document and one point around
-    placeholders.  A float's ``repr`` is its JSON text except inf and nan,
-    which JSON spells Infinity and NaN; no key holds either word.  The
-    frontier is never empty, since a plane holds at least one cell."""
+    placeholders.  A finite float's ``repr`` is its JSON text, and every
+    value is finite: at L >= 2 no utility exceeds the model's finite bound.
+    The frontier is never empty, since a plane holds at least one cell."""
     doc = json.dumps({"n_per_axis": n, "frontier": ["@"]}, indent=2)
     point = json.dumps(dict.fromkeys(("profile", "utilities", "normalized"), ["%s", "%s"]),
                        indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
     frontier = ",\n    ".join(point % t for t in texts)
-    return doc.replace('"@"', frontier.replace("inf", "Infinity").replace("nan", "NaN")) + "\n"
+    return doc.replace('"@"', frontier) + "\n"
 
 
 def cmd_pareto(cfg: RunConfig, args) -> Output:
@@ -462,9 +461,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DegenerateUtilityError as exc:  # a property of the network section
-        print(f"error: network: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -248,6 +248,8 @@ def config_from_dict(data: dict) -> RunConfig:
         gains = fin.get("gains", {})
         _check_type(gains, "finite.gains", dict)
         _check_keys(gains, GAIN_KEYS, "finite.gains")
+        for key, value in gains.items():
+            _check_type(value, f"finite.gains.{key}")
         scenario = fin.get("scenario", "ic")
         _check_type(scenario, "finite.scenario", str)
         finite = _build("finite", FiniteScenario, scenario=scenario, params=params, **gains)

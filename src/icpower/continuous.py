@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 # PricingConfig is a config section and lives there; the name stays here too,
 # so old pickles of a PricingConfig load
 from .config import PricingConfig
-from .network import (DegenerateUtilityError, NetworkModel, PowerProfile, Powers, _checked,
-                      _Record, _sinr_per_watt, effective_gain, power_tuple, sinr)
+from .network import (NetworkModel, PowerProfile, Powers, _checked, _Record, _sinr_per_watt,
+                      effective_gain, power_tuple, sinr)
 
 __all__ = [
     "SolveReport",
@@ -85,12 +85,8 @@ def gamma_star(packet_bits: int) -> float:
     unique for L >= 2; for L = 1 the efficiency is monotone decreasing and no
     positive root exists.
     """
-    if not (isinstance(packet_bits, int) and packet_bits >= 1):
-        raise ValueError("packet_bits must be an integer >= 1")
-    if packet_bits == 1:
-        raise DegenerateUtilityError(
-            "packet_bits = 1: throughput/power is monotone, no optimal SINR"
-        )
+    if not (isinstance(packet_bits, int) and packet_bits >= 2):
+        raise ValueError("packet_bits must be an integer >= 2")
     return _newton(packet_bits, 2.0 * math.log(packet_bits) + 2.0, lambda g, x: (0.0, 0.0))
 
 

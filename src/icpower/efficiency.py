@@ -363,10 +363,11 @@ def _search(model: NetworkModel, scores: list,
                 return -math.inf if s is None else (
                     _utility(model, s, j) - disagreement.utilities[j])
             rise, fall = partial(excess, j=k), partial(excess, j=1 - k)
-            if rise(hi) < 0.0 or fall(lo) < 0.0:
+            if (rise_hi := rise(hi)) < 0.0 or (fall_lo := fall(lo)) < 0.0:
                 continue
-            lo, hi = (lo if rise(lo) >= 0.0 else illinois_root(rise, lo, hi, rise(lo), rise(hi)),
-                      hi if fall(hi) >= 0.0 else illinois_root(fall, hi, lo, fall(hi), fall(lo)))
+            rise_lo, fall_hi = rise(lo), fall(hi)
+            lo, hi = (lo if rise_lo >= 0.0 else illinois_root(rise, lo, hi, rise_lo, rise_hi),
+                      hi if fall_hi >= 0.0 else illinois_root(fall, hi, lo, fall_hi, fall_lo))
         n = _SAMPLES if hi > lo else 1
         ends = visit(at(lo)), visit(at(hi))
         if n == 1 or all(beaten(*ends)):

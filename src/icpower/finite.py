@@ -121,10 +121,10 @@ def _on_off_game(params: FiniteGameParams, gains: tuple,
     t, c, req = params.throughput_reward, params.power_cost, params.sinr_threshold
     # validate the channel before dividing by its processing gain
     model = NetworkModel(gains, noise_power, processing_gain, power_cap=1.0,
-                         packet_bits=1, rate_scale=1.0)
+                         packet_bits=2, rate_scale=1.0)  # placeholders: only the SINR is read
     p = params.power_level(gains[0][0], noise_power, processing_gain)
     model = NetworkModel(model.gains, noise_power, processing_gain, power_cap=p,
-                         packet_bits=1, rate_scale=1.0)
+                         packet_bits=2, rate_scale=1.0)
     levels = (0.0, model.power_cap)
 
     def cell(s: tuple[float, float]) -> tuple[float, float]:

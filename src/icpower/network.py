@@ -9,12 +9,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Union
 
-__all__ = ["DegenerateUtilityError", "NetworkModel", "PowerProfile", "effective_gain", "sinr"]
-
-
-class DegenerateUtilityError(ValueError):
-    """Raised when the efficiency utility has no interior optimum (L = 1), a
-    property of the network's packet_bits."""
+__all__ = ["NetworkModel", "PowerProfile", "effective_gain", "sinr"]
 
 
 class _Record:
@@ -66,7 +61,7 @@ class NetworkModel(_Record):
         processing_gain: despreading/processing gain, >= 1, with
             processing_gain * gains[j][j] / noise_power finite.
         power_cap: maximum transmit power per player (W), > 0.
-        packet_bits: information bits per packet, from 1 to 2**53.
+        packet_bits: bits per packet, from 2 to 2**53 (at 1 the efficiency has no optimum).
         rate_scale: throughput scale (b/s), > 0, with noise_power / rate_scale
             and rate_scale * processing_gain * gains[j][j] / noise_power, the
             bound on player j's utility, finite.
@@ -99,8 +94,8 @@ class NetworkModel(_Record):
         if not self.power_cap > 0:
             raise ValueError("power_cap must be > 0")
         # the solvers multiply floats by L, which a float holds exactly up to 2**53
-        if not (type(self.packet_bits) is int and 1 <= self.packet_bits <= 2 ** 53):
-            raise ValueError("packet_bits must be an integer from 1 to 2**53")
+        if not (type(self.packet_bits) is int and 2 <= self.packet_bits <= 2 ** 53):
+            raise ValueError("packet_bits must be an integer from 2 to 2**53")
         if not self.rate_scale > 0:
             raise ValueError("rate_scale must be > 0")
         for name in ("noise_power", "processing_gain", "power_cap", "rate_scale"):

@@ -41,6 +41,9 @@ def run(tmp_path, *argv, config=None):
     return main(args + list(argv))
 
 
+ONE_BIT_ERROR = "error: network: packet_bits must be an integer from 2 to 2**53\n"
+
+
 def read_json(tmp_path, name):
     return json.loads((tmp_path / "out" / f"{name}.json").read_text())
 
@@ -294,22 +297,23 @@ class TestPricing:
 
     def test_single_bit_packets_rejected_like_ne(self, tmp_path, small_config,
                                                  capsys):
-        # with L = 1 the priced utility's supremum t * mu is approached as
-        # s -> 0 but never attained, so there is no best response to report
+        # with L = 1 the utility's supremum t * mu is approached as s -> 0 but
+        # never attained, so the network is rejected as the config loads
         small_config["network"]["packet_bits"] = 1
         assert run(tmp_path, "ne", config=small_config) == 2
         ne_err = capsys.readouterr().err
-        assert "packet_bits = 1" in ne_err
+        assert ne_err == ONE_BIT_ERROR
         assert run(tmp_path, "pricing", config=small_config) == 2
         assert capsys.readouterr().err == ne_err
 
     @pytest.mark.parametrize("argv", [["ne"], ["pricing"], ["social"], ["nbs"],
-                                      ["repeated"]])
+                                      ["repeated"], ["pareto", "--n", "5"], ["finite"]])
     def test_single_bit_packets_name_the_network(self, tmp_path, small_config, capsys,
                                                  argv):
         small_config["network"]["packet_bits"] = 1
         assert run(tmp_path, *argv, config=small_config) == 2
-        assert capsys.readouterr().err.startswith("error: network: packet_bits = 1: ")
+        assert capsys.readouterr().err == ONE_BIT_ERROR
+        assert not (tmp_path / "out").exists()
 
     def test_dropped_priced_tol_is_an_unknown_key(self, tmp_path, small_config, capsys):
         # the search has no such tolerance, so the key is a config error
@@ -427,18 +431,17 @@ class TestEfficiencyCommands:
             text = (tmp_path / "out" / name).read_text()
             assert not re.search(r"inf|nan|Infinity|NaN", text), name
 
-    def test_pareto_json_spells_an_infinite_utility_as_json_does(self, tmp_path):
-        # at packet_bits = 1 the utility of a subnormal power can round past
-        # the float range; pareto.json then reads Infinity, as json.dumps writes it
+    def test_pareto_at_one_bit_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        # at packet_bits = 1 the utility of a subnormal power could round past
+        # the float range; such a network is rejected as the config loads
         g, w, noise = 1.513844881093656, 1.8565635837771532, 0.5952851795672228
         cfg = json.loads(default_config_path().read_text())
         cfg["network"] = {"gains": [[g, 0.0], [0.0, g]], "noise_power": noise,
                           "processing_gain": w, "power_cap": 5e-324, "packet_bits": 1,
                           "rate_scale": 3.807583411094452e307}
-        assert run(tmp_path, "--quiet", "pareto", "--n", "3", config=cfg) == 0
-        text = (tmp_path / "out" / "pareto.json").read_text(encoding="utf-8")
-        assert text == reference_pareto(config_from_dict(cfg).model, 3)[1]
-        assert "Infinity" in text
+        assert run(tmp_path, "--quiet", "pareto", "--n", "3", config=cfg) == 2
+        assert capsys.readouterr().err == ONE_BIT_ERROR
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(GOLDENS["runs"]))
     def test_search_goldens(self, tmp_path, capsys, case):
@@ -707,7 +710,7 @@ class TestDriver:
         ({"network.gains": THREE_PLAYERS, "weights": [0.5, 0.25, 0.25]},
          [["pareto", "--n", "5"], ["social"], ["nbs"], ["repeated"]]),
         ({"network.gains": [[0.75, 0.5], [0.25]]}, COMMANDS),
-        ({"network.packet_bits": 1}, [["ne"], ["pricing"], ["social"], ["nbs"]]),
+        ({"network.packet_bits": 1}, COMMANDS),
         ({"network.noise_power": 1e-10, "network.rate_scale": 1e300}, COMMANDS),
         ({"pricing": None}, [["pricing"]]),
         ({"pricing.alpha": -0.1}, COMMANDS),

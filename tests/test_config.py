@@ -188,13 +188,21 @@ class TestValidation:
             config_from_dict(base_dict)
 
 
-    @pytest.mark.parametrize("key, value", [
-        ("h", "x"), ("h", True), ("h", math.inf), ("h1", -0.5), ("h2", 0),
-    ])
-    def test_finite_gains_checked_at_load(self, base_dict, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        # the shape rule of every config number, then FiniteScenario's own > 0;
+        # null is a value like any other, not an absent gain
+        ("h", "x", 'must be a number, got "x"'),
+        ("h", True, "must be a number, got true"),
+        ("h", math.inf, "must be finite, got Infinity"),
+        ("h", None, "must be a number, got null"),
+        ("h1", -0.5, "must be a finite number > 0, got -0.5"),
+        ("h2", 0, "must be a finite number > 0, got 0"),
+    ], ids=["h-x", "h-True", "h-inf", "h-None", "h1--0.5", "h2-0"])
+    def test_finite_gains_checked_at_load(self, base_dict, key, value, message):
         base_dict["finite"]["gains"][key] = value
-        with pytest.raises(ConfigError, match=rf"^finite\.gains\.{key}: must be a finite"):
+        with pytest.raises(ConfigError) as info:
             config_from_dict(base_dict)
+        assert str(info.value) == f"finite.gains.{key}: {message}"
 
 
 class TestLoadConfig:

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from icpower import (DegenerateUtilityError, NetworkModel, PowerProfile, PricingConfig,
-                     SolveReport, best_response_ee, best_response_priced,
-                     br_dynamics, ee_utility, gamma_star,
-                     packet_throughput, priced_responder, priced_utility)
+from icpower import (NetworkModel, PowerProfile, PricingConfig, SolveReport,
+                     best_response_ee, best_response_priced, br_dynamics, ee_utility,
+                     gamma_star, packet_throughput, priced_responder, priced_utility)
 from icpower import continuous
 from icpower.continuous import _priced_root, _throughput, _utility, trace_csv_rows
 from icpower.network import effective_gain, sinr
@@ -106,7 +105,7 @@ kernel_models = st.builds(
         noise_power=noise, rate_scale=rate),
     st.one_of(st.just(1e-300), log_uniform_gains), log_uniform_gains,
     st.floats(0.0, 1.2), st.floats(0.0, 1.2),
-    st.one_of(st.integers(1, 60), st.integers(1, 2 ** 53)), st.floats(0.5, 8.0),
+    st.one_of(st.integers(2, 60), st.integers(2, 2 ** 53)), st.floats(0.5, 8.0),
     st.floats(0.2, 3.0), st.floats(0.5, 4.0))
 kernel_powers = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
 kernel_profiles = st.tuples(kernel_powers, kernel_powers)
@@ -124,9 +123,9 @@ class TestPacketThroughput:
         with pytest.raises(ValueError, match=">= 0"):
             packet_throughput(-0.1, ref_model)
 
-    def test_single_bit_closed_form(self):
-        model = make_model(packet_bits=1)
-        assert packet_throughput(1.0, model) == pytest.approx(1 - math.exp(-1),
+    def test_two_bit_closed_form(self):
+        model = make_model(packet_bits=2)
+        assert packet_throughput(1.0, model) == pytest.approx((1 - math.exp(-1)) ** 2,
                                                               rel=1e-15)
 
     def test_reference_operating_point(self, ref_model):
@@ -220,7 +219,8 @@ class TestGammaStar:
         assert gamma_star(2) < gamma_star(20) < gamma_star(100)
 
     def test_single_bit_degenerate(self):
-        with pytest.raises(DegenerateUtilityError, match="monotone"):
+        # at L = 1 throughput / SINR falls strictly, so no SINR is optimal
+        with pytest.raises(ValueError, match=r"^packet_bits must be an integer >= 2$"):
             gamma_star(1)
 
     def test_invalid_bits(self):

@@ -65,7 +65,7 @@ random_models = st.builds(
         gains=((d1, c1), (c2, d2)), packet_bits=bits, power_cap=cap,
         noise_power=noise, rate_scale=rate),
     st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0), st.integers(1, 60), st.floats(0.5, 10.0),
+    st.floats(0.0, 1.0), st.integers(2, 60), st.floats(0.5, 10.0),
     st.floats(0.05, 3.0), st.floats(0.2, 5.0))
 
 

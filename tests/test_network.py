@@ -42,6 +42,7 @@ class TestNetworkModelValidation:
         ("processing_gain", 0.5, "processing_gain"),
         ("power_cap", 0.0, "power_cap"),
         ("packet_bits", 0, "packet_bits"),
+        ("packet_bits", 1, "from 2 to"),
         ("packet_bits", 2.5, "packet_bits"),
         ("rate_scale", 0.0, "rate_scale"),
     ])
@@ -50,8 +51,8 @@ class TestNetworkModelValidation:
             make_model(**{field: value})
 
     @pytest.mark.parametrize("field,value,match", [
-        ("packet_bits", 2 ** 53 + 1, r"packet_bits must be an integer from 1 to 2\*\*53"),
-        ("packet_bits", 10 ** 400, r"packet_bits must be an integer from 1 to 2\*\*53"),
+        ("packet_bits", 2 ** 53 + 1, r"packet_bits must be an integer from 2 to 2\*\*53"),
+        ("packet_bits", 10 ** 400, r"packet_bits must be an integer from 2 to 2\*\*53"),
         ("rate_scale", 1e-320, "noise_power / rate_scale must be finite"),
         ("noise_power", 1e-308, r"processing_gain \* gains\[0\]\[0\] / noise_power "
                                 "must be finite"),

@@ -68,7 +68,7 @@ def test_numpy_is_imported_only_by_array_commands(tmp_path, argv, code, loads_nu
 
 # the package's public surface: a change to it is a deliberate edit here
 PUBLIC = [
-    "ConfigError", "CooperationNotRationalError", "DegenerateUtilityError", "DiscountSpec",
+    "ConfigError", "CooperationNotRationalError", "DiscountSpec",
     "Elimination", "FiniteGame", "FiniteGameParams", "FiniteScenario", "JointDistribution",
     "NetworkModel", "OutputConfig", "PowerProfile", "PricingConfig", "RunConfig",
     "SearchConfig", "SolveReport", "SolverOutcomeError", "TriggerPolicy", "UtilityPlane",

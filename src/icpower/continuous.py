@@ -176,42 +176,50 @@ _TERMINATIONS = ("converged", "cycle", "max_iter")
 class SolveReport(_Record):
     """Outcome of a best-response iteration.
 
+    ``trace`` holds every profile visited, starting with the initializer and
+    ending at the ``solution``, one profile more than the ``iterations``.
     ``utilities`` are the plain energy efficiencies at the solution (also for
     surcharged runs: the surcharge shapes the equilibrium, the delivered b/J
-    is still the performance metric).  ``trace`` holds every profile visited,
-    starting with the initializer and ending at ``solution``.  ``termination``
-    says why the iteration stopped: ``"converged"``, ``"cycle"`` (the last
-    profile of the trace equals the one ``period`` >= 2 sweeps earlier, so the
-    orbit repeats forever) or ``"max_iter"``; ``period`` is None unless it is
-    a cycle.
+    is still the performance metric).  ``termination`` says why the iteration
+    stopped: ``"converged"``, the one case where ``converged`` holds,
+    ``"cycle"`` (the last profile of the trace equals the one ``period`` >= 2
+    sweeps earlier, so the orbit repeats forever) or ``"max_iter"``;
+    ``period`` is None unless it is a cycle.  ``solution``, ``iterations``
+    and ``converged`` are derived, so each fact of a run is stored once.
     """
 
-    __slots__ = ("solution", "utilities", "normalized_utilities", "sinrs", "iterations",
-                 "trace", "converged", "residual", "tolerance", "termination", "period")
+    __slots__ = ("trace", "utilities", "normalized_utilities", "sinrs", "residual",
+                 "tolerance", "termination", "period")
 
-    def __init__(self, solution: PowerProfile, utilities: tuple[float, ...],
+    def __init__(self, trace: tuple[tuple[float, ...], ...], utilities: tuple[float, ...],
                  normalized_utilities: tuple[float, ...], sinrs: tuple[float, ...],
-                 iterations: int, trace: tuple[tuple[float, ...], ...], converged: bool,
                  residual: float, tolerance: float, termination: str,
                  period: Optional[int] = None) -> None:
-        self._set(solution, utilities, normalized_utilities, sinrs, iterations, trace,
-                  converged, residual, tolerance, termination, period)
-        if len(self.trace) != self.iterations + 1:
-            raise ValueError("trace must hold iterations + 1 profiles")
-        if not self.trace or self.trace[-1] != self.solution.powers:
-            raise ValueError("trace must be non-empty and end at the solution")
-        if self.converged and not self.residual <= self.tolerance:
-            raise ValueError("converged report with residual above tolerance")
+        self._set(trace, utilities, normalized_utilities, sinrs, residual, tolerance,
+                  termination, period)
+        if not self.trace:
+            raise ValueError("trace must be non-empty")
         if self.termination not in _TERMINATIONS:
             raise ValueError(f"termination must be one of {_TERMINATIONS}, "
                              f"got {self.termination!r}")
-        if self.converged != (self.termination == "converged"):
-            raise ValueError("converged must hold exactly when termination "
-                             "is 'converged'")
+        if self.converged and not self.residual <= self.tolerance:
+            raise ValueError("converged report with residual above tolerance")
         is_period = isinstance(self.period, int) and self.period >= 2
         if is_period != (self.termination == "cycle"):
             raise ValueError("period must be an int >= 2 exactly when termination "
                              "is 'cycle'")
+
+    @property
+    def solution(self) -> PowerProfile:
+        return PowerProfile(self.trace[-1])
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
     def to_dict(self) -> dict:
         return {
@@ -228,39 +236,16 @@ class SolveReport(_Record):
             "trace": [list(t) for t in self.trace],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolveReport":
-        """Load ``to_dict`` output; reports written before ``termination``
-        existed stopped either converged or at ``max_iter``."""
-        converged = bool(data["converged"])
-        return cls(
-            solution=PowerProfile(tuple(data["solution"])),
-            utilities=tuple(data["utilities"]),
-            normalized_utilities=tuple(data["normalized_utilities"]),
-            sinrs=tuple(data["sinrs"]),
-            iterations=int(data["iterations"]),
-            trace=tuple(tuple(t) for t in data["trace"]),
-            converged=converged,
-            residual=float(data["residual"]),
-            tolerance=float(data["tolerance"]),
-            termination=data.get("termination",
-                                 "converged" if converged else "max_iter"),
-            period=data.get("period"),
-        )
 
-
-def _report(model: NetworkModel, profile: tuple[float, ...],
-            trace: list[tuple[float, ...]], residual: float, tol: float,
-            termination: str, period: Optional[int] = None) -> SolveReport:
+def _report(model: NetworkModel, trace: list[tuple[float, ...]], residual: float,
+            tol: float, termination: str, period: Optional[int] = None) -> SolveReport:
+    profile = trace[-1]
     utilities = tuple(ee_utility(model, profile, k) for k in (0, 1))
     return SolveReport(
-        solution=PowerProfile(profile),
+        trace=tuple(trace),
         utilities=utilities,
         normalized_utilities=tuple(u * model.utility_scale for u in utilities),
         sinrs=tuple(sinr(model, profile, k) for k in (0, 1)),
-        iterations=len(trace) - 1,
-        trace=tuple(trace),
-        converged=termination == "converged",
         residual=residual,
         tolerance=tol,
         termination=termination,
@@ -298,14 +283,14 @@ def br_dynamics(model: NetworkModel, responder: Optional[Responder] = None,
         nxt = tuple(responder(model, current, k) for k in (0, 1))
         residual = max(abs(a - b) for a, b in zip(nxt, current))
         if step <= tol and residual <= tol:
-            return _report(model, current, trace, residual, tol, "converged")
+            return _report(model, trace, residual, tol, "converged")
         n = len(trace) - 1
         period = n - seen.get(current, n)
         seen[current] = n
         if period >= 2:  # a repeat one sweep apart is a fixed point
-            return _report(model, current, trace, residual, tol, "cycle", period)
+            return _report(model, trace, residual, tol, "cycle", period)
         step = residual  # the next sweep's step, the same operands in the same order
-    return _report(model, current, trace, residual, tol, "max_iter")
+    return _report(model, trace, residual, tol, "max_iter")
 
 
 def trace_csv_rows(model: NetworkModel, report: SolveReport) -> tuple[list[str], list[list]]:

@@ -226,6 +226,7 @@ def _pieces(model: NetworkModel) -> list[tuple]:
     """
     bits, cap = model.packet_bits, model.power_cap
     kappa, powers, beta = _channel(model)
+    end = _ratio_inverse(math.sqrt(kappa), bits)  # the end both halves share
 
     def curve(k: int) -> tuple:
         solved = {}  # t: (profile, gamma_j, y), so that each t is solved once
@@ -250,7 +251,7 @@ def _pieces(model: NetworkModel) -> list[tuple]:
             dk = (_elasticity(t, bits) - 1.0) / t + dd - bk * g * dlog / (1.0 + bk * g)
             dj = (_elasticity(g, bits) - 1.0) * dlog + dd - bj / (1.0 + bj * t)
             return (dk, dj) if k == 0 else (dj, dk)
-        return 0.0, _ratio_inverse(math.sqrt(kappa), bits), k, lambda t: solve(t)[0], slope
+        return 0.0, end, k, lambda t: solve(t)[0], slope
 
     def edge(k: int) -> tuple:
         j = 1 - k

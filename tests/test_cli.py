@@ -20,8 +20,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import icpower.cli
 import icpower.continuous
 import icpower.efficiency
-from icpower import (FiniteGame, SolveReport, best_response_ee, config_from_dict,
-                     default_config_path, load_config)
+from icpower import (FiniteGame, best_response_ee, config_from_dict, default_config_path,
+                     load_config)
 from icpower.cli import main
 
 from test_efficiency import brute_frontier, reference_grid
@@ -96,12 +96,13 @@ class TestNe:
 
     def test_artifacts_round_trip(self, tmp_path):
         run(tmp_path, "--quiet", "ne")
-        report = SolveReport.from_dict(read_json(tmp_path, "ne"))
-        assert report.converged
+        report = read_json(tmp_path, "ne")
+        assert report["converged"]
         rows = read_csv(tmp_path, "ne")
         assert rows[0] == ["iter", "s_1", "s_2", "u_1", "u_2",
                            "gamma_1", "gamma_2"]
-        assert len(rows) == report.iterations + 2  # header + trace
+        assert len(rows) == report["iterations"] + 2  # header + trace
+        assert [list(map(float, row[1:3])) for row in rows[1:]] == report["trace"]
 
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         assert run(tmp_path, "--quiet", "ne") == 0
@@ -119,6 +120,44 @@ class TestNe:
         run(tmp_path, "--quiet", "ne")
         assert (tmp_path / "out" / "ne.json").read_bytes() == first_json
         assert (tmp_path / "out" / "ne.csv").read_bytes() == first_csv
+
+
+def check_report_rules(report: dict) -> str:
+    """Check that a written dynamics report's solution, iterations and
+    converged follow from its trace and termination, and its period is an
+    int >= 2 exactly for a cycle; return the termination."""
+    trace, termination, period = report["trace"], report["termination"], report["period"]
+    assert report["solution"] == trace[-1]
+    assert report["iterations"] == len(trace) - 1
+    assert report["converged"] is (termination == "converged")
+    assert (type(period) is int and period >= 2) is (termination == "cycle")
+    return termination
+
+
+class TestReportArtifacts:
+    """The rules a dynamics report keeps, read from the JSON the CLI writes."""
+
+    @pytest.mark.parametrize("argv, max_iter, code, terminations", [
+        (["ne"], None, 0, ["converged"]),
+        (["pricing", "--alpha", "0.12"], None, 0, ["converged"]),
+        (["pricing", "--alpha", "0.15"], None, 3, ["cycle"]),
+        (["ne"], 32, 3, ["max_iter"]),
+        (["pricing", "--sweep", "0:0.3:16"], None, 3, None),
+    ], ids=["ne", "pricing-converged", "pricing-cycle", "ne-max_iter", "pricing-sweep"])
+    def test_written_reports_keep_the_rules(self, tmp_path, argv, max_iter, code,
+                                            terminations):
+        cfg = json.loads(default_config_path().read_text())
+        if max_iter is not None:
+            cfg["search"]["max_iter"] = max_iter
+        assert run(tmp_path, "--quiet", *argv, config=cfg) == code
+        name = "pricing_sweep" if "--sweep" in argv else argv[0]
+        data = read_json(tmp_path, name)
+        reports = data if isinstance(data, list) else [data]
+        got = [check_report_rules(report) for report in reports]
+        if terminations is None:  # the sweep: 16 runs, some of them cycles
+            assert len(got) == 16 and {"converged", "cycle"} == set(got)
+        else:
+            assert got == terminations
 
 
 class TestFinite:

@@ -554,7 +554,6 @@ class TestBrDynamics:
         assert ne_report.solution.powers == pytest.approx(tuple(expected), abs=1e-8)
 
     def test_trace_and_residual_contract(self, ne_report):
-        assert len(ne_report.trace) == ne_report.iterations + 1
         assert ne_report.trace[0] == (5.0, 5.0)
         assert ne_report.residual <= ne_report.tolerance
 
@@ -642,7 +641,6 @@ class TestBrDynamics:
         report = br_dynamics(ref_model, responder=priced_responder(PricingConfig(0.15)))
         assert (report.termination, report.period, report.converged) == ("cycle", 4, False)
         assert report.iterations <= 16
-        assert len(report.trace) == report.iterations + 1
         assert report.trace[-1] == report.trace[-5] == report.solution.powers
 
     def test_period_two_orbit_through_silence(self):
@@ -743,56 +741,36 @@ class TestInteriorEquilibrium:
 
 
 def report_fields(**overrides):
-    fields = dict(solution=PowerProfile((1.0,) * 2), utilities=(0.0, 0.0),
+    fields = dict(trace=((1.0, 1.0),), utilities=(0.0, 0.0),
                   normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
-                  iterations=0, trace=((1.0, 1.0),), converged=False,
                   residual=1.0, tolerance=1e-10, termination="max_iter")
     fields.update(overrides)
     return fields
 
 
 class TestSolveReport:
-    def test_dict_round_trip(self, ne_report):
-        clone = SolveReport.from_dict(ne_report.to_dict())
-        assert clone == ne_report
-
-    def test_cycle_round_trip(self, ref_model):
-        report = br_dynamics(ref_model, responder=priced_responder(PricingConfig(0.15)))
-        data = report.to_dict()
-        assert (data["termination"], data["period"]) == ("cycle", 4)
-        assert SolveReport.from_dict(data) == report
-
-    @pytest.mark.parametrize("converged,termination", [(True, "converged"),
-                                                      (False, "max_iter")])
-    def test_loads_reports_without_termination(self, converged, termination):
-        data = SolveReport(**report_fields(converged=converged, residual=0.0,
-                                           termination=termination)).to_dict()
-        del data["termination"], data["period"]
-        report = SolveReport.from_dict(data)
-        assert (report.termination, report.period) == (termination, None)
+    @pytest.mark.parametrize("name", ["solution", "iterations", "converged"])
+    def test_derived_fields_are_read_only_properties(self, name):
+        assert name not in SolveReport.__slots__
+        prop = vars(SolveReport)[name]
+        assert isinstance(prop, property) and prop.fset is None and prop.fdel is None
+        with pytest.raises(AttributeError):
+            setattr(SolveReport(**report_fields()), name, None)
 
     def test_trace_length_invariant(self):
-        with pytest.raises(ValueError, match="iterations"):
-            SolveReport(solution=PowerProfile((1.0,) * 2), utilities=(0.0, 0.0),
-                        normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
-                        iterations=3, trace=((1.0, 1.0),), converged=False,
-                        residual=1.0, tolerance=1e-10, termination="max_iter")
+        # iterations is read from the trace, which holds one profile more
+        report = SolveReport(**report_fields(
+            trace=((5.0, 5.0), (2.0, 1.0), (3.0, 2.0), (2.0, 1.0))))
+        assert report.iterations == 3
+        assert report.solution == PowerProfile((2.0, 1.0))
 
-    @pytest.mark.parametrize("load", [
-        lambda: SolveReport(**report_fields(iterations=-1, trace=())),
-        lambda: SolveReport.from_dict({**SolveReport(**report_fields()).to_dict(),
-                                       "solution": [2.0, 1.0]}),
-    ], ids=["empty", "loaded-off-the-end"])
-    def test_trace_ends_at_solution(self, load):
-        with pytest.raises(ValueError, match="end at the solution"):
-            load()
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="trace must be non-empty"):
+            SolveReport(**report_fields(trace=()))
 
     def test_convergence_invariant(self):
         with pytest.raises(ValueError, match="residual"):
-            SolveReport(solution=PowerProfile((1.0,) * 2), utilities=(0.0, 0.0),
-                        normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
-                        iterations=0, trace=((1.0, 1.0),), converged=True,
-                        residual=1.0, tolerance=1e-10, termination="converged")
+            SolveReport(**report_fields(termination="converged"))
 
     def test_unknown_termination_rejected(self):
         with pytest.raises(ValueError, match="termination must be one of"):
@@ -801,17 +779,18 @@ class TestSolveReport:
     @pytest.mark.parametrize("converged,termination", [
         (True, "max_iter"), (True, "cycle"), (False, "converged")])
     def test_converged_matches_termination(self, converged, termination):
-        with pytest.raises(ValueError, match="converged must hold"):
-            SolveReport(**report_fields(converged=converged, residual=0.0,
-                                        termination=termination, period=2))
+        # converged is read from termination, so no report holds the other value
+        report = SolveReport(**report_fields(
+            residual=0.0, termination=termination,
+            period=2 if termination == "cycle" else None))
+        assert report.converged is not converged
 
     @pytest.mark.parametrize("termination,period", [
         ("cycle", None), ("cycle", 1), ("cycle", 2.0), ("cycle", "2"),
         ("max_iter", 2), ("converged", 3)])
     def test_period_exactly_for_cycles(self, termination, period):
         with pytest.raises(ValueError, match="period"):
-            SolveReport(**report_fields(converged=termination == "converged",
-                                        residual=0.0, termination=termination,
+            SolveReport(**report_fields(residual=0.0, termination=termination,
                                         period=period))
 
     def test_trace_csv_layout(self, ref_model, ne_report):
@@ -844,11 +823,7 @@ class TestUncheckedKernel:
     @example(FAINT, [(5.0, 5.0), (0.0, 1.3), (5.0, 0.0)])
     @example(LONG, [(0.0, 0.0), (1e-3, 4.0)])
     def test_trace_rows_are_the_public_path(self, model, trace):
-        report = SolveReport(solution=PowerProfile(trace[-1]), utilities=(0.0, 0.0),
-                             normalized_utilities=(0.0, 0.0), sinrs=(0.0, 0.0),
-                             iterations=len(trace) - 1, trace=tuple(trace),
-                             converged=False, residual=1.0, tolerance=1e-10,
-                             termination="max_iter")
+        report = SolveReport(**report_fields(trace=tuple(trace)))
         _, rows = trace_csv_rows(model, report)
         for n, (row, prof) in enumerate(zip(rows, trace)):
             assert row == [n, *prof, *(ee_utility(model, prof, k) for k in range(2)),

@@ -606,13 +606,18 @@ class TestBandedSearch:
         monkeypatch.setattr(icpower.efficiency, "_ratio_inverse", solved)
         monkeypatch.setattr(icpower.efficiency, "_pieces", counted)
         assert nash_bargaining(ref_model, ne_point) == nbs_point
-        calls = [c for c in calls if c is not None]  # not the curves' own ends
+        assert calls.count(None) == 1  # the end both curves share, solved once
+        calls = [c for c in calls if c is not None]
         assert calls and len(set(calls)) == len(calls)
 
-    def test_both_bargaining_points_match_their_own_searches(self, ne_point, nbs_point,
-                                                             ref_model):
-        assert bargaining_points(ref_model, ne_point) == (
-            nbs_point, fairness_projection(ref_model, ne_point))
+    @settings(max_examples=60, deadline=None)
+    @given(random_models)
+    @example(make_model())
+    def test_both_bargaining_points_match_their_own_searches(self, model):
+        # nbs --fairness must report the point that nbs alone reports
+        ne = nash_equilibrium(model)
+        assert bargaining_points(model, ne) == (nash_bargaining(model, ne),
+                                                fairness_projection(model, ne))
 
 
 class TestCheckedOnce:

@@ -122,8 +122,7 @@ ENTRY_POINTS = {
     "br_dynamics": lambda m, p: br_dynamics(m, init=p),
     "utility_point": utility_point,
     "trace_csv_rows": lambda m, p: trace_csv_rows(m, SolveReport(
-        PowerProfile((1.0, 1.0)), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1,
-        (tuple(p), (1.0, 1.0)), False, 1.0, 1e-10, "max_iter")),
+        (tuple(p), (1.0, 1.0)), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0, 1e-10, "max_iter")),
 }
 
 

@@ -268,17 +268,18 @@ def _pieces(model: NetworkModel) -> list[tuple]:
     return [curve(0), curve(1), edge(0), edge(1)]
 
 
-def _search(model: NetworkModel, scores: list,
-            disagreement: Optional[UtilityPoint] = None) -> list[UtilityPoint]:
-    """The best point of each score over [0, power_cap]^2.  A score is
+def _search(model: NetworkModel, score: tuple, pieces: list,
+            disagreement: Optional[UtilityPoint] = None) -> UtilityPoint:
+    """The best point of a score over [0, power_cap]^2.  A score is
     ``(value, rate)``: ``value(u1, u2)``, nondecreasing in each utility, and
     ``rate(u1, u2, du1, du2)``, whose sign is that of the value's slope along
     a piece and whose root is its maximum there.  Both take the utilities,
     and their derivatives along the piece, in units of ``_unit``.
 
     The candidates are the disagreement profile, the two lone best responses
-    and, on each piece of ``_pieces``, up to ``_SAMPLES`` evenly spaced
-    points, each scored by every score.  Along a piece one utility rises and
+    and, on each of ``pieces`` (from ``_pieces``, which keep each curve point
+    they solve, so that searches of one model share them), up to
+    ``_SAMPLES`` evenly spaced points.  Along a piece one utility rises and
     the other falls, so nothing between two visited points beats the pair of
     their larger utilities, each raised by its rounding error, (L + 8) ulps
     (``beaten``); where that bound is below the best found, the stretch
@@ -289,7 +290,7 @@ def _search(model: NetworkModel, scores: list,
     at a piece's end, or next to a skipped stretch, the sign of the rate there
     says whether the maximum is inside.  A rate is never evaluated at t = 0 or
     where a piece has no profile: there the samples' order gives its sign.
-    Each root iterate is scored by every score, like a sample, so a refinement
+    Each root iterate is scored like a sample, so a refinement
     cannot lose the sampled best.  A piece's start, where player k is silent,
     is never better than the other's lone best response, but a maximum may lie
     just after it: where the start is a sampled maximum, the rate at
@@ -305,37 +306,35 @@ def _search(model: NetworkModel, scores: list,
     """
     cap, silent, unit = model.power_cap, (0.0, 0.0), _unit(model)
     slack = 1.0 + (model.packet_bits + 8) * math.ulp(1.0)  # q^L's rounding error
-    best = [(-math.inf, silent)] * len(scores)
-    valued, nowhere = [value for value, _ in scores], [-math.inf] * len(scores)
+    value, rate = score
+    best = -math.inf, silent
 
-    def visit(s: Optional[tuple[float, float]]) -> tuple[Optional[tuple], list[float]]:
-        """The utilities at s in units, None where s is None, and every score there."""
+    def visit(s: Optional[tuple[float, float]]) -> tuple[Optional[tuple], float]:
+        """The utilities at s in units, None where s is None, and the score there."""
+        nonlocal best
         if s is None:
-            return None, nowhere
+            return None, -math.inf
         u1, u2 = _utility(model, s, 0) * unit, _utility(model, s, 1) * unit
         if s[0] > cap or s[1] > cap:
-            return (u1, u2), nowhere
-        values = [value(u1, u2) for value in valued]
-        for i, v in enumerate(values):
-            if v > best[i][0]:
-                best[i] = (v, s)
-        return (u1, u2), values
+            return (u1, u2), -math.inf
+        v = value(u1, u2)
+        if v > best[0]:
+            best = v, s
+        return (u1, u2), v
 
-    def beaten(x: tuple, y: tuple) -> list[bool]:
-        """Per score, whether nothing on a piece between two visited points
-        can beat the best found: each utility is monotone along a piece, so
-        it is at most its larger value at the two, up to its rounding error,
-        and no score falls as a utility rises."""
+    def beaten(x: tuple, y: tuple) -> bool:
+        """Whether nothing on a piece between two visited points can beat
+        the best found: each utility is monotone along a piece, so it is at
+        most its larger value at the two, up to its rounding error, and the
+        score does not fall as a utility rises."""
         if x[0] is None or y[0] is None:
-            return [False] * len(scores)
+            return False
         ideal = max(x[0][0], y[0][0]) * slack, max(x[0][1], y[0][1]) * slack
-        return [value(*ideal) < b for value, (b, _) in zip(valued, best)]
+        return value(*ideal) < best[0]
 
-    def refine(i: int, a: int, b: int, at, slope, ts: list, seen: list,
-               start: bool) -> None:
-        """Refine score i between samples a < b of a piece, where it peaks;
+    def refine(a: int, b: int, at, slope, ts: list, seen: list, start: bool) -> None:
+        """Refine the score between samples a < b of a piece, where it peaks;
         from a probe just after a, if ``start``: a silent start that peaks."""
-        rate = scores[i][1]
 
         def rated(t: float, u: tuple[float, float]) -> float:
             d1, d2 = slope(t)
@@ -357,7 +356,7 @@ def _search(model: NetworkModel, scores: list,
         visit(disagreement.profile.powers)
     visit((best_response_ee(model, silent, 0), 0.0))
     visit((0.0, best_response_ee(model, silent, 1)))
-    for lo, hi, k, at, slope in _pieces(model):
+    for lo, hi, k, at, slope in pieces:
         if disagreement is not None:
             def excess(t: float, j: int) -> float:
                 s = at(t)
@@ -371,7 +370,7 @@ def _search(model: NetworkModel, scores: list,
                       hi if fall_hi >= 0.0 else illinois_root(fall, hi, lo, fall_hi, fall_lo))
         n = _SAMPLES if hi > lo else 1
         ends = visit(at(lo)), visit(at(hi))
-        if n == 1 or all(beaten(*ends)):
+        if n == 1 or beaten(*ends):
             continue
         ts = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
         seen = [ends[0]] + [None] * (n - 2) + [ends[1]]
@@ -379,18 +378,18 @@ def _search(model: NetworkModel, scores: list,
         for m in coarse[1:-1]:
             seen[m] = visit(at(ts[m]))
         for p, q in zip(coarse, coarse[1:]):
-            if not all(beaten(seen[p], seen[q])):
+            if not beaten(seen[p], seen[q]):
                 seen[p + 1:q] = [visit(at(t)) for t in ts[p + 1:q]]
         for j in range(n):
             if seen[j] is None:
                 continue
             a = j - 1 if j > 0 and seen[j - 1] else j
             b = j + 1 if j < n - 1 and seen[j + 1] else j
-            for i, v in enumerate(seen[j][1]):
-                if (a < b and v > -math.inf and (a == j or v > seen[a][1][i])
-                        and (b == j or v >= seen[b][1][i])):
-                    refine(i, a, b, at, slope, ts, seen, ts[j] == 0.0)
-    return [utility_point(model, s) for _, s in best]
+            v = seen[j][1]
+            if (a < b and v > -math.inf and (a == j or v > seen[a][1])
+                    and (b == j or v >= seen[b][1])):
+                refine(a, b, at, slope, ts, seen, ts[j] == 0.0)
+    return utility_point(model, best[1])
 
 
 def _unit(model: NetworkModel) -> float:
@@ -406,8 +405,8 @@ def _unit(model: NetworkModel) -> float:
 def social_optimum(model: NetworkModel, weights: Weights) -> UtilityPoint:
     """Maximize w1*u1 + w2*u2 over [0, power_cap]^2 (see ``_search``)."""
     w1, w2 = weights.w
-    return _search(model, [(lambda u1, u2: w1 * u1 + w2 * u2,
-                            lambda u1, u2, du1, du2: w1 * du1 + w2 * du2)])[0]
+    return _search(model, (lambda u1, u2: w1 * u1 + w2 * u2,
+                           lambda u1, u2, du1, du2: w1 * du1 + w2 * du2), _pieces(model))
 
 
 def in_improvement_region(candidate: UtilityPoint, baseline: UtilityPoint) -> bool:
@@ -429,7 +428,9 @@ _EQUAL_GAIN = (min, lambda g1, g2, dg1, dg2: (g2 - g1) * (dg1 - dg2))
 def _bargain(model: NetworkModel, disagreement: UtilityPoint,
              kinds: list) -> list[UtilityPoint]:
     """Maximize each of ``kinds`` (``_PRODUCT``, ``_EQUAL_GAIN``) of the
-    nonnegative utility gains.
+    nonnegative utility gains, each by a search of its own, so that a point
+    does not depend on the other kinds asked for with it; the searches share
+    the pieces, and so each curve point that both visit is solved once.
 
     The disagreement point is its profile, which must lie in the box: d is
     the utilities there, whatever ``disagreement.utilities`` claims, so that
@@ -449,7 +450,8 @@ def _bargain(model: NetworkModel, disagreement: UtilityPoint,
             return combine(g1, g2) if g1 >= 0.0 and g2 >= 0.0 else -math.inf
         return value, lambda u1, u2, du1, du2: rate(u1 - d1, u2 - d2, du1, du2)
 
-    return _search(model, [scorer(*kind) for kind in kinds], disagreement)
+    pieces = _pieces(model)
+    return [_search(model, scorer(*kind), pieces, disagreement) for kind in kinds]
 
 
 def nash_bargaining(model: NetworkModel, disagreement: UtilityPoint) -> UtilityPoint:
@@ -465,7 +467,8 @@ def fairness_projection(model: NetworkModel, baseline: UtilityPoint) -> UtilityP
 
 def bargaining_points(model: NetworkModel,
                       disagreement: UtilityPoint) -> tuple[UtilityPoint, UtilityPoint]:
-    """``nash_bargaining`` and ``fairness_projection`` from one search."""
+    """``nash_bargaining`` and ``fairness_projection``, from one check of the
+    disagreement point."""
     return tuple(_bargain(model, disagreement, [_PRODUCT, _EQUAL_GAIN]))
 
 

@@ -27,8 +27,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .config import (SCENARIOS, ConfigError, PricingConfig, RunConfig, SolverOutcomeError,
-                     default_config_path, load_config)
+from .config import (SCENARIOS, ConfigError, PricingConfig, RunConfig, default_config_path,
+                     load_config)
+from .network import SolverOutcomeError
 
 if TYPE_CHECKING:
     from .continuous import SolveReport

@@ -20,7 +20,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ConfigError",
-    "SolverOutcomeError",
     "Weights",
     "SearchConfig",
     "OutputConfig",
@@ -39,10 +38,6 @@ GAIN_KEYS = ("h", "h1", "h2")  # the gains a FiniteScenario can take
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
-
-
-class SolverOutcomeError(ValueError):
-    """A valid config has no answer of the kind asked for; the CLI exits 3."""
 
 
 class Weights(_Record):
@@ -98,8 +93,8 @@ class PricingConfig(_Record):
 
     def __init__(self, alpha: float) -> None:
         self._set(alpha)
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= self.alpha < math.inf:  # NaN and -inf fail as negative
+            raise ValueError(f"alpha must be {'finite' if self.alpha == math.inf else '>= 0'}")
 
 
 class FiniteGameParams(_Record):

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-# PricingConfig is a config section and lives there; the name stays here too,
-# so old pickles of a PricingConfig load
-from .config import PricingConfig
 from .network import (NetworkModel, PowerProfile, Powers, _checked, _Record, _sinr_per_watt,
                       effective_gain, power_tuple, sinr)
+
+if TYPE_CHECKING:
+    from .config import PricingConfig
 
 __all__ = [
     "SolveReport",

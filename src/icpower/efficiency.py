@@ -16,7 +16,6 @@ import operator
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .config import Weights
 from .continuous import _newton, _utility, best_response_ee, gamma_star
 from .network import (NetworkModel, PowerProfile, Powers, _Record, _sinr_per_watt,
                       _utility_bound, power_tuple)
@@ -24,6 +23,8 @@ from .numerics import illinois_root
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .config import Weights
 
 __all__ = [
     "UtilityPoint",

@@ -9,12 +9,12 @@ hold nested tuples of floats, so they compare by value and hash.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-# the on/off games' parameters are a config section; the name stays here too,
-# so old pickles of a FiniteGameParams load
-from .config import FiniteGameParams
 from .network import NetworkModel, _Record, _sinr_per_watt
+
+if TYPE_CHECKING:
+    from .config import FiniteGameParams
 
 __all__ = [
     "FiniteGame",
@@ -110,8 +110,8 @@ class Elimination(_Record):
         self._set(round, player, strategy, dominator)
 
 
-def _on_off_game(params: FiniteGameParams, gains: tuple,
-                 noise_power: float, processing_gain: float) -> FiniteGame:
+def _on_off_game(params: FiniteGameParams, gains: tuple, noise_power: float,
+                 processing_gain: float, gain_name: str) -> FiniteGame:
     """The 2-player {0, p} game under the threshold rule.
 
     The power level p puts transmitter 0 alone exactly at the SINR
@@ -119,13 +119,15 @@ def _on_off_game(params: FiniteGameParams, gains: tuple,
     the threshold, zero otherwise, and always pays ``power_cost`` * s/p.
     """
     t, c, req = params.throughput_reward, params.power_cost, params.sinr_threshold
-    # validate the channel before dividing by its processing gain
+    # check the channel before p divides by its gain; only its SINR is read, so
+    # power_cap, packet_bits and rate_scale are placeholders
     model = NetworkModel(gains, noise_power, processing_gain, power_cap=1.0,
-                         packet_bits=2, rate_scale=1.0)  # placeholders: only the SINR is read
-    p = params.power_level(gains[0][0], noise_power, processing_gain)
-    model = NetworkModel(model.gains, noise_power, processing_gain, power_cap=p,
                          packet_bits=2, rate_scale=1.0)
-    levels = (0.0, model.power_cap)
+    p = params.power_level(gains[0][0], noise_power, processing_gain)
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"{gain_name} sets the on/off power level to {p!r}, "
+                         f"which must be a finite number > 0")
+    levels = (0.0, p)
 
     def cell(s: tuple[float, float]) -> tuple[float, float]:
         return tuple((t if _sinr_per_watt(model, s, k) * s[k] >= req * (1.0 - _THRESHOLD_RTOL)
@@ -147,13 +149,11 @@ def build_nfe_game(params: FiniteGameParams, h1: float, h2: float,
     """
     if not (h1 > 0 and h2 > 0):
         raise ValueError("gains must be > 0")
-    game = _on_off_game(params, ((h1, h2), (h1, h2)), noise_power, processing_gain)
+    game = _on_off_game(params, ((h1, h2), (h1, h2)), noise_power, processing_gain, "h1")
     bound = 1.0 / (1.0 + params.sinr_threshold / processing_gain)
     if not h1 / h2 < bound:
-        raise ValueError(
-            f"near-far assumption violated: h1/h2 = {h1 / h2:g} must be < "
-            f"1/(1 + sinr_threshold/processing_gain) = {bound:g}"
-        )
+        raise ValueError(f"near-far assumption violated: h1/h2 = {h1 / h2:g} must be < "
+                         f"1/(1 + sinr_threshold/processing_gain) = {bound:g}")
     return game
 
 
@@ -166,7 +166,7 @@ def build_ic_game(params: FiniteGameParams, h: float,
     """
     if not h > 0:
         raise ValueError("gain must be > 0")
-    return _on_off_game(params, ((h, h), (h, h)), noise_power, processing_gain)
+    return _on_off_game(params, ((h, h), (h, h)), noise_power, processing_gain, "h")
 
 
 def _own(game: FiniteGame, k: int) -> list[list[float]]:

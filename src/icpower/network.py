@@ -9,7 +9,11 @@ from __future__ import annotations
 import math
 from typing import Sequence, Union
 
-__all__ = ["NetworkModel", "PowerProfile", "effective_gain", "sinr"]
+__all__ = ["NetworkModel", "PowerProfile", "SolverOutcomeError", "effective_gain", "sinr"]
+
+
+class SolverOutcomeError(ValueError):
+    """A valid config has no answer of the kind asked for; the CLI exits 3."""
 
 
 class _Record:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .config import SolverOutcomeError
 from .continuous import best_response_ee, ee_utility
-from .network import NetworkModel, PowerProfile, _Record
+from .network import NetworkModel, PowerProfile, SolverOutcomeError, _Record
 
 __all__ = [
     "TriggerPolicy",

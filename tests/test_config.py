@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from icpower import (ConfigError, RunConfig, Weights, config_from_dict,
+from icpower import (ConfigError, RunConfig, SearchConfig, Weights, config_from_dict,
                      default_config_path, load_config, pure_nash)
 
 from conftest import make_model
@@ -65,7 +65,8 @@ class TestValidation:
         ((0.2, 0.3, 0.5), r"^need 2, one per player, got 3$"),
         ((1.0,), r"^need 2, one per player, got 1$"),
         ((0.5, 0.6, 0.1), r"^weights must sum to 1"),  # the count is checked last
-    ], ids=["three", "one", "three-bad-sum"])
+        ((math.nan, 1.0), r"^weights must be finite$"),
+    ], ids=["three", "one", "three-bad-sum", "nan"])
     def test_weights_are_a_pair(self, w, message):
         with pytest.raises(ValueError, match=message):
             Weights(w)
@@ -125,6 +126,11 @@ class TestValidation:
         base_dict["search"]["n_per_axis"] = 1
         with pytest.raises(ConfigError, match="search: n_per_axis"):
             config_from_dict(base_dict)
+
+    def test_search_record_rejects_an_infinite_tolerance(self):
+        # the loader names the path first; a library caller meets the record's check
+        with pytest.raises(ValueError, match=r"^br_tol must be finite$"):
+            SearchConfig(br_tol=math.inf)
 
     def test_top_level_array_rejected(self, base_dict):
         with pytest.raises(ConfigError, match=r"^top level: must be an object, got array$"):

@@ -194,6 +194,14 @@ class TestPricedUtility:
         with pytest.raises(ValueError, match="alpha"):
             PricingConfig(-0.1)
 
+    @pytest.mark.parametrize("alpha, message", [
+        (math.inf, "finite"), (math.nan, ">= 0"), (-math.inf, ">= 0"),
+    ], ids=["inf", "nan", "-inf"])
+    def test_non_finite_alpha_rejected(self, alpha, message):
+        # an infinite surcharge once priced silence at 0 - inf * 0, NaN
+        with pytest.raises(ValueError, match=rf"^alpha must be {message}$"):
+            PricingConfig(alpha)
+
 
 class TestGammaStar:
     def test_residual_at_root(self):

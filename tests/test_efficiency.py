@@ -107,6 +107,10 @@ CAP_EQUILIBRIUM = two_by_two((0.5, 0.5), (0.5, 0.5), packet_bits=2,
 # beats it: the search once took the start for the maximum
 PEAK_AFTER_START = two_by_two((0.1, 1.5625), (0.0, 0.06640625), packet_bits=2,
                               processing_gain=4.25)
+# gains so far apart that the curves' points overflow to no profile: the
+# search must not judge a stretch of a piece from such a point
+NO_PROFILE_CURVE = two_by_two((1e-300, 1.0), (1e300, 0.0), packet_bits=10, power_cap=2.0,
+                              processing_gain=1.0)
 
 
 def dense_patch(model, center, half):
@@ -409,6 +413,7 @@ class TestZoom:
     @settings(max_examples=60, deadline=None)
     @given(frontier_models, st.integers(20, 150))
     @example(PEAK_AFTER_START, 20)
+    @example(NO_PROFILE_CURVE, 20)
     def test_social_optimum(self, model, n):
         point = social_optimum(model, Weights((0.5, 0.5)))
         self.check(utility_grid(model, n), point, lambda u1, u2: 0.5 * u1 + 0.5 * u2)

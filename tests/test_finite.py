@@ -72,6 +72,19 @@ class TestConstruction:
                               processing_gain=4.0)
         assert game.payoffs[1][0][0] == pytest.approx(0.99, abs=1e-12)
 
+    @pytest.mark.parametrize("build, name, level", [
+        (lambda: build_ic_game(PARAMS, h=1e-320, noise_power=1.0, processing_gain=4.0),
+         "h", "inf"),
+        (lambda: build_nfe_game(PARAMS, h1=1e-320, h2=1.0, noise_power=1.0,
+                                processing_gain=4.0), "h1", "inf"),
+        (lambda: build_ic_game(FiniteGameParams(sinr_threshold=1e-300), h=1e300,
+                               noise_power=1.0, processing_gain=4.0), "h", "0.0"),
+    ], ids=["ic-inf", "nfe-inf", "ic-zero"])
+    def test_power_level_named_by_its_gain(self, build, name, level):
+        with pytest.raises(ValueError, match=rf"^{name} sets the on/off power level to "
+                                             rf"{level}, which must be a finite number > 0$"):
+            build()
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="gain"):
             build_ic_game(PARAMS, h=0.0, noise_power=1.0, processing_gain=4.0)

@@ -45,6 +45,7 @@ class TestNetworkModelValidation:
         ("packet_bits", 1, "from 2 to"),
         ("packet_bits", 2.5, "packet_bits"),
         ("rate_scale", 0.0, "rate_scale"),
+        ("noise_power", math.inf, "noise_power must be finite"),
     ])
     def test_scalar_field_validation(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -58,8 +59,9 @@ class TestNetworkModelValidation:
                                 "must be finite"),
         ("rate_scale", 1e308, r"rate_scale \* processing_gain \* gains\[0\]\[0\] / "
                               "noise_power must be finite"),
+        ("gains", ((math.nan, 0.5), (0.25, 1.0)), r"gains\[0\]\[0\] must be finite"),
     ], ids=["packet_bits-past-2**53", "packet_bits-past-float", "noise-over-rate-overflows",
-            "sinr-per-watt-overflows", "utility-bound-overflows"])
+            "sinr-per-watt-overflows", "utility-bound-overflows", "nan-gain"])
     def test_values_the_solvers_cannot_represent(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             make_model(**{field: value})

@@ -16,7 +16,7 @@ import icpower
 from icpower import (CooperationNotRationalError, DiscountSpec, Elimination, FiniteGame,
                      FiniteGameParams, FiniteScenario, JointDistribution, OutputConfig,
                      PowerProfile, PricingConfig, RunConfig, SearchConfig, SolveReport,
-                     TriggerPolicy, UtilityPlane, Weights, utility_grid)
+                     SolverOutcomeError, TriggerPolicy, UtilityPlane, Weights, utility_grid)
 from icpower.network import _Record
 
 from conftest import make_model
@@ -102,6 +102,17 @@ def test_a_name_loads_only_its_module_and_what_it_imports(name, loads):
     assert proc.stdout == f"{[f'icpower.{m}' for m in loads]}\n", proc.stderr
 
 
+@pytest.mark.parametrize("module", ["continuous", "efficiency", "finite", "repeated"])
+def test_solver_modules_load_no_config(module):
+    # the games need only the channel and each other; the JSON layer is the CLI's
+    code = (f"import sys, icpower.{module}; "
+            "print(sorted({'icpower.config', 'json', 'pathlib'} & set(sys.modules)))")
+    src = str(Path(icpower.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 def test_every_export_resolves():
     assert len(set(icpower.__all__)) == len(icpower.__all__)
     star = {}
@@ -133,6 +144,7 @@ def test_unknown_attribute_raises():
 
 @pytest.mark.parametrize("error", [CooperationNotRationalError])
 def test_solver_outcomes_stay_value_errors(error):
+    assert isinstance(error("no answer"), SolverOutcomeError)
     assert isinstance(error("no answer"), ValueError)
 
 
@@ -200,31 +212,6 @@ def test_record_value_semantics(name):
         with pytest.raises(AttributeError):
             delattr(a, field)
     assert tuple(getattr(a, field) for field in cls.__slots__) == values
-
-
-# pickles of two config sections from when they lived in the solver modules
-# that use them, at protocols 0 and 4
-OLD_PICKLES = {
-    "PricingConfig": (
-        PricingConfig(0.12),
-        b"cicpower.continuous\nPricingConfig\np0\n(F0.12\ntp1\nRp2\n.",
-        b"\x80\x04\x955\x00\x00\x00\x00\x00\x00\x00\x8c\x12icpower.continuous\x94\x8c\r"
-        b"PricingConfig\x94\x93\x94G?\xbe\xb8Q\xeb\x85\x1e\xb8\x85\x94R\x94."),
-    "FiniteGameParams": (
-        FiniteGameParams(1.0, 0.01, 4.0),
-        b"cicpower.finite\nFiniteGameParams\np0\n(F1.0\nF0.01\nF4.0\ntp1\nRp2\n.",
-        b"\x80\x04\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x0eicpower.finite\x94\x8c\x10"
-        b"FiniteGameParams\x94\x93\x94G?\xf0\x00\x00\x00\x00\x00\x00G?\x84z\xe1G\xae\x14{"
-        b"G@\x10\x00\x00\x00\x00\x00\x00\x87\x94R\x94."),
-}
-
-
-@pytest.mark.parametrize("name", OLD_PICKLES)
-def test_old_pickles_still_load(name):
-    record, *old = OLD_PICKLES[name]
-    assert type(record).__module__ == "icpower.config"
-    for data in old:
-        assert pickle.loads(data) == record
 
 
 def test_records_are_no_tuples():
